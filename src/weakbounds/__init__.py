@@ -72,10 +72,9 @@ from .objective import (
     Side,
     SmoothingConfig,
     eval_objective,
-    eval_penalized,
     gradient,
+    hessian,
     minimized_value,
-    penalty,
     per_sample_objective,
     soft_extreme,
 )

@@ -14,8 +14,8 @@ from .objective import (
     SmoothingConfig,
     eval_objective,
     gradient,
+    hessian,
     minimized_value,
-    penalty,
     per_sample_objective,
 )
 from .solver import SolveReport, SolverConfig, minimize
@@ -47,22 +47,39 @@ def plugin_std(data, model, G, a_hat, cfg, side) -> float:
     return float(values.std(ddof=1))
 
 
+def _newton_ridge(data, model, cfg) -> np.ndarray:
+    """Added to each signature's Hessian block so that every block is invertible.
+
+    The all-ones direction is an exact null direction of each block and the
+    gradient is orthogonal to it, so a multiple of 11^T fixes that direction
+    without changing the step. A relative floor on the diagonal keeps blocks of
+    saturated weights (exactly zero at small eps) invertible. A signature with
+    no samples has a zero gradient, and an identity block gives it a zero step.
+    """
+    k = model.num_classes
+    scale = np.bincount(data.z_ids, minlength=model.num_signatures) / (data.n * cfg.epsilon)
+    ridge = scale[:, None, None] * (np.ones((k, k)) / k**2 + 1e-12 * np.eye(k))
+    ridge[scale == 0.0] = np.eye(k)
+    return ridge
+
+
 def _solve_side(data, model, G, cfg, scfg, side) -> BoundEstimate:
     a0 = np.zeros((model.num_classes, model.num_signatures))
+    ridge = _newton_ridge(data, model, cfg)
     a_hat, report = minimize(
         lambda a: minimized_value(data, model, G, a, cfg, side),
         lambda a: gradient(data, model, G, a, cfg, side),
+        lambda a: hessian(data, model, G, a, cfg, side) + ridge,
         a0,
         scfg,
+        # a larger step overshoots when the weights saturate at small eps; the
+        # eps term keeps a G of all zeros from freezing the iterate
+        max_step=2.0 * G.sup_norm + cfg.epsilon,
     )
-    # centering zeroes the penalty exactly; shift invariance keeps the value,
-    # so the reported bound carries no solver penalty residual
+    # shift invariance keeps the value; report the zero-column-sum optimizer
     a_hat = center_columns(a_hat)
-    report = replace(
-        report,
-        penalty_residual=penalty(a_hat),
-        optimizer_sup_norm=float(np.max(np.abs(a_hat))) if a_hat.size else 0.0,
-    )
+    sup_norm = float(np.max(np.abs(a_hat))) if a_hat.size else 0.0
+    report = replace(report, optimizer_sup_norm=sup_norm)
     value = eval_objective(data, model, G, a_hat, cfg, side)
     return BoundEstimate(
         side=side,

@@ -102,6 +102,18 @@ def _solver_report_dict(report) -> dict:
     return dataclasses.asdict(report)
 
 
+def _warn_unconverged(solves) -> None:
+    """One stderr line per solved bound whose solver stopped short of its tolerance."""
+    for label, est in solves:
+        r = est.report
+        if not r.converged:
+            print(
+                f"warning: {label}, {est.side.value} bound: the solver did not converge "
+                f"({r.iterations} iterations, gradient sup-norm {r.final_gradient_norm:.3g})",
+                file=sys.stderr,
+            )
+
+
 def _bound_entry(lo, hi, gamma, clamped=False) -> dict:
     ci_lo = confidence_interval(lo, gamma)
     ci_hi = confidence_interval(hi, gamma)
@@ -153,6 +165,7 @@ def cmd_estimate(args) -> int:
     g = build_g(data, spec, space)
     cfg = _smoothing(args, model.num_classes)
     lo, hi = estimate_bounds(data, model, g, cfg, SolverConfig())
+    _warn_unconverged([(args.metric, lo), (args.metric, hi)])
 
     metrics = {args.metric.replace("-", "_"): _bound_entry(lo, hi, args.gamma)}
     metadata = {
@@ -196,6 +209,7 @@ def cmd_sweep(args) -> int:
         gamma=args.gamma,
         p_y1=args.prior_y1,
     )
+    _warn_unconverged(sweep.solves)
     write_sweep_csv(args.out, sweep)
     return EXIT_OK
 
@@ -269,8 +283,11 @@ def cmd_diagnose(args) -> int:
         alt = read_label_model_json(args.label_model_alt, table)
         cfg = _smoothing(args, model.num_classes)
         report = misspecification_report(data, model, alt, g, cfg, SolverConfig())
+        _warn_unconverged((f"{args.metric} under the {label}", est) for label, est in report.solves)
+        fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+        del fields["solves"]
         payload["misspecification"] = {
-            **dataclasses.asdict(report),
+            **fields,
             "within_certificate": report.within_certificate,
             "note": "certificate assumes uniformly bounded optimizers; not verifiable from data",
         }

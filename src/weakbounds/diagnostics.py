@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import estimate_bounds
+from .bounds import BoundEstimate, estimate_bounds
 from .domain import DatasetView, GMatrix, LabelModel
 from .errors import CoverageError
 from .objective import SmoothingConfig
@@ -56,6 +56,8 @@ class MisspecReport:
     certificate: float
     optimizer_sup_norm_p: float
     optimizer_sup_norm_q: float
+    # the four solved bounds, labelled by model; not part of the report's values
+    solves: tuple[tuple[str, BoundEstimate], ...] = field(default=(), repr=False, compare=False)
 
     @property
     def within_certificate(self) -> bool:
@@ -96,6 +98,10 @@ def misspecification_report(
         certificate=2.0 * delta * max(norm_p, norm_q),
         optimizer_sup_norm_p=norm_p,
         optimizer_sup_norm_q=norm_q,
+        solves=tuple(
+            [("label model", est) for est in (lo_p, up_p)]
+            + [("alternative label model", est) for est in (lo_q, up_q)]
+        ),
     )
 
 

@@ -131,6 +131,8 @@ class LabelModel:
         table = np.asarray(self.table, dtype=np.float64)
         if table.ndim != 2:
             raise FormatError("label model table must be 2-dimensional")
+        if not np.all(np.isfinite(table)):
+            raise FormatError("label model entries must be finite")
         if np.any(table < -SIMPLEX_TOL) or np.any(table > 1.0 + SIMPLEX_TOL):
             raise FormatError("label model entries must lie in [0, 1]")
         sums = table.sum(axis=1)
@@ -184,8 +186,8 @@ class GMatrix:
 def center_columns(a: np.ndarray) -> np.ndarray:
     """Project dual variables onto zero-column-sum form by removing column means.
 
-    The dual objective is invariant to per-column shifts, so this changes the
-    penalty term only. Idempotent.
+    The dual objective is invariant to per-column shifts, so this leaves its
+    value unchanged. Idempotent.
     """
     a = np.asarray(a, dtype=np.float64)
     return a - a.mean(axis=0, keepdims=True)

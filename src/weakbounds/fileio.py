@@ -141,17 +141,22 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
         num_classes = int(payload["num_classes"])
         entries = payload["entries"]
         fallback = payload.get("fallback", "error")
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: missing field {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: missing or malformed field {exc}") from None
     if fallback not in ("error", "uniform"):
         raise FormatError(f"{path}: fallback must be 'error' or 'uniform'")
 
     by_sig: dict[tuple[int, ...], list[float]] = {}
-    for e in entries:
-        sig = tuple(int(v) for v in e["z"])
+    for i, e in enumerate(entries):
+        try:
+            sig = tuple(int(v) for v in e["z"])
+            p = [float(v) for v in e["p"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(
+                f"{path}: entry {i} needs numeric lists 'z' and 'p' ({exc!r})"
+            ) from None
         if sig in by_sig:
             raise FormatError(f"{path}: duplicate signature {sig}")
-        p = [float(v) for v in e["p"]]
         if len(p) != num_classes:
             raise FormatError(f"{path}: row for {sig} has wrong length")
         by_sig[sig] = p

@@ -41,9 +41,16 @@ class MetricSpec:
             )
 
 
-def _predictions(data: DatasetView, spec: MetricSpec) -> np.ndarray:
+def _predictions(data: DatasetView, spec: MetricSpec, num_classes: int) -> np.ndarray:
     if data.predictions is not None:
-        return np.asarray(data.predictions, dtype=np.int64)
+        preds = np.asarray(data.predictions, dtype=np.int64)
+        # a negative class would silently index from the end in build_g
+        bad = (preds < 0) | (preds >= num_classes)
+        if np.any(bad):
+            raise FormatError(
+                f"prediction {int(preds[np.argmax(bad)])} outside the classes 0..{num_classes - 1}"
+            )
+        return preds
     if data.scores is not None and spec.threshold is not None:
         # ties at the threshold classify positive
         return (np.asarray(data.scores) >= spec.threshold).astype(np.int64)
@@ -54,8 +61,8 @@ def build_g(data: DatasetView, spec: MetricSpec, space: LabelSpace) -> GMatrix:
     """Cost matrix for a metric: row i holds g(X_i, y, Z_i) for every class y."""
     if spec.kind is MetricKind.CUSTOM:
         raise ValueError("custom metrics: construct a GMatrix directly")
-    preds = _predictions(data, spec)
     k = space.num_classes
+    preds = _predictions(data, spec, k)
     if spec.kind is MetricKind.ACCURACY:
         values = np.zeros((data.n, k))
         values[np.arange(data.n), preds] = 1.0
@@ -78,9 +85,9 @@ def estimate_h1(
     threshold: float | None = None,
     predictions: np.ndarray | None = None,
 ) -> float:
-    """Fraction of samples the classifier labels positive."""
+    """Fraction of samples a binary classifier labels positive."""
     if predictions is None:
-        predictions = _predictions(data, MetricSpec(MetricKind.ACCURACY, threshold=threshold))
+        predictions = _predictions(data, MetricSpec(MetricKind.ACCURACY, threshold=threshold), 2)
     return float(np.mean(np.asarray(predictions) == 1))
 
 
@@ -150,6 +157,8 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepTable:
     rows: tuple[SweepRow, ...] = field(default_factory=tuple)
+    # every solved bound, labelled "<metric> at threshold <t>", in solve order
+    solves: tuple[tuple[str, BoundEstimate], ...] = field(default_factory=tuple)
 
 
 def _ci_from_values(value, std, n, gamma) -> ConfidenceInterval:
@@ -191,7 +200,7 @@ def threshold_sweep(
 
         p_y1 = estimate_class_prior(data, model, positive_class=1)
 
-    rows = []
+    rows, solves = [], []
     for t in thresholds:
         at_t = DatasetView(
             n=data.n,
@@ -203,6 +212,7 @@ def threshold_sweep(
         if "accuracy" in metric_kinds:
             g = build_g(at_t, MetricSpec(MetricKind.ACCURACY), space)
             lo, hi = estimate_bounds(at_t, model, g, cfg, scfg)
+            solves += [(f"accuracy at threshold {t:g}", est) for est in (lo, hi)]
             rows.append(
                 SweepRow(
                     threshold=t,
@@ -218,6 +228,7 @@ def threshold_sweep(
         if "joint_positive" in metric_kinds or wants_prf:
             g = build_g(at_t, MetricSpec(MetricKind.JOINT_POSITIVE), space)
             lo, hi = estimate_bounds(at_t, model, g, cfg, scfg)
+            solves += [(f"joint_positive at threshold {t:g}", est) for est in (lo, hi)]
             if "joint_positive" in metric_kinds:
                 rows.append(
                     SweepRow(
@@ -251,4 +262,4 @@ def threshold_sweep(
                                 ci_upper=_ci_from_values(mi.upper, mi.upper_std, data.n, gamma),
                             )
                         )
-    return SweepTable(rows=tuple(rows))
+    return SweepTable(rows=tuple(rows), solves=tuple(solves))

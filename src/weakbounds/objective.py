@@ -1,10 +1,14 @@
-"""Smoothed dual objectives, their penalized forms, and analytic gradients.
+"""Smoothed dual objectives with their analytic gradients and Hessians.
 
 The decision variable is a real |Y|-by-|Z| matrix ``a``. For each sample i the
 objective replaces the hard min/max over classes of ``G[i, y] + a[y, z_i]``
 with a temperature-eps log-mean-exp, then subtracts the label-model
 expectation of ``a[., z_i]``. Everything here is a pure function of immutable
 inputs.
+
+The objective is invariant to adding a constant to any column of ``a``, and
+its columns interact only through the sample mean, so its Hessian is block
+diagonal: one |Y|-by-|Y| block per signature.
 """
 
 from __future__ import annotations
@@ -28,23 +32,20 @@ class Side(enum.Enum):
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Smoothing temperature and penalty weight for the unconstrained reformulation."""
+    """Smoothing temperature of the log-mean-exp relaxation."""
 
     epsilon: float = 0.01 / math.log(2.0)
-    penalty_weight: float = 1.0
 
     def __post_init__(self):
         if self.epsilon < EPSILON_FLOOR:
             raise ValueError(
                 f"epsilon must be >= {EPSILON_FLOOR} (overflow guard), got {self.epsilon}"
             )
-        if self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be non-negative")
 
     @classmethod
-    def for_classes(cls, num_classes: int, target_error: float = 0.01, **kw):
+    def for_classes(cls, num_classes: int, target_error: float = 0.01):
         """Temperature giving a smoothing bias of ``target_error`` units."""
-        return cls(epsilon=target_error / math.log(num_classes), **kw)
+        return cls(epsilon=target_error / math.log(num_classes))
 
 
 def soft_extreme(values, epsilon: float, side: Side) -> float:
@@ -99,53 +100,63 @@ def per_sample_objective(
 
 
 def eval_objective(data, model, G, a, cfg, side) -> float:
-    """Mean smoothed dual value over the sample; penalty not included."""
+    """Mean smoothed dual value over the sample."""
     return float(per_sample_objective(data, model, G, a, cfg, side).mean())
 
 
-def penalty(a: np.ndarray) -> float:
-    """Squared column-sum penalty enforcing membership in the zero-sum set."""
-    col = np.asarray(a).sum(axis=0)
-    return float(col @ col)
-
-
-def eval_penalized(data, model, G, a, cfg, side) -> float:
-    """Objective plus the penalty, signed so the solved problem stays convex.
-
-    Upper side adds the penalty (minimized); lower side subtracts it (the
-    lower problem is a supremum, so its negation gains the penalty).
-    """
-    base = eval_objective(data, model, G, a, cfg, side)
-    sign = 1.0 if side is Side.UPPER else -1.0
-    return base + sign * cfg.penalty_weight * penalty(a)
+def _weights(data, G, a, cfg, side) -> np.ndarray:
+    # n-by-|Y| softmin (LOWER) or softmax (UPPER) weights of G[i] + a[:, z_i]
+    sign = -1.0 if side is Side.LOWER else 1.0
+    t = sign * _shifted(data, G, a) / cfg.epsilon
+    t -= t.max(axis=1, keepdims=True)
+    w = np.exp(t)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def gradient(data, model, G, a, cfg, side) -> np.ndarray:
-    """Exact gradient of the minimized objective in ``a``.
+    """Exact gradient in ``a`` of ``minimized_value``.
 
-    UPPER: gradient of eval_penalized. LOWER: gradient of -eval_penalized,
-    i.e. of the function the solver minimizes for the supremum problem.
+    Each column sums to zero, since every weight row and label-model row does.
     """
     _check_coverage(data, model, G)
-    eps = cfg.epsilon
-    sign = -1.0 if side is Side.LOWER else 1.0
-    t = sign * _shifted(data, G, a) / eps
-    t -= t.max(axis=1, keepdims=True)
-    w = np.exp(t)
-    w /= w.sum(axis=1, keepdims=True)  # n-by-|Y| softmin/softmax weights
+    w = _weights(data, G, a, cfg, side)
+    num_z = a.shape[1]
+    counts = np.bincount(data.z_ids, minlength=num_z)
+    # per signature and class, the weight summed over the signature's samples
+    sums = np.stack([np.bincount(data.z_ids, weights=col, minlength=num_z) for col in w.T])
+    data_term = (sums - counts * model.table.T) / data.n
+    return data_term if side is Side.UPPER else -data_term
 
+
+def hessian(data, model, G, a, cfg, side) -> np.ndarray:
+    """Exact Hessian of ``minimized_value`` as a (|Z|, |Y|, |Y|) stack of blocks.
+
+    Block z is ``sum_{i: z_i = z} (diag w_i - w_i w_i^T) / (n * eps)`` on both
+    sides. It is positive semidefinite with the all-ones vector in its null
+    space, and all zero for a signature absent from the sample.
+    """
+    _check_coverage(data, model, G)
+    w = _weights(data, G, a, cfg, side)
     num_y, num_z = a.shape
-    counts = np.bincount(data.z_ids, minlength=num_z).astype(np.float64)
-    acc = np.zeros((num_z, num_y))
-    np.add.at(acc, data.z_ids, w)
-    data_term = (acc - counts[:, None] * model.table).T / data.n
-
-    grad = sign * data_term
-    grad += 2.0 * cfg.penalty_weight * a.sum(axis=0, keepdims=True)
-    return grad
+    # diag w - w w^T has zero row sums, so each diagonal entry is minus the sum
+    # of its row's off-diagonal entries; this avoids cancellation in w - w**2
+    # as a weight saturates
+    blocks = np.zeros((num_z, num_y, num_y))
+    for y in range(num_y):
+        for x in range(y + 1, num_y):
+            outer = np.bincount(data.z_ids, weights=w[:, y] * w[:, x], minlength=num_z)
+            blocks[:, y, x] = blocks[:, x, y] = -outer
+            blocks[:, y, y] += outer
+            blocks[:, x, x] += outer
+    return blocks / (data.n * cfg.epsilon)
 
 
 def minimized_value(data, model, G, a, cfg, side) -> float:
-    """The scalar the solver minimizes; gradient() is its exact derivative."""
-    v = eval_penalized(data, model, G, a, cfg, side)
+    """The scalar the solver minimizes: the objective, negated on the LOWER side.
+
+    The lower bound is a supremum, so its solve minimizes the negation; both
+    sides are then convex. gradient() and hessian() are its exact derivatives.
+    """
+    v = eval_objective(data, model, G, a, cfg, side)
     return v if side is Side.UPPER else -v

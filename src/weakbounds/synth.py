@@ -9,7 +9,7 @@ the sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .bounds import confidence_interval, estimate_bounds
 from .domain import (
     DatasetView,
     LabelModel,
+    LabelSpace,
     SignatureTable,
     encode_signatures,
 )
@@ -152,31 +153,12 @@ def coverage_experiment(
     mspec = MetricSpec(kind=metric, threshold=spec.threshold)
 
     def run(n, seed, solver_cfg):
-        local = SynthSpec(
-            n=n,
-            num_labelers=spec.num_labelers,
-            labeler_accuracies=spec.labeler_accuracies,
-            abstain_rates=spec.abstain_rates,
-            prior_y1=spec.prior_y1,
-            score_separation=spec.score_separation,
-            seed=seed,
-            threshold=spec.threshold,
-        )
-        result = generate_synthetic(local)
-        from .domain import LabelSpace
-
+        result = generate_synthetic(replace(spec, n=n, seed=seed))
         g = build_g(result.data, mspec, LabelSpace(num_classes=2))
         return estimate_bounds(result.data, result.model, g, cfg, solver_cfg)
 
     # the ground-truth run must actually converge; give it a larger budget
-    truth_scfg = SolverConfig(
-        max_iterations=max(10 * scfg.max_iterations, 2000),
-        gradient_tolerance=scfg.gradient_tolerance,
-        memory_pairs=scfg.memory_pairs,
-        c1=scfg.c1,
-        c2=scfg.c2,
-        max_line_search_steps=scfg.max_line_search_steps,
-    )
+    truth_scfg = replace(scfg, max_iterations=max(10 * scfg.max_iterations, 2000))
     truth_lo, truth_hi = run(truth_factor * spec.n, spec.seed, truth_scfg)
 
     hits_lo = 0

@@ -1,7 +1,10 @@
+import csv
 import json
 
 import pytest
 
+from weakbounds import SolverConfig
+from weakbounds import cli
 from weakbounds.cli import main
 
 
@@ -50,6 +53,71 @@ class TestExitCodes:
         model.write_text(json.dumps({"num_classes": 2, "entries": []}))
         rc = run("estimate", "--data", str(data), "--label-model", str(model))
         assert rc == 2
+
+    @pytest.mark.parametrize("pred", ["-1", "5"])
+    def test_prediction_outside_classes_is_data_error(self, tmp_path, synth_files, capsys, pred):
+        data, model = synth_files
+        rows = list(csv.reader(data.open()))
+        rows[1][rows[0].index("pred")] = pred
+        bad = tmp_path / "bad_pred.csv"
+        with bad.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        rc = run("estimate", "--data", str(bad), "--label-model", str(model))
+        assert rc == 2
+        assert f"prediction {pred} outside the classes 0..1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["missing", None])
+    def test_label_model_entry_without_p_is_data_error(self, tmp_path, synth_files, p):
+        data, model = synth_files
+        payload = json.loads(model.read_text())
+        if p == "missing":
+            del payload["entries"][0]["p"]
+        else:
+            payload["entries"][0]["p"] = p
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(payload))
+        assert run("estimate", "--data", str(data), "--label-model", str(bad)) == 2
+
+
+class TestUnconvergedWarning:
+    """A solve stopped by its budget warns on stderr and leaves the exit code at 0."""
+
+    @pytest.fixture(autouse=True)
+    def no_budget(self, monkeypatch):
+        monkeypatch.setattr(cli, "SolverConfig", lambda: SolverConfig(max_iterations=0))
+
+    def warnings(self, capsys):
+        return [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+
+    def test_estimate_warns_per_side(self, tmp_path, synth_files, capsys):
+        data, model = synth_files
+        out = tmp_path / "r.json"
+        assert run("estimate", "--data", str(data), "--label-model", str(model),
+                   "--out", str(out)) == 0
+        lines = self.warnings(capsys)
+        assert len(lines) == 2
+        assert "accuracy, lower bound" in lines[0] and "accuracy, upper bound" in lines[1]
+        assert "0 iterations" in lines[0] and "gradient sup-norm" in lines[0]
+        payload = json.loads(out.read_text())
+        assert not payload["metrics"]["accuracy"]["solver"]["lower"]["converged"]
+
+    def test_sweep_warns_per_solve(self, tmp_path, synth_files, capsys):
+        data, model = synth_files
+        assert run("sweep", "--data", str(data), "--label-model", str(model),
+                   "--thresholds", "0.4,0.6", "--metric", "accuracy,f1",
+                   "--out", str(tmp_path / "s.csv")) == 0
+        lines = self.warnings(capsys)
+        # two thresholds, an accuracy and a joint solve each, two sides per solve
+        assert len(lines) == 8
+        assert "joint_positive at threshold 0.6, upper bound" in lines[-1]
+
+    def test_diagnose_warns_per_model(self, tmp_path, synth_files, capsys):
+        data, model = synth_files
+        assert run("diagnose", "--data", str(data), "--label-model", str(model),
+                   "--label-model-alt", str(model), "--out", str(tmp_path / "d.json")) == 0
+        lines = self.warnings(capsys)
+        assert len(lines) == 4
+        assert "accuracy under the alternative label model, upper bound" in lines[-1]
 
 
 class TestEstimate:

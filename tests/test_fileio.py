@@ -124,6 +124,26 @@ class TestLabelModelJson:
         with pytest.raises(FormatError):
             read_label_model_json(path, table)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"z": [0, 1, -1]},
+            {"z": [0, 1, -1], "p": None},
+            {"z": [0, 1, -1], "p": ["x", 0.5]},
+            {"z": [0, 1, -1], "p": [float("nan"), 0.5]},
+            {"p": [0.5, 0.5]},
+            {"z": None, "p": [0.5, 0.5]},
+            {"z": [0, "one", -1], "p": [0.5, 0.5]},
+            [[0, 1, -1], [0.5, 0.5]],
+        ],
+    )
+    def test_malformed_entry_rejected(self, tmp_path, entry):
+        _, table = sample_dataset()
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"num_classes": 2, "fallback": "uniform", "entries": [entry]}))
+        with pytest.raises(FormatError):
+            read_label_model_json(path, table)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

@@ -13,14 +13,13 @@ from weakbounds import (
     SmoothingConfig,
     center_columns,
     eval_objective,
-    eval_penalized,
     gradient,
+    hessian,
     minimized_value,
-    penalty,
     per_sample_objective,
     soft_extreme,
 )
-from conftest import random_instance, two_point_instance
+from conftest import random_instance
 
 
 class TestSmoothingConfig:
@@ -120,36 +119,15 @@ class TestEvalObjective:
 
 
 class TestPenalized:
+    """The solved function needs no column-sum penalty: it is shift invariant and convex."""
+
     def test_centered_a_has_no_penalty(self, rng):
         data, model, G = random_instance(rng)
-        a = center_columns(rng.normal(size=(2, model.num_signatures)))
-        cfg = SmoothingConfig()
-        for side in Side:
-            assert eval_penalized(data, model, G, a, cfg, side) == pytest.approx(
-                eval_objective(data, model, G, a, cfg, side), abs=1e-12
-            )
-
-    def test_single_column_ones_penalty_four(self):
-        data, model, G = two_point_instance(0.5)
-        a = np.ones((2, 1))
-        cfg = SmoothingConfig()
-        assert penalty(a) == pytest.approx(4.0)
-        base_up = eval_objective(data, model, G, a, cfg, Side.UPPER)
-        assert eval_penalized(data, model, G, a, cfg, Side.UPPER) == pytest.approx(
-            base_up + 4.0
-        )
-        base_lo = eval_objective(data, model, G, a, cfg, Side.LOWER)
-        assert eval_penalized(data, model, G, a, cfg, Side.LOWER) == pytest.approx(
-            base_lo - 4.0
-        )
-
-    def test_zero_weight_equals_objective(self, rng):
-        data, model, G = random_instance(rng)
         a = rng.normal(size=(2, model.num_signatures))
-        cfg = SmoothingConfig(penalty_weight=0.0)
+        cfg = SmoothingConfig()
         for side in Side:
-            assert eval_penalized(data, model, G, a, cfg, side) == pytest.approx(
-                eval_objective(data, model, G, a, cfg, side)
+            assert minimized_value(data, model, G, center_columns(a), cfg, side) == pytest.approx(
+                minimized_value(data, model, G, a, cfg, side), abs=1e-12
             )
 
     def test_upper_penalized_is_convex(self, rng):
@@ -159,8 +137,9 @@ class TestPenalized:
             a2 = rng.normal(size=(2, model.num_signatures))
             t = rng.uniform(0.05, 0.95)
             cfg = SmoothingConfig()
-            f = lambda a: eval_penalized(data, model, G, a, cfg, Side.UPPER)
-            assert f(t * a1 + (1 - t) * a2) <= t * f(a1) + (1 - t) * f(a2) + 1e-10
+            for side in Side:
+                f = lambda a: minimized_value(data, model, G, a, cfg, side)
+                assert f(t * a1 + (1 - t) * a2) <= t * f(a1) + (1 - t) * f(a2) + 1e-10
 
 
 class TestGradient:
@@ -174,17 +153,14 @@ class TestGradient:
             assert np.abs(g).max() <= 1e-14
 
     def test_column_sum_identity(self, rng):
-        # per column l: sum_k grad[k,l] = 2 * rho * |Y| * sum_y a[y,l]
+        # weight rows and label-model rows sum to one, so every column sums to zero
         for _ in range(20):
             data, model, G = random_instance(rng, num_classes=3)
             a = rng.normal(size=(3, model.num_signatures))
-            rho = rng.uniform(0.1, 2.0)
-            cfg = SmoothingConfig.for_classes(3, penalty_weight=rho)
+            cfg = SmoothingConfig.for_classes(3)
             for side in Side:
                 g = gradient(data, model, G, a, cfg, side)
-                assert g.sum(axis=0) == pytest.approx(
-                    2.0 * rho * 3 * a.sum(axis=0), abs=1e-10
-                )
+                assert g.sum(axis=0) == pytest.approx(np.zeros(model.num_signatures), abs=1e-15)
 
     def test_matches_central_finite_differences(self, rng):
         h = 1e-5
@@ -208,19 +184,64 @@ class TestGradient:
                 assert np.abs(analytic - fd).max() / scale <= 1e-5
 
 
+class TestHessian:
+    def test_matches_central_differences_of_gradient(self):
+        rng = np.random.default_rng(303)
+        h = 1e-5
+        worst = 0.0
+        for trial in range(100):
+            k = int(rng.integers(2, 4))
+            data, model, G = random_instance(rng, n_max=40, num_classes=k)
+            a = rng.normal(scale=0.5, size=(k, model.num_signatures))
+            cfg = SmoothingConfig.for_classes(k)
+            side = Side.LOWER if trial % 2 else Side.UPPER
+            blocks = hessian(data, model, G, a, cfg, side)
+            fd = np.zeros_like(blocks)
+            for y, z in np.ndindex(a.shape):
+                ap, am = a.copy(), a.copy()
+                ap[y, z] += h
+                am[y, z] -= h
+                diff = (gradient(data, model, G, ap, cfg, side)
+                        - gradient(data, model, G, am, cfg, side)) / (2 * h)
+                # block diagonal: perturbing column z moves only column z
+                assert np.abs(np.delete(diff, z, axis=1)).max(initial=0.0) == 0.0
+                fd[z, :, y] = diff[:, z]
+            worst = max(worst, float(np.abs(blocks - fd).max() / max(1.0, np.abs(fd).max())))
+        assert worst <= 1e-5
+
+    def test_blocks_are_psd_with_ones_null_direction(self, rng):
+        for _ in range(20):
+            data, model, G = random_instance(rng, num_classes=3)
+            a = rng.normal(size=(3, model.num_signatures))
+            cfg = SmoothingConfig.for_classes(3)
+            for side in Side:
+                blocks = hessian(data, model, G, a, cfg, side)
+                assert np.allclose(blocks, blocks.transpose(0, 2, 1))
+                assert np.abs(blocks.sum(axis=2)).max() <= 1e-12 * np.abs(blocks).max()
+                assert np.linalg.eigvalsh(blocks).min() >= -1e-9
+
+    def test_absent_signature_has_zero_block(self):
+        data = DatasetView(n=2, z_ids=np.array([0, 0]))
+        model = LabelModel(table=np.array([[0.3, 0.7], [0.5, 0.5]]))
+        G = GMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]), sup_norm=1.0)
+        blocks = hessian(data, model, G, np.zeros((2, 2)), SmoothingConfig(), Side.UPPER)
+        assert np.array_equal(blocks[1], np.zeros((2, 2)))
+        assert blocks[0, 0, 0] > 0.0
+
+
 class TestMinimizedValue:
-    def test_upper_equals_penalized(self, rng):
+    def test_upper_equals_objective(self, rng):
         data, model, G = random_instance(rng)
         a = rng.normal(size=(2, model.num_signatures))
         cfg = SmoothingConfig()
-        assert minimized_value(data, model, G, a, cfg, Side.UPPER) == eval_penalized(
+        assert minimized_value(data, model, G, a, cfg, Side.UPPER) == eval_objective(
             data, model, G, a, cfg, Side.UPPER
         )
 
-    def test_lower_is_negated_penalized(self, rng):
+    def test_lower_is_negated_objective(self, rng):
         data, model, G = random_instance(rng)
         a = rng.normal(size=(2, model.num_signatures))
         cfg = SmoothingConfig()
-        assert minimized_value(data, model, G, a, cfg, Side.LOWER) == -eval_penalized(
+        assert minimized_value(data, model, G, a, cfg, Side.LOWER) == -eval_objective(
             data, model, G, a, cfg, Side.LOWER
         )

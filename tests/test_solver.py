@@ -1,31 +1,30 @@
+import math
+
 import numpy as np
 import pytest
 
 from weakbounds import (
+    LabelModel,
     NumericalError,
     Side,
     SmoothingConfig,
     SolverConfig,
-    center_columns,
-    gradient,
+    estimate_bounds,
     minimize,
-    minimized_value,
-    penalty,
 )
+from weakbounds import bounds
 from conftest import random_instance, two_point_instance
 
 
 def quadratic(center):
+    """sum (a - center)^2: Hessian 2*I in every column block."""
     value = lambda a: float(((a - center) ** 2).sum())
     grad = lambda a: 2.0 * (a - center)
-    return value, grad
+    hess = lambda a: np.broadcast_to(2.0 * np.eye(a.shape[0]), (a.shape[1], a.shape[0], a.shape[0]))
+    return value, grad, hess
 
 
 class TestSolverConfig:
-    def test_wolfe_constants_ordered(self):
-        with pytest.raises(ValueError):
-            SolverConfig(c1=0.5, c2=0.1)
-
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=-1)
@@ -33,76 +32,113 @@ class TestSolverConfig:
 
 class TestMinimize:
     def test_quadratic_reaches_analytic_minimizer(self):
-        value, grad = quadratic(3.0)
-        a0 = np.zeros((4, 3))
-        a, report = minimize(value, grad, a0)
-        assert a == pytest.approx(np.full((4, 3), 3.0), abs=1e-7)
+        value, grad, hess = quadratic(3.0)
+        a, report = minimize(value, grad, hess, np.zeros((4, 3)))
+        assert a == pytest.approx(np.full((4, 3), 3.0), abs=1e-12)
         assert report.converged
         assert report.final_gradient_norm <= 1e-8
+        assert report.iterations == 1  # one exact Newton step
 
     def test_quadratic_iteration_budget_is_tight(self):
-        # strictly convex quadratic: dimension + 5 iterations suffice
         rng = np.random.default_rng(0)
-        center = rng.normal(size=12)
-        value, grad = quadratic(center)
-        a, report = minimize(value, grad, np.zeros(12))
+        value, grad, hess = quadratic(rng.normal(size=(3, 4)))
+        a, report = minimize(value, grad, hess, np.zeros((3, 4)))
         assert report.converged
-        assert report.iterations <= 12 + 5
+        assert report.iterations == 1
+
+    def test_step_cap_limits_each_column(self):
+        value, grad, hess = quadratic(3.0)
+        a, report = minimize(value, grad, hess, np.zeros((2, 3)), max_step=0.5)
+        assert report.converged
+        assert report.iterations == 6  # 3 / 0.5 capped steps
 
     def test_zero_budget_returns_start(self):
-        value, grad = quadratic(3.0)
-        a0 = np.ones(5)
-        a, report = minimize(value, grad, a0, SolverConfig(max_iterations=0))
+        value, grad, hess = quadratic(3.0)
+        a0 = np.ones((5, 1))
+        a, report = minimize(value, grad, hess, a0, SolverConfig(max_iterations=0))
         assert np.array_equal(a, a0)
         assert not report.converged
         assert report.iterations == 0
 
-    def test_monotone_decrease(self, rng):
+    def test_monotone_decrease(self, rng, monkeypatch):
         data, model, G = random_instance(rng)
-        cfg = SmoothingConfig()
-        values = []
-        orig = minimized_value
+        values = {side: [] for side in Side}
+        original = bounds.minimized_value
 
-        def tracked(a):
-            v = orig(data, model, G, a, cfg, Side.UPPER)
-            values.append(v)
-            return v
+        def tracked(*args):
+            values[args[-1]].append(original(*args))
+            return values[args[-1]][-1]
 
-        a0 = np.zeros((2, model.num_signatures))
-        minimize(tracked, lambda a: gradient(data, model, G, a, cfg, Side.UPPER), a0)
-        # the accepted iterates decrease; trial evaluations may not, so check
-        # the running minimum equals the final value
-        assert values[-1] <= values[0] + 1e-12
+        monkeypatch.setattr(bounds, "minimized_value", tracked)
+        lo, hi = estimate_bounds(data, model, G)
+        assert lo.report.converged and hi.report.converged
+        # trial evaluations may rise, but the accepted final iterate does not
+        for side in Side:
+            assert values[side][-1] <= values[side][0] + 1e-12
 
     def test_bit_determinism(self, rng):
-        data, model, G = random_instance(rng)
-        cfg = SmoothingConfig()
-        run = lambda: minimize(
-            lambda a: minimized_value(data, model, G, a, cfg, Side.LOWER),
-            lambda a: gradient(data, model, G, a, cfg, Side.LOWER),
-            np.zeros((2, model.num_signatures)),
-        )
-        a1, r1 = run()
-        a2, r2 = run()
-        assert np.array_equal(a1, a2)
-        assert r1 == r2
+        data, model, G = random_instance(rng, num_classes=3)
+        runs = [estimate_bounds(data, model, G) for _ in range(2)]
+        for first, second in zip(*runs):
+            assert np.array_equal(first.optimizer, second.optimizer)
+            assert first.value == second.value
+            assert first.report == second.report
 
     def test_two_point_upper_solve(self):
         data, model, G = two_point_instance(0.75)
-        cfg = SmoothingConfig()
-        a, report = minimize(
-            lambda a: minimized_value(data, model, G, a, cfg, Side.UPPER),
-            lambda a: gradient(data, model, G, a, cfg, Side.UPPER),
-            np.zeros((2, 1)),
-        )
-        assert report.converged
-        assert penalty(center_columns(a)) <= 1e-10
+        _, hi = estimate_bounds(data, model, G)
+        assert hi.report.converged
+        assert hi.report.final_gradient_norm <= 1e-8
 
     def test_non_finite_value_raises(self):
+        value, grad, hess = quadratic(0.0)
+        a0 = np.ones((2, 1))
+        with pytest.raises(NumericalError) as info:
+            minimize(lambda a: float("nan"), grad, hess, a0)
+        assert np.array_equal(info.value.last_iterate, a0)
+
+    def test_non_finite_trial_keeps_accepted_iterate(self):
+        # finite at the start, NaN after the first step: the error carries
+        # the start, the last iterate that was accepted
+        value, grad, hess = quadratic(3.0)
+        a0 = np.zeros((2, 2))
+        guarded = lambda a: value(a) if np.array_equal(a, a0) else float("nan")
+        with pytest.raises(NumericalError) as info:
+            minimize(guarded, grad, hess, a0)
+        assert np.array_equal(info.value.last_iterate, a0)
+
+    def test_singular_block_raises(self):
+        value, grad, _ = quadratic(1.0)
+        zero = lambda a: np.zeros((a.shape[1], a.shape[0], a.shape[0]))
         with pytest.raises(NumericalError):
-            minimize(lambda a: float("nan"), lambda a: a, np.ones(2))
+            minimize(value, grad, zero, np.zeros((2, 2)))
 
     def test_non_finite_start_rejected(self):
-        value, grad = quadratic(0.0)
+        value, grad, hess = quadratic(0.0)
         with pytest.raises(ValueError):
-            minimize(value, grad, np.array([np.inf, 0.0]))
+            minimize(value, grad, hess, np.array([[np.inf], [0.0]]))
+
+
+class TestDualSolves:
+    def test_small_eps_saturated_weights_converge(self, rng):
+        # at eps = 1e-3 / ln|Y| the weights saturate and Hessian blocks
+        # underflow to zero; the ridge and the step cap keep every solve finite
+        for _ in range(50):
+            k = int(rng.integers(2, 4))
+            data, model, G = random_instance(rng, num_classes=k)
+            for est in estimate_bounds(data, model, G, SmoothingConfig(epsilon=1e-3 / math.log(k))):
+                assert est.report.converged
+                assert np.all(np.isfinite(est.optimizer))
+
+    def test_absent_signature_takes_no_step(self, rng):
+        data, model, G = random_instance(rng, num_sig_max=3)
+        wider = LabelModel(table=np.vstack([model.table, [[0.5, 0.5]]]))
+        for est in estimate_bounds(data, wider, G):
+            assert est.report.converged
+            assert np.array_equal(est.optimizer[:, -1], np.zeros(2))
+
+    def test_estimate_bounds_reports_solver_outcome(self, rng):
+        data, model, G = random_instance(rng)
+        lo, hi = estimate_bounds(data, model, G, scfg=SolverConfig(max_iterations=0))
+        assert not lo.report.converged and not hi.report.converged
+        assert lo.report.iterations == hi.report.iterations == 0
