@@ -10,6 +10,7 @@ small-instance oracle, and diagnostics for label-model quality.
 from .bounds import (
     BoundEstimate,
     ConfidenceInterval,
+    ci_half_width,
     confidence_interval,
     estimate_bounds,
     estimate_class_prior,
@@ -37,6 +38,7 @@ from .domain import (
     SignatureTable,
     ValidationReport,
     center_columns,
+    check_covers,
     encode_signatures,
     validate_label_model,
 )

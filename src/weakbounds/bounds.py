@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
-from .domain import DatasetView, GMatrix, LabelModel, center_columns
+from .domain import DatasetView, GMatrix, LabelModel, center_columns, check_covers
 from .errors import InsufficientSampleError
 from .objective import (
     Side,
@@ -107,14 +107,18 @@ def estimate_bounds(
     return lower, upper
 
 
-def confidence_interval(est: BoundEstimate, gamma: float) -> ConfidenceInterval:
-    """Two-sided normal-approximation interval at level 1 - gamma."""
+def ci_half_width(std: float, n: int, gamma: float) -> float:
+    """Half-width z_{1-gamma/2} * std / sqrt(n) of a two-sided normal interval."""
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    if est.n < 2:
+    if n < 2:
         raise InsufficientSampleError("confidence interval needs n >= 2")
-    tau = float(norm.ppf(1.0 - gamma / 2.0))
-    half = tau * est.plugin_std / np.sqrt(est.n)
+    return NormalDist().inv_cdf(1.0 - gamma / 2.0) * std / np.sqrt(n)
+
+
+def confidence_interval(est: BoundEstimate, gamma: float) -> ConfidenceInterval:
+    """Two-sided normal-approximation interval at level 1 - gamma."""
+    half = ci_half_width(est.plugin_std, est.n, gamma)
     return ConfidenceInterval(level=1.0 - gamma, low=est.value - half, high=est.value + half)
 
 
@@ -122,10 +126,7 @@ def estimate_class_prior(data: DatasetView, model: LabelModel, positive_class: i
     """Marginal class probability implied by the label model over the sample."""
     if not (0 <= positive_class < model.num_classes):
         raise ValueError("positive_class out of range")
-    if data.z_ids.size and int(data.z_ids.max()) >= model.num_signatures:
-        from .errors import CoverageError
-
-        raise CoverageError("data contains z-ids beyond the label model's coverage")
+    check_covers(data, model)
     return float(model.table[data.z_ids, positive_class].mean())
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
+    ci_half_width,
     confidence_interval,
     estimate_bounds,
     estimate_class_prior,
@@ -136,12 +137,8 @@ def _bound_entry(lo, hi, gamma, clamped=False) -> dict:
 
 
 def _prf_entry(interval, base_entry, n, gamma) -> dict:
-    from .metrics import MetricInterval  # noqa: F401  (type only)
-    from scipy.stats import norm
-
-    tau = float(norm.ppf(1.0 - gamma / 2.0))
-    half_lo = tau * interval.lower_std / np.sqrt(n)
-    half_hi = tau * interval.upper_std / np.sqrt(n)
+    half_lo = ci_half_width(interval.lower_std, n, gamma)
+    half_hi = ci_half_width(interval.upper_std, n, gamma)
     entry = dict(base_entry)
     entry.update(
         lower=interval.lower,
@@ -167,7 +164,8 @@ def cmd_estimate(args) -> int:
     lo, hi = estimate_bounds(data, model, g, cfg, SolverConfig())
     _warn_unconverged([(args.metric, lo), (args.metric, hi)])
 
-    metrics = {args.metric.replace("-", "_"): _bound_entry(lo, hi, args.gamma)}
+    entry = _bound_entry(lo, hi, args.gamma)
+    metrics = {args.metric.replace("-", "_"): entry}
     metadata = {
         "n": data.n,
         "num_signatures": table.num_signatures,
@@ -181,10 +179,9 @@ def cmd_estimate(args) -> int:
         p_y1 = args.prior_y1 if args.prior_y1 is not None else estimate_class_prior(data, model, 1)
         metadata.update(p_h1=p_h1, p_y1=p_y1)
         if p_h1 > 0.0 and p_y1 > 0.0:
-            base = _bound_entry(lo, hi, args.gamma)
             prf = prf_from_joint(lo, hi, p_h1, p_y1)
             for name in ("precision", "recall", "f1"):
-                metrics[name] = _prf_entry(getattr(prf, name), base, data.n, args.gamma)
+                metrics[name] = _prf_entry(getattr(prf, name), entry, data.n, args.gamma)
 
     payload = {"metrics": metrics, "metadata": metadata}
     if args.out:
@@ -297,8 +294,8 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    spec = SynthSpec(
+def _synth_spec(args) -> SynthSpec:
+    return SynthSpec(
         n=args.n,
         num_labelers=args.num_labelers,
         labeler_accuracies=tuple(float(v) for v in args.accuracies.split(",")),
@@ -308,7 +305,10 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         threshold=args.threshold,
     )
-    result = generate_synthetic(spec)
+
+
+def cmd_synth(args) -> int:
+    result = generate_synthetic(_synth_spec(args))
     write_dataset_csv(args.out, result.data, result.table)
     if args.model_out:
         write_label_model_json(args.model_out, result.model, result.table)
@@ -318,17 +318,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    spec = SynthSpec(
-        n=args.n,
-        num_labelers=args.num_labelers,
-        labeler_accuracies=tuple(float(v) for v in args.accuracies.split(",")),
-        abstain_rates=tuple(float(v) for v in args.abstain_rates.split(",")),
-        prior_y1=args.prior_y1,
-        score_separation=args.separation,
-        seed=args.seed,
-        threshold=args.threshold,
-    )
-    report = coverage_experiment(spec, args.replications, args.gamma)
+    report = coverage_experiment(_synth_spec(args), args.replications, args.gamma)
     payload = dataclasses.asdict(report)
     if args.out:
         dump_result_json(payload, args.out)

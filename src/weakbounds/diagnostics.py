@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundEstimate, estimate_bounds
-from .domain import DatasetView, GMatrix, LabelModel
+from .domain import DatasetView, GMatrix, LabelModel, check_covers
 from .errors import CoverageError
 from .objective import SmoothingConfig
 from .solver import SolverConfig
@@ -111,8 +111,7 @@ def label_model_score(data: DatasetView, model: LabelModel, G: GMatrix) -> float
     This is the value of the conditional-independence coupling, so it always
     lies inside the exact bounds.
     """
-    if data.z_ids.size and int(data.z_ids.max()) >= model.num_signatures:
-        raise CoverageError("data contains z-ids beyond the label model's coverage")
+    check_covers(data, model)
     return float(np.einsum("iy,iy->i", G.values, model.table[data.z_ids]).mean())
 
 

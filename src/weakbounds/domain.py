@@ -183,6 +183,12 @@ class GMatrix:
         return self.values.shape[1]
 
 
+def check_covers(data: DatasetView, model: LabelModel) -> None:
+    """Raise CoverageError if any z-id in ``data`` has no row in ``model``."""
+    if data.z_ids.size and int(data.z_ids.max()) >= model.num_signatures:
+        raise CoverageError("data contains z-ids beyond the label model's coverage")
+
+
 def center_columns(a: np.ndarray) -> np.ndarray:
     """Project dual variables onto zero-column-sum form by removing column means.
 

@@ -223,8 +223,15 @@ def count_label_model(
     """Estimate P(Y | Z) by counting labeled examples, with additive smoothing."""
     if data.labels is None:
         raise FormatError("counting estimator needs a label column")
+    labels = np.asarray(data.labels, dtype=np.int64)
+    # a negative label would silently index from the end, a large one raise IndexError
+    bad = (labels < 0) | (labels >= num_classes)
+    if np.any(bad):
+        raise FormatError(
+            f"label {int(labels[np.argmax(bad)])} outside the classes 0..{num_classes - 1}"
+        )
     counts = np.zeros((table.num_signatures, num_classes))
-    np.add.at(counts, (data.z_ids, data.labels), 1.0)
+    np.add.at(counts, (data.z_ids, labels), 1.0)
     rows = (counts + smoothing_alpha) / (
         counts.sum(axis=1, keepdims=True) + smoothing_alpha * num_classes
     )

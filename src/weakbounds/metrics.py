@@ -10,8 +10,9 @@ import numpy as np
 from .bounds import (
     BoundEstimate,
     ConfidenceInterval,
-    confidence_interval,
+    ci_half_width,
     estimate_bounds,
+    estimate_class_prior,
 )
 from .domain import DatasetView, GMatrix, LabelModel, LabelSpace
 from .errors import FormatError
@@ -162,11 +163,21 @@ class SweepTable:
 
 
 def _ci_from_values(value, std, n, gamma) -> ConfidenceInterval:
-    from scipy.stats import norm
-
-    tau = float(norm.ppf(1.0 - gamma / 2.0))
-    half = tau * std / np.sqrt(n)
+    half = ci_half_width(std, n, gamma)
     return ConfidenceInterval(level=1.0 - gamma, low=value - half, high=value + half)
+
+
+def _sweep_row(threshold, metric, lower, upper, lower_std, upper_std, n, gamma) -> SweepRow:
+    return SweepRow(
+        threshold=threshold,
+        metric=metric,
+        lower=lower,
+        upper=upper,
+        lower_std=lower_std,
+        upper_std=upper_std,
+        ci_lower=_ci_from_values(lower, lower_std, n, gamma),
+        ci_upper=_ci_from_values(upper, upper_std, n, gamma),
+    )
 
 
 def threshold_sweep(
@@ -196,8 +207,6 @@ def threshold_sweep(
     wants_prf = bool({"precision", "recall", "f1"} & set(metric_kinds))
 
     if p_y1 is None and wants_prf:
-        from .bounds import estimate_class_prior
-
         p_y1 = estimate_class_prior(data, model, positive_class=1)
 
     rows, solves = [], []
@@ -214,15 +223,8 @@ def threshold_sweep(
             lo, hi = estimate_bounds(at_t, model, g, cfg, scfg)
             solves += [(f"accuracy at threshold {t:g}", est) for est in (lo, hi)]
             rows.append(
-                SweepRow(
-                    threshold=t,
-                    metric="accuracy",
-                    lower=lo.value,
-                    upper=hi.value,
-                    lower_std=lo.plugin_std,
-                    upper_std=hi.plugin_std,
-                    ci_lower=confidence_interval(lo, gamma),
-                    ci_upper=confidence_interval(hi, gamma),
+                _sweep_row(
+                    t, "accuracy", lo.value, hi.value, lo.plugin_std, hi.plugin_std, data.n, gamma
                 )
             )
         if "joint_positive" in metric_kinds or wants_prf:
@@ -231,15 +233,9 @@ def threshold_sweep(
             solves += [(f"joint_positive at threshold {t:g}", est) for est in (lo, hi)]
             if "joint_positive" in metric_kinds:
                 rows.append(
-                    SweepRow(
-                        threshold=t,
-                        metric="joint_positive",
-                        lower=lo.value,
-                        upper=hi.value,
-                        lower_std=lo.plugin_std,
-                        upper_std=hi.plugin_std,
-                        ci_lower=confidence_interval(lo, gamma),
-                        ci_upper=confidence_interval(hi, gamma),
+                    _sweep_row(
+                        t, "joint_positive", lo.value, hi.value, lo.plugin_std, hi.plugin_std,
+                        data.n, gamma,
                     )
                 )
             if wants_prf:
@@ -251,15 +247,9 @@ def threshold_sweep(
                             continue
                         mi: MetricInterval = getattr(prf, name)
                         rows.append(
-                            SweepRow(
-                                threshold=t,
-                                metric=name,
-                                lower=mi.lower,
-                                upper=mi.upper,
-                                lower_std=mi.lower_std,
-                                upper_std=mi.upper_std,
-                                ci_lower=_ci_from_values(mi.lower, mi.lower_std, data.n, gamma),
-                                ci_upper=_ci_from_values(mi.upper, mi.upper_std, data.n, gamma),
+                            _sweep_row(
+                                t, name, mi.lower, mi.upper, mi.lower_std, mi.upper_std,
+                                data.n, gamma,
                             )
                         )
     return SweepTable(rows=tuple(rows), solves=tuple(solves))

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DatasetView, GMatrix, LabelModel
-from .errors import CoverageError
+from .domain import DatasetView, GMatrix, LabelModel, check_covers
 
 EPSILON_FLOOR = 1e-6
 
@@ -66,10 +65,7 @@ def soft_extreme(values, epsilon: float, side: Side) -> float:
 
 
 def _check_coverage(data: DatasetView, model: LabelModel, G: GMatrix):
-    if data.z_ids.size and int(data.z_ids.max()) >= model.num_signatures:
-        raise CoverageError(
-            "data contains z-ids beyond the label model's coverage"
-        )
+    check_covers(data, model)
     if G.n != data.n or G.num_classes != model.num_classes:
         raise ValueError("shape mismatch between data, label model, and G")
 

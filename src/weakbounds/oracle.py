@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .domain import DatasetView, GMatrix, LabelModel
-from .errors import CoverageError, WeakBoundsError
+from .domain import DatasetView, GMatrix, LabelModel, check_covers
+from .errors import WeakBoundsError
 
 SIZE_GUARD = 10**6
 MASS_TOL = 1e-9
@@ -73,6 +72,10 @@ def transport_binary(inst: TransportInstance) -> float:
 
 def transport_general(inst: TransportInstance) -> float:
     """Exact min cost for any number of columns via the transportation LP."""
+    # scipy is imported here, not at module level: only multiclass instances
+    # reach this LP, and the import dominates a CLI process's start-up
+    from scipy.optimize import linprog
+
     keep = inst.col_mass > 0.0
     costs = inst.costs[:, keep]
     col_mass = inst.col_mass[keep]
@@ -123,8 +126,7 @@ def exact_bounds(data: DatasetView, model: LabelModel, G: GMatrix) -> OracleResu
         raise TooLargeError(
             f"instance size {data.n * num_y * num_z} exceeds guard {SIZE_GUARD}"
         )
-    if data.z_ids.size and int(data.z_ids.max()) >= num_z:
-        raise CoverageError("data contains z-ids beyond the label model's coverage")
+    check_covers(data, model)
 
     per_signature = []
     lower = 0.0

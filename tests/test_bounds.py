@@ -9,6 +9,7 @@ from weakbounds import (
     InsufficientSampleError,
     LabelModel,
     LabelSpace,
+    MetricInterval,
     MetricKind,
     MetricSpec,
     Side,
@@ -16,6 +17,7 @@ from weakbounds import (
     SolveReport,
     SynthSpec,
     build_g,
+    ci_half_width,
     confidence_interval,
     count_label_model,
     estimate_bounds,
@@ -187,6 +189,43 @@ class TestConfidenceInterval:
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
             confidence_interval(make_estimate(0.0, 1.0, 10), 0.0)
+
+
+class TestCiHalfWidth:
+    def test_quantile_matches_scipy(self):
+        from scipy.stats import norm
+
+        gammas = np.concatenate([np.geomspace(1e-6, 0.999, 300), np.linspace(0.001, 0.998, 300)])
+        for gamma in gammas:
+            # std 2 over sqrt(4) scales the quantile by exactly 1
+            z = ci_half_width(2.0, 4, float(gamma))
+            assert z == pytest.approx(norm.ppf(1.0 - gamma / 2.0), rel=2e-15, abs=0.0)
+
+    def test_rejects_bad_gamma_and_n(self):
+        with pytest.raises(ValueError):
+            ci_half_width(1.0, 10, 1.0)
+        with pytest.raises(InsufficientSampleError):
+            ci_half_width(1.0, 1, 0.05)
+
+    def test_sweep_prf_rows_and_cli_entries_agree(self):
+        from weakbounds.cli import _prf_entry
+
+        synth = generate_synthetic(SynthSpec(n=300, seed=5))
+        gamma = 0.1
+        sweep = threshold_sweep(
+            synth.data, synth.model, [0.5], ["joint_positive", "precision", "f1"], gamma=gamma
+        )
+        assert [r.metric for r in sweep.rows] == ["joint_positive", "precision", "f1"]
+        for r in sweep.rows:
+            interval = MetricInterval(r.lower, r.upper, r.lower_std, r.upper_std, clamped=False)
+            entry = _prf_entry(interval, {}, synth.data.n, gamma)
+            for value, std, ci, key in (
+                (r.lower, r.lower_std, r.ci_lower, "ci_lower"),
+                (r.upper, r.upper_std, r.ci_upper, "ci_upper"),
+            ):
+                direct = confidence_interval(make_estimate(value, std, synth.data.n), gamma)
+                assert (ci.low, ci.high) == (direct.low, direct.high)
+                assert entry[key] == [direct.low, direct.high]
 
 
 class TestEstimateClassPrior:

@@ -11,6 +11,7 @@ from weakbounds import (
     LabelModel,
     LabelSpace,
     center_columns,
+    check_covers,
     encode_signatures,
     validate_label_model,
 )
@@ -116,6 +117,14 @@ class TestGMatrix:
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
             GMatrix(values=np.array([[np.nan, 0.0]]), sup_norm=1.0)
+
+
+class TestCheckCovers:
+    def test_z_id_beyond_model_rejected(self):
+        model = LabelModel(table=np.array([[0.5, 0.5], [0.2, 0.8]]))
+        check_covers(DatasetView(n=2, z_ids=np.array([0, 1])), model)
+        with pytest.raises(CoverageError, match="beyond the label model's coverage"):
+            check_covers(DatasetView(n=2, z_ids=np.array([0, 2])), model)
 
 
 class TestCenterColumns:

@@ -206,3 +206,11 @@ class TestCountLabelModel:
         data = DatasetView(n=1, z_ids=z_ids)
         with pytest.raises(FormatError):
             count_label_model(data, table, num_classes=2)
+
+    @pytest.mark.parametrize("labels, bad", [([0, -1, 1, 1], -1), ([0, 1, 2, 1], 2)])
+    def test_label_outside_classes_rejected(self, labels, bad):
+        # -1 used to be counted into the last class; 2 raised a bare IndexError
+        table, z_ids = encode_signatures([(0,), (1,), (0,), (1,)])
+        data = DatasetView(n=4, z_ids=z_ids, labels=np.array(labels))
+        with pytest.raises(FormatError, match=f"label {bad} outside the classes 0..1"):
+            count_label_model(data, table, num_classes=2)
