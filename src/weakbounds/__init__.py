@@ -31,12 +31,14 @@ from .diagnostics import (
 )
 from .domain import (
     ABSTAIN,
+    CellTable,
     DatasetView,
     GMatrix,
     LabelModel,
     LabelSpace,
     SignatureTable,
     ValidationReport,
+    cell_table,
     center_columns,
     check_covers,
     encode_signatures,
@@ -77,7 +79,7 @@ from .objective import (
     gradient,
     hessian,
     minimized_value,
-    per_sample_objective,
+    per_cell_objective,
     soft_extreme,
 )
 from .oracle import (

@@ -7,7 +7,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import DatasetView, GMatrix, LabelModel, center_columns, check_covers
+from .domain import DatasetView, GMatrix, LabelModel, cell_table, center_columns, check_covers
 from .errors import InsufficientSampleError
 from .objective import (
     Side,
@@ -16,7 +16,7 @@ from .objective import (
     gradient,
     hessian,
     minimized_value,
-    per_sample_objective,
+    per_cell_objective,
 )
 from .solver import SolveReport, SolverConfig, minimize
 
@@ -39,15 +39,16 @@ class ConfidenceInterval:
     high: float
 
 
-def plugin_std(data, model, G, a_hat, cfg, side) -> float:
+def plugin_std(cells, a_hat, cfg, side) -> float:
     """Sample standard deviation (divisor n-1) of the per-sample dual values."""
-    if data.n < 2:
+    if cells.n < 2:
         raise InsufficientSampleError("plug-in std needs at least 2 samples")
-    values = per_sample_objective(data, model, G, a_hat, cfg, side)
-    return float(values.std(ddof=1))
+    values = per_cell_objective(cells, a_hat, cfg, side)
+    variance = cells.mass @ (values - cells.mass @ values) ** 2
+    return float(np.sqrt(variance * cells.n / (cells.n - 1)))
 
 
-def _newton_ridge(data, model, cfg) -> np.ndarray:
+def _newton_ridge(cells, cfg) -> np.ndarray:
     """Added to each signature's Hessian block so that every block is invertible.
 
     The all-ones direction is an exact null direction of each block and the
@@ -56,37 +57,34 @@ def _newton_ridge(data, model, cfg) -> np.ndarray:
     saturated weights (exactly zero at small eps) invertible. A signature with
     no samples has a zero gradient, and an identity block gives it a zero step.
     """
-    k = model.num_classes
-    scale = np.bincount(data.z_ids, minlength=model.num_signatures) / (data.n * cfg.epsilon)
+    k = cells.label_model.shape[1]
+    scale = cells.z_mass / cfg.epsilon
     ridge = scale[:, None, None] * (np.ones((k, k)) / k**2 + 1e-12 * np.eye(k))
     ridge[scale == 0.0] = np.eye(k)
     return ridge
 
 
-def _solve_side(data, model, G, cfg, scfg, side) -> BoundEstimate:
-    a0 = np.zeros((model.num_classes, model.num_signatures))
-    ridge = _newton_ridge(data, model, cfg)
+def _solve_side(cells, cfg, scfg, side, max_step) -> BoundEstimate:
+    a0 = np.zeros(cells.label_model.shape[::-1])
+    ridge = _newton_ridge(cells, cfg)
     a_hat, report = minimize(
-        lambda a: minimized_value(data, model, G, a, cfg, side),
-        lambda a: gradient(data, model, G, a, cfg, side),
-        lambda a: hessian(data, model, G, a, cfg, side) + ridge,
+        lambda a: minimized_value(cells, a, cfg, side),
+        lambda a: gradient(cells, a, cfg, side),
+        lambda a: hessian(cells, a, cfg, side) + ridge,
         a0,
         scfg,
-        # a larger step overshoots when the weights saturate at small eps; the
-        # eps term keeps a G of all zeros from freezing the iterate
-        max_step=2.0 * G.sup_norm + cfg.epsilon,
+        max_step,
     )
     # shift invariance keeps the value; report the zero-column-sum optimizer
     a_hat = center_columns(a_hat)
     sup_norm = float(np.max(np.abs(a_hat))) if a_hat.size else 0.0
     report = replace(report, optimizer_sup_norm=sup_norm)
-    value = eval_objective(data, model, G, a_hat, cfg, side)
     return BoundEstimate(
         side=side,
-        value=value,
+        value=eval_objective(cells, a_hat, cfg, side),
         optimizer=a_hat,
-        plugin_std=plugin_std(data, model, G, a_hat, cfg, side),
-        n=data.n,
+        plugin_std=plugin_std(cells, a_hat, cfg, side),
+        n=cells.n,
         report=report,
         epsilon=cfg.epsilon,
     )
@@ -102,8 +100,12 @@ def estimate_bounds(
     """Solve both one-sided smoothed dual problems from a zero start."""
     cfg = cfg or SmoothingConfig.for_classes(model.num_classes)
     scfg = scfg or SolverConfig()
-    lower = _solve_side(data, model, G, cfg, scfg, Side.LOWER)
-    upper = _solve_side(data, model, G, cfg, scfg, Side.UPPER)
+    cells = cell_table(data, model, G)
+    # a larger step overshoots when the weights saturate at small eps; the eps
+    # term keeps a G of all zeros from freezing the iterate
+    max_step = 2.0 * G.sup_norm + cfg.epsilon
+    lower = _solve_side(cells, cfg, scfg, Side.LOWER, max_step)
+    upper = _solve_side(cells, cfg, scfg, Side.UPPER, max_step)
     return lower, upper
 
 

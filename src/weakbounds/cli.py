@@ -99,8 +99,14 @@ def _load_inputs(args):
     return data, table, model
 
 
-def _solver_report_dict(report) -> dict:
-    return dataclasses.asdict(report)
+def _metric_g(args, data, model):
+    """The metric named by ``args`` and its cost matrix G on ``data``."""
+    spec = MetricSpec(
+        kind=_metric_kind(args.metric),
+        loss_table=_load_loss_table(args.loss_table),
+        threshold=args.threshold,
+    )
+    return spec, build_g(data, spec, LabelSpace(num_classes=model.num_classes))
 
 
 def _warn_unconverged(solves) -> None:
@@ -130,8 +136,8 @@ def _bound_entry(lo, hi, gamma, clamped=False) -> dict:
         "n": lo.n,
         "clamped": clamped,
         "solver": {
-            "lower": _solver_report_dict(lo.report),
-            "upper": _solver_report_dict(hi.report),
+            "lower": dataclasses.asdict(lo.report),
+            "upper": dataclasses.asdict(hi.report),
         },
     }
 
@@ -154,12 +160,7 @@ def _prf_entry(interval, base_entry, n, gamma) -> dict:
 
 def cmd_estimate(args) -> int:
     data, table, model = _load_inputs(args)
-    kind = _metric_kind(args.metric)
-    spec = MetricSpec(
-        kind=kind, loss_table=_load_loss_table(args.loss_table), threshold=args.threshold
-    )
-    space = LabelSpace(num_classes=model.num_classes)
-    g = build_g(data, spec, space)
+    spec, g = _metric_g(args, data, model)
     cfg = _smoothing(args, model.num_classes)
     lo, hi = estimate_bounds(data, model, g, cfg, SolverConfig())
     _warn_unconverged([(args.metric, lo), (args.metric, hi)])
@@ -174,7 +175,7 @@ def cmd_estimate(args) -> int:
         "label_model_score": label_model_score(data, model, g),
         "note": "plugin std substitutes the fitted optimizer and estimated label model",
     }
-    if kind is MetricKind.JOINT_POSITIVE:
+    if spec.kind is MetricKind.JOINT_POSITIVE:
         p_h1 = estimate_h1(data, threshold=args.threshold)
         p_y1 = args.prior_y1 if args.prior_y1 is not None else estimate_class_prior(data, model, 1)
         metadata.update(p_h1=p_h1, p_y1=p_y1)
@@ -213,12 +214,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     data, table, model = _load_inputs(args)
-    spec = MetricSpec(
-        kind=_metric_kind(args.metric),
-        loss_table=_load_loss_table(args.loss_table),
-        threshold=args.threshold,
-    )
-    g = build_g(data, spec, LabelSpace(num_classes=model.num_classes))
+    _, g = _metric_g(args, data, model)
     result = exact_bounds(data, model, g)
     payload = {
         "lower": result.lower,
@@ -234,20 +230,23 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _candidate(path: Path, metric: str) -> tuple[float, float, float]:
+    """(lower, upper, label-model score) of ``metric`` in one result file."""
+    try:
+        payload = json.loads(path.read_text())
+        entry = payload["metrics"][metric]
+        lm = payload.get("metadata", {}).get("label_model_score", float("nan"))
+        return float(entry["lower"]), float(entry["upper"]), float(lm)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: not a result file with bounds on {metric} ({exc!r})") from None
+
+
 def cmd_select(args) -> int:
     files = sorted(Path(args.candidates).glob("*.json"))
     if not files:
         raise FormatError(f"no candidate result files in {args.candidates}")
     metric = args.metric.replace("-", "_")
-    candidates = []
-    for f in files:
-        payload = json.loads(f.read_text())
-        try:
-            entry = payload["metrics"][metric]
-        except KeyError:
-            raise FormatError(f"{f}: no entry for metric {metric}") from None
-        lm = payload.get("metadata", {}).get("label_model_score", float("nan"))
-        candidates.append((entry["lower"], entry["upper"], lm))
+    candidates = [_candidate(f, metric) for f in files]
     result = select_model(candidates, SelectionStrategy(args.strategy))
     payload = {
         "strategy": result.strategy.value,
@@ -263,12 +262,7 @@ def cmd_select(args) -> int:
 
 def cmd_diagnose(args) -> int:
     data, table, model = _load_inputs(args)
-    spec = MetricSpec(
-        kind=_metric_kind(args.metric),
-        loss_table=_load_loss_table(args.loss_table),
-        threshold=args.threshold,
-    )
-    g = build_g(data, spec, LabelSpace(num_classes=model.num_classes))
+    _, g = _metric_g(args, data, model)
     weights = empirical_z_weights(data, model.num_signatures)
     h_cond = conditional_entropy_y(model, weights)
     payload = {
@@ -370,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior-y1", type=float, default=None)
     p.set_defaults(fn=cmd_sweep)
 
-    p = sub.add_parser("oracle", help="exact bounds on small instances")
+    p = sub.add_parser("oracle", help="exact bounds by per-signature transport")
     _add_common(p)
     p.set_defaults(fn=cmd_oracle)
 

@@ -158,35 +158,86 @@ class LabelModel:
 
 @dataclass(frozen=True)
 class GMatrix:
-    """Per-example cost values g(X_i, y, Z_i); the only way X enters the math."""
+    """Cost values g(X_i, y, Z_i): a table of cost rows and one row id per sample.
 
-    values: np.ndarray
-    sup_norm: float
+    X enters the math only through G. A built-in metric has one cost row per
+    prediction; a general per-sample G is the case ``rows = arange(n)``.
+    """
+
+    costs: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise FormatError("G must be an n-by-|Y| matrix")
-        if not np.all(np.isfinite(values)):
+        costs = np.array(self.costs, dtype=np.float64)
+        rows = np.array(self.rows, dtype=np.int64)
+        if costs.ndim != 2 or rows.ndim != 1:
+            raise FormatError("G needs a 2-dimensional cost table and one row id per sample")
+        if not np.all(np.isfinite(costs)):
             raise FormatError("G contains non-finite entries")
-        if np.any(np.abs(values) > self.sup_norm + 1e-12):
-            raise FormatError("|G| exceeds its declared sup_norm")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        if rows.size and (rows.min() < 0 or rows.max() >= len(costs)):
+            raise FormatError("G row ids lie outside its cost table")
+        costs.setflags(write=False)
+        rows.setflags(write=False)
+        object.__setattr__(self, "costs", costs)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The n-by-|Y| matrix of per-sample cost rows."""
+        return self.costs[self.rows]
+
+    @property
+    def sup_norm(self) -> float:
+        return float(np.abs(self.costs).max(initial=0.0))
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.rows.size
 
     @property
     def num_classes(self) -> int:
-        return self.values.shape[1]
+        return self.costs.shape[1]
 
 
 def check_covers(data: DatasetView, model: LabelModel) -> None:
     """Raise CoverageError if any z-id in ``data`` has no row in ``model``."""
     if data.z_ids.size and int(data.z_ids.max()) >= model.num_signatures:
         raise CoverageError("data contains z-ids beyond the label model's coverage")
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """The sample grouped into cells of equal signature and cost row, sorted by signature.
+
+    The bounds read the data only through these cells. A built-in metric has at
+    most |Z|*|Y| of them at any n.
+    """
+
+    n: int  # sample size
+    z: np.ndarray  # signature of each cell
+    costs: np.ndarray  # cells-by-|Y| cost row of each cell
+    mass: np.ndarray  # share of the sample in each cell
+    z_mass: np.ndarray  # share of the sample in each signature
+    label_model: np.ndarray  # |Z|-by-|Y| table of P(Y | Z)
+
+
+def cell_table(data: DatasetView, model: LabelModel, G: GMatrix) -> CellTable:
+    """Check that data, label model and G fit together, then group the sample into cells."""
+    check_covers(data, model)
+    if G.n != data.n or G.num_classes != model.num_classes:
+        raise ValueError("shape mismatch between data, label model, and G")
+    num_rows = len(G.costs)
+    # an integer key: np.unique on float cost rows is far slower
+    keys, counts = np.unique(data.z_ids * num_rows + G.rows, return_counts=True)
+    z, row = np.divmod(keys, num_rows)
+    return CellTable(
+        n=data.n,
+        z=z,
+        costs=G.costs[row],
+        mass=counts / data.n,
+        z_mass=np.bincount(z, weights=counts, minlength=model.num_signatures) / data.n,
+        label_model=model.table,
+    )
 
 
 def center_columns(a: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class MetricKind(enum.Enum):
     RISK = "risk"
     ACCURACY = "accuracy"
     JOINT_POSITIVE = "joint_positive"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -59,37 +58,28 @@ def _predictions(data: DatasetView, spec: MetricSpec, num_classes: int) -> np.nd
 
 
 def build_g(data: DatasetView, spec: MetricSpec, space: LabelSpace) -> GMatrix:
-    """Cost matrix for a metric: row i holds g(X_i, y, Z_i) for every class y."""
-    if spec.kind is MetricKind.CUSTOM:
-        raise ValueError("custom metrics: construct a GMatrix directly")
+    """Cost matrix for a metric: sample i takes the cost row of its prediction.
+
+    For any other cost, construct a ``GMatrix`` directly.
+    """
     k = space.num_classes
     preds = _predictions(data, spec, k)
     if spec.kind is MetricKind.ACCURACY:
-        values = np.zeros((data.n, k))
-        values[np.arange(data.n), preds] = 1.0
-        return GMatrix(values=values, sup_norm=1.0)
+        return GMatrix(costs=np.eye(k), rows=preds)
     if spec.kind is MetricKind.RISK:
-        table = spec.loss_table
-        if table.shape != (k, k):
+        if spec.loss_table.shape != (k, k):
             raise ValueError("loss_table must be |Y|-by-|Y|")
-        return GMatrix(values=table[preds], sup_norm=float(np.abs(table).max()))
+        return GMatrix(costs=spec.loss_table, rows=preds)
     # joint_positive: g = 1[h(x)=1 and y=1], binary only
     if k != 2:
         raise ValueError("joint_positive is defined for binary tasks only")
-    values = np.zeros((data.n, 2))
-    values[:, 1] = (preds == 1).astype(np.float64)
-    return GMatrix(values=values, sup_norm=1.0)
+    return GMatrix(costs=[[0.0, 0.0], [0.0, 1.0]], rows=preds)
 
 
-def estimate_h1(
-    data: DatasetView,
-    threshold: float | None = None,
-    predictions: np.ndarray | None = None,
-) -> float:
+def estimate_h1(data: DatasetView, threshold: float | None = None) -> float:
     """Fraction of samples a binary classifier labels positive."""
-    if predictions is None:
-        predictions = _predictions(data, MetricSpec(MetricKind.ACCURACY, threshold=threshold), 2)
-    return float(np.mean(np.asarray(predictions) == 1))
+    predictions = _predictions(data, MetricSpec(MetricKind.ACCURACY, threshold=threshold), 2)
+    return float(np.mean(predictions == 1))
 
 
 @dataclass(frozen=True)
@@ -211,13 +201,7 @@ def threshold_sweep(
 
     rows, solves = [], []
     for t in thresholds:
-        at_t = DatasetView(
-            n=data.n,
-            z_ids=data.z_ids,
-            scores=data.scores,
-            predictions=(data.scores >= t).astype(np.int64),
-            labels=data.labels,
-        )
+        at_t = replace(data, predictions=(data.scores >= t).astype(np.int64))
         if "accuracy" in metric_kinds:
             g = build_g(at_t, MetricSpec(MetricKind.ACCURACY), space)
             lo, hi = estimate_bounds(at_t, model, g, cfg, scfg)
@@ -239,7 +223,7 @@ def threshold_sweep(
                     )
                 )
             if wants_prf:
-                p_h1 = estimate_h1(at_t, predictions=at_t.predictions)
+                p_h1 = estimate_h1(at_t)
                 if p_h1 > 0.0 and p_y1 > 0.0:
                     prf = prf_from_joint(lo, hi, p_h1, p_y1)
                     for name in ("precision", "recall", "f1"):

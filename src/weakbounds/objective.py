@@ -1,10 +1,10 @@
 """Smoothed dual objectives with their analytic gradients and Hessians.
 
-The decision variable is a real |Y|-by-|Z| matrix ``a``. For each sample i the
-objective replaces the hard min/max over classes of ``G[i, y] + a[y, z_i]``
-with a temperature-eps log-mean-exp, then subtracts the label-model
-expectation of ``a[., z_i]``. Everything here is a pure function of immutable
-inputs.
+The decision variable is a real |Y|-by-|Z| matrix ``a``. For each cell c of
+the sample's ``CellTable`` the objective replaces the hard min/max over classes
+of ``G[c, y] + a[y, z_c]`` with a temperature-eps log-mean-exp, then subtracts
+the label-model expectation of ``a[., z_c]``, and weights the result by the
+cell's mass. Everything here is a pure function of immutable inputs.
 
 The objective is invariant to adding a constant to any column of ``a``, and
 its columns interact only through the sample mean, so its Hessian is block
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DatasetView, GMatrix, LabelModel, check_covers
+from .domain import CellTable
 
 EPSILON_FLOOR = 1e-6
 
@@ -64,76 +64,60 @@ def soft_extreme(values, epsilon: float, side: Side) -> float:
     return float(sign * epsilon * (m + np.log(np.mean(np.exp(t - m)))))
 
 
-def _check_coverage(data: DatasetView, model: LabelModel, G: GMatrix):
-    check_covers(data, model)
-    if G.n != data.n or G.num_classes != model.num_classes:
-        raise ValueError("shape mismatch between data, label model, and G")
+def _shifted(cells: CellTable, a: np.ndarray) -> np.ndarray:
+    # cells-by-|Y| matrix of G[c, y] + a[y, z_c]
+    return cells.costs + a.T[cells.z]
 
 
-def _shifted(data: DatasetView, G: GMatrix, a: np.ndarray) -> np.ndarray:
-    # n-by-|Y| matrix of G[i, y] + a[y, z_i]
-    return G.values + a.T[data.z_ids]
-
-
-def per_sample_objective(
-    data: DatasetView,
-    model: LabelModel,
-    G: GMatrix,
-    a: np.ndarray,
-    cfg: SmoothingConfig,
-    side: Side,
-) -> np.ndarray:
-    """The n per-sample smoothed dual values; their mean is the objective."""
-    _check_coverage(data, model, G)
+def per_cell_objective(cells: CellTable, a, cfg, side) -> np.ndarray:
+    """The smoothed dual value of each cell's samples; their mass-weighted sum is the objective."""
     eps = cfg.epsilon
     sign = -1.0 if side is Side.LOWER else 1.0
-    t = sign * _shifted(data, G, a) / eps
+    t = sign * _shifted(cells, a) / eps
     m = t.max(axis=1)
     soft = sign * eps * (m + np.log(np.mean(np.exp(t - m[:, None]), axis=1)))
     # label-model expectation, grouped by z: one dot product per signature
-    per_z = np.einsum("zy,yz->z", model.table, a)
-    return soft - per_z[data.z_ids]
+    per_z = np.einsum("zy,yz->z", cells.label_model, a)
+    return soft - per_z[cells.z]
 
 
-def eval_objective(data, model, G, a, cfg, side) -> float:
+def eval_objective(cells, a, cfg, side) -> float:
     """Mean smoothed dual value over the sample."""
-    return float(per_sample_objective(data, model, G, a, cfg, side).mean())
+    return float(cells.mass @ per_cell_objective(cells, a, cfg, side))
 
 
-def _weights(data, G, a, cfg, side) -> np.ndarray:
-    # n-by-|Y| softmin (LOWER) or softmax (UPPER) weights of G[i] + a[:, z_i]
+def _weights(cells, a, cfg, side) -> np.ndarray:
+    # cells-by-|Y| softmin (LOWER) or softmax (UPPER) weights of G[c] + a[:, z_c]
     sign = -1.0 if side is Side.LOWER else 1.0
-    t = sign * _shifted(data, G, a) / cfg.epsilon
+    t = sign * _shifted(cells, a) / cfg.epsilon
     t -= t.max(axis=1, keepdims=True)
     w = np.exp(t)
     w /= w.sum(axis=1, keepdims=True)
     return w
 
 
-def gradient(data, model, G, a, cfg, side) -> np.ndarray:
+def gradient(cells, a, cfg, side) -> np.ndarray:
     """Exact gradient in ``a`` of ``minimized_value``.
 
     Each column sums to zero, since every weight row and label-model row does.
     """
-    _check_coverage(data, model, G)
-    w = _weights(data, G, a, cfg, side)
+    w = _weights(cells, a, cfg, side)
     num_z = a.shape[1]
-    counts = np.bincount(data.z_ids, minlength=num_z)
-    # per signature and class, the weight summed over the signature's samples
-    sums = np.stack([np.bincount(data.z_ids, weights=col, minlength=num_z) for col in w.T])
-    data_term = (sums - counts * model.table.T) / data.n
+    # per signature and class, the mass-weighted sum of the weights
+    mw = cells.mass[:, None] * w
+    sums = np.stack([np.bincount(cells.z, weights=col, minlength=num_z) for col in mw.T])
+    data_term = sums - cells.z_mass * cells.label_model.T
     return data_term if side is Side.UPPER else -data_term
 
 
-def hessian(data, model, G, a, cfg, side) -> np.ndarray:
+def hessian(cells, a, cfg, side) -> np.ndarray:
     """Exact Hessian of ``minimized_value`` as a (|Z|, |Y|, |Y|) stack of blocks.
 
-    Block z is ``sum_{i: z_i = z} (diag w_i - w_i w_i^T) / (n * eps)`` on both
+    Block z is ``sum_{c: z_c = z} mass_c (diag w_c - w_c w_c^T) / eps`` on both
     sides. It is positive semidefinite with the all-ones vector in its null
     space, and all zero for a signature absent from the sample.
     """
-    _check_coverage(data, model, G)
-    w = _weights(data, G, a, cfg, side)
+    w = _weights(cells, a, cfg, side)
     num_y, num_z = a.shape
     # diag w - w w^T has zero row sums, so each diagonal entry is minus the sum
     # of its row's off-diagonal entries; this avoids cancellation in w - w**2
@@ -141,18 +125,18 @@ def hessian(data, model, G, a, cfg, side) -> np.ndarray:
     blocks = np.zeros((num_z, num_y, num_y))
     for y in range(num_y):
         for x in range(y + 1, num_y):
-            outer = np.bincount(data.z_ids, weights=w[:, y] * w[:, x], minlength=num_z)
+            outer = np.bincount(cells.z, weights=cells.mass * w[:, y] * w[:, x], minlength=num_z)
             blocks[:, y, x] = blocks[:, x, y] = -outer
             blocks[:, y, y] += outer
             blocks[:, x, x] += outer
-    return blocks / (data.n * cfg.epsilon)
+    return blocks / cfg.epsilon
 
 
-def minimized_value(data, model, G, a, cfg, side) -> float:
+def minimized_value(cells, a, cfg, side) -> float:
     """The scalar the solver minimizes: the objective, negated on the LOWER side.
 
     The lower bound is a supremum, so its solve minimizes the negation; both
     sides are then convex. gradient() and hessian() are its exact derivatives.
     """
-    v = eval_objective(data, model, G, a, cfg, side)
+    v = eval_objective(cells, a, cfg, side)
     return v if side is Side.UPPER else -v

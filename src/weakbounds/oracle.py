@@ -1,9 +1,9 @@
 """Exact (non-smoothed) bounds via per-signature transportation problems.
 
 The empirical problem decomposes by signature: within each z, couple the
-uniform mass on that signature's samples with the label-model column masses
-at minimum (resp. maximum) total cost. Ground truth for tests and small
-instances only; guarded by an instance-size cap.
+masses of that signature's cells with the label-model column masses at
+minimum (resp. maximum) total cost. The size guard caps cells times classes,
+so the built-in metrics, with at most |Z|*|Y| cells, run at any n.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DatasetView, GMatrix, LabelModel, check_covers
+from .domain import DatasetView, GMatrix, LabelModel, cell_table
 from .errors import WeakBoundsError
 
 SIZE_GUARD = 10**6
@@ -25,7 +25,7 @@ class TooLargeError(WeakBoundsError):
 
 @dataclass(frozen=True)
 class TransportInstance:
-    """One per-signature transportation problem: rows are samples, columns classes."""
+    """One per-signature transportation problem: rows are cells, columns classes."""
 
     costs: np.ndarray
     row_mass: np.ndarray
@@ -87,23 +87,12 @@ def transport_general(inst: TransportInstance) -> float:
 
     # equality constraints: row sums and all-but-one column sums (redundant
     # last column dropped to keep the system full rank)
-    n_var = n_rows * n_cols
-    rows_eq = []
-    rhs = []
-    for i in range(n_rows):
-        row = np.zeros(n_var)
-        row[i * n_cols : (i + 1) * n_cols] = 1.0
-        rows_eq.append(row)
-        rhs.append(inst.row_mass[i])
-    for j in range(n_cols - 1):
-        row = np.zeros(n_var)
-        row[j::n_cols] = 1.0
-        rows_eq.append(row)
-        rhs.append(col_mass[j])
+    row_sums = np.kron(np.eye(n_rows), np.ones(n_cols))
+    col_sums = np.kron(np.ones(n_rows), np.eye(n_cols)[:-1])
     res = linprog(
         costs.ravel(),
-        A_eq=np.array(rows_eq),
-        b_eq=np.array(rhs),
+        A_eq=np.vstack([row_sums, col_sums]),
+        b_eq=np.concatenate([inst.row_mass, col_mass[:-1]]),
         bounds=(0, None),
         method="highs",
     )
@@ -120,26 +109,22 @@ def _min_transport(inst: TransportInstance) -> float:
 
 def exact_bounds(data: DatasetView, model: LabelModel, G: GMatrix) -> OracleResult:
     """Exact lower/upper bounds for the empirical problem, by signature."""
-    num_z = model.num_signatures
-    num_y = model.num_classes
-    if data.n * num_y * num_z > SIZE_GUARD:
-        raise TooLargeError(
-            f"instance size {data.n * num_y * num_z} exceeds guard {SIZE_GUARD}"
-        )
-    check_covers(data, model)
+    cells = cell_table(data, model, G)
+    size = cells.mass.size * model.num_classes
+    if size > SIZE_GUARD:
+        raise TooLargeError(f"instance size {size} exceeds guard {SIZE_GUARD}")
 
     per_signature = []
     lower = 0.0
     upper = 0.0
-    for z in range(num_z):
-        rows = np.flatnonzero(data.z_ids == z)
-        if rows.size == 0:
+    edges = np.searchsorted(cells.z, np.arange(model.num_signatures + 1))
+    for z, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
+        if start == stop:
             continue
-        mass = rows.size / data.n
         inst = TransportInstance(
-            costs=G.values[rows],
-            row_mass=np.full(rows.size, 1.0 / data.n),
-            col_mass=mass * model.table[z],
+            costs=cells.costs[start:stop],
+            row_mass=cells.mass[start:stop],
+            col_mass=cells.z_mass[z] * cells.label_model[z],
         )
         lo = _min_transport(inst)
         neg = TransportInstance(

@@ -152,19 +152,17 @@ def coverage_experiment(
     scfg = scfg or SolverConfig()
     mspec = MetricSpec(kind=metric, threshold=spec.threshold)
 
-    def run(n, seed, solver_cfg):
+    def run(n, seed):
         result = generate_synthetic(replace(spec, n=n, seed=seed))
         g = build_g(result.data, mspec, LabelSpace(num_classes=2))
-        return estimate_bounds(result.data, result.model, g, cfg, solver_cfg)
+        return estimate_bounds(result.data, result.model, g, cfg, scfg)
 
-    # the ground-truth run must actually converge; give it a larger budget
-    truth_scfg = replace(scfg, max_iterations=max(10 * scfg.max_iterations, 2000))
-    truth_lo, truth_hi = run(truth_factor * spec.n, spec.seed, truth_scfg)
+    truth_lo, truth_hi = run(truth_factor * spec.n, spec.seed)
 
     hits_lo = 0
     hits_hi = 0
     for r in range(replications):
-        lo, hi = run(spec.n, spec.seed + 1 + r, scfg)
+        lo, hi = run(spec.n, spec.seed + 1 + r)
         ci_lo = confidence_interval(lo, gamma)
         ci_hi = confidence_interval(hi, gamma)
         hits_lo += ci_lo.low <= truth_lo.value <= ci_lo.high

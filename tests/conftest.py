@@ -8,6 +8,11 @@ import pytest
 from weakbounds import DatasetView, GMatrix, LabelModel
 
 
+def per_sample_g(values):
+    """A G with one cost row per sample."""
+    return GMatrix(costs=values, rows=np.arange(len(values)))
+
+
 def two_point_instance(p1: float):
     """n=2, one signature, G rows [0,1] and [1,0], P(Y=1|z) = p1.
 
@@ -15,7 +20,7 @@ def two_point_instance(p1: float):
     For p1=0.5 the exact bounds are (0, 1); for p1=0.75 they are (0.25, 0.75).
     """
     data = DatasetView(n=2, z_ids=np.array([0, 0]))
-    G = GMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]), sup_norm=1.0)
+    G = per_sample_g(np.array([[0.0, 1.0], [1.0, 0.0]]))
     model = LabelModel(table=np.array([[1.0 - p1, p1]]))
     return data, model, G
 
@@ -27,7 +32,7 @@ def random_instance(rng, n_max=60, num_classes=2, num_sig_max=5, sup=1.0):
     z_ids = rng.integers(0, num_z, n)
     z_ids[: min(num_z, n)] = np.arange(min(num_z, n))  # every signature occurs
     values = rng.uniform(-sup, sup, (n, num_classes))
-    G = GMatrix(values=values, sup_norm=sup)
+    G = per_sample_g(values)
     rows = rng.dirichlet(np.ones(num_classes), num_z)
     model = LabelModel(table=rows)
     data = DatasetView(n=n, z_ids=z_ids)

@@ -17,6 +17,7 @@ from weakbounds import (
     SolveReport,
     SynthSpec,
     build_g,
+    cell_table,
     ci_half_width,
     confidence_interval,
     count_label_model,
@@ -25,12 +26,12 @@ from weakbounds import (
     eval_objective,
     exact_bounds,
     generate_synthetic,
-    per_sample_objective,
     plugin_std,
+    soft_extreme,
     subsample_for_bounds,
     threshold_sweep,
 )
-from conftest import random_instance, two_point_instance
+from conftest import per_sample_g, random_instance, two_point_instance
 
 TIGHT = SmoothingConfig(epsilon=1e-3 / math.log(2))
 
@@ -65,9 +66,7 @@ class TestEstimateBounds:
 
     def test_constant_g_collapses(self, rng):
         data, model, _ = random_instance(rng)
-        from weakbounds import GMatrix
-
-        G = GMatrix(values=np.full((data.n, 2), 0.4), sup_norm=0.5)
+        G = per_sample_g(np.full((data.n, 2), 0.4))
         cfg = SmoothingConfig()
         lo, hi = estimate_bounds(data, model, G, cfg)
         # the exact bounds collapse to the constant; the smoothed estimates sit
@@ -91,20 +90,19 @@ class TestEstimateBounds:
         data, model, G = random_instance(rng)
         cfg = SmoothingConfig()
         lo, hi = estimate_bounds(data, model, G, cfg)
+        cells = cell_table(data, model, G)
         assert lo.value == pytest.approx(
-            eval_objective(data, model, G, lo.optimizer, cfg, Side.LOWER), abs=1e-12
+            eval_objective(cells, lo.optimizer, cfg, Side.LOWER), abs=1e-12
         )
         assert hi.value == pytest.approx(
-            eval_objective(data, model, G, hi.optimizer, cfg, Side.UPPER), abs=1e-12
+            eval_objective(cells, hi.optimizer, cfg, Side.UPPER), abs=1e-12
         )
 
     def test_invariant_to_sample_permutation(self, rng):
         data, model, G = random_instance(rng, n_max=40)
         perm = rng.permutation(data.n)
-        from weakbounds import GMatrix
-
         data_p = DatasetView(n=data.n, z_ids=data.z_ids[perm])
-        G_p = GMatrix(values=G.values[perm], sup_norm=G.sup_norm)
+        G_p = per_sample_g(G.values[perm])
         lo, hi = estimate_bounds(data, model, G)
         lo_p, hi_p = estimate_bounds(data_p, model, G_p)
         assert lo_p.value == pytest.approx(lo.value, abs=1e-8)
@@ -126,11 +124,9 @@ class TestEstimateBounds:
 class TestPluginStd:
     def test_equal_values_give_zero(self):
         data, model, G = two_point_instance(0.5)
-        from weakbounds import GMatrix
-
-        Gc = GMatrix(values=np.full((2, 2), 0.3), sup_norm=1.0)
+        cells = cell_table(data, model, per_sample_g(np.full((2, 2), 0.3)))
         a = np.zeros((2, 1))
-        assert plugin_std(data, model, Gc, a, SmoothingConfig(), Side.LOWER) == 0.0
+        assert plugin_std(cells, a, SmoothingConfig(), Side.LOWER) == 0.0
 
     def test_two_point_sample_std(self, rng):
         # per-sample values {0, 1} with divisor n-1 give 1/sqrt(2)
@@ -141,29 +137,31 @@ class TestPluginStd:
         data, model, G = random_instance(rng)
         cfg = SmoothingConfig()
         a = rng.normal(size=(2, model.num_signatures))
-        direct = float(
-            per_sample_objective(data, model, G, a, cfg, Side.UPPER).std(ddof=1)
-        )
-        assert plugin_std(data, model, G, a, cfg, Side.UPPER) == pytest.approx(direct)
+        per_sample = [
+            soft_extreme(G.values[i] + a[:, z], cfg.epsilon, Side.UPPER) - model.table[z] @ a[:, z]
+            for i, z in enumerate(data.z_ids)
+        ]
+        direct = float(np.std(per_sample, ddof=1))
+        cells = cell_table(data, model, G)
+        assert plugin_std(cells, a, cfg, Side.UPPER) == pytest.approx(direct)
 
     def test_shift_invariance(self, rng):
         data, model, G = random_instance(rng)
         cfg = SmoothingConfig()
         a = rng.normal(size=(2, model.num_signatures))
         shift = rng.normal(size=(1, model.num_signatures))
+        cells = cell_table(data, model, G)
         for side in Side:
-            assert plugin_std(data, model, G, a + shift, cfg, side) == pytest.approx(
-                plugin_std(data, model, G, a, cfg, side), abs=1e-10
+            assert plugin_std(cells, a + shift, cfg, side) == pytest.approx(
+                plugin_std(cells, a, cfg, side), abs=1e-10
             )
 
     def test_needs_two_samples(self):
         data = DatasetView(n=1, z_ids=np.array([0]))
         model = LabelModel(table=np.array([[0.5, 0.5]]))
-        from weakbounds import GMatrix
-
-        G = GMatrix(values=np.array([[0.0, 1.0]]), sup_norm=1.0)
+        cells = cell_table(data, model, per_sample_g(np.array([[0.0, 1.0]])))
         with pytest.raises(InsufficientSampleError):
-            plugin_std(data, model, G, np.zeros((2, 1)), SmoothingConfig(), Side.LOWER)
+            plugin_std(cells, np.zeros((2, 1)), SmoothingConfig(), Side.LOWER)
 
 
 class TestConfidenceInterval:
@@ -304,3 +302,54 @@ class TestSolverConvergence:
         for est in estimate_bounds(result.data, result.model, g):
             assert est.report.converged
             assert est.report.final_gradient_norm <= 1e-8
+
+
+def _multiclass_risk(n, seed, num_z=12):
+    """A 3-class risk instance whose predictions depend on the signature."""
+    rng = np.random.default_rng(seed)
+    z_ids = rng.integers(0, num_z, n)
+    z_ids[:num_z] = np.arange(num_z)
+    lean = rng.dirichlet(np.ones(3), num_z)
+    preds = (rng.random(n)[:, None] > np.cumsum(lean, axis=1)[z_ids]).sum(axis=1)
+    data = DatasetView(n=n, z_ids=z_ids, predictions=preds)
+    model = LabelModel(table=rng.dirichlet(np.full(3, 0.7), num_z))
+    loss = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    g = build_g(data, MetricSpec(MetricKind.RISK, loss_table=loss), LabelSpace(num_classes=3))
+    return data, model, g
+
+
+def _binary_instances(n, seed):
+    result = generate_synthetic(SynthSpec(n=n, seed=seed))
+    for kind in (MetricKind.ACCURACY, MetricKind.JOINT_POSITIVE):
+        g = build_g(result.data, MetricSpec(kind), LabelSpace(num_classes=2))
+        yield result.data, result.model, g
+
+
+class TestCellTable:
+    def test_large_n_sandwich(self):
+        # the oracle runs on cells, so the sandwich holds at a size where a
+        # per-sample oracle is out of reach
+        n = 200_000
+        for data, model, g in [*_binary_instances(n, seed=3), _multiclass_risk(n, seed=4)]:
+            assert cell_table(data, model, g).mass.size <= model.table.size
+            exact = exact_bounds(data, model, g)
+            lo, hi = estimate_bounds(data, model, g)
+            assert lo.report.converged and hi.report.converged
+            cap = lo.epsilon * math.log(model.num_classes)
+            assert exact.lower - 1e-6 <= lo.value <= exact.lower + cap + 1e-6
+            assert exact.upper - cap - 1e-6 <= hi.value <= exact.upper + 1e-6
+
+    def test_merging_cells_is_exact(self):
+        # one cell per sample (rows = arange(n)) gives the same bounds, stds and
+        # oracle values as one cell per (signature, prediction)
+        for data, model, g in [*_binary_instances(3000, seed=8), _multiclass_risk(600, seed=9)]:
+            per_sample = per_sample_g(g.values)
+            assert cell_table(data, model, per_sample).mass.size == data.n
+            for merged, split in zip(
+                estimate_bounds(data, model, g), estimate_bounds(data, model, per_sample)
+            ):
+                assert merged.value == pytest.approx(split.value, abs=1e-12)
+                assert merged.plugin_std == pytest.approx(split.plugin_std, abs=1e-12)
+            merged, split = exact_bounds(data, model, g), exact_bounds(data, model, per_sample)
+            assert merged.lower == pytest.approx(split.lower, abs=1e-12)
+            assert merged.upper == pytest.approx(split.upper, abs=1e-12)

@@ -233,6 +233,25 @@ class TestSelect:
         cand.mkdir()
         assert run("select", "--candidates", str(cand)) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"metrics": {"accuracy": {"lower": 0.1, "upper": 0.9}}, "metadata": [1]}',
+            "{not json",
+            '{"metrics": {"accuracy": {"lower": 0.1}}}',
+            '{"metrics": {"accuracy": {"lower": "low", "upper": 0.9}}}',
+        ],
+        ids=["list", "metadata-list", "invalid-json", "missing-upper", "non-numeric"],
+    )
+    def test_malformed_candidate_is_data_error(self, tmp_path, capsys, text):
+        cand = tmp_path / "cands"
+        cand.mkdir()
+        (cand / "bad.json").write_text(text)
+        assert run("select", "--candidates", str(cand)) == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "Traceback" not in err
+
 
 class TestDiagnose:
     def test_entropy_and_misspec(self, tmp_path, synth_files):

@@ -110,13 +110,21 @@ class TestDatasetView:
 
 
 class TestGMatrix:
-    def test_sup_norm_enforced(self):
-        with pytest.raises(FormatError):
-            GMatrix(values=np.array([[0.0, 2.0]]), sup_norm=1.0)
-
     def test_non_finite_rejected(self):
         with pytest.raises(FormatError):
-            GMatrix(values=np.array([[np.nan, 0.0]]), sup_norm=1.0)
+            GMatrix(costs=np.array([[np.nan, 0.0]]), rows=[0])
+
+    @pytest.mark.parametrize("rows", [[0, 2], [-1, 0]])
+    def test_row_ids_outside_cost_table_rejected(self, rows):
+        with pytest.raises(FormatError):
+            GMatrix(costs=np.eye(2), rows=rows)
+
+    def test_sup_norm_is_derived_from_the_cost_table(self):
+        G = GMatrix(costs=[[0.0, -2.5], [1.0, 0.0]], rows=[1, 1, 1])
+        assert G.sup_norm == 2.5
+        assert G.values.tolist() == [[1.0, 0.0]] * 3
+        with pytest.raises(TypeError):
+            GMatrix(costs=np.eye(2), rows=[0], sup_norm=1.0)
 
 
 class TestCheckCovers:

@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from weakbounds import (
     DatasetView,
-    GMatrix,
     LabelModel,
     Side,
     SmoothingConfig,
+    cell_table,
     center_columns,
     eval_objective,
     gradient,
     hessian,
     minimized_value,
-    per_sample_objective,
+    per_cell_objective,
     soft_extreme,
 )
-from conftest import random_instance
+from conftest import per_sample_g, random_instance
 
 
 class TestSmoothingConfig:
@@ -65,18 +65,18 @@ class TestSoftExtreme:
 class TestEvalObjective:
     def test_zero_g_zero_a(self, rng):
         data, model, G = random_instance(rng)
-        G0 = GMatrix(values=np.zeros_like(G.values), sup_norm=0.0)
+        cells = cell_table(data, model, per_sample_g(np.zeros_like(G.values)))
         a = np.zeros((model.num_classes, model.num_signatures))
         cfg = SmoothingConfig()
-        assert eval_objective(data, model, G0, a, cfg, Side.LOWER) == pytest.approx(0.0)
-        assert eval_objective(data, model, G0, a, cfg, Side.UPPER) == pytest.approx(0.0)
+        assert eval_objective(cells, a, cfg, Side.LOWER) == pytest.approx(0.0)
+        assert eval_objective(cells, a, cfg, Side.UPPER) == pytest.approx(0.0)
 
     def test_one_hot_model_zero_a_upper_closed_form(self):
         # binary, deterministic Y|Z: at a=0 the upper objective is the
         # log-mean-exp of the two g values per sample, averaged
         data = DatasetView(n=2, z_ids=np.array([0, 0]))
         model = LabelModel(table=np.array([[0.0, 1.0]]))
-        G = GMatrix(values=np.array([[0.3, 0.7], [0.1, 0.2]]), sup_norm=1.0)
+        G = per_sample_g(np.array([[0.3, 0.7], [0.1, 0.2]]))
         cfg = SmoothingConfig(epsilon=0.05)
         a = np.zeros((2, 1))
         expect = np.mean(
@@ -85,34 +85,35 @@ class TestEvalObjective:
                 for r in G.values
             ]
         )
-        got = eval_objective(data, model, G, a, cfg, Side.UPPER)
+        got = eval_objective(cell_table(data, model, G), a, cfg, Side.UPPER)
         assert got == pytest.approx(float(expect), abs=1e-10)
 
     def test_shift_invariance(self, rng):
         for _ in range(20):
-            data, model, G = random_instance(rng, num_classes=3)
-            a = rng.normal(size=(3, model.num_signatures))
-            shift = rng.normal(size=(1, model.num_signatures))
+            cells = cell_table(*random_instance(rng, num_classes=3))
+            a = rng.normal(size=(3, cells.z_mass.size))
+            shift = rng.normal(size=(1, cells.z_mass.size))
             cfg = SmoothingConfig.for_classes(3)
             for side in Side:
-                v0 = eval_objective(data, model, G, a, cfg, side)
-                v1 = eval_objective(data, model, G, a + shift, cfg, side)
+                v0 = eval_objective(cells, a, cfg, side)
+                v1 = eval_objective(cells, a + shift, cfg, side)
                 assert v1 == pytest.approx(v0, abs=1e-12)
 
     def test_per_sample_sandwich_vs_hard_extreme(self, rng):
-        # the smoothed per-sample value brackets the hard dual value from inside
+        # the smoothed per-cell value brackets the hard dual value from inside
         for _ in range(20):
             data, model, G = random_instance(rng, num_classes=3)
+            cells = cell_table(data, model, G)
             a = rng.normal(size=(3, model.num_signatures))
             cfg = SmoothingConfig.for_classes(3, target_error=0.05)
-            shifted = G.values + a.T[data.z_ids]
-            lm = np.einsum("zy,yz->z", model.table, a)[data.z_ids]
+            shifted = cells.costs + a.T[cells.z]
+            lm = np.einsum("zy,yz->z", model.table, a)[cells.z]
             cap = cfg.epsilon * math.log(3)
-            lo = per_sample_objective(data, model, G, a, cfg, Side.LOWER)
+            lo = per_cell_objective(cells, a, cfg, Side.LOWER)
             hard_lo = shifted.min(axis=1) - lm
             assert np.all(lo >= hard_lo - 1e-9)
             assert np.all(lo <= hard_lo + cap + 1e-9)
-            hi = per_sample_objective(data, model, G, a, cfg, Side.UPPER)
+            hi = per_cell_objective(cells, a, cfg, Side.UPPER)
             hard_hi = shifted.max(axis=1) - lm
             assert np.all(hi <= hard_hi + 1e-9)
             assert np.all(hi >= hard_hi - cap - 1e-9)
@@ -122,23 +123,23 @@ class TestPenalized:
     """The solved function needs no column-sum penalty: it is shift invariant and convex."""
 
     def test_centered_a_has_no_penalty(self, rng):
-        data, model, G = random_instance(rng)
-        a = rng.normal(size=(2, model.num_signatures))
+        cells = cell_table(*random_instance(rng))
+        a = rng.normal(size=(2, cells.z_mass.size))
         cfg = SmoothingConfig()
         for side in Side:
-            assert minimized_value(data, model, G, center_columns(a), cfg, side) == pytest.approx(
-                minimized_value(data, model, G, a, cfg, side), abs=1e-12
+            assert minimized_value(cells, center_columns(a), cfg, side) == pytest.approx(
+                minimized_value(cells, a, cfg, side), abs=1e-12
             )
 
     def test_upper_penalized_is_convex(self, rng):
         for _ in range(20):
-            data, model, G = random_instance(rng)
-            a1 = rng.normal(size=(2, model.num_signatures))
-            a2 = rng.normal(size=(2, model.num_signatures))
+            cells = cell_table(*random_instance(rng))
+            a1 = rng.normal(size=(2, cells.z_mass.size))
+            a2 = rng.normal(size=(2, cells.z_mass.size))
             t = rng.uniform(0.05, 0.95)
             cfg = SmoothingConfig()
             for side in Side:
-                f = lambda a: minimized_value(data, model, G, a, cfg, side)
+                f = lambda a: minimized_value(cells, a, cfg, side)
                 assert f(t * a1 + (1 - t) * a2) <= t * f(a1) + (1 - t) * f(a2) + 1e-10
 
 
@@ -146,39 +147,40 @@ class TestGradient:
     def test_constant_g_uniform_model_zero_gradient(self):
         data = DatasetView(n=4, z_ids=np.array([0, 0, 1, 1]))
         model = LabelModel(table=np.array([[0.5, 0.5], [0.5, 0.5]]))
-        G = GMatrix(values=np.full((4, 2), 0.3), sup_norm=1.0)
+        cells = cell_table(data, model, per_sample_g(np.full((4, 2), 0.3)))
         a = np.zeros((2, 2))
         for side in Side:
-            g = gradient(data, model, G, a, SmoothingConfig(), side)
+            g = gradient(cells, a, SmoothingConfig(), side)
             assert np.abs(g).max() <= 1e-14
 
     def test_column_sum_identity(self, rng):
         # weight rows and label-model rows sum to one, so every column sums to zero
         for _ in range(20):
-            data, model, G = random_instance(rng, num_classes=3)
-            a = rng.normal(size=(3, model.num_signatures))
+            cells = cell_table(*random_instance(rng, num_classes=3))
+            num_z = cells.z_mass.size
+            a = rng.normal(size=(3, num_z))
             cfg = SmoothingConfig.for_classes(3)
             for side in Side:
-                g = gradient(data, model, G, a, cfg, side)
-                assert g.sum(axis=0) == pytest.approx(np.zeros(model.num_signatures), abs=1e-15)
+                g = gradient(cells, a, cfg, side)
+                assert g.sum(axis=0) == pytest.approx(np.zeros(num_z), abs=1e-15)
 
     def test_matches_central_finite_differences(self, rng):
         h = 1e-5
         for _ in range(30):
             k = int(rng.integers(2, 4))
-            data, model, G = random_instance(rng, num_classes=k)
-            a = rng.normal(scale=0.5, size=(k, model.num_signatures))
+            cells = cell_table(*random_instance(rng, num_classes=k))
+            a = rng.normal(scale=0.5, size=(k, cells.z_mass.size))
             cfg = SmoothingConfig.for_classes(k)
             for side in Side:
-                analytic = gradient(data, model, G, a, cfg, side)
+                analytic = gradient(cells, a, cfg, side)
                 fd = np.zeros_like(a)
                 for idx in np.ndindex(a.shape):
                     ap, am = a.copy(), a.copy()
                     ap[idx] += h
                     am[idx] -= h
                     fd[idx] = (
-                        minimized_value(data, model, G, ap, cfg, side)
-                        - minimized_value(data, model, G, am, cfg, side)
+                        minimized_value(cells, ap, cfg, side)
+                        - minimized_value(cells, am, cfg, side)
                     ) / (2 * h)
                 scale = max(1.0, float(np.abs(fd).max()))
                 assert np.abs(analytic - fd).max() / scale <= 1e-5
@@ -191,18 +193,17 @@ class TestHessian:
         worst = 0.0
         for trial in range(100):
             k = int(rng.integers(2, 4))
-            data, model, G = random_instance(rng, n_max=40, num_classes=k)
-            a = rng.normal(scale=0.5, size=(k, model.num_signatures))
+            cells = cell_table(*random_instance(rng, n_max=40, num_classes=k))
+            a = rng.normal(scale=0.5, size=(k, cells.z_mass.size))
             cfg = SmoothingConfig.for_classes(k)
             side = Side.LOWER if trial % 2 else Side.UPPER
-            blocks = hessian(data, model, G, a, cfg, side)
+            blocks = hessian(cells, a, cfg, side)
             fd = np.zeros_like(blocks)
             for y, z in np.ndindex(a.shape):
                 ap, am = a.copy(), a.copy()
                 ap[y, z] += h
                 am[y, z] -= h
-                diff = (gradient(data, model, G, ap, cfg, side)
-                        - gradient(data, model, G, am, cfg, side)) / (2 * h)
+                diff = (gradient(cells, ap, cfg, side) - gradient(cells, am, cfg, side)) / (2 * h)
                 # block diagonal: perturbing column z moves only column z
                 assert np.abs(np.delete(diff, z, axis=1)).max(initial=0.0) == 0.0
                 fd[z, :, y] = diff[:, z]
@@ -211,11 +212,11 @@ class TestHessian:
 
     def test_blocks_are_psd_with_ones_null_direction(self, rng):
         for _ in range(20):
-            data, model, G = random_instance(rng, num_classes=3)
-            a = rng.normal(size=(3, model.num_signatures))
+            cells = cell_table(*random_instance(rng, num_classes=3))
+            a = rng.normal(size=(3, cells.z_mass.size))
             cfg = SmoothingConfig.for_classes(3)
             for side in Side:
-                blocks = hessian(data, model, G, a, cfg, side)
+                blocks = hessian(cells, a, cfg, side)
                 assert np.allclose(blocks, blocks.transpose(0, 2, 1))
                 assert np.abs(blocks.sum(axis=2)).max() <= 1e-12 * np.abs(blocks).max()
                 assert np.linalg.eigvalsh(blocks).min() >= -1e-9
@@ -223,25 +224,26 @@ class TestHessian:
     def test_absent_signature_has_zero_block(self):
         data = DatasetView(n=2, z_ids=np.array([0, 0]))
         model = LabelModel(table=np.array([[0.3, 0.7], [0.5, 0.5]]))
-        G = GMatrix(values=np.array([[0.0, 1.0], [1.0, 0.0]]), sup_norm=1.0)
-        blocks = hessian(data, model, G, np.zeros((2, 2)), SmoothingConfig(), Side.UPPER)
+        G = per_sample_g(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        cells = cell_table(data, model, G)
+        blocks = hessian(cells, np.zeros((2, 2)), SmoothingConfig(), Side.UPPER)
         assert np.array_equal(blocks[1], np.zeros((2, 2)))
         assert blocks[0, 0, 0] > 0.0
 
 
 class TestMinimizedValue:
     def test_upper_equals_objective(self, rng):
-        data, model, G = random_instance(rng)
-        a = rng.normal(size=(2, model.num_signatures))
+        cells = cell_table(*random_instance(rng))
+        a = rng.normal(size=(2, cells.z_mass.size))
         cfg = SmoothingConfig()
-        assert minimized_value(data, model, G, a, cfg, Side.UPPER) == eval_objective(
-            data, model, G, a, cfg, Side.UPPER
+        assert minimized_value(cells, a, cfg, Side.UPPER) == eval_objective(
+            cells, a, cfg, Side.UPPER
         )
 
     def test_lower_is_negated_objective(self, rng):
-        data, model, G = random_instance(rng)
-        a = rng.normal(size=(2, model.num_signatures))
+        cells = cell_table(*random_instance(rng))
+        a = rng.normal(size=(2, cells.z_mass.size))
         cfg = SmoothingConfig()
-        assert minimized_value(data, model, G, a, cfg, Side.LOWER) == -eval_objective(
-            data, model, G, a, cfg, Side.LOWER
+        assert minimized_value(cells, a, cfg, Side.LOWER) == -eval_objective(
+            cells, a, cfg, Side.LOWER
         )

@@ -5,7 +5,6 @@ import pytest
 
 from weakbounds import (
     DatasetView,
-    GMatrix,
     LabelModel,
     TooLargeError,
     TransportInstance,
@@ -14,7 +13,7 @@ from weakbounds import (
     transport_binary,
     transport_general,
 )
-from conftest import random_instance, two_point_instance
+from conftest import per_sample_g, random_instance, two_point_instance
 
 
 def random_transport(rng, n_rows, n_cols):
@@ -161,14 +160,14 @@ class TestExactBounds:
     def test_size_guard(self):
         data = DatasetView(n=10**6, z_ids=np.zeros(10**6, dtype=np.int64))
         model = LabelModel(table=np.array([[0.5, 0.5]]))
-        G = GMatrix(values=np.zeros((10**6, 2)), sup_norm=0.0)
+        G = per_sample_g(np.zeros((10**6, 2)))
         with pytest.raises(TooLargeError):
             exact_bounds(data, model, G)
 
     def test_scaling_and_shift(self, rng):
         data, model, G = random_instance(rng, n_max=30)
         res = exact_bounds(data, model, G)
-        G2 = GMatrix(values=3.0 * G.values + 0.5, sup_norm=3.0 * G.sup_norm + 0.5)
+        G2 = per_sample_g(3.0 * G.values + 0.5)
         res2 = exact_bounds(data, model, G2)
         assert res2.lower == pytest.approx(3.0 * res.lower + 0.5, abs=1e-9)
         assert res2.upper == pytest.approx(3.0 * res.upper + 0.5, abs=1e-9)
@@ -177,7 +176,7 @@ class TestExactBounds:
         data, model, G = random_instance(rng, n_max=30)
         res = exact_bounds(data, model, G)
         swapped_model = LabelModel(table=model.table[:, ::-1].copy())
-        swapped_G = GMatrix(values=G.values[:, ::-1].copy(), sup_norm=G.sup_norm)
+        swapped_G = per_sample_g(G.values[:, ::-1].copy())
         res_s = exact_bounds(data, swapped_model, swapped_G)
         assert res_s.lower == pytest.approx(res.lower, abs=1e-9)
         assert res_s.upper == pytest.approx(res.upper, abs=1e-9)
