@@ -37,12 +37,10 @@ from .domain import (
     LabelModel,
     LabelSpace,
     SignatureTable,
-    ValidationReport,
     cell_table,
     center_columns,
     check_covers,
     encode_signatures,
-    validate_label_model,
 )
 from .errors import (
     CoverageError,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundEstimate, estimate_bounds
-from .domain import DatasetView, GMatrix, LabelModel, check_covers
+from .domain import DatasetView, GMatrix, LabelModel, cell_table
 from .errors import CoverageError
 from .objective import SmoothingConfig
 from .solver import SolverConfig
@@ -111,8 +111,8 @@ def label_model_score(data: DatasetView, model: LabelModel, G: GMatrix) -> float
     This is the value of the conditional-independence coupling, so it always
     lies inside the exact bounds.
     """
-    check_covers(data, model)
-    return float(np.einsum("iy,iy->i", G.values, model.table[data.z_ids]).mean())
+    cells = cell_table(data, model, G)
+    return float(cells.mass @ (cells.costs * cells.label_model[cells.z]).sum(axis=1))
 
 
 class SelectionStrategy(enum.Enum):

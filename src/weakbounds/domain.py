@@ -14,7 +14,7 @@ from .errors import CoverageError, FormatError
 ABSTAIN = -1
 
 SIMPLEX_TOL = 1e-9
-CENTER_TOL = 1e-9
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -59,28 +59,48 @@ class SignatureTable:
         return self.signatures[z_id]
 
 
+def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of an n-by-K integer array in first-observed order.
+
+    Returns ``(first, ids)``: ``first[j]`` is the index of the first row of group
+    j and ``ids[i]`` the group of row i. Each row is folded into one int64 key,
+    ``key * span + (column - min)``; the key is renumbered densely before any
+    multiply that would overflow, so any int64 values are grouped exactly.
+    """
+    key = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every key lies in [0, bound)
+    for col in rows.T:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if bound * span > _INT64_MAX:
+            key, col = (np.unique(v, return_inverse=True)[1] for v in (key, col))
+            bound, lo, span = int(key.max()) + 1, 0, int(col.max()) + 1
+        key = key * span + (col - lo)
+        bound *= span
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 def encode_signatures(
-    raw: list[tuple[int, ...]],
+    raw: np.ndarray | list[tuple[int, ...]],
 ) -> tuple[SignatureTable, np.ndarray]:
-    """Map raw weak-label tuples to dense z-ids in first-observed order."""
-    if not raw:
-        raise FormatError("empty signature list")
-    width = len(raw[0])
-    index: dict[tuple[int, ...], int] = {}
-    ids = np.empty(len(raw), dtype=np.int64)
-    for i, sig in enumerate(raw):
-        sig = tuple(int(v) for v in sig)
-        if len(sig) != width:
-            raise FormatError(
-                f"ragged signature lengths: expected {width}, got {len(sig)} at row {i}"
-            )
-        z = index.get(sig)
-        if z is None:
-            z = len(index)
-            index[sig] = z
-        ids[i] = z
-    table = SignatureTable(signatures=tuple(index), index=index)
-    return table, ids
+    """Map raw weak-label tuples to dense z-ids in first-observed order.
+
+    ``raw`` is an n-by-K integer array or a list of n equal-length tuples.
+    """
+    try:
+        sigs = np.asarray(raw, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise FormatError(f"signatures must be equal-length integer tuples ({exc})") from None
+    if sigs.ndim != 2 or 0 in sigs.shape:
+        raise FormatError("need a non-empty list of equal-length, non-empty signatures")
+    first, ids = group_rows(sigs)
+    signatures = tuple(map(tuple, sigs[first].tolist()))
+    index = {sig: z for z, sig in enumerate(signatures)}
+    return SignatureTable(signatures=signatures, index=index), ids
 
 
 @dataclass(frozen=True)
@@ -248,48 +268,3 @@ def center_columns(a: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     return a - a.mean(axis=0, keepdims=True)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Report-only diagnostics for a label model against a signature table."""
-
-    missing_signatures: tuple[tuple[int, ...], ...]
-    simplex_violations: tuple[int, ...]
-    min_entry: float
-    max_entry: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing_signatures and not self.simplex_violations
-
-
-def validate_label_model(
-    table: np.ndarray,
-    signature_table: SignatureTable,
-    covered: set[tuple[int, ...]] | None = None,
-) -> ValidationReport:
-    """Check a raw conditional table against the signatures observed in data.
-
-    ``table`` is the raw |rows|-by-|Y| array (possibly off-simplex, hence not a
-    LabelModel instance). ``covered`` is the set of signatures the raw model
-    defines; defaults to all signatures in ``signature_table``.
-    """
-    table = np.asarray(table, dtype=np.float64)
-    if covered is None:
-        covered = set(signature_table.signatures)
-    missing = tuple(s for s in signature_table.signatures if s not in covered)
-    bad_rows = []
-    for i, row in enumerate(table):
-        if (
-            np.any(row < -SIMPLEX_TOL)
-            or np.any(row > 1.0 + SIMPLEX_TOL)
-            or abs(row.sum() - 1.0) > SIMPLEX_TOL
-        ):
-            bad_rows.append(i)
-    return ValidationReport(
-        missing_signatures=missing,
-        simplex_violations=tuple(bad_rows),
-        min_entry=float(table.min()) if table.size else float("nan"),
-        max_entry=float(table.max()) if table.size else float("nan"),
-    )

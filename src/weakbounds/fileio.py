@@ -8,11 +8,13 @@ import csv
 import io
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .domain import DatasetView, LabelModel, SignatureTable, encode_signatures
+from .domain import DatasetView, LabelModel, SignatureTable, encode_signatures, group_rows
 from .errors import CoverageError, FormatError
 from .metrics import SweepTable
 
@@ -55,58 +57,118 @@ def write_dataset_csv(path: str | Path, data: DatasetView, table: SignatureTable
         header.append("label")
     header += [f"wl_{k}" for k in range(num_labelers)]
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for i in range(data.n):
-        row = []
-        if data.scores is not None:
-            row.append(f"{data.scores[i]:.{SIG_DIGITS}g}")
-        if data.predictions is not None:
-            row.append(int(data.predictions[i]))
-        if data.labels is not None:
-            row.append(int(data.labels[i]))
-        row += list(table.decode(int(data.z_ids[i])))
-        writer.writerow(row)
-    Path(path).write_text(buf.getvalue())
+    # every row past the score is one of the few distinct (pred, label, signature)
+    # cells, so each cell's text is formatted once
+    cells = np.column_stack(
+        [v for v in (data.predictions, data.labels) if v is not None] + [data.z_ids]
+    ).astype(np.int64, copy=False)
+    first, ids = group_rows(cells)
+    tails = [
+        ",".join(map(str, [*row[:-1], *table.decode(row[-1])])) for row in cells[first].tolist()
+    ]
+    if data.scores is None:
+        lines = [tails[c] for c in ids.tolist()]
+    else:
+        lines = [
+            f"{s:.{SIG_DIGITS}g},{tails[c]}" for s, c in zip(data.scores.tolist(), ids.tolist())
+        ]
+    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")
+
+
+# numpy's loadtxt messages for a row with the wrong number of fields (its row
+# counts file lines from 0) and for a field it cannot convert (its row counts
+# data rows from 0)
+_RAGGED = re.compile(r"requires \d+ columns but (\d+) were found at row (\d+)")
+_BAD_VALUE = re.compile(r"could not convert string (.*) to (\w+) at row (\d+), column (\d+)", re.S)
+# loadtxt also reads what int() and float() on the csv module's fields reject: it
+# skips blank lines and takes the ASCII separators \x1c-\x1f for whitespace
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
+    """The 1-based line and the reason of the first blank line or ASCII separator,
+    with lines counted as loadtxt counts them."""
+    with open(path, errors="replace") as fh:
+        newlines = 0  # before the current chunk
+        prev = ""  # the last character of the previous chunk
+        while chunk := fh.read(1 << 20):
+            text = prev + chunk
+            hits = [(at + 1, "blank line") for at in [text.find("\n\n")] if at >= 0]
+            hits += [
+                (at, f"control character {c!r}")
+                for c in _SEPARATORS
+                if (at := text.find(c)) >= 0
+            ]
+            if hits:
+                at, what = min(hits)
+                return newlines + text.count("\n", 0, at) - prev.count("\n") + 1, what
+            newlines += chunk.count("\n")
+            prev = chunk[-1]
+    return None
+
+
+def _body_error(
+    path, exc: ValueError, header: list[str], misread: tuple[int, str] | None
+) -> FormatError:
+    """The FormatError, naming the 1-based file line, for a loadtxt failure."""
+    msg = str(exc)
+    if m := _RAGGED.search(msg):
+        line = int(m[2]) + 1
+        what = f"wrong number of fields ({m[1]}, the header has {len(header)})"
+    elif m := _BAD_VALUE.search(msg):
+        line = int(m[3]) + 2
+        what = f"column {header[int(m[4]) - 1]}: could not convert {m[1]} to {m[2]}"
+    else:
+        return FormatError(f"{path}: {msg}")
+    # loadtxt skips blank lines, so a failure after one is counted short
+    if misread is not None and misread[0] <= line:
+        line, what = misread
+    return FormatError(f"{path}:{line}: {what}")
 
 
 def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty dataset file") from None
-        wl_cols = [i for i, name in enumerate(header) if name.startswith("wl_")]
-        if not wl_cols:
-            raise FormatError(f"{path}: no wl_* columns found")
-        col = {name: i for i, name in enumerate(header)}
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if header is None:
+        raise FormatError(f"{path}: empty dataset file")
+    wl_cols = [i for i, name in enumerate(header) if name.startswith("wl_")]
+    if not wl_cols:
+        raise FormatError(f"{path}: no wl_* columns found")
+    col = {name: i for i, name in enumerate(header)}
 
-        scores, preds, labels, sigs = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(f"{path}:{lineno}: wrong number of fields")
-            try:
-                if "score" in col:
-                    scores.append(float(row[col["score"]]))
-                if "pred" in col:
-                    preds.append(int(row[col["pred"]]))
-                if "label" in col:
-                    labels.append(int(row[col["label"]]))
-                sigs.append(tuple(int(row[i]) for i in wl_cols))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-
-    if not sigs:
+    # one field per column, so loadtxt checks every row's field count; other
+    # columns are read into zero-width strings, which keeps them ignored
+    ints = {col.get("pred"), col.get("label"), *wl_cols}
+    dtype = [
+        (f"c{i}", "f8" if i == col.get("score") else "i8" if i in ints else "U0")
+        for i in range(len(header))
+    ]
+    misread = _first_misread_line(path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            body = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                skiprows=1, ndmin=1,
+            )
+    except ValueError as exc:
+        raise _body_error(path, exc, header, misread) from None
+    if misread is not None:
+        raise FormatError(f"{path}:{misread[0]}: {misread[1]}")
+    if len(body) == 0:
         raise FormatError(f"{path}: dataset has no rows")
-    table, z_ids = encode_signatures(sigs)
+
+    column = lambda name: body[f"c{col[name]}"].copy() if name in col else None
+    table, z_ids = encode_signatures(np.stack([body[f"c{i}"] for i in wl_cols], axis=1))
     data = DatasetView(
-        n=len(sigs),
+        n=len(body),
         z_ids=z_ids,
-        scores=np.array(scores) if scores else None,
-        predictions=np.array(preds, dtype=np.int64) if preds else None,
-        labels=np.array(labels, dtype=np.int64) if labels else None,
+        scores=column("score"),
+        predictions=column("pred"),
+        labels=column("label"),
     )
     return data, table
 
@@ -141,17 +203,19 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
         num_classes = int(payload["num_classes"])
         entries = payload["entries"]
         fallback = payload.get("fallback", "error")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: missing or malformed field {exc}") from None
     if fallback not in ("error", "uniform"):
         raise FormatError(f"{path}: fallback must be 'error' or 'uniform'")
+    if num_classes < 2:
+        raise FormatError(f"{path}: num_classes must be at least 2, got {num_classes}")
 
     by_sig: dict[tuple[int, ...], list[float]] = {}
     for i, e in enumerate(entries):
         try:
             sig = tuple(int(v) for v in e["z"])
             p = [float(v) for v in e["p"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(
                 f"{path}: entry {i} needs numeric lists 'z' and 'p' ({exc!r})"
             ) from None

@@ -15,6 +15,7 @@ import numpy as np
 
 from .bounds import confidence_interval, estimate_bounds
 from .domain import (
+    ABSTAIN,
     DatasetView,
     LabelModel,
     LabelSpace,
@@ -66,7 +67,7 @@ def exact_posterior_y1(
     like1 = spec.prior_y1
     like0 = 1.0 - spec.prior_y1
     for v, acc in zip(signature, spec.labeler_accuracies):
-        if v == -1:
+        if v == ABSTAIN:
             continue  # abstain probability is class-independent and cancels
         like1 *= acc if v == 1 else 1.0 - acc
         like0 *= acc if v == 0 else 1.0 - acc
@@ -86,13 +87,13 @@ def generate_synthetic(spec: SynthSpec) -> SynthResult:
         abstain = rng.random(spec.n) < spec.abstain_rates[k]
         correct = rng.random(spec.n) < spec.labeler_accuracies[k]
         wl = np.where(correct, y, 1 - y)
-        sigs[:, k] = np.where(abstain, -1, wl)
+        sigs[:, k] = np.where(abstain, ABSTAIN, wl)
 
     center = 0.5 + spec.score_separation * (y - 0.5)
     scores = np.clip(center + SCORE_NOISE * rng.standard_normal(spec.n), 0.0, 1.0)
     preds = (scores >= spec.threshold).astype(np.int64)
 
-    table, z_ids = encode_signatures([tuple(row) for row in sigs])
+    table, z_ids = encode_signatures(sigs)
     rows = np.array(
         [
             [1.0 - exact_posterior_y1(s, spec), exact_posterior_y1(s, spec)]

@@ -7,14 +7,17 @@ from weakbounds import (
     DatasetView,
     GMatrix,
     LabelModel,
+    LabelSpace,
     MetricKind,
     MetricSpec,
     SelectionStrategy,
     SmoothingConfig,
+    SynthSpec,
     build_g,
     conditional_entropy_y,
     empirical_z_weights,
     exact_bounds,
+    generate_synthetic,
     informativeness_bound,
     label_model_score,
     misspecification_report,
@@ -147,6 +150,21 @@ class TestLabelModelScore:
             res = exact_bounds(data, model, G)
             score = label_model_score(data, model, G)
             assert res.lower - 1e-9 <= score <= res.upper + 1e-9
+
+
+    def test_matches_per_sample_mean(self, rng):
+        # the per-sample einsum this cell-table sum replaced
+        per_sample = lambda d, m, g: np.einsum("iy,iy->i", g.values, m.table[d.z_ids]).mean()
+        for _ in range(30):
+            data, model, G = random_instance(rng, n_max=60, num_classes=3)
+            assert abs(label_model_score(data, model, G) - per_sample(data, model, G)) <= 1e-12
+        result = generate_synthetic(SynthSpec(n=5000, seed=2))
+        specs = [MetricSpec(MetricKind.ACCURACY), MetricSpec(MetricKind.JOINT_POSITIVE),
+                 MetricSpec(MetricKind.RISK, loss_table=[[0.0, 1.0], [3.0, 0.5]])]
+        for spec in specs:
+            G = build_g(result.data, spec, LabelSpace(num_classes=2))
+            got = label_model_score(result.data, result.model, G)
+            assert abs(got - per_sample(result.data, result.model, G)) <= 1e-12
 
 
 class TestSelectModel:

@@ -13,7 +13,6 @@ from weakbounds import (
     center_columns,
     check_covers,
     encode_signatures,
-    validate_label_model,
 )
 
 
@@ -61,6 +60,29 @@ class TestEncodeSignatures:
         for i, sig in enumerate(raw):
             assert table.decode(int(ids[i])) == sig
             assert table.id_of(sig) == ids[i]
+
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 6),
+        st.sampled_from(["small", "wide", "extreme"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_array_ids_match_per_row_dict(self, n, k, values, seed):
+        # wide columns overflow the packed key after two columns, extreme ones alone
+        i64 = np.iinfo(np.int64)
+        pool = {
+            "small": [-1, 0, 1],
+            "wide": [-(2**40), 0, 2**40],
+            "extreme": [i64.min, -1, 0, i64.max],
+        }[values]
+        sigs = np.random.default_rng(seed).choice(np.array(pool, dtype=np.int64), size=(n, k))
+        table, ids = encode_signatures(sigs)
+        index = {}  # the per-row loop the packed key replaced
+        expect = [index.setdefault(row, len(index)) for row in map(tuple, sigs.tolist())]
+        assert ids.tolist() == expect
+        assert table.signatures == tuple(index)
+        assert encode_signatures(sigs.tolist())[1].tolist() == expect
 
     def test_unknown_signature_raises_coverage(self):
         table, _ = encode_signatures([(0, 1)])
@@ -159,24 +181,3 @@ class TestCenterColumns:
         c = center_columns(a)
         assert np.abs(c.sum(axis=0)).max() <= 1e-9
         assert center_columns(c) == pytest.approx(c, abs=1e-12)
-
-
-class TestValidateLabelModel:
-    def test_clean_model(self):
-        table, _ = encode_signatures([(0,), (1,)])
-        report = validate_label_model(np.array([[0.5, 0.5], [0.2, 0.8]]), table)
-        assert report.ok
-
-    def test_simplex_violation_flagged(self):
-        table, _ = encode_signatures([(0,)])
-        report = validate_label_model(np.array([[0.6, 0.5]]), table)
-        assert report.simplex_violations == (0,)
-        assert not report.ok
-
-    def test_missing_signature_flagged(self):
-        table, _ = encode_signatures([(0,), (1,)])
-        report = validate_label_model(
-            np.array([[0.5, 0.5]]), table, covered={(0,)}
-        )
-        assert report.missing_signatures == ((1,),)
-        assert not report.ok

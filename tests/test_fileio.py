@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +13,9 @@ from weakbounds import (
     LabelModel,
     count_label_model,
     dump_result_json,
+    SynthSpec,
     encode_signatures,
+    generate_synthetic,
     read_dataset_csv,
     read_label_model_json,
     write_dataset_csv,
@@ -72,6 +77,81 @@ class TestDatasetCsv:
         path.write_text("wl_0\n")
         with pytest.raises(FormatError):
             read_dataset_csv(path)
+
+
+    @pytest.mark.parametrize(
+        "body, line, what",
+        [
+            ("0.5,1,0,1\n0.25,0,-1\n", 3, "wrong number of fields (3, the header has 4)"),
+            ("0.5,1,0,1\n0.25,0,-1,1,7\n", 3, "wrong number of fields (5, the header has 4)"),
+            ("0.5,1,0,1\n0.5,1,,1\n", 3, "column wl_0: could not convert '' to int64"),
+            ("0.5,1,1.5,1\n", 2, "column wl_0: could not convert '1.5' to int64"),
+            ("0.5,1e0,0,1\n", 2, "column pred: could not convert '1e0' to int64"),
+            ("0.5,1,0,1\n\n0.5,1,0,1\n", 3, "blank line"),
+            ("0.5,1,0,1\n\n0.5,1,x,1\n", 3, "blank line"),
+            ("0.5,1,0,1\n0.5,1,x,1\n\n", 3, "column wl_0: could not convert 'x' to int64"),
+            ("0.5,1,0,1\n0.5\x1f,1,0,1\n", 3, "control character '\\x1f'"),
+        ],
+        ids=["short", "long", "empty-field", "float-vote", "exponent-pred", "blank",
+             "blank-before-bad-value", "bad-value-before-blank", "ascii-separator"],
+    )
+    def test_malformed_row_names_its_file_line(self, tmp_path, body, line, what):
+        path = tmp_path / "e.csv"
+        path.write_text("score,pred,wl_0,wl_1\n" + body)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:{line}: {what}")):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("tail", ["\n0.5,1,0,1\n", "0.5,1,0\n", "0.5,1,x,1\n"],
+                             ids=["blank", "ragged", "bad-value"])
+    def test_line_numbers_past_the_first_read_chunk(self, tmp_path, tail):
+        # 1.5 MB of good rows, so the fault lies past the first 1 MiB the scan reads
+        path = tmp_path / "e.csv"
+        path.write_text("score,pred,wl_0,wl_1\n" + "0.5,1,0,1\n" * 150_000 + tail)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:150002: ")):
+            read_dataset_csv(path)
+
+    def test_quoted_fields_and_surrounding_spaces_accepted(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('score,pred,wl_0,wl_1\n"0.5", 1 ,"-1", 0\n 0.25,"0",1,1\n')
+        data, table = read_dataset_csv(path)
+        assert data.scores.tolist() == [0.5, 0.25]
+        assert data.predictions.tolist() == [1, 0]
+        assert table.signatures == ((-1, 0), (1, 1))
+
+    def test_extra_non_numeric_column_ignored(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text('id,pred,note,wl_0\nab,1,"x, y",0\ncd,0,,-1\n')
+        data, table = read_dataset_csv(path)
+        assert data.scores is None and data.labels is None
+        assert data.predictions.tolist() == [1, 0]
+        assert table.signatures == ((0,), (-1,))
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"wl_0\n0\n\xff1\n")
+        with pytest.raises(FormatError):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("columns", [("scores", "predictions", "labels"), ("predictions",), ()])
+    def test_writer_matches_per_row_csv_writer(self, tmp_path, columns):
+        result = generate_synthetic(SynthSpec(n=500, seed=3))
+        full = result.data
+        data = DatasetView(n=full.n, z_ids=full.z_ids, **{c: getattr(full, c) for c in columns})
+        path = tmp_path / "w.csv"
+        write_dataset_csv(path, data, result.table)
+
+        # the per-row writer this one replaced
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(
+            [name for name, c in [("score", "scores"), ("pred", "predictions"), ("label", "labels")]
+             if c in columns] + ["wl_0", "wl_1", "wl_2"]
+        )
+        for i in range(data.n):
+            row = [f"{data.scores[i]:.9g}"] if data.scores is not None else []
+            row += [int(v[i]) for v in (data.predictions, data.labels) if v is not None]
+            writer.writerow(row + list(result.table.decode(int(data.z_ids[i]))))
+        assert path.read_text() == buf.getvalue()
 
 
 class TestLabelModelJson:
@@ -142,6 +222,16 @@ class TestLabelModelJson:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"num_classes": 2, "fallback": "uniform", "entries": [entry]}))
         with pytest.raises(FormatError):
+            read_label_model_json(path, table)
+
+    @pytest.mark.parametrize("num_classes", [0, 1, -2])
+    def test_fewer_than_two_classes_rejected(self, tmp_path, num_classes):
+        # these were accepted or raised ZeroDivisionError or ValueError: exit 1, not 2
+        _, table = sample_dataset()
+        path = tmp_path / "m.json"
+        payload = {"num_classes": num_classes, "fallback": "uniform", "entries": []}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="num_classes must be at least 2"):
             read_label_model_json(path, table)
 
     def test_invalid_json_rejected(self, tmp_path):

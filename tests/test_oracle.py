@@ -6,9 +6,13 @@ import pytest
 from weakbounds import (
     DatasetView,
     LabelModel,
+    LabelSpace,
+    MetricKind,
+    MetricSpec,
     TooLargeError,
     TransportInstance,
     WeakBoundsError,
+    build_g,
     exact_bounds,
     transport_binary,
     transport_general,
@@ -199,3 +203,27 @@ class TestExactBounds:
                 pi = ipf_coupling(rng, inst)
                 total += float((pi * inst.costs).sum())
             assert res.lower - 1e-9 <= total <= res.upper + 1e-9
+
+
+def test_accuracy_bounds_are_frechet_hoeffding(rng):
+    """For the accuracy cost each signature's exact bounds have a closed form.
+
+    With r_c the mass predicted c and q_c the label-model mass of class c in a
+    signature of mass m: upper = sum_c min(r_c, q_c) and
+    lower = max(0, max_c(r_c + q_c) - m).
+    """
+    for _ in range(100):
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(2, 40))
+        num_z = int(rng.integers(1, min(n, 4) + 1))
+        z_ids = rng.integers(0, num_z, n)
+        z_ids[:num_z] = np.arange(num_z)
+        preds = rng.integers(0, k, n)
+        model = LabelModel(table=rng.dirichlet(np.ones(k), num_z))
+        data = DatasetView(n=n, z_ids=z_ids, predictions=preds)
+        G = build_g(data, MetricSpec(MetricKind.ACCURACY), LabelSpace(num_classes=k))
+        for z, lo, hi in exact_bounds(data, model, G).per_signature:
+            r = np.bincount(preds[z_ids == z], minlength=k) / n
+            q = r.sum() * model.table[z]
+            assert hi == pytest.approx(np.minimum(r, q).sum(), abs=1e-9)
+            assert lo == pytest.approx(max(0.0, (r + q).max() - r.sum()), abs=1e-9)
