@@ -65,6 +65,7 @@ from .metrics import (
     PRFBounds,
     SweepRow,
     SweepTable,
+    bound_rows,
     build_g,
     estimate_h1,
     prf_from_joint,
@@ -88,7 +89,7 @@ from .oracle import (
     transport_binary,
     transport_general,
 )
-from .solver import SolveReport, SolverConfig, minimize
+from .solver import SolveReport, minimize
 from .synth import (
     CoverageReport,
     SynthResult,

@@ -18,7 +18,7 @@ from .objective import (
     minimized_value,
     per_cell_objective,
 )
-from .solver import SolveReport, SolverConfig, minimize
+from .solver import SolveReport, minimize
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def _newton_ridge(cells, cfg) -> np.ndarray:
     return ridge
 
 
-def _solve_side(cells, cfg, scfg, side, max_step) -> BoundEstimate:
+def _solve_side(cells, cfg, side, max_step) -> BoundEstimate:
     a0 = np.zeros(cells.label_model.shape[::-1])
     ridge = _newton_ridge(cells, cfg)
     a_hat, report = minimize(
@@ -72,7 +72,6 @@ def _solve_side(cells, cfg, scfg, side, max_step) -> BoundEstimate:
         lambda a: gradient(cells, a, cfg, side),
         lambda a: hessian(cells, a, cfg, side) + ridge,
         a0,
-        scfg,
         max_step,
     )
     # shift invariance keeps the value; report the zero-column-sum optimizer
@@ -95,17 +94,15 @@ def estimate_bounds(
     model: LabelModel,
     G: GMatrix,
     cfg: SmoothingConfig | None = None,
-    scfg: SolverConfig | None = None,
 ) -> tuple[BoundEstimate, BoundEstimate]:
     """Solve both one-sided smoothed dual problems from a zero start."""
     cfg = cfg or SmoothingConfig.for_classes(model.num_classes)
-    scfg = scfg or SolverConfig()
     cells = cell_table(data, model, G)
     # a larger step overshoots when the weights saturate at small eps; the eps
     # term keeps a G of all zeros from freezing the iterate
     max_step = 2.0 * G.sup_norm + cfg.epsilon
-    lower = _solve_side(cells, cfg, scfg, Side.LOWER, max_step)
-    upper = _solve_side(cells, cfg, scfg, Side.UPPER, max_step)
+    lower = _solve_side(cells, cfg, Side.LOWER, max_step)
+    upper = _solve_side(cells, cfg, Side.UPPER, max_step)
     return lower, upper
 
 
@@ -118,10 +115,15 @@ def ci_half_width(std: float, n: int, gamma: float) -> float:
     return NormalDist().inv_cdf(1.0 - gamma / 2.0) * std / np.sqrt(n)
 
 
+def normal_interval(value: float, std: float, n: int, gamma: float) -> ConfidenceInterval:
+    """``value`` plus and minus ``ci_half_width(std, n, gamma)``: every reported CI."""
+    half = ci_half_width(std, n, gamma)
+    return ConfidenceInterval(level=1.0 - gamma, low=value - half, high=value + half)
+
+
 def confidence_interval(est: BoundEstimate, gamma: float) -> ConfidenceInterval:
     """Two-sided normal-approximation interval at level 1 - gamma."""
-    half = ci_half_width(est.plugin_std, est.n, gamma)
-    return ConfidenceInterval(level=1.0 - gamma, low=est.value - half, high=est.value + half)
+    return normal_interval(est.value, est.plugin_std, est.n, gamma)
 
 
 def estimate_class_prior(data: DatasetView, model: LabelModel, positive_class: int) -> float:

@@ -15,13 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    ci_half_width,
-    confidence_interval,
-    estimate_bounds,
-    estimate_class_prior,
-    subsample_for_bounds,
-)
+from .bounds import estimate_bounds, estimate_class_prior, subsample_for_bounds
 from .diagnostics import (
     SelectionStrategy,
     conditional_entropy_y,
@@ -41,17 +35,9 @@ from .fileio import (
     write_label_model_json,
     write_sweep_csv,
 )
-from .metrics import (
-    MetricKind,
-    MetricSpec,
-    build_g,
-    estimate_h1,
-    prf_from_joint,
-    threshold_sweep,
-)
+from .metrics import MetricKind, MetricSpec, bound_rows, build_g, estimate_h1, threshold_sweep
 from .objective import SmoothingConfig
 from .oracle import exact_bounds
-from .solver import SolverConfig
 from .synth import SynthSpec, coverage_experiment, generate_synthetic
 
 EXIT_OK = 0
@@ -121,20 +107,20 @@ def _warn_unconverged(solves) -> None:
             )
 
 
-def _bound_entry(lo, hi, gamma, clamped=False) -> dict:
-    ci_lo = confidence_interval(lo, gamma)
-    ci_hi = confidence_interval(hi, gamma)
+def _entry(row) -> dict:
+    """The result-file entry of one reported row."""
+    lo, hi = row.solve
     return {
-        "lower": lo.value,
-        "upper": hi.value,
-        "lower_std": lo.plugin_std,
-        "upper_std": hi.plugin_std,
-        "ci_level": 1.0 - gamma,
-        "ci_lower": [ci_lo.low, ci_lo.high],
-        "ci_upper": [ci_hi.low, ci_hi.high],
+        "lower": row.lower,
+        "upper": row.upper,
+        "lower_std": row.lower_std,
+        "upper_std": row.upper_std,
+        "ci_level": row.ci_lower.level,
+        "ci_lower": [row.ci_lower.low, row.ci_lower.high],
+        "ci_upper": [row.ci_upper.low, row.ci_upper.high],
         "epsilon": lo.epsilon,
         "n": lo.n,
-        "clamped": clamped,
+        "clamped": row.clamped,
         "solver": {
             "lower": dataclasses.asdict(lo.report),
             "upper": dataclasses.asdict(hi.report),
@@ -142,31 +128,13 @@ def _bound_entry(lo, hi, gamma, clamped=False) -> dict:
     }
 
 
-def _prf_entry(interval, base_entry, n, gamma) -> dict:
-    half_lo = ci_half_width(interval.lower_std, n, gamma)
-    half_hi = ci_half_width(interval.upper_std, n, gamma)
-    entry = dict(base_entry)
-    entry.update(
-        lower=interval.lower,
-        upper=interval.upper,
-        lower_std=interval.lower_std,
-        upper_std=interval.upper_std,
-        ci_lower=[interval.lower - half_lo, interval.lower + half_lo],
-        ci_upper=[interval.upper - half_hi, interval.upper + half_hi],
-        clamped=interval.clamped,
-    )
-    return entry
-
-
 def cmd_estimate(args) -> int:
     data, table, model = _load_inputs(args)
     spec, g = _metric_g(args, data, model)
     cfg = _smoothing(args, model.num_classes)
-    lo, hi = estimate_bounds(data, model, g, cfg, SolverConfig())
+    lo, hi = estimate_bounds(data, model, g, cfg)
     _warn_unconverged([(args.metric, lo), (args.metric, hi)])
 
-    entry = _bound_entry(lo, hi, args.gamma)
-    metrics = {args.metric.replace("-", "_"): entry}
     metadata = {
         "n": data.n,
         "num_signatures": table.num_signatures,
@@ -175,15 +143,15 @@ def cmd_estimate(args) -> int:
         "label_model_score": label_model_score(data, model, g),
         "note": "plugin std substitutes the fitted optimizer and estimated label model",
     }
+    p_h1 = p_y1 = None
     if spec.kind is MetricKind.JOINT_POSITIVE:
         p_h1 = estimate_h1(data, threshold=args.threshold)
         p_y1 = args.prior_y1 if args.prior_y1 is not None else estimate_class_prior(data, model, 1)
         metadata.update(p_h1=p_h1, p_y1=p_y1)
-        if p_h1 > 0.0 and p_y1 > 0.0:
-            prf = prf_from_joint(lo, hi, p_h1, p_y1)
-            for name in ("precision", "recall", "f1"):
-                metrics[name] = _prf_entry(getattr(prf, name), entry, data.n, args.gamma)
-
+    name = args.metric.replace("-", "_")
+    kinds = (name, "precision", "recall", "f1")
+    rows = bound_rows(lo, hi, name, kinds, args.gamma, p_h1, p_y1, args.threshold)
+    metrics = {row.metric: _entry(row) for row in rows}
     payload = {"metrics": metrics, "metadata": metadata}
     if args.out:
         dump_result_json(payload, args.out)
@@ -198,14 +166,7 @@ def cmd_sweep(args) -> int:
     kinds = [k.strip().replace("-", "_") for k in args.metric.split(",") if k.strip()]
     cfg = _smoothing(args, model.num_classes)
     sweep = threshold_sweep(
-        data,
-        model,
-        thresholds,
-        kinds,
-        cfg,
-        SolverConfig(),
-        gamma=args.gamma,
-        p_y1=args.prior_y1,
+        data, model, thresholds, kinds, cfg, gamma=args.gamma, p_y1=args.prior_y1
     )
     _warn_unconverged(sweep.solves)
     write_sweep_csv(args.out, sweep)
@@ -273,7 +234,7 @@ def cmd_diagnose(args) -> int:
     if args.label_model_alt:
         alt = read_label_model_json(args.label_model_alt, table)
         cfg = _smoothing(args, model.num_classes)
-        report = misspecification_report(data, model, alt, g, cfg, SolverConfig())
+        report = misspecification_report(data, model, alt, g, cfg)
         _warn_unconverged((f"{args.metric} under the {label}", est) for label, est in report.solves)
         fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
         del fields["solves"]

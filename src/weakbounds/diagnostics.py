@@ -11,7 +11,6 @@ from .bounds import BoundEstimate, estimate_bounds
 from .domain import DatasetView, GMatrix, LabelModel, cell_table
 from .errors import CoverageError
 from .objective import SmoothingConfig
-from .solver import SolverConfig
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -74,7 +73,6 @@ def misspecification_report(
     model_q: LabelModel,
     G: GMatrix,
     cfg: SmoothingConfig | None = None,
-    scfg: SolverConfig | None = None,
 ) -> MisspecReport:
     """Bound shift under an alternative label model, with its computable certificate.
 
@@ -87,8 +85,8 @@ def misspecification_report(
         tv_distance(model_p.table[z], model_q.table[z])
         for z in range(model_p.num_signatures)
     )
-    lo_p, up_p = estimate_bounds(data, model_p, G, cfg, scfg)
-    lo_q, up_q = estimate_bounds(data, model_q, G, cfg, scfg)
+    lo_p, up_p = estimate_bounds(data, model_p, G, cfg)
+    lo_q, up_q = estimate_bounds(data, model_q, G, cfg)
     norm_p = max(lo_p.report.optimizer_sup_norm, up_p.report.optimizer_sup_norm)
     norm_q = max(lo_q.report.optimizer_sup_norm, up_q.report.optimizer_sup_norm)
     return MisspecReport(

@@ -5,7 +5,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +19,13 @@ _INT64_MAX = 2**63 - 1
 
 @dataclass(frozen=True)
 class LabelSpace:
-    """The finite set of classes, optionally named."""
+    """The finite set of classes."""
 
     num_classes: int
-    class_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
-        if self.class_names is not None:
-            if len(self.class_names) != self.num_classes:
-                raise ValueError("class_names length must equal num_classes")
-            if len(set(self.class_names)) != self.num_classes:
-                raise ValueError("class_names must be unique")
 
 
 @dataclass(frozen=True)
@@ -43,17 +37,10 @@ class SignatureTable:
     """
 
     signatures: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int] = field(repr=False)
 
     @property
     def num_signatures(self) -> int:
         return len(self.signatures)
-
-    def id_of(self, signature: tuple[int, ...]) -> int:
-        try:
-            return self.index[signature]
-        except KeyError:
-            raise CoverageError(f"signature {signature} not in table") from None
 
     def decode(self, z_id: int) -> tuple[int, ...]:
         return self.signatures[z_id]
@@ -99,8 +86,7 @@ def encode_signatures(
         raise FormatError("need a non-empty list of equal-length, non-empty signatures")
     first, ids = group_rows(sigs)
     signatures = tuple(map(tuple, sigs[first].tolist()))
-    index = {sig: z for z, sig in enumerate(signatures)}
-    return SignatureTable(signatures=signatures, index=index), ids
+    return SignatureTable(signatures=signatures), ids
 
 
 @dataclass(frozen=True)
@@ -145,7 +131,6 @@ class LabelModel:
     """Conditional probability table P(Y=y | Z=z): one simplex row per z-id."""
 
     table: np.ndarray
-    source: str = "external"  # "external" or "counted-from-labels"
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.float64)

@@ -19,6 +19,9 @@ from .errors import CoverageError, FormatError
 from .metrics import SweepTable
 
 SIG_DIGITS = 9
+# a label model file may name at most this many classes; the solver holds one
+# |Y|-by-|Y| Hessian block per signature
+MAX_CLASSES = 1000
 
 
 def _round_sig(x: float) -> float:
@@ -134,6 +137,9 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
         raise FormatError(f"{path}: {exc}") from None
     if header is None:
         raise FormatError(f"{path}: empty dataset file")
+    # loadtxt skips one physical line for the header, whatever its quotes hold
+    if any("\n" in name or "\r" in name for name in header):
+        raise FormatError(f"{path}:1: a header field spans more than one line")
     wl_cols = [i for i, name in enumerate(header) if name.startswith("wl_")]
     if not wl_cols:
         raise FormatError(f"{path}: no wl_* columns found")
@@ -193,6 +199,18 @@ def write_label_model_json(
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _integer(v) -> int:
+    """A JSON integer, or a float with no fractional part, as an int.
+
+    int() would truncate 2.9 to 2 and read true or "1" as 1.
+    """
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"{v!r} is not an integer")
+
+
 def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel:
     """Load a conditional table and align its rows to the dataset's signatures."""
     try:
@@ -200,24 +218,26 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
     try:
-        num_classes = int(payload["num_classes"])
+        num_classes = _integer(payload["num_classes"])
         entries = payload["entries"]
         fallback = payload.get("fallback", "error")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: missing or malformed field {exc}") from None
     if fallback not in ("error", "uniform"):
         raise FormatError(f"{path}: fallback must be 'error' or 'uniform'")
-    if num_classes < 2:
-        raise FormatError(f"{path}: num_classes must be at least 2, got {num_classes}")
+    if not 2 <= num_classes <= MAX_CLASSES:
+        raise FormatError(
+            f"{path}: num_classes must lie in [2, {MAX_CLASSES}], got {num_classes}"
+        )
 
     by_sig: dict[tuple[int, ...], list[float]] = {}
     for i, e in enumerate(entries):
         try:
-            sig = tuple(int(v) for v in e["z"])
+            sig = tuple(_integer(v) for v in e["z"])
             p = [float(v) for v in e["p"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(
-                f"{path}: entry {i} needs numeric lists 'z' and 'p' ({exc!r})"
+                f"{path}: entry {i} needs an integer list 'z' and a numeric list 'p' ({exc!r})"
             ) from None
         if sig in by_sig:
             raise FormatError(f"{path}: duplicate signature {sig}")
@@ -233,7 +253,7 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
             rows[z] = 1.0 / num_classes
         else:
             raise CoverageError(f"{path}: no entry for data signature {sig}")
-    return LabelModel(table=rows, source="external")
+    return LabelModel(table=rows)
 
 
 # ------------------------------------------------------------------- sweep CSV
@@ -301,4 +321,4 @@ def count_label_model(
     )
     if np.any(~np.isfinite(rows)):
         raise FormatError("signature with no labeled samples and no smoothing")
-    return LabelModel(table=rows, source="counted-from-labels")
+    return LabelModel(table=rows)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Collection
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -10,14 +11,13 @@ import numpy as np
 from .bounds import (
     BoundEstimate,
     ConfidenceInterval,
-    ci_half_width,
     estimate_bounds,
     estimate_class_prior,
+    normal_interval,
 )
 from .domain import DatasetView, GMatrix, LabelModel, LabelSpace
 from .errors import FormatError
 from .objective import SmoothingConfig
-from .solver import SolverConfig
 
 
 class MetricKind(enum.Enum):
@@ -135,7 +135,9 @@ def prf_from_joint(
 
 @dataclass(frozen=True)
 class SweepRow:
-    threshold: float
+    """One reported interval: a metric's bounds, their stds and normal CIs."""
+
+    threshold: float | None
     metric: str
     lower: float
     upper: float
@@ -143,6 +145,11 @@ class SweepRow:
     upper_std: float
     ci_lower: ConfidenceInterval
     ci_upper: ConfidenceInterval
+    clamped: bool = False
+    # the solved (lower, upper) pair the row derives from
+    solve: tuple[BoundEstimate, BoundEstimate] | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -152,22 +159,46 @@ class SweepTable:
     solves: tuple[tuple[str, BoundEstimate], ...] = field(default_factory=tuple)
 
 
-def _ci_from_values(value, std, n, gamma) -> ConfidenceInterval:
-    half = ci_half_width(std, n, gamma)
-    return ConfidenceInterval(level=1.0 - gamma, low=value - half, high=value + half)
+def bound_rows(
+    lower: BoundEstimate,
+    upper: BoundEstimate,
+    metric: str,
+    kinds: Collection[str],
+    gamma: float,
+    p_h1: float | None = None,
+    p_y1: float | None = None,
+    threshold: float | None = None,
+) -> list[SweepRow]:
+    """The reported rows of one solved pair, one per metric named in ``kinds``.
 
-
-def _sweep_row(threshold, metric, lower, upper, lower_std, upper_std, n, gamma) -> SweepRow:
-    return SweepRow(
-        threshold=threshold,
-        metric=metric,
-        lower=lower,
-        upper=upper,
-        lower_std=lower_std,
-        upper_std=upper_std,
-        ci_lower=_ci_from_values(lower, lower_std, n, gamma),
-        ci_upper=_ci_from_values(upper, upper_std, n, gamma),
-    )
+    The solved ``metric`` reports the pair itself. A joint_positive pair also
+    reports precision, recall and F1 when ``p_h1`` and ``p_y1`` are both
+    positive. Every CI is a normal interval around the reported value.
+    """
+    intervals = {
+        metric: MetricInterval(
+            lower.value, upper.value, lower.plugin_std, upper.plugin_std, clamped=False
+        )
+    }
+    if metric == "joint_positive" and (p_h1 or 0.0) > 0.0 and (p_y1 or 0.0) > 0.0:
+        prf = prf_from_joint(lower, upper, p_h1, p_y1)
+        intervals.update(precision=prf.precision, recall=prf.recall, f1=prf.f1)
+    return [
+        SweepRow(
+            threshold=threshold,
+            metric=name,
+            lower=mi.lower,
+            upper=mi.upper,
+            lower_std=mi.lower_std,
+            upper_std=mi.upper_std,
+            ci_lower=normal_interval(mi.lower, mi.lower_std, lower.n, gamma),
+            ci_upper=normal_interval(mi.upper, mi.upper_std, upper.n, gamma),
+            clamped=mi.clamped,
+            solve=(lower, upper),
+        )
+        for name, mi in intervals.items()
+        if name in kinds
+    ]
 
 
 def threshold_sweep(
@@ -176,7 +207,6 @@ def threshold_sweep(
     thresholds: list[float],
     metric_kinds: list[str],
     cfg: SmoothingConfig | None = None,
-    scfg: SolverConfig | None = None,
     gamma: float = 0.05,
     p_y1: float | None = None,
 ) -> SweepTable:
@@ -195,6 +225,9 @@ def threshold_sweep(
     if unknown:
         raise ValueError(f"unknown metric kinds: {sorted(unknown)}")
     wants_prf = bool({"precision", "recall", "f1"} & set(metric_kinds))
+    solved = [k for k in ("accuracy", "joint_positive") if k in metric_kinds]
+    if wants_prf and "joint_positive" not in solved:
+        solved.append("joint_positive")
 
     if p_y1 is None and wants_prf:
         p_y1 = estimate_class_prior(data, model, positive_class=1)
@@ -202,38 +235,10 @@ def threshold_sweep(
     rows, solves = [], []
     for t in thresholds:
         at_t = replace(data, predictions=(data.scores >= t).astype(np.int64))
-        if "accuracy" in metric_kinds:
-            g = build_g(at_t, MetricSpec(MetricKind.ACCURACY), space)
-            lo, hi = estimate_bounds(at_t, model, g, cfg, scfg)
-            solves += [(f"accuracy at threshold {t:g}", est) for est in (lo, hi)]
-            rows.append(
-                _sweep_row(
-                    t, "accuracy", lo.value, hi.value, lo.plugin_std, hi.plugin_std, data.n, gamma
-                )
-            )
-        if "joint_positive" in metric_kinds or wants_prf:
-            g = build_g(at_t, MetricSpec(MetricKind.JOINT_POSITIVE), space)
-            lo, hi = estimate_bounds(at_t, model, g, cfg, scfg)
-            solves += [(f"joint_positive at threshold {t:g}", est) for est in (lo, hi)]
-            if "joint_positive" in metric_kinds:
-                rows.append(
-                    _sweep_row(
-                        t, "joint_positive", lo.value, hi.value, lo.plugin_std, hi.plugin_std,
-                        data.n, gamma,
-                    )
-                )
-            if wants_prf:
-                p_h1 = estimate_h1(at_t)
-                if p_h1 > 0.0 and p_y1 > 0.0:
-                    prf = prf_from_joint(lo, hi, p_h1, p_y1)
-                    for name in ("precision", "recall", "f1"):
-                        if name not in metric_kinds:
-                            continue
-                        mi: MetricInterval = getattr(prf, name)
-                        rows.append(
-                            _sweep_row(
-                                t, name, mi.lower, mi.upper, mi.lower_std, mi.upper_std,
-                                data.n, gamma,
-                            )
-                        )
+        p_h1 = estimate_h1(at_t) if wants_prf else None
+        for metric in solved:
+            g = build_g(at_t, MetricSpec(MetricKind(metric)), space)
+            lo, hi = estimate_bounds(at_t, model, g, cfg)
+            solves += [(f"{metric} at threshold {t:g}", est) for est in (lo, hi)]
+            rows += bound_rows(lo, hi, metric, metric_kinds, gamma, p_h1, p_y1, t)
     return SweepTable(rows=tuple(rows), solves=tuple(solves))

@@ -17,22 +17,16 @@ import numpy as np
 
 from .errors import NumericalError
 
+# the iteration budget and the gradient sup-norm tolerance of every solve; read
+# at each call, so a test can lower the budget by patching the module
+MAX_ITERATIONS = 500
+GRADIENT_TOLERANCE = 1e-8
 ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
 # A predicted decrease below this fraction of |f| is lost in the rounding of f
-# itself (a mean over many rows), so the Armijo test cannot see it. Such a
-# step is accepted when it shrinks the gradient sup-norm instead.
+# itself (a mass-weighted sum over cells), so the Armijo test cannot see it.
+# Such a step is accepted when it shrinks the gradient sup-norm instead.
 ROUNDING_FLOOR = 1e-13
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_iterations: int = 500
-    gradient_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be non-negative")
 
 
 @dataclass
@@ -40,7 +34,7 @@ class SolveReport:
     iterations: int
     final_gradient_norm: float
     converged: bool
-    optimizer_sup_norm: float = 0.0
+    optimizer_sup_norm: float = 0.0  # bounds sets it for the column-centred optimizer
 
 
 def _sup(x: np.ndarray) -> float:
@@ -61,7 +55,6 @@ def minimize(
     grad_fn: Callable[[np.ndarray], np.ndarray],
     hess_fn: Callable[[np.ndarray], np.ndarray],
     a0: np.ndarray,
-    cfg: SolverConfig | None = None,
     max_step: float = np.inf,
 ) -> tuple[np.ndarray, SolveReport]:
     """Minimize a smooth convex function of a (k, m) matrix from ``a0``.
@@ -72,7 +65,6 @@ def minimize(
     ``converged`` is the gradient sup-norm test at that iterate, so an
     exhausted budget or a step no backtracking can accept leaves it False.
     """
-    cfg = cfg or SolverConfig()
     a = np.array(a0, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("starting point must be finite")
@@ -87,7 +79,7 @@ def minimize(
     g = np.asarray(checked(grad_fn, a, "gradient"), dtype=np.float64)
     gnorm = _sup(g)
     iterations = 0
-    while iterations < cfg.max_iterations and gnorm > cfg.gradient_tolerance:
+    while iterations < MAX_ITERATIONS and gnorm > GRADIENT_TOLERANCE:
         try:
             step = _newton_step(checked(hess_fn, a, "Hessian"), g, max_step)
         except np.linalg.LinAlgError:
@@ -112,9 +104,6 @@ def minimize(
         iterations += 1
 
     report = SolveReport(
-        iterations=iterations,
-        final_gradient_norm=gnorm,
-        converged=gnorm <= cfg.gradient_tolerance,
-        optimizer_sup_norm=_sup(a),
+        iterations=iterations, final_gradient_norm=gnorm, converged=gnorm <= GRADIENT_TOLERANCE
     )
     return a, report

@@ -24,7 +24,6 @@ from .domain import (
 )
 from .metrics import MetricKind, MetricSpec, build_g
 from .objective import SmoothingConfig
-from .solver import SolverConfig
 
 SCORE_NOISE = 0.15
 
@@ -100,7 +99,7 @@ def generate_synthetic(spec: SynthSpec) -> SynthResult:
             for s in table.signatures
         ]
     )
-    model = LabelModel(table=rows, source="external")
+    model = LabelModel(table=rows)
     data = DatasetView(n=spec.n, z_ids=z_ids, scores=scores, predictions=preds, labels=y)
 
     tp = float(np.mean((preds == 1) & (y == 1)))
@@ -136,7 +135,6 @@ def coverage_experiment(
     gamma: float,
     metric: MetricKind = MetricKind.ACCURACY,
     cfg: SmoothingConfig | None = None,
-    scfg: SolverConfig | None = None,
     truth_factor: int = 100,
 ) -> CoverageReport:
     """Empirical CI coverage of the smoothed bounds under a well-specified model.
@@ -150,13 +148,12 @@ def coverage_experiment(
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
     cfg = cfg or SmoothingConfig.for_classes(2)
-    scfg = scfg or SolverConfig()
     mspec = MetricSpec(kind=metric, threshold=spec.threshold)
 
     def run(n, seed):
         result = generate_synthetic(replace(spec, n=n, seed=seed))
         g = build_g(result.data, mspec, LabelSpace(num_classes=2))
-        return estimate_bounds(result.data, result.model, g, cfg, scfg)
+        return estimate_bounds(result.data, result.model, g, cfg)
 
     truth_lo, truth_hi = run(truth_factor * spec.n, spec.seed)
 

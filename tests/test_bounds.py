@@ -9,7 +9,6 @@ from weakbounds import (
     InsufficientSampleError,
     LabelModel,
     LabelSpace,
-    MetricInterval,
     MetricKind,
     MetricSpec,
     Side,
@@ -204,26 +203,6 @@ class TestCiHalfWidth:
             ci_half_width(1.0, 10, 1.0)
         with pytest.raises(InsufficientSampleError):
             ci_half_width(1.0, 1, 0.05)
-
-    def test_sweep_prf_rows_and_cli_entries_agree(self):
-        from weakbounds.cli import _prf_entry
-
-        synth = generate_synthetic(SynthSpec(n=300, seed=5))
-        gamma = 0.1
-        sweep = threshold_sweep(
-            synth.data, synth.model, [0.5], ["joint_positive", "precision", "f1"], gamma=gamma
-        )
-        assert [r.metric for r in sweep.rows] == ["joint_positive", "precision", "f1"]
-        for r in sweep.rows:
-            interval = MetricInterval(r.lower, r.upper, r.lower_std, r.upper_std, clamped=False)
-            entry = _prf_entry(interval, {}, synth.data.n, gamma)
-            for value, std, ci, key in (
-                (r.lower, r.lower_std, r.ci_lower, "ci_lower"),
-                (r.upper, r.upper_std, r.ci_upper, "ci_upper"),
-            ):
-                direct = confidence_interval(make_estimate(value, std, synth.data.n), gamma)
-                assert (ci.low, ci.high) == (direct.low, direct.high)
-                assert entry[key] == [direct.low, direct.high]
 
 
 class TestEstimateClassPrior:

@@ -3,8 +3,7 @@ import json
 
 import pytest
 
-from weakbounds import SolverConfig
-from weakbounds import cli
+from weakbounds import solver
 from weakbounds.cli import main
 
 
@@ -79,12 +78,24 @@ class TestExitCodes:
         assert run("estimate", "--data", str(data), "--label-model", str(bad)) == 2
 
 
+    @pytest.mark.parametrize("num_classes", [2.9, 1e15])
+    def test_bad_num_classes_is_data_error(self, tmp_path, synth_files, capsys, num_classes):
+        # 2.9 read as 2 classes; 1e15 died allocating the uniform fallback table
+        data, _ = synth_files
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(
+            {"num_classes": num_classes, "fallback": "uniform", "entries": []}
+        ))
+        assert run("estimate", "--data", str(data), "--label-model", str(bad)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestUnconvergedWarning:
     """A solve stopped by its budget warns on stderr and leaves the exit code at 0."""
 
     @pytest.fixture(autouse=True)
     def no_budget(self, monkeypatch):
-        monkeypatch.setattr(cli, "SolverConfig", lambda: SolverConfig(max_iterations=0))
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
 
     def warnings(self, capsys):
         return [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
@@ -187,6 +198,46 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("threshold,metric,lower,upper")
         assert len(lines) == 1 + 3 * 2
+
+
+class TestEstimateMatchesSweep:
+    """`estimate` and `sweep` report the same numbers for the same threshold."""
+
+    FIELDS = ("lower", "upper", "lower_std", "upper_std")
+
+    @pytest.mark.parametrize("gamma", ["0.05", "0.32"])
+    @pytest.mark.parametrize("prior", [None, "0.3"])
+    def test_every_shared_field_agrees(self, tmp_path, synth_files, gamma, prior):
+        data, model = synth_files
+        # drop the pred column so that both commands classify by --threshold
+        rows = list(csv.reader(data.open()))
+        keep = [i for i, name in enumerate(rows[0]) if name != "pred"]
+        scores = tmp_path / "scores.csv"
+        with scores.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([[r[i] for i in keep] for r in rows])
+        common = ["--data", str(scores), "--label-model", str(model), "--gamma", gamma]
+        common += ["--prior-y1", prior] if prior else []
+
+        out = tmp_path / "s.csv"
+        assert run("sweep", *common, "--thresholds", "0.6", "--out", str(out),
+                   "--metric", "accuracy,joint_positive,precision,recall,f1") == 0
+        swept = {r["metric"]: r for r in csv.DictReader(out.open())}
+        estimated = {}
+        for metric in ("accuracy", "joint-positive"):
+            res = tmp_path / f"{metric}.json"
+            assert run("estimate", *common, "--metric", metric, "--threshold", "0.6",
+                       "--out", str(res)) == 0
+            estimated.update(json.loads(res.read_text())["metrics"])
+
+        assert set(estimated) == set(swept) == {
+            "accuracy", "joint_positive", "precision", "recall", "f1"
+        }
+        for name, entry in estimated.items():
+            row = {k: float(v) for k, v in swept[name].items() if k != "metric"}
+            for key in self.FIELDS:
+                assert entry[key] == row[key], (name, key)
+            assert entry["ci_lower"] == [row["ci_lower_lo"], row["ci_lower_hi"]], name
+            assert entry["ci_upper"] == [row["ci_upper_lo"], row["ci_upper_hi"]], name
 
 
 class TestOracleCommand:

@@ -101,6 +101,14 @@ class TestDatasetCsv:
         with pytest.raises(FormatError, match=re.escape(f"{path}:{line}: {what}")):
             read_dataset_csv(path)
 
+    def test_header_field_spanning_lines_rejected(self, tmp_path):
+        # the csv module reads the rest of the file into the open quote, while
+        # loadtxt reads the rows below the header's first line
+        path = tmp_path / "e.csv"
+        path.write_text('score,pred,wl_0,"wl_1\n0.5,1,0,1\n')
+        with pytest.raises(FormatError, match=re.escape(f"{path}:1: a header field spans")):
+            read_dataset_csv(path)
+
     @pytest.mark.parametrize("tail", ["\n0.5,1,0,1\n", "0.5,1,0\n", "0.5,1,x,1\n"],
                              ids=["blank", "ragged", "bad-value"])
     def test_line_numbers_past_the_first_read_chunk(self, tmp_path, tail):
@@ -214,6 +222,10 @@ class TestLabelModelJson:
             {"p": [0.5, 0.5]},
             {"z": None, "p": [0.5, 0.5]},
             {"z": [0, "one", -1], "p": [0.5, 0.5]},
+            {"z": [0.4, 1, -1], "p": [0.5, 0.5]},  # int() read it as the signature (0, 1, -1)
+            {"z": [0, 1, float("inf")], "p": [0.5, 0.5]},
+            {"z": [0, True, -1], "p": [0.5, 0.5]},
+            {"z": [0, "1", -1], "p": [0.5, 0.5]},
             [[0, 1, -1], [0.5, 0.5]],
         ],
     )
@@ -231,7 +243,33 @@ class TestLabelModelJson:
         path = tmp_path / "m.json"
         payload = {"num_classes": num_classes, "fallback": "uniform", "entries": []}
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="num_classes must be at least 2"):
+        with pytest.raises(FormatError, match=r"num_classes must lie in \[2, 1000\]"):
+            read_label_model_json(path, table)
+
+    @pytest.mark.parametrize("num_classes", [2.9, 2.5, float("inf"), "2", True])
+    def test_non_integral_num_classes_rejected(self, tmp_path, num_classes):
+        # int() read 2.9 as 2 classes
+        _, table = sample_dataset()
+        path = tmp_path / "m.json"
+        payload = {"num_classes": num_classes, "fallback": "uniform", "entries": []}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="is not an integer"):
+            read_label_model_json(path, table)
+
+    def test_integral_float_num_classes_accepted(self, tmp_path):
+        _, table = sample_dataset()
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"num_classes": 2.0, "fallback": "uniform", "entries": []}))
+        assert read_label_model_json(path, table).num_classes == 2
+
+    @pytest.mark.parametrize("num_classes", [1001, 10**15])
+    def test_too_many_classes_rejected_before_allocating(self, tmp_path, num_classes):
+        # 1e15 classes made the uniform fallback table raise numpy's memory error
+        _, table = sample_dataset()
+        path = tmp_path / "m.json"
+        payload = {"num_classes": num_classes, "fallback": "uniform", "entries": []}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=r"num_classes must lie in \[2, 1000\]"):
             read_label_model_json(path, table)
 
     def test_invalid_json_rejected(self, tmp_path):
@@ -277,7 +315,6 @@ class TestCountLabelModel:
         model = count_label_model(data, table, num_classes=2)
         assert model.table[0, 1] == pytest.approx(2 / 3)
         assert model.table[1, 1] == pytest.approx(1.0)
-        assert model.source == "counted-from-labels"
 
     def test_heavy_smoothing_tends_uniform(self):
         table, z_ids = encode_signatures([(0,), (0,)])

@@ -8,11 +8,10 @@ from weakbounds import (
     NumericalError,
     Side,
     SmoothingConfig,
-    SolverConfig,
     estimate_bounds,
     minimize,
 )
-from weakbounds import bounds
+from weakbounds import bounds, solver
 from conftest import random_instance, two_point_instance
 
 
@@ -22,12 +21,6 @@ def quadratic(center):
     grad = lambda a: 2.0 * (a - center)
     hess = lambda a: np.broadcast_to(2.0 * np.eye(a.shape[0]), (a.shape[1], a.shape[0], a.shape[0]))
     return value, grad, hess
-
-
-class TestSolverConfig:
-    def test_negative_iterations_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=-1)
 
 
 class TestMinimize:
@@ -52,10 +45,11 @@ class TestMinimize:
         assert report.converged
         assert report.iterations == 6  # 3 / 0.5 capped steps
 
-    def test_zero_budget_returns_start(self):
+    def test_zero_budget_returns_start(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
         value, grad, hess = quadratic(3.0)
         a0 = np.ones((5, 1))
-        a, report = minimize(value, grad, hess, a0, SolverConfig(max_iterations=0))
+        a, report = minimize(value, grad, hess, a0)
         assert np.array_equal(a, a0)
         assert not report.converged
         assert report.iterations == 0
@@ -130,6 +124,20 @@ class TestDualSolves:
                 assert est.report.converged
                 assert np.all(np.isfinite(est.optimizer))
 
+    def test_rounding_floor_lets_a_stalled_solve_converge(self, monkeypatch):
+        # near this lower solve's optimum a full Newton step predicts a decrease
+        # below the rounding of f, so the Armijo test cannot see it; the floor
+        # accepts the step because it shrinks the gradient. Without the floor
+        # the solve stalls above the tolerance until its budget runs out.
+        data, model, G = random_instance(np.random.default_rng(34), num_classes=3)
+        cfg = SmoothingConfig(epsilon=1e-3 / math.log(3))
+        lo, _ = estimate_bounds(data, model, G, cfg)
+        assert lo.report.converged and lo.report.iterations < 50
+        monkeypatch.setattr(solver, "ROUNDING_FLOOR", 0.0)
+        lo, _ = estimate_bounds(data, model, G, cfg)
+        assert not lo.report.converged
+        assert lo.report.iterations == solver.MAX_ITERATIONS
+
     def test_absent_signature_takes_no_step(self, rng):
         data, model, G = random_instance(rng, num_sig_max=3)
         wider = LabelModel(table=np.vstack([model.table, [[0.5, 0.5]]]))
@@ -137,8 +145,9 @@ class TestDualSolves:
             assert est.report.converged
             assert np.array_equal(est.optimizer[:, -1], np.zeros(2))
 
-    def test_estimate_bounds_reports_solver_outcome(self, rng):
+    def test_estimate_bounds_reports_solver_outcome(self, rng, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
         data, model, G = random_instance(rng)
-        lo, hi = estimate_bounds(data, model, G, scfg=SolverConfig(max_iterations=0))
+        lo, hi = estimate_bounds(data, model, G)
         assert not lo.report.converged and not hi.report.converged
         assert lo.report.iterations == hi.report.iterations == 0
