@@ -211,6 +211,13 @@ def _integer(v) -> int:
     raise ValueError(f"{v!r} is not an integer")
 
 
+def _number(v) -> float:
+    """A JSON number as a float; float() would also read true or "0.5"."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise ValueError(f"{v!r} is not a number")
+
+
 def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel:
     """Load a conditional table and align its rows to the dataset's signatures."""
     try:
@@ -234,7 +241,7 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
     for i, e in enumerate(entries):
         try:
             sig = tuple(_integer(v) for v in e["z"])
-            p = [float(v) for v in e["p"]]
+            p = [_number(v) for v in e["p"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(
                 f"{path}: entry {i} needs an integer list 'z' and a numeric list 'p' ({exc!r})"

@@ -77,6 +77,16 @@ class TestExitCodes:
         bad.write_text(json.dumps(payload))
         assert run("estimate", "--data", str(data), "--label-model", str(bad)) == 2
 
+    @pytest.mark.parametrize("p", [[True, False], ["0.5", "0.5"]])
+    def test_non_numeric_p_is_data_error(self, tmp_path, synth_files, capsys, p):
+        # float() read these as probabilities and the bounds came out with exit 0
+        data, model = synth_files
+        payload = json.loads(model.read_text())
+        payload["entries"][0]["p"] = p
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(payload))
+        assert run("estimate", "--data", str(data), "--label-model", str(bad)) == 2
+        assert "is not a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("num_classes", [2.9, 1e15])
     def test_bad_num_classes_is_data_error(self, tmp_path, synth_files, capsys, num_classes):

@@ -227,6 +227,9 @@ class TestLabelModelJson:
             {"z": [0, True, -1], "p": [0.5, 0.5]},
             {"z": [0, "1", -1], "p": [0.5, 0.5]},
             [[0, 1, -1], [0.5, 0.5]],
+            {"z": [0, 1, -1], "p": [True, False]},  # float() read it as (1, 0)
+            {"z": [0, 1, -1], "p": ["0.5", "0.5"]},  # float() parsed the strings
+            {"z": [0, 1, -1], "p": [1, "0"]},
         ],
     )
     def test_malformed_entry_rejected(self, tmp_path, entry):

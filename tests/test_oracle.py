@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from weakbounds import (
     LabelSpace,
     MetricKind,
     MetricSpec,
+    NumericalError,
     TooLargeError,
     TransportInstance,
     WeakBoundsError,
@@ -17,6 +19,8 @@ from weakbounds import (
     transport_binary,
     transport_general,
 )
+from weakbounds import oracle
+from weakbounds.cli import main
 from conftest import per_sample_g, random_instance, two_point_instance
 
 
@@ -25,6 +29,41 @@ def random_transport(rng, n_rows, n_cols):
     row_mass = rng.dirichlet(np.ones(n_rows))
     col_mass = rng.dirichlet(np.ones(n_cols))
     return TransportInstance(costs=costs, row_mass=row_mass, col_mass=col_mass)
+
+
+def eighths_transport(rng, n_rows, n_cols):
+    """A degenerate instance: costs tied in {0, 1, 2}, masses in eighths with zeros.
+
+    Both margins are exact in binary and sum to exactly 1, so the
+    north-west corner meets ties where a row and a column run out together.
+    """
+    costs = rng.integers(0, 3, (n_rows, n_cols)).astype(float)
+    row_mass = rng.multinomial(8, np.ones(n_rows) / n_rows) / 8
+    col_mass = rng.multinomial(8, np.ones(n_cols) / n_cols) / 8
+    return TransportInstance(costs=costs, row_mass=row_mass, col_mass=col_mass)
+
+
+def negated(inst: TransportInstance) -> TransportInstance:
+    return TransportInstance(costs=-inst.costs, row_mass=inst.row_mass, col_mass=inst.col_mass)
+
+
+def linprog_min(inst: TransportInstance) -> float:
+    """Reference: the dense transportation LP solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    n_rows, n_cols = inst.costs.shape
+    res = linprog(
+        inst.costs.ravel(),
+        A_eq=np.vstack([
+            np.kron(np.eye(n_rows), np.ones(n_cols)),
+            np.kron(np.ones(n_rows), np.eye(n_cols)[:-1]),
+        ]),
+        b_eq=np.concatenate([inst.row_mass, inst.col_mass[:-1]]),
+        bounds=(0, None),
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun)
 
 
 def brute_force_min(inst: TransportInstance) -> float:
@@ -134,6 +173,65 @@ class TestTransportGeneral:
             assert transport_general(inst) == pytest.approx(
                 brute_force_min(inst), abs=1e-8
             )
+        # degenerate vertices: tied costs, zero rows and columns, eighths
+        for shape in [(3, 3), (2, 4), (4, 2)]:
+            for _ in range(30):
+                inst = eighths_transport(rng, *shape)
+                for case in (inst, negated(inst)):
+                    assert transport_general(case) == pytest.approx(
+                        brute_force_min(case), abs=1e-12
+                    )
+
+    @pytest.mark.parametrize("bland_after", [oracle.BLAND_AFTER, 0], ids=["dantzig", "bland"])
+    def test_matches_linprog_on_random_instances(self, rng, monkeypatch, bland_after):
+        monkeypatch.setattr(oracle, "BLAND_AFTER", bland_after)
+        for k in range(200):
+            n_rows, n_cols = int(rng.integers(1, 9)), int(rng.integers(3, 7))
+            if k % 2:
+                inst = eighths_transport(rng, n_rows, n_cols)
+            else:
+                inst = random_transport(rng, n_rows, n_cols)
+            for case in (inst, negated(inst)):
+                assert transport_general(case) == pytest.approx(
+                    linprog_min(case), abs=1e-12
+                )
+
+    def test_monge_cost_matches_closed_form(self, rng):
+        # for the cost |i - j| the optimum is the 1-D Wasserstein distance,
+        # and the north-west-corner start is optimal (Hoffman 1963)
+        n = 300
+        costs = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        row_mass = rng.dirichlet(np.ones(n))
+        col_mass = rng.dirichlet(np.ones(n))
+        inst = TransportInstance(costs=costs, row_mass=row_mass, col_mass=col_mass)
+        closed = float(np.abs(np.cumsum(row_mass) - np.cumsum(col_mass)).sum())
+        assert transport_general(inst) == pytest.approx(closed, rel=1e-12)
+
+    def test_repeated_calls_are_bit_identical(self, rng):
+        for shape in [(8, 6), (60, 40)]:
+            inst = random_transport(rng, *shape)
+            first = transport_general(inst)
+            assert transport_general(inst).hex() == first.hex()
+
+    def test_pivot_cap_is_a_numerical_failure(self, rng, monkeypatch, tmp_path):
+        # one signature, predictions 0, 1, 2, uniform labels: the accuracy
+        # lower bound's north-west corner is the diagonal (cost 1), so the
+        # solve needs pivots to reach the optimum 0
+        monkeypatch.setattr(oracle, "MAX_PIVOTS", 0)
+        inst = TransportInstance(
+            costs=np.eye(3), row_mass=np.full(3, 1 / 3), col_mass=np.full(3, 1 / 3)
+        )
+        with pytest.raises(NumericalError, match="pivots"):
+            transport_general(inst)
+        (tmp_path / "d.csv").write_text("pred,wl_0\n0,0\n1,0\n2,0\n")
+        (tmp_path / "m.json").write_text(
+            json.dumps({"num_classes": 3, "entries": [{"z": [0], "p": [1 / 3] * 3}]})
+        )
+        rc = main(["oracle", "--data", str(tmp_path / "d.csv"),
+                   "--label-model", str(tmp_path / "m.json"),
+                   "--out", str(tmp_path / "o.json")])
+        assert rc == 3
+        assert not (tmp_path / "o.json").exists()
 
 
 class TestExactBounds:

@@ -1,9 +1,10 @@
-"""Start-up import diet: only the multiclass exact oracle loads scipy.
+"""Start-up import diet: no command loads scipy, and no module imports it.
 
-Each test runs a fresh interpreter, since the test process itself has scipy
-loaded by other tests.
+The command tests run a fresh interpreter, since the test process itself has
+scipy loaded by other tests.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -59,7 +60,7 @@ def test_binary_commands_load_no_scipy(tmp_path):
         assert (tmp_path / name).stat().st_size > 0
 
 
-def test_multiclass_oracle_imports_the_lp(tmp_path):
+def test_multiclass_oracle_loads_no_scipy(tmp_path):
     # one signature, predictions 0, 1, 2 and a uniform label model: the
     # accuracy coupling can put all mass off (L=0) or on (U=1) the diagonal
     (tmp_path / "d.csv").write_text("pred,wl_0\n0,0\n1,0\n2,0\n")
@@ -67,7 +68,23 @@ def test_multiclass_oracle_imports_the_lp(tmp_path):
         json.dumps({"num_classes": 3, "entries": [{"z": [0], "p": [1 / 3, 1 / 3, 1 / 3]}]})
     )
     commands = [["oracle", "--data", "d.csv", "--label-model", "m.json", "--out", "o.json"]]
-    assert "scipy.optimize" in scipy_modules_after(commands, tmp_path)
+    assert scipy_modules_after(commands, tmp_path) == []
     result = json.loads((tmp_path / "o.json").read_text())
     assert abs(result["lower"]) < 1e-9
     assert abs(result["upper"] - 1.0) < 1e-9
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    package = Path(weakbounds.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
