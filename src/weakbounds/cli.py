@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -67,8 +68,29 @@ def _load_loss_table(path: str | None):
         return None
     try:
         return np.asarray(json.loads(Path(path).read_text()), dtype=np.float64)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (json.JSONDecodeError, ValueError, TypeError) as exc:
         raise FormatError(f"{path}: bad loss table ({exc})") from None
+
+
+def _finite(text: str) -> float:
+    """A --threshold value: nan or inf would classify every sample alike."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"threshold must be finite, got {text!r}")
+    return value
+
+
+def _thresholds(text: str) -> list[float]:
+    """The comma-separated --thresholds of a sweep."""
+    return [_finite(t) for t in text.split(",") if t]
+
+
+def _prior(text: str) -> float:
+    """A --prior-y1 value of estimate or sweep: recall and F1 divide by it."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"prior must lie in (0, 1], got {text!r}")
+    return value
 
 
 def _smoothing(args, num_classes: int) -> SmoothingConfig:
@@ -162,14 +184,13 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     data, table, model = _load_inputs(args)
-    thresholds = [float(t) for t in args.thresholds.split(",") if t]
     kinds = [k.strip().replace("-", "_") for k in args.metric.split(",") if k.strip()]
     cfg = _smoothing(args, model.num_classes)
     sweep = threshold_sweep(
-        data, model, thresholds, kinds, cfg, gamma=args.gamma, p_y1=args.prior_y1
+        data, model, args.thresholds, kinds, cfg, gamma=args.gamma, p_y1=args.prior_y1
     )
     _warn_unconverged(sweep.solves)
-    write_sweep_csv(args.out, sweep)
+    write_sweep_csv(args.out, sweep)  # stdout without --out
     return EXIT_OK
 
 
@@ -291,7 +312,7 @@ def _add_common(p, with_model=True):
         help="accuracy, risk, or joint-positive",
     )
     p.add_argument("--loss-table", default=None, help="JSON |Y|x|Y| loss matrix (risk)")
-    p.add_argument("--threshold", type=float, default=None, help="score threshold for h")
+    p.add_argument("--threshold", type=_finite, default=None, help="score threshold for h")
     p.add_argument("--epsilon", type=float, default=None, help="smoothing temperature")
     p.add_argument("--gamma", type=float, default=0.05, help="CI miscoverage level")
     p.add_argument("--n", type=int, default=None, help="subsample size for the bound sum")
@@ -306,7 +327,7 @@ def _add_generator(p):
     p.add_argument("--abstain-rates", default="0.1,0.1,0.1")
     p.add_argument("--prior-y1", type=float, default=0.5)
     p.add_argument("--separation", type=float, default=0.5)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite, default=0.5)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -316,13 +337,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="smoothed bound estimates with CIs")
     _add_common(p)
-    p.add_argument("--prior-y1", type=float, default=None, help="known P(Y=1) override")
+    p.add_argument("--prior-y1", type=_prior, default=None, help="known P(Y=1) override")
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("sweep", help="bounds across score thresholds (CSV out)")
     _add_common(p)
-    p.add_argument("--thresholds", required=True, help="comma-separated thresholds")
-    p.add_argument("--prior-y1", type=float, default=None)
+    p.add_argument(
+        "--thresholds", type=_thresholds, required=True, help="comma-separated thresholds"
+    )
+    p.add_argument("--prior-y1", type=_prior, default=None)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("oracle", help="exact bounds by per-signature transport")

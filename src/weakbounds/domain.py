@@ -53,6 +53,8 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     j and ``ids[i]`` the group of row i. Each row is folded into one int64 key,
     ``key * span + (column - min)``; the key is renumbered densely before any
     multiply that would overflow, so any int64 values are grouped exactly.
+    Groups are then numbered by a counting pass over a table of at most 2n
+    keys, so no step sorts the n rows.
     """
     key = np.zeros(len(rows), dtype=np.int64)
     bound = 1  # every key lies in [0, bound)
@@ -64,11 +66,17 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             bound, lo, span = int(key.max()) + 1, 0, int(col.max()) + 1
         key = key * span + (col - lo)
         bound *= span
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
+    n = len(key)
+    if bound > 2 * n:
+        key = np.unique(key, return_inverse=True)[1]
+        bound = int(key.max()) + 1
+    first = np.full(bound, n, dtype=np.int64)  # first row of each key; n if absent
+    np.minimum.at(first, key, np.arange(n))
+    present = np.flatnonzero(first < n)
+    order = present[np.argsort(first[present])]
+    rank = np.empty(bound, dtype=np.int64)
     rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+    return first[order], rank[key]
 
 
 def encode_signatures(

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -66,16 +67,19 @@ def write_dataset_csv(path: str | Path, data: DatasetView, table: SignatureTable
         [v for v in (data.predictions, data.labels) if v is not None] + [data.z_ids]
     ).astype(np.int64, copy=False)
     first, ids = group_rows(cells)
-    tails = [
-        ",".join(map(str, [*row[:-1], *table.decode(row[-1])])) for row in cells[first].tolist()
-    ]
+    tails = np.array(
+        [",".join(map(str, [*row[:-1], *table.decode(row[-1])])) for row in cells[first].tolist()],
+        dtype=object,
+    )[ids].tolist()
     if data.scores is None:
-        lines = [tails[c] for c in ids.tolist()]
+        body = "\n".join(tails) + "\n"
     else:
-        lines = [
-            f"{s:.{SIG_DIGITS}g},{tails[c]}" for s, c in zip(data.scores.tolist(), ids.tolist())
-        ]
-    Path(path).write_text("\n".join([",".join(header), *lines]) + "\n")
+        # one %-format over the whole body: scores and tails interleaved
+        fields = [None] * (2 * data.n)
+        fields[0::2] = data.scores.tolist()
+        fields[1::2] = tails
+        body = f"%.{SIG_DIGITS}g,%s\n" * data.n % tuple(fields)
+    Path(path).write_text(",".join(header) + "\n" + body)
 
 
 # numpy's loadtxt messages for a row with the wrong number of fields (its row
@@ -140,6 +144,11 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
     # loadtxt skips one physical line for the header, whatever its quotes hold
     if any("\n" in name or "\r" in name for name in header):
         raise FormatError(f"{path}:1: a header field spans more than one line")
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise FormatError(f"{path}:1: duplicate column name {name!r}")
+        seen.add(name)
     wl_cols = [i for i, name in enumerate(header) if name.startswith("wl_")]
     if not wl_cols:
         raise FormatError(f"{path}: no wl_* columns found")
@@ -266,7 +275,8 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
 # ------------------------------------------------------------------- sweep CSV
 
 
-def write_sweep_csv(path: str | Path, sweep: SweepTable) -> None:
+def write_sweep_csv(path: str | Path | None, sweep: SweepTable) -> None:
+    """Write the sweep as CSV to ``path``, or to stdout if ``path`` is None."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -299,7 +309,10 @@ def write_sweep_csv(path: str | Path, sweep: SweepTable) -> None:
                 fmt(r.ci_upper.high),
             ]
         )
-    Path(path).write_text(buf.getvalue())
+    if path is None:
+        sys.stdout.write(buf.getvalue())
+    else:
+        Path(path).write_text(buf.getvalue())
 
 
 # ------------------------------------------------- counting label-model estimator

@@ -88,6 +88,49 @@ class TestExitCodes:
         assert run("estimate", "--data", str(data), "--label-model", str(bad)) == 2
         assert "is not a number" in capsys.readouterr().err
 
+    def test_loss_table_that_is_not_a_list_is_data_error(self, tmp_path, synth_files, capsys):
+        data, model = synth_files
+        loss = tmp_path / "loss.json"
+        loss.write_text('{"a": 1}')
+        rc = run(
+            "estimate", "--data", str(data), "--label-model", str(model),
+            "--metric", "risk", "--loss-table", str(loss),
+        )
+        assert rc == 2
+        assert f"{loss}: bad loss table" in capsys.readouterr().err
+
+    def test_duplicate_column_is_data_error(self, tmp_path, synth_files, capsys):
+        _, model = synth_files
+        data = tmp_path / "dup.csv"
+        data.write_text("score,pred,pred,wl_0,wl_1,wl_2\n0.5,1,0,1,1,1\n")
+        assert run("estimate", "--data", str(data), "--label-model", str(model)) == 2
+        assert "duplicate column name 'pred'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--thresholds", "0.5", "--metric", "f1", "--prior-y1", "0"),
+            ("sweep", "--thresholds", "0.5", "--metric", "f1", "--prior-y1", "-1"),
+            ("sweep", "--thresholds", "0.5", "--metric", "f1", "--prior-y1", "nan"),
+            ("estimate", "--metric", "joint-positive", "--threshold", "0.5", "--prior-y1", "1.5"),
+            ("sweep", "--thresholds", "nan"),
+            ("sweep", "--thresholds", "0.5,inf"),
+            ("estimate", "--metric", "joint-positive", "--threshold", "nan"),
+            ("oracle", "--threshold=-inf"),
+        ],
+        ids=["prior-0", "prior-negative", "prior-nan", "prior-above-1", "thresholds-nan",
+             "thresholds-inf", "threshold-nan", "oracle-threshold-inf"],
+    )
+    def test_out_of_range_prior_or_threshold_is_usage_error(
+        self, tmp_path, synth_files, capsys, argv
+    ):
+        data, model = synth_files
+        out = tmp_path / "o"
+        rc = run(*argv, "--data", str(data), "--label-model", str(model), "--out", str(out))
+        assert rc == 1
+        assert "must" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("num_classes", [2.9, 1e15])
     def test_bad_num_classes_is_data_error(self, tmp_path, synth_files, capsys, num_classes):
         # 2.9 read as 2 classes; 1e15 died allocating the uniform fallback table
@@ -208,6 +251,29 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("threshold,metric,lower,upper")
         assert len(lines) == 1 + 3 * 2
+
+    def test_without_out_writes_the_csv_to_stdout(self, tmp_path, synth_files, capsys):
+        data, model = synth_files
+        out = tmp_path / "s.csv"
+        args = [
+            "sweep", "--data", str(data), "--label-model", str(model),
+            "--thresholds", "0.3,0.7", "--metric", "accuracy,f1",
+        ]
+        assert run(*args, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run(*args) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    @pytest.mark.parametrize("prior", ["1", "0.25"])
+    def test_prior_inside_the_unit_interval_accepted(self, tmp_path, synth_files, prior):
+        data, model = synth_files
+        out = tmp_path / "s.csv"
+        rc = run(
+            "sweep", "--data", str(data), "--label-model", str(model),
+            "--thresholds", "0.5", "--metric", "f1", "--prior-y1", prior, "--out", str(out),
+        )
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 2
 
 
 class TestEstimateMatchesSweep:

@@ -14,6 +14,7 @@ from weakbounds import (
     check_covers,
     encode_signatures,
 )
+from weakbounds.domain import group_rows
 
 
 class TestLabelSpace:
@@ -74,6 +75,17 @@ class TestEncodeSignatures:
         assert ids.tolist() == expect
         assert table.signatures == tuple(index)
         assert encode_signatures(sigs.tolist())[1].tolist() == expect
+
+    @pytest.mark.parametrize("k", [4, 60], ids=["counting-table", "renumbered"])
+    def test_group_rows_match_per_row_dict_at_scale(self, k):
+        # 3**4 keys fit a table of 2n; 3**60 overflows int64 and exceeds 2n,
+        # so the key is renumbered before the counting pass
+        rows = np.random.default_rng(k).integers(-1, 2, size=(200_000, k))
+        first, ids = group_rows(rows)
+        index = {}
+        expect = [index.setdefault(row, len(index)) for row in map(tuple, rows.tolist())]
+        assert ids.tolist() == expect
+        assert [tuple(r) for r in rows[first].tolist()] == list(index)
 
 
 class TestLabelModel:

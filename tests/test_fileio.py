@@ -101,6 +101,17 @@ class TestDatasetCsv:
         with pytest.raises(FormatError, match=re.escape(f"{path}:{line}: {what}")):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize(
+        "header, name",
+        [("score,pred,pred,wl_0,wl_0", "pred"), ("wl_0,note,wl_1,note", "note")],
+    )
+    def test_duplicate_column_name_rejected(self, tmp_path, header, name):
+        # without the check the last of the duplicates wins silently
+        path = tmp_path / "e.csv"
+        path.write_text(header + "\n" + ",".join(["0"] * header.count(",")) + ",1\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:1: duplicate column name {name!r}")):
+            read_dataset_csv(path)
+
     def test_header_field_spanning_lines_rejected(self, tmp_path):
         # the csv module reads the rest of the file into the open quote, while
         # loadtxt reads the rows below the header's first line
@@ -140,7 +151,9 @@ class TestDatasetCsv:
         with pytest.raises(FormatError):
             read_dataset_csv(path)
 
-    @pytest.mark.parametrize("columns", [("scores", "predictions", "labels"), ("predictions",), ()])
+    @pytest.mark.parametrize(
+        "columns", [("scores", "predictions", "labels"), ("scores",), ("predictions",), ()]
+    )
     def test_writer_matches_per_row_csv_writer(self, tmp_path, columns):
         result = generate_synthetic(SynthSpec(n=500, seed=3))
         full = result.data
@@ -160,6 +173,36 @@ class TestDatasetCsv:
             row += [int(v[i]) for v in (data.predictions, data.labels) if v is not None]
             writer.writerow(row + list(result.table.decode(int(data.z_ids[i]))))
         assert path.read_text() == buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            np.array([-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, np.inf, -np.inf, np.nan, 0.5]),
+            np.array([0, -7, 123456789012, 2**62, np.iinfo(np.int64).min], dtype=np.int64),
+        ],
+        ids=["float", "int64"],
+    )
+    def test_score_text_matches_format_per_row(self, tmp_path, scores):
+        table, z_ids = encode_signatures([(-1, 0), (1, 1)] * (len(scores) // 2) + [(0, 0)])
+        data = DatasetView(n=len(scores), z_ids=z_ids, scores=scores)
+        path = tmp_path / "w.csv"
+        write_dataset_csv(path, data, table)
+        expect = ["score,wl_0,wl_1"] + [
+            f"{s:.9g},{','.join(map(str, table.decode(z)))}"
+            for s, z in zip(scores.tolist(), z_ids.tolist())
+        ]
+        assert path.read_text() == "\n".join(expect) + "\n"
+
+    def test_synth_roundtrip_at_scale(self, tmp_path):
+        result = generate_synthetic(SynthSpec(n=200_000, seed=11))
+        path = tmp_path / "big.csv"
+        write_dataset_csv(path, result.data, result.table)
+        data, table = read_dataset_csv(path)
+        assert table.signatures == result.table.signatures
+        assert np.array_equal(data.z_ids, result.data.z_ids)
+        assert np.array_equal(data.predictions, result.data.predictions)
+        assert np.array_equal(data.labels, result.data.labels)
+        assert data.scores == pytest.approx(result.data.scores, rel=1e-8, abs=0)
 
 
 class TestLabelModelJson:
