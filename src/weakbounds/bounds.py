@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,7 @@ from .objective import (
 from .solver import SolveReport, minimize
 
 
-@dataclass(frozen=True)
-class BoundEstimate:
+class BoundEstimate(NamedTuple):
     side: Side
     value: float
     optimizer: np.ndarray  # centered |Y|-by-|Z| dual matrix
@@ -32,8 +31,7 @@ class BoundEstimate:
     epsilon: float
 
 
-@dataclass(frozen=True)
-class ConfidenceInterval:
+class ConfidenceInterval(NamedTuple):
     level: float
     low: float
     high: float
@@ -77,7 +75,7 @@ def _solve_side(cells, cfg, side, max_step) -> BoundEstimate:
     # shift invariance keeps the value; report the zero-column-sum optimizer
     a_hat = center_columns(a_hat)
     sup_norm = float(np.max(np.abs(a_hat))) if a_hat.size else 0.0
-    report = replace(report, optimizer_sup_norm=sup_norm)
+    report = report._replace(optimizer_sup_norm=sup_norm)
     return BoundEstimate(
         side=side,
         value=eval_objective(cells, a_hat, cfg, side),

@@ -8,7 +8,6 @@ identical inputs reproduces its output files byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -32,6 +31,7 @@ from .fileio import (
     dump_result_json,
     read_dataset_csv,
     read_label_model_json,
+    result_json,
     write_dataset_csv,
     write_label_model_json,
     write_sweep_csv,
@@ -144,8 +144,8 @@ def _entry(row) -> dict:
         "n": lo.n,
         "clamped": row.clamped,
         "solver": {
-            "lower": dataclasses.asdict(lo.report),
-            "upper": dataclasses.asdict(hi.report),
+            "lower": lo.report._asdict(),
+            "upper": hi.report._asdict(),
         },
     }
 
@@ -178,7 +178,7 @@ def cmd_estimate(args) -> int:
     if args.out:
         dump_result_json(payload, args.out)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+        sys.stdout.write(result_json(payload))
     return EXIT_OK
 
 
@@ -257,7 +257,7 @@ def cmd_diagnose(args) -> int:
         cfg = _smoothing(args, model.num_classes)
         report = misspecification_report(data, model, alt, g, cfg)
         _warn_unconverged((f"{args.metric} under the {label}", est) for label, est in report.solves)
-        fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+        fields = report._asdict()
         del fields["solves"]
         payload["misspecification"] = {
             **fields,
@@ -266,7 +266,7 @@ def cmd_diagnose(args) -> int:
         }
     if args.out:
         dump_result_json(payload, args.out)
-    print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    sys.stdout.write(result_json(payload))
     return EXIT_OK
 
 
@@ -295,10 +295,12 @@ def cmd_synth(args) -> int:
 
 def cmd_coverage(args) -> int:
     report = coverage_experiment(_synth_spec(args), args.replications, args.gamma)
-    payload = dataclasses.asdict(report)
+    _warn_unconverged(report.solves)
+    payload = report._asdict()
+    del payload["solves"]
     if args.out:
         dump_result_json(payload, args.out)
-    print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    sys.stdout.write(result_json(payload))
     return EXIT_OK
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,16 +47,15 @@ def informativeness_bound(g_sup: float, h_cond: float) -> float:
     return float(np.sqrt(8.0 * g_sup**2 * h_cond))
 
 
-@dataclass(frozen=True)
-class MisspecReport:
+class MisspecReport(NamedTuple):
     delta: float
     bound_gap_lower: float
     bound_gap_upper: float
     certificate: float
     optimizer_sup_norm_p: float
     optimizer_sup_norm_q: float
-    # the four solved bounds, labelled by model; not part of the report's values
-    solves: tuple[tuple[str, BoundEstimate], ...] = field(default=(), repr=False, compare=False)
+    # the four solved bounds, labelled by model; the CLI leaves them out of the result file
+    solves: tuple[tuple[str, BoundEstimate], ...] = ()
 
     @property
     def within_certificate(self) -> bool:
@@ -120,8 +119,7 @@ class SelectionStrategy(enum.Enum):
     LABEL_MODEL = "label_model"
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     strategy: SelectionStrategy
     chosen_index: int
     scores: tuple[float, ...]

@@ -5,7 +5,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,19 +17,26 @@ SIMPLEX_TOL = 1e-9
 _INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
+def read_only(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of each type whose constructor checks its
+    arguments, so that no attribute changes after the checks."""
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+
 class LabelSpace:
     """The finite set of classes."""
 
     num_classes: int
 
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.num_classes}")
+    def __init__(self, num_classes: int):
+        if num_classes < 2:
+            raise ValueError(f"need at least 2 classes, got {num_classes}")
+        vars(self)["num_classes"] = num_classes
+
+    __setattr__ = __delattr__ = read_only
 
 
-@dataclass(frozen=True)
-class SignatureTable:
+class SignatureTable(NamedTuple):
     """Bijection between observed weak-label tuples and dense ids 0..|Z|-1.
 
     Ids follow first-observed order. Only tuples that actually occur in the
@@ -97,7 +104,6 @@ def encode_signatures(
     return SignatureTable(signatures=signatures), ids
 
 
-@dataclass(frozen=True)
 class DatasetView:
     """One evaluation dataset: z-ids plus whatever the classifier produced.
 
@@ -106,22 +112,31 @@ class DatasetView:
 
     n: int
     z_ids: np.ndarray
-    scores: np.ndarray | None = None
-    predictions: np.ndarray | None = None
-    labels: np.ndarray | None = None
+    scores: np.ndarray | None
+    predictions: np.ndarray | None
+    labels: np.ndarray | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "z_ids", np.asarray(self.z_ids, dtype=np.int64))
-        if self.z_ids.shape != (self.n,):
+    def __init__(
+        self,
+        n: int,
+        z_ids: np.ndarray,
+        scores: np.ndarray | None = None,
+        predictions: np.ndarray | None = None,
+        labels: np.ndarray | None = None,
+    ):
+        z_ids = np.asarray(z_ids, dtype=np.int64)
+        if z_ids.shape != (n,):
             raise FormatError("z_ids length must equal n")
-        for name in ("scores", "predictions", "labels"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr)
-            if arr.shape != (self.n,):
-                raise FormatError(f"{name} length must equal n")
-            object.__setattr__(self, name, arr)
+        columns = {}
+        for name, arr in (("scores", scores), ("predictions", predictions), ("labels", labels)):
+            if arr is not None:
+                arr = np.asarray(arr)
+                if arr.shape != (n,):
+                    raise FormatError(f"{name} length must equal n")
+            columns[name] = arr
+        vars(self).update(n=n, z_ids=z_ids, **columns)
+
+    __setattr__ = __delattr__ = read_only
 
     def take(self, indices: np.ndarray) -> "DatasetView":
         pick = lambda arr: None if arr is None else arr[indices]
@@ -134,14 +149,13 @@ class DatasetView:
         )
 
 
-@dataclass(frozen=True)
 class LabelModel:
     """Conditional probability table P(Y=y | Z=z): one simplex row per z-id."""
 
     table: np.ndarray
 
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.float64)
+    def __init__(self, table: np.ndarray):
+        table = np.asarray(table, dtype=np.float64)
         if table.ndim != 2:
             raise FormatError("label model table must be 2-dimensional")
         if not np.all(np.isfinite(table)):
@@ -158,7 +172,9 @@ class LabelModel:
         table = np.clip(table, 0.0, 1.0)
         table = table / table.sum(axis=1, keepdims=True)
         table.setflags(write=False)
-        object.__setattr__(self, "table", table)
+        vars(self)["table"] = table
+
+    __setattr__ = __delattr__ = read_only
 
     @property
     def num_signatures(self) -> int:
@@ -169,7 +185,6 @@ class LabelModel:
         return self.table.shape[1]
 
 
-@dataclass(frozen=True)
 class GMatrix:
     """Cost values g(X_i, y, Z_i): a table of cost rows and one row id per sample.
 
@@ -180,9 +195,9 @@ class GMatrix:
     costs: np.ndarray
     rows: np.ndarray
 
-    def __post_init__(self):
-        costs = np.array(self.costs, dtype=np.float64)
-        rows = np.array(self.rows, dtype=np.int64)
+    def __init__(self, costs: np.ndarray, rows: np.ndarray):
+        costs = np.array(costs, dtype=np.float64)
+        rows = np.array(rows, dtype=np.int64)
         if costs.ndim != 2 or rows.ndim != 1:
             raise FormatError("G needs a 2-dimensional cost table and one row id per sample")
         if not np.all(np.isfinite(costs)):
@@ -191,8 +206,9 @@ class GMatrix:
             raise FormatError("G row ids lie outside its cost table")
         costs.setflags(write=False)
         rows.setflags(write=False)
-        object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "rows", rows)
+        vars(self).update(costs=costs, rows=rows)
+
+    __setattr__ = __delattr__ = read_only
 
     @property
     def values(self) -> np.ndarray:
@@ -218,8 +234,7 @@ def check_covers(data: DatasetView, model: LabelModel) -> None:
         raise CoverageError("data contains z-ids beyond the label model's coverage")
 
 
-@dataclass(frozen=True)
-class CellTable:
+class CellTable(NamedTuple):
     """The sample grouped into cells of equal signature and cost row, sorted by signature.
 
     The bounds read the data only through these cells. A built-in metric has at

@@ -42,9 +42,13 @@ def round_floats(obj):
     return obj
 
 
+def result_json(payload: dict) -> str:
+    """The text of a result: sorted keys, floats at 9 significant digits, one newline."""
+    return json.dumps(round_floats(payload), indent=2, sort_keys=True) + "\n"
+
+
 def dump_result_json(payload: dict, path: str | Path) -> None:
-    text = json.dumps(round_floats(payload), indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(result_json(payload))
 
 
 # ---------------------------------------------------------------- dataset CSV

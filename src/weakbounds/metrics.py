@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Collection
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .bounds import (
     estimate_class_prior,
     normal_interval,
 )
-from .domain import DatasetView, GMatrix, LabelModel, LabelSpace
+from .domain import DatasetView, GMatrix, LabelModel, LabelSpace, read_only
 from .errors import FormatError
 from .objective import SmoothingConfig
 
@@ -26,19 +26,24 @@ class MetricKind(enum.Enum):
     JOINT_POSITIVE = "joint_positive"
 
 
-@dataclass(frozen=True)
 class MetricSpec:
     kind: MetricKind
-    loss_table: np.ndarray | None = None
-    threshold: float | None = None
+    loss_table: np.ndarray | None
+    threshold: float | None
 
-    def __post_init__(self):
-        if self.kind is MetricKind.RISK and self.loss_table is None:
+    def __init__(
+        self,
+        kind: MetricKind,
+        loss_table: np.ndarray | None = None,
+        threshold: float | None = None,
+    ):
+        if kind is MetricKind.RISK and loss_table is None:
             raise ValueError("risk metric requires a loss_table")
-        if self.loss_table is not None:
-            object.__setattr__(
-                self, "loss_table", np.asarray(self.loss_table, dtype=np.float64)
-            )
+        if loss_table is not None:
+            loss_table = np.asarray(loss_table, dtype=np.float64)
+        vars(self).update(kind=kind, loss_table=loss_table, threshold=threshold)
+
+    __setattr__ = __delattr__ = read_only
 
 
 def _predictions(data: DatasetView, spec: MetricSpec, num_classes: int) -> np.ndarray:
@@ -82,8 +87,7 @@ def estimate_h1(data: DatasetView, threshold: float | None = None) -> float:
     return float(np.mean(predictions == 1))
 
 
-@dataclass(frozen=True)
-class MetricInterval:
+class MetricInterval(NamedTuple):
     lower: float
     upper: float
     lower_std: float
@@ -91,8 +95,7 @@ class MetricInterval:
     clamped: bool
 
 
-@dataclass(frozen=True)
-class PRFBounds:
+class PRFBounds(NamedTuple):
     precision: MetricInterval
     recall: MetricInterval
     f1: MetricInterval
@@ -133,8 +136,7 @@ def prf_from_joint(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One reported interval: a metric's bounds, their stds and normal CIs."""
 
     threshold: float | None
@@ -147,16 +149,13 @@ class SweepRow:
     ci_upper: ConfidenceInterval
     clamped: bool = False
     # the solved (lower, upper) pair the row derives from
-    solve: tuple[BoundEstimate, BoundEstimate] | None = field(
-        default=None, repr=False, compare=False
-    )
+    solve: tuple[BoundEstimate, BoundEstimate] | None = None
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    rows: tuple[SweepRow, ...] = field(default_factory=tuple)
+class SweepTable(NamedTuple):
+    rows: tuple[SweepRow, ...] = ()
     # every solved bound, labelled "<metric> at threshold <t>", in solve order
-    solves: tuple[tuple[str, BoundEstimate], ...] = field(default_factory=tuple)
+    solves: tuple[tuple[str, BoundEstimate], ...] = ()
 
 
 def bound_rows(
@@ -234,7 +233,8 @@ def threshold_sweep(
 
     rows, solves = [], []
     for t in thresholds:
-        at_t = replace(data, predictions=(data.scores >= t).astype(np.int64))
+        # through the constructor, which checks each column's length
+        at_t = DatasetView(**{**vars(data), "predictions": (data.scores >= t).astype(np.int64)})
         p_h1 = estimate_h1(at_t) if wants_prf else None
         for metric in solved:
             g = build_g(at_t, MetricSpec(MetricKind(metric)), space)

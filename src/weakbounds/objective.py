@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CellTable
+from .domain import CellTable, read_only
 
 EPSILON_FLOOR = 1e-6
 
@@ -29,17 +28,19 @@ class Side(enum.Enum):
     UPPER = "upper"
 
 
-@dataclass(frozen=True)
 class SmoothingConfig:
     """Smoothing temperature of the log-mean-exp relaxation."""
 
-    epsilon: float = 0.01 / math.log(2.0)
+    epsilon: float
 
-    def __post_init__(self):
-        if self.epsilon < EPSILON_FLOOR:
+    def __init__(self, epsilon: float = 0.01 / math.log(2.0)):
+        if epsilon < EPSILON_FLOOR:
             raise ValueError(
-                f"epsilon must be >= {EPSILON_FLOOR} (overflow guard), got {self.epsilon}"
+                f"epsilon must be >= {EPSILON_FLOOR} (overflow guard), got {epsilon}"
             )
+        vars(self)["epsilon"] = epsilon
+
+    __setattr__ = __delattr__ = read_only
 
     @classmethod
     def for_classes(cls, num_classes: int, target_error: float = 0.01):

@@ -13,11 +13,11 @@ north-west-corner start is already optimal for Monge costs such as |i - j|
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .domain import DatasetView, GMatrix, LabelModel, cell_table
+from .domain import DatasetView, GMatrix, LabelModel, cell_table, read_only
 from .errors import NumericalError, WeakBoundsError
 
 SIZE_GUARD = 10**6
@@ -32,7 +32,6 @@ class TooLargeError(WeakBoundsError):
     """Instance exceeds the exact-oracle size guard."""
 
 
-@dataclass(frozen=True)
 class TransportInstance:
     """One per-signature transportation problem: rows are cells, columns classes."""
 
@@ -40,18 +39,20 @@ class TransportInstance:
     row_mass: np.ndarray
     col_mass: np.ndarray
 
-    def __post_init__(self):
-        if abs(self.row_mass.sum() - self.col_mass.sum()) > MASS_TOL:
+    def __init__(self, costs: np.ndarray, row_mass: np.ndarray, col_mass: np.ndarray):
+        if abs(row_mass.sum() - col_mass.sum()) > MASS_TOL:
             raise WeakBoundsError(
-                f"transport mass mismatch: rows {self.row_mass.sum():.12g} "
-                f"vs columns {self.col_mass.sum():.12g}"
+                f"transport mass mismatch: rows {row_mass.sum():.12g} "
+                f"vs columns {col_mass.sum():.12g}"
             )
-        if np.any(self.row_mass < 0) or np.any(self.col_mass < 0):
+        if np.any(row_mass < 0) or np.any(col_mass < 0):
             raise WeakBoundsError("transport masses must be non-negative")
+        vars(self).update(costs=costs, row_mass=row_mass, col_mass=col_mass)
+
+    __setattr__ = __delattr__ = read_only
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     lower: float
     upper: float
     per_signature: tuple[tuple[int, float, float], ...]

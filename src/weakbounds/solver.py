@@ -10,8 +10,7 @@ rule, and a report that distinguishes convergence from budget exhaustion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,8 +28,7 @@ MAX_BACKTRACKS = 60
 ROUNDING_FLOOR = 1e-13
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     iterations: int
     final_gradient_norm: float
     converged: bool

@@ -9,11 +9,11 @@ the sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import confidence_interval, estimate_bounds
+from .bounds import BoundEstimate, confidence_interval, estimate_bounds
 from .domain import (
     ABSTAIN,
     DatasetView,
@@ -21,6 +21,7 @@ from .domain import (
     LabelSpace,
     SignatureTable,
     encode_signatures,
+    read_only,
 )
 from .metrics import MetricKind, MetricSpec, build_g
 from .objective import SmoothingConfig
@@ -28,35 +29,55 @@ from .objective import SmoothingConfig
 SCORE_NOISE = 0.15
 
 
-@dataclass(frozen=True)
 class SynthSpec:
     n: int
-    num_labelers: int = 3
-    labeler_accuracies: tuple[float, ...] = (0.8, 0.7, 0.65)
-    abstain_rates: tuple[float, ...] = (0.1, 0.1, 0.1)
-    prior_y1: float = 0.5
-    score_separation: float = 0.5
-    seed: int = 0
-    threshold: float = 0.5
+    num_labelers: int
+    labeler_accuracies: tuple[float, ...]
+    abstain_rates: tuple[float, ...]
+    prior_y1: float
+    score_separation: float
+    seed: int
+    threshold: float
 
-    def __post_init__(self):
-        if len(self.labeler_accuracies) != self.num_labelers:
+    def __init__(
+        self,
+        n: int,
+        num_labelers: int = 3,
+        labeler_accuracies: tuple[float, ...] = (0.8, 0.7, 0.65),
+        abstain_rates: tuple[float, ...] = (0.1, 0.1, 0.1),
+        prior_y1: float = 0.5,
+        score_separation: float = 0.5,
+        seed: int = 0,
+        threshold: float = 0.5,
+    ):
+        if len(labeler_accuracies) != num_labelers:
             raise ValueError("one accuracy per labeler required")
-        if len(self.abstain_rates) != self.num_labelers:
+        if len(abstain_rates) != num_labelers:
             raise ValueError("one abstain rate per labeler required")
-        for p in (*self.labeler_accuracies, *self.abstain_rates, self.prior_y1):
+        for p in (*labeler_accuracies, *abstain_rates, prior_y1):
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"probability {p} outside [0, 1]")
-        if self.n < 2:
+        if n < 2:
             raise ValueError("need n >= 2")
+        vars(self).update(
+            n=n,
+            num_labelers=num_labelers,
+            labeler_accuracies=labeler_accuracies,
+            abstain_rates=abstain_rates,
+            prior_y1=prior_y1,
+            score_separation=score_separation,
+            seed=seed,
+            threshold=threshold,
+        )
+
+    __setattr__ = __delattr__ = read_only
 
 
-@dataclass(frozen=True)
-class SynthResult:
+class SynthResult(NamedTuple):
     data: DatasetView
     table: SignatureTable
     model: LabelModel  # exact P(Y | Z) over observed signatures
-    true_metrics: dict[str, float] = field(default_factory=dict)
+    true_metrics: dict[str, float]
 
 
 def exact_posterior_y1(
@@ -117,8 +138,7 @@ def generate_synthetic(spec: SynthSpec) -> SynthResult:
     return SynthResult(data=data, table=table, model=model, true_metrics=metrics)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     replications: int
     gamma: float
     truth_lower: float
@@ -127,6 +147,8 @@ class CoverageReport:
     coverage_upper: float
     se_lower: float
     se_upper: float
+    # every solved bound, labelled by its sample; the CLI leaves them out of the result file
+    solves: tuple[tuple[str, BoundEstimate], ...] = ()
 
 
 def coverage_experiment(
@@ -151,16 +173,19 @@ def coverage_experiment(
     mspec = MetricSpec(kind=metric, threshold=spec.threshold)
 
     def run(n, seed):
-        result = generate_synthetic(replace(spec, n=n, seed=seed))
+        # through the constructor, which checks the spec
+        result = generate_synthetic(SynthSpec(**{**vars(spec), "n": n, "seed": seed}))
         g = build_g(result.data, mspec, LabelSpace(num_classes=2))
         return estimate_bounds(result.data, result.model, g, cfg)
 
     truth_lo, truth_hi = run(truth_factor * spec.n, spec.seed)
+    solves = [(f"{metric.value} on the truth sample", est) for est in (truth_lo, truth_hi)]
 
     hits_lo = 0
     hits_hi = 0
     for r in range(replications):
         lo, hi = run(spec.n, spec.seed + 1 + r)
+        solves += [(f"{metric.value} in replication {r + 1}", est) for est in (lo, hi)]
         ci_lo = confidence_interval(lo, gamma)
         ci_hi = confidence_interval(hi, gamma)
         hits_lo += ci_lo.low <= truth_lo.value <= ci_lo.high
@@ -178,4 +203,5 @@ def coverage_experiment(
         coverage_upper=cov_hi,
         se_lower=se(cov_lo),
         se_upper=se(cov_hi),
+        solves=tuple(solves),
     )

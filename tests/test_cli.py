@@ -183,6 +183,19 @@ class TestUnconvergedWarning:
         assert len(lines) == 4
         assert "accuracy under the alternative label model, upper bound" in lines[-1]
 
+    def test_coverage_warns_per_sample(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run("coverage", "--n", "40", "--replications", "100", "--out", str(out)) == 0
+        lines = self.warnings(capsys)
+        # the truth sample and 100 replications, two sides each
+        assert len(lines) == 202
+        assert "accuracy on the truth sample, lower bound" in lines[0]
+        assert "accuracy in replication 100, upper bound" in lines[-1]
+        assert sorted(json.loads(out.read_text())) == [
+            "coverage_lower", "coverage_upper", "gamma", "replications",
+            "se_lower", "se_upper", "truth_lower", "truth_upper",
+        ]
+
 
 class TestEstimate:
     def test_accuracy_result_structure(self, tmp_path, synth_files):
@@ -405,6 +418,28 @@ class TestDiagnose:
         mis = payload["misspecification"]
         assert mis["bound_gap_lower"] <= mis["certificate"] + 1e-5
         assert mis["within_certificate"]
+
+
+class TestStdoutResult:
+    @pytest.mark.parametrize("command", ["estimate", "diagnose", "coverage"])
+    def test_stdout_is_the_out_file(self, tmp_path, synth_files, capsys, command):
+        data, model = synth_files
+        inputs = ["--data", str(data), "--label-model", str(model)]
+        argv = {
+            "estimate": ["estimate", *inputs, "--metric", "joint-positive", "--threshold", "0.5"],
+            "diagnose": ["diagnose", *inputs, "--label-model-alt", str(model)],
+            "coverage": ["coverage", "--n", "40", "--replications", "100"],
+        }[command]
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        if command == "estimate":  # prints its result only without --out
+            assert run(*argv) == 0
+            printed = capsys.readouterr().out
+            assert run(*argv, "--out", str(out)) == 0
+        else:
+            assert run(*argv, "--out", str(out)) == 0
+            printed = capsys.readouterr().out
+        assert printed.encode() == out.read_bytes()
 
 
 class TestDeterminism:

@@ -10,6 +10,11 @@ from weakbounds import (
     GMatrix,
     LabelModel,
     LabelSpace,
+    MetricKind,
+    MetricSpec,
+    SmoothingConfig,
+    SynthSpec,
+    TransportInstance,
     center_columns,
     check_covers,
     encode_signatures,
@@ -101,6 +106,11 @@ class TestLabelModel:
         with pytest.raises(FormatError):
             LabelModel(table=np.array([[1.1, -0.1]]))
 
+    @pytest.mark.parametrize("table", [[0.5, 0.5], [[np.inf, 0.0]]])
+    def test_rejects_flat_or_non_finite_table(self, table):
+        with pytest.raises(FormatError):
+            LabelModel(table=np.array(table))
+
     def test_table_is_read_only(self):
         m = LabelModel(table=np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
@@ -115,6 +125,11 @@ class TestDatasetView:
     def test_optional_array_length_checked(self):
         with pytest.raises(FormatError):
             DatasetView(n=2, z_ids=np.array([0, 0]), scores=np.array([0.1]))
+
+    @pytest.mark.parametrize("column", ["predictions", "labels"])
+    def test_prediction_and_label_lengths_checked(self, column):
+        with pytest.raises(FormatError, match=f"{column} length must equal n"):
+            DatasetView(n=2, z_ids=np.array([0, 0]), **{column: np.array([1])})
 
     def test_take_preserves_alignment(self):
         d = DatasetView(
@@ -134,6 +149,10 @@ class TestGMatrix:
         with pytest.raises(FormatError):
             GMatrix(costs=np.array([[np.nan, 0.0]]), rows=[0])
 
+    def test_flat_cost_table_rejected(self):
+        with pytest.raises(FormatError, match="2-dimensional cost table"):
+            GMatrix(costs=np.array([0.0, 1.0]), rows=[0])
+
     @pytest.mark.parametrize("rows", [[0, 2], [-1, 0]])
     def test_row_ids_outside_cost_table_rejected(self, rows):
         with pytest.raises(FormatError):
@@ -145,6 +164,38 @@ class TestGMatrix:
         assert G.values.tolist() == [[1.0, 0.0]] * 3
         with pytest.raises(TypeError):
             GMatrix(costs=np.eye(2), rows=[0], sup_norm=1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LabelSpace(num_classes=2),
+        lambda: DatasetView(n=2, z_ids=np.array([0, 0])),
+        lambda: LabelModel(table=np.array([[0.5, 0.5]])),
+        lambda: GMatrix(costs=np.eye(2), rows=[0]),
+        lambda: MetricSpec(MetricKind.ACCURACY),
+        lambda: SmoothingConfig(),
+        lambda: TransportInstance(
+            costs=np.zeros((1, 2)), row_mass=np.array([1.0]), col_mass=np.array([0.5, 0.5])
+        ),
+        lambda: SynthSpec(n=10),
+    ],
+    ids=[
+        "LabelSpace", "DatasetView", "LabelModel", "GMatrix",
+        "MetricSpec", "SmoothingConfig", "TransportInstance", "SynthSpec",
+    ],
+)
+def test_checked_types_are_read_only(make):
+    """An attribute changed after construction would bypass the constructor's checks."""
+    obj = make()
+    name = next(iter(vars(obj)))
+    for change in (
+        lambda: setattr(obj, name, getattr(obj, name)),
+        lambda: delattr(obj, name),
+        lambda: setattr(obj, "extra", 0),
+    ):
+        with pytest.raises(AttributeError):
+            change()
 
 
 class TestCheckCovers:

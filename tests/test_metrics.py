@@ -189,6 +189,14 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep(data, model, [0.5], ["auc"])
 
+    def test_view_with_mismatched_lengths_rejected(self, rng):
+        data, model = sweep_fixture(rng)
+        # a view whose constructor checks were bypassed: each threshold's view
+        # is built again through the constructor, which rejects it
+        object.__setattr__(data, "scores", data.scores[:-1])
+        with pytest.raises(FormatError, match="scores length must equal n"):
+            threshold_sweep(data, model, [0.5], ["accuracy"])
+
     def test_needs_scores(self, rng):
         data, model, _ = random_instance(rng)
         with pytest.raises(FormatError):

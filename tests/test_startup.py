@@ -1,4 +1,5 @@
-"""Start-up import diet: no command loads scipy, and no module imports it.
+"""Start-up import diet: no command loads scipy, and no module imports it or
+dataclasses, whose generated methods are compiled again in every process.
 
 The command tests run a fresh interpreter, since the test process itself has
 scipy loaded by other tests.
@@ -15,21 +16,22 @@ import weakbounds
 
 SRC = str(Path(weakbounds.__file__).resolve().parents[1])
 
-# prints the sorted scipy modules loaded after running the given CLI commands
+# prints the sorted modules of one top-level package loaded after running the
+# given CLI commands
 SCRIPT = """
 import json, sys
 from weakbounds.cli import main
 for argv in json.loads(sys.argv[1]):
     rc = main(argv)
     assert rc == 0, (argv, rc)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[2])))
 """
 
 
-def scipy_modules_after(commands, cwd):
+def modules_after(commands, cwd, package):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(commands)],
+        [sys.executable, "-c", SCRIPT, json.dumps(commands), package],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -40,7 +42,12 @@ def scipy_modules_after(commands, cwd):
 
 
 def test_import_cli_loads_no_scipy(tmp_path):
-    assert scipy_modules_after([], tmp_path) == []
+    assert modules_after([], tmp_path, "scipy") == []
+
+
+def test_import_cli_loads_no_dataclasses(tmp_path):
+    # numpy, argparse, json, csv and statistics do not import it either
+    assert modules_after([], tmp_path, "dataclasses") == []
 
 
 def test_binary_commands_load_no_scipy(tmp_path):
@@ -55,7 +62,7 @@ def test_binary_commands_load_no_scipy(tmp_path):
         ["diagnose", *common, "--label-model-alt", "m.json", "--out", "diag.json"],
         ["oracle", *common, "--out", "o.json"],
     ]
-    assert scipy_modules_after(commands, tmp_path) == []
+    assert modules_after(commands, tmp_path, "scipy") == []
     for name in ("acc.json", "jp.json", "s.csv", "diag.json", "o.json"):
         assert (tmp_path / name).stat().st_size > 0
 
@@ -68,17 +75,16 @@ def test_multiclass_oracle_loads_no_scipy(tmp_path):
         json.dumps({"num_classes": 3, "entries": [{"z": [0], "p": [1 / 3, 1 / 3, 1 / 3]}]})
     )
     commands = [["oracle", "--data", "d.csv", "--label-model", "m.json", "--out", "o.json"]]
-    assert scipy_modules_after(commands, tmp_path) == []
+    assert modules_after(commands, tmp_path, "scipy") == []
     result = json.loads((tmp_path / "o.json").read_text())
     assert abs(result["lower"]) < 1e-9
     assert abs(result["upper"] - 1.0) < 1e-9
 
 
-def test_no_module_imports_scipy():
-    # numpy is the only runtime dependency; scipy is a test-only reference
-    package = Path(weakbounds.__file__).resolve().parent
+def import_sites(package):
+    """file:line of every import of ``package`` in the weakbounds sources."""
     found = []
-    for path in sorted(package.rglob("*.py")):
+    for path in sorted(Path(weakbounds.__file__).resolve().parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -86,5 +92,16 @@ def test_no_module_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
-    assert found == []
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == package]
+    return found
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    assert import_sites("scipy") == []
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples; a dataclass would compile its methods with
+    # exec at every start-up, since generated code is never cached in a .pyc
+    assert import_sites("dataclasses") == []

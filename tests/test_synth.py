@@ -23,6 +23,14 @@ class TestSynthSpec:
         with pytest.raises(ValueError):
             SynthSpec(n=10, num_labelers=1, labeler_accuracies=(1.2,), abstain_rates=(0.0,))
 
+    def test_abstain_rate_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one abstain rate per labeler"):
+            SynthSpec(n=10, num_labelers=1, labeler_accuracies=(0.8,), abstain_rates=(0.1, 0.1))
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            SynthSpec(n=1)
+
 
 class TestExactPosterior:
     def test_uninformative_labelers_return_prior(self):
