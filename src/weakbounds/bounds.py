@@ -65,10 +65,26 @@ def _newton_ridge(cells, cfg) -> np.ndarray:
 def _solve_side(cells, cfg, side, max_step) -> BoundEstimate:
     a0 = np.zeros(cells.label_model.shape[::-1])
     ridge = _newton_ridge(cells, cfg)
+    # The solver takes the gradient and the Hessian only at the iterate of its
+    # latest value evaluation, and never changes an iterate in place, so both
+    # reuse that evaluation's soft-max weights.
+    weights = np.empty(cells.costs.shape[::-1])
+    weights_at = None  # the iterate whose weights ``weights`` holds
+
+    def value(a):
+        nonlocal weights_at
+        weights_at = None
+        f = minimized_value(cells, a, cfg, side, weights_out=weights)
+        weights_at = a
+        return f
+
+    def reusable(a):
+        return weights if a is weights_at else None
+
     a_hat, report = minimize(
-        lambda a: minimized_value(cells, a, cfg, side),
-        lambda a: gradient(cells, a, cfg, side),
-        lambda a: hessian(cells, a, cfg, side) + ridge,
+        value,
+        lambda a: gradient(cells, a, cfg, side, reusable(a)),
+        lambda a: hessian(cells, a, cfg, side, reusable(a)) + ridge,
         a0,
         max_step,
     )
@@ -108,9 +124,12 @@ def ci_half_width(std: float, n: int, gamma: float) -> float:
     """Half-width z_{1-gamma/2} * std / sqrt(n) of a two-sided normal interval."""
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
+    level = 1.0 - gamma / 2.0
+    if level == 1.0:
+        raise ValueError(f"gamma must be large enough that 1 - gamma/2 < 1, got {gamma:g}")
     if n < 2:
         raise InsufficientSampleError("confidence interval needs n >= 2")
-    return NormalDist().inv_cdf(1.0 - gamma / 2.0) * std / np.sqrt(n)
+    return NormalDist().inv_cdf(level) * std / np.sqrt(n)
 
 
 def normal_interval(value: float, std: float, n: int, gamma: float) -> ConfidenceInterval:

@@ -314,7 +314,8 @@ def _add_common(p, with_model=True):
         help="accuracy, risk, or joint-positive",
     )
     p.add_argument("--loss-table", default=None, help="JSON |Y|x|Y| loss matrix (risk)")
-    p.add_argument("--threshold", type=_finite, default=None, help="score threshold for h")
+    p.add_argument("--threshold", type=_finite, default=None,
+                   help="classify by score >= threshold, even if the data has a pred column")
     p.add_argument("--epsilon", type=float, default=None, help="smoothing temperature")
     p.add_argument("--gamma", type=float, default=0.05, help="CI miscoverage level")
     p.add_argument("--n", type=int, default=None, help="subsample size for the bound sum")

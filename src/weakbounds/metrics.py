@@ -47,6 +47,12 @@ class MetricSpec:
 
 
 def _predictions(data: DatasetView, spec: MetricSpec, num_classes: int) -> np.ndarray:
+    # a given threshold classifies by score, as a sweep does, even beside a pred column
+    if spec.threshold is not None:
+        if data.scores is None:
+            raise FormatError("a threshold needs a score column")
+        # ties at the threshold classify positive
+        return (np.asarray(data.scores) >= spec.threshold).astype(np.int64)
     if data.predictions is not None:
         preds = np.asarray(data.predictions, dtype=np.int64)
         # a negative class would silently index from the end in build_g
@@ -56,9 +62,6 @@ def _predictions(data: DatasetView, spec: MetricSpec, num_classes: int) -> np.nd
                 f"prediction {int(preds[np.argmax(bad)])} outside the classes 0..{num_classes - 1}"
             )
         return preds
-    if data.scores is not None and spec.threshold is not None:
-        # ties at the threshold classify positive
-        return (np.asarray(data.scores) >= spec.threshold).astype(np.int64)
     raise FormatError("metric needs predictions, or scores plus a threshold")
 
 

@@ -9,6 +9,12 @@ cell's mass. Everything here is a pure function of immutable inputs.
 The objective is invariant to adding a constant to any column of ``a``, and
 its columns interact only through the sample mean, so its Hessian is block
 diagonal: one |Y|-by-|Y| block per signature.
+
+An evaluation holds the shifted costs class-major, as a |Y|-by-cells array, and
+makes one soft-max pass over it. ``minimized_value`` can hand that pass's
+weights to ``gradient`` and ``hessian`` at the same ``a``, which then only sum
+them per signature, so a Newton iteration computes weights once per value
+evaluation.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ class SmoothingConfig:
     epsilon: float
 
     def __init__(self, epsilon: float = 0.01 / math.log(2.0)):
+        if not math.isfinite(epsilon):
+            raise ValueError(f"epsilon must be finite, got {epsilon}")
         if epsilon < EPSILON_FLOOR:
             raise ValueError(
                 f"epsilon must be >= {EPSILON_FLOOR} (overflow guard), got {epsilon}"
@@ -65,18 +73,35 @@ def soft_extreme(values, epsilon: float, side: Side) -> float:
     return float(sign * epsilon * (m + np.log(np.mean(np.exp(t - m)))))
 
 
-def _shifted(cells: CellTable, a: np.ndarray) -> np.ndarray:
-    # cells-by-|Y| matrix of G[c, y] + a[y, z_c]
-    return cells.costs + a.T[cells.z]
+def _soft_pass(cells: CellTable, a, cfg, side, weights_out=None) -> np.ndarray:
+    """One soft-max pass: the soft extreme over classes of ``G[c, y] + a[y, z_c]``.
 
-
-def per_cell_objective(cells: CellTable, a, cfg, side) -> np.ndarray:
-    """The smoothed dual value of each cell's samples; their mass-weighted sum is the objective."""
+    The |Y|-by-cells array is class-major, so the max, the exp and the sum over
+    classes run as element-wise passes over |Y| contiguous rows of cells, not as
+    reductions along rows of 2 or 3 entries. If ``weights_out`` (|Y|-by-cells)
+    is given, the pass also writes its normalised soft-min (LOWER) or soft-max
+    (UPPER) weights into it.
+    """
     eps = cfg.epsilon
     sign = -1.0 if side is Side.LOWER else 1.0
-    t = sign * _shifted(cells, a) / eps
-    m = t.max(axis=1)
-    soft = sign * eps * (m + np.log(np.mean(np.exp(t - m[:, None]), axis=1)))
+    t = np.add(cells.costs.T, a.take(cells.z, axis=1), order="C")
+    t *= sign
+    t /= eps
+    m = t.max(axis=0)
+    t -= m
+    np.exp(t, out=t)
+    total = t.sum(axis=0)
+    if weights_out is not None:
+        np.divide(t, total, out=weights_out)
+    return sign * eps * (m + np.log(total / len(t)))
+
+
+def per_cell_objective(cells: CellTable, a, cfg, side, weights_out=None) -> np.ndarray:
+    """The smoothed dual value of each cell's samples; their mass-weighted sum is the objective.
+
+    A ``weights_out`` array receives the soft-max weights, as in ``minimized_value``.
+    """
+    soft = _soft_pass(cells, a, cfg, side, weights_out)
     # label-model expectation, grouped by z: one dot product per signature
     per_z = np.einsum("zy,yz->z", cells.label_model, a)
     return soft - per_z[cells.z]
@@ -88,56 +113,61 @@ def eval_objective(cells, a, cfg, side) -> float:
 
 
 def _weights(cells, a, cfg, side) -> np.ndarray:
-    # cells-by-|Y| softmin (LOWER) or softmax (UPPER) weights of G[c] + a[:, z_c]
-    sign = -1.0 if side is Side.LOWER else 1.0
-    t = sign * _shifted(cells, a) / cfg.epsilon
-    t -= t.max(axis=1, keepdims=True)
-    w = np.exp(t)
-    w /= w.sum(axis=1, keepdims=True)
+    w = np.empty((a.shape[0], cells.z.size))
+    _soft_pass(cells, a, cfg, side, w)
     return w
 
 
-def gradient(cells, a, cfg, side) -> np.ndarray:
+def _by_signature(z: np.ndarray, values: np.ndarray, num_z: int) -> np.ndarray:
+    # row r of the result sums row r of ``values`` (one entry per cell) over
+    # each signature's cells, in cell order, as bincount does
+    index = z + num_z * np.arange(len(values))[:, None]
+    sums = np.bincount(index.ravel(), weights=values.ravel(), minlength=len(values) * num_z)
+    return sums.reshape(len(values), num_z)
+
+
+def gradient(cells, a, cfg, side, weights=None) -> np.ndarray:
     """Exact gradient in ``a`` of ``minimized_value``.
 
-    Each column sums to zero, since every weight row and label-model row does.
+    ``weights`` are the soft-max weights that ``minimized_value`` wrote at this
+    same ``a``; without them the gradient makes its own soft-max pass. Each
+    column sums to zero, since every weight column and label-model row does.
     """
-    w = _weights(cells, a, cfg, side)
-    num_z = a.shape[1]
-    # per signature and class, the mass-weighted sum of the weights
-    mw = cells.mass[:, None] * w
-    sums = np.stack([np.bincount(cells.z, weights=col, minlength=num_z) for col in mw.T])
+    w = _weights(cells, a, cfg, side) if weights is None else weights
+    # per class and signature, the mass-weighted sum of the weights
+    sums = _by_signature(cells.z, cells.mass * w, a.shape[1])
     data_term = sums - cells.z_mass * cells.label_model.T
     return data_term if side is Side.UPPER else -data_term
 
 
-def hessian(cells, a, cfg, side) -> np.ndarray:
+def hessian(cells, a, cfg, side, weights=None) -> np.ndarray:
     """Exact Hessian of ``minimized_value`` as a (|Z|, |Y|, |Y|) stack of blocks.
 
     Block z is ``sum_{c: z_c = z} mass_c (diag w_c - w_c w_c^T) / eps`` on both
     sides. It is positive semidefinite with the all-ones vector in its null
-    space, and all zero for a signature absent from the sample.
+    space, and all zero for a signature absent from the sample. ``weights`` is
+    as for ``gradient``.
     """
-    w = _weights(cells, a, cfg, side)
+    w = _weights(cells, a, cfg, side) if weights is None else weights
     num_y, num_z = a.shape
+    ys, xs = np.nonzero(np.arange(num_y)[:, None] < np.arange(num_y))  # pairs y < x
+    outer = np.zeros((num_y, num_y, num_z))
+    outer[ys, xs] = outer[xs, ys] = _by_signature(cells.z, cells.mass * w[ys] * w[xs], num_z)
     # diag w - w w^T has zero row sums, so each diagonal entry is minus the sum
     # of its row's off-diagonal entries; this avoids cancellation in w - w**2
     # as a weight saturates
-    blocks = np.zeros((num_z, num_y, num_y))
-    for y in range(num_y):
-        for x in range(y + 1, num_y):
-            outer = np.bincount(cells.z, weights=cells.mass * w[:, y] * w[:, x], minlength=num_z)
-            blocks[:, y, x] = blocks[:, x, y] = -outer
-            blocks[:, y, y] += outer
-            blocks[:, x, x] += outer
-    return blocks / cfg.epsilon
+    blocks = -outer
+    blocks[np.arange(num_y), np.arange(num_y)] = outer.sum(axis=0)  # outer is symmetric
+    return blocks.transpose(2, 0, 1) / cfg.epsilon
 
 
-def minimized_value(cells, a, cfg, side) -> float:
+def minimized_value(cells, a, cfg, side, weights_out=None) -> float:
     """The scalar the solver minimizes: the objective, negated on the LOWER side.
 
     The lower bound is a supremum, so its solve minimizes the negation; both
     sides are then convex. gradient() and hessian() are its exact derivatives.
+    A ``weights_out`` array receives the soft-max weights of this evaluation,
+    for the gradient and Hessian at the same ``a`` to reuse.
     """
-    v = eval_objective(cells, a, cfg, side)
+    v = float(cells.mass @ per_cell_objective(cells, a, cfg, side, weights_out))
     return v if side is Side.UPPER else -v

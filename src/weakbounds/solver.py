@@ -1,11 +1,17 @@
 """Damped Newton minimizer for smooth convex functions with a block-diagonal Hessian.
 
 The variable is a matrix whose columns interact only through the objective's
-value: the Hessian is one square block per column. Each iteration solves every
-block's Newton system with one batched ``np.linalg.solve``, caps each column's
-step, and backtracks a single global step length until the Armijo condition
-holds. The contract: bit-deterministic iterates, a gradient sup-norm stopping
-rule, and a report that distinguishes convergence from budget exhaustion.
+value: the Hessian is one square block per column. One iteration evaluates the
+Hessian at the current iterate, solves every block's Newton system with one
+batched ``np.linalg.solve`` and caps each column's step. It then evaluates the
+value at trial points, halving a single global step length until the Armijo
+condition holds, and the gradient at the accepted trial. The contract:
+bit-deterministic iterates, a gradient sup-norm stopping rule, and a report
+that distinguishes convergence from budget exhaustion.
+
+The gradient and the Hessian are only ever asked for at the point of the
+latest value evaluation, and no iterate is changed in place, so the callbacks
+may reuse work from that evaluation.
 """
 
 from __future__ import annotations
@@ -36,12 +42,13 @@ class SolveReport(NamedTuple):
 
 
 def _sup(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    return float(np.abs(x).max()) if x.size else 0.0
 
 
 def _newton_step(blocks: np.ndarray, g: np.ndarray, max_step: float) -> np.ndarray:
-    # blocks is (columns, k, k) and g is (k, columns); one solve per column
-    step = -np.linalg.solve(blocks, g.T[:, :, None])[:, :, 0].T
+    # blocks is (columns, k, k) and g is (k, columns); one solve per column.
+    # A row-major step makes the max over its k rows element-wise.
+    step = -np.linalg.solve(blocks, g.T[:, :, None])[:, :, 0].T.copy()
     size = np.abs(step).max(axis=0)
     over = size > max_step
     step[:, over] *= max_step / size[over]
@@ -69,7 +76,7 @@ def minimize(
 
     def checked(fn, x, what):
         out = fn(x)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NumericalError(f"non-finite {what}", last_iterate=a)
         return out
 

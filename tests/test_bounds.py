@@ -204,6 +204,13 @@ class TestCiHalfWidth:
         with pytest.raises(InsufficientSampleError):
             ci_half_width(1.0, 1, 0.05)
 
+    @pytest.mark.parametrize("gamma", [1e-300, 2.0**-53])
+    def test_rejects_gamma_whose_level_rounds_to_one(self, gamma):
+        with pytest.raises(ValueError, match="1 - gamma/2 < 1"):
+            ci_half_width(1.0, 10, gamma)
+        # the next gamma up still has a quantile
+        assert math.isfinite(ci_half_width(1.0, 10, float(np.nextafter(2.0**-53, 1.0))))
+
 
 class TestEstimateClassPrior:
     def test_weighted_mean_over_samples(self):

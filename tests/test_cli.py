@@ -117,9 +117,13 @@ class TestExitCodes:
             ("sweep", "--thresholds", "0.5,inf"),
             ("estimate", "--metric", "joint-positive", "--threshold", "nan"),
             ("oracle", "--threshold=-inf"),
+            ("estimate", "--epsilon", "nan"),
+            ("estimate", "--epsilon", "inf"),
+            ("estimate", "--gamma", "1e-300"),
         ],
         ids=["prior-0", "prior-negative", "prior-nan", "prior-above-1", "thresholds-nan",
-             "thresholds-inf", "threshold-nan", "oracle-threshold-inf"],
+             "thresholds-inf", "threshold-nan", "oracle-threshold-inf", "epsilon-nan",
+             "epsilon-inf", "gamma-below-rounding"],
     )
     def test_out_of_range_prior_or_threshold_is_usage_error(
         self, tmp_path, synth_files, capsys, argv
@@ -327,6 +331,49 @@ class TestEstimateMatchesSweep:
                 assert entry[key] == row[key], (name, key)
             assert entry["ci_lower"] == [row["ci_lower_lo"], row["ci_lower_hi"]], name
             assert entry["ci_upper"] == [row["ci_upper_lo"], row["ci_upper_hi"]], name
+
+
+class TestThresholdBesidePred:
+    """A given --threshold classifies by score even when the CSV has a pred column."""
+
+    def test_estimate_follows_the_threshold_as_sweep_does(self, tmp_path, synth_files):
+        data, model = synth_files
+        assert "pred" in data.read_text().splitlines()[0].split(",")
+        inputs = ["--data", str(data), "--label-model", str(model)]
+        out = tmp_path / "s.csv"
+        assert run("sweep", *inputs, "--thresholds", "0.3,0.7", "--metric", "accuracy",
+                   "--out", str(out)) == 0
+        swept = {row["threshold"]: row for row in csv.DictReader(out.open())}
+        estimated = {}
+        for t in ("0.3", "0.7"):
+            res = tmp_path / f"{t}.json"
+            assert run("estimate", *inputs, "--threshold", t, "--out", str(res)) == 0
+            entry = json.loads(res.read_text())["metrics"]["accuracy"]
+            estimated[t] = (entry["lower"], entry["upper"])
+            assert estimated[t] == (float(swept[t]["lower"]), float(swept[t]["upper"]))
+        assert estimated["0.3"] != estimated["0.7"]
+
+    def test_oracle_follows_the_threshold(self, tmp_path, synth_files, capsys):
+        data, model = synth_files
+        printed = []
+        for t in ("0.3", "0.7"):
+            assert run("oracle", "--data", str(data), "--label-model", str(model),
+                       "--threshold", t) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] != printed[1]
+
+    @pytest.mark.parametrize("command", ["estimate", "oracle", "diagnose"])
+    def test_threshold_without_scores_is_data_error(self, tmp_path, synth_files, capsys, command):
+        data, model = synth_files
+        rows = list(csv.reader(data.open()))
+        keep = [i for i, name in enumerate(rows[0]) if name != "score"]
+        no_scores = tmp_path / "no_scores.csv"
+        with no_scores.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([[r[i] for i in keep] for r in rows])
+        rc = run(command, "--data", str(no_scores), "--label-model", str(model),
+                 "--threshold", "0.5")
+        assert rc == 2
+        assert "a threshold needs a score column" in capsys.readouterr().err
 
 
 class TestOracleCommand:

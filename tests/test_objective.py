@@ -247,3 +247,69 @@ class TestMinimizedValue:
         assert minimized_value(cells, a, cfg, Side.LOWER) == -eval_objective(
             cells, a, cfg, Side.LOWER
         )
+
+
+def _row_major_reference(cells, a, eps, side):
+    """Per-cell values, value, gradient and Hessian from plain cells-by-|Y| formulas."""
+    sign = -1.0 if side is Side.LOWER else 1.0
+    t = sign * (cells.costs + a.T[cells.z]) / eps
+    m = t.max(axis=1)
+    e = np.exp(t - m[:, None])
+    per_cell = sign * eps * (m + np.log(np.mean(e, axis=1)))
+    per_cell = per_cell - np.einsum("zy,yz->z", cells.label_model, a)[cells.z]
+    w = e / e.sum(axis=1, keepdims=True)
+    num_y, num_z = a.shape
+    sums = np.stack(
+        [np.bincount(cells.z, weights=cells.mass * w[:, y], minlength=num_z) for y in range(num_y)]
+    )
+    grad = sign * (sums - cells.z_mass * cells.label_model.T)
+    hess = np.zeros((num_z, num_y, num_y))
+    for y in range(num_y):
+        for x in range(y + 1, num_y):
+            outer = np.bincount(cells.z, weights=cells.mass * w[:, y] * w[:, x], minlength=num_z)
+            hess[:, y, x] = hess[:, x, y] = -outer
+            hess[:, y, y] += outer
+            hess[:, x, x] += outer
+    return per_cell, float(cells.mass @ per_cell), grad, hess / eps
+
+
+class TestClassMajorKernels:
+    """The class-major evaluation against row-major reference formulas.
+
+    Up to 7 classes the sums over classes add in the same order as numpy's
+    row-wise pairwise sum, which is sequential below 8 terms, so every bit
+    agrees. From 8 classes on the pairwise order differs in the last bits.
+    """
+
+    @pytest.mark.parametrize("num_classes", range(2, 10))
+    @pytest.mark.parametrize("saturated", [False, True], ids=["default-eps", "saturated"])
+    def test_matches_row_major_reference(self, num_classes, saturated):
+        rng = np.random.default_rng(1000 * num_classes + saturated)
+        target = 1e-3 if saturated else 0.01
+        cfg = SmoothingConfig.for_classes(num_classes, target_error=target)
+        for trial in range(20):
+            # a per-sample G: every sample is its own cost row
+            data, model, G = random_instance(rng, num_classes=num_classes)
+            assert np.array_equal(G.rows, np.arange(data.n))
+            cells = cell_table(data, model, G)
+            a = rng.normal(scale=[0.1, 1.0, 5.0][trial % 3], size=(num_classes, model.num_signatures))
+            for side in Side:
+                ref = _row_major_reference(cells, a, cfg.epsilon, side)
+                got = (
+                    per_cell_objective(cells, a, cfg, side),
+                    eval_objective(cells, a, cfg, side),
+                    gradient(cells, a, cfg, side),
+                    hessian(cells, a, cfg, side),
+                )
+                # the size of the terms each result sums, to scale the tolerance
+                scales = (
+                    np.abs(ref[0]).max(),
+                    cells.mass @ np.abs(ref[0]),
+                    cells.z_mass.max(),
+                    np.abs(ref[3]).max(),
+                )
+                for name, g, r, scale in zip(("per-cell", "value", "gradient", "Hessian"), got, ref, scales):
+                    if num_classes <= 7:
+                        assert np.array_equal(g, r), name
+                    else:
+                        assert np.abs(g - r).max() <= 1e-15 * scale, name

@@ -11,7 +11,7 @@ from weakbounds import (
     estimate_bounds,
     minimize,
 )
-from weakbounds import bounds, solver
+from weakbounds import bounds, objective, solver
 from conftest import random_instance, two_point_instance
 
 
@@ -59,9 +59,9 @@ class TestMinimize:
         values = {side: [] for side in Side}
         original = bounds.minimized_value
 
-        def tracked(*args):
-            values[args[-1]].append(original(*args))
-            return values[args[-1]][-1]
+        def tracked(cells, a, cfg, side, **kwargs):
+            values[side].append(original(cells, a, cfg, side, **kwargs))
+            return values[side][-1]
 
         monkeypatch.setattr(bounds, "minimized_value", tracked)
         lo, hi = estimate_bounds(data, model, G)
@@ -151,3 +151,54 @@ class TestDualSolves:
         lo, hi = estimate_bounds(data, model, G)
         assert not lo.report.converged and not hi.report.converged
         assert lo.report.iterations == hi.report.iterations == 0
+
+
+class TestWeightReuse:
+    """An iterate's gradient and Hessian reuse the weights of its value evaluation."""
+
+    INSTANCES = [(34, 1e-3 / math.log(3)), (12345, 0.01 / math.log(3))]
+    # a rounding floor of 1 sends every trial that fails the Armijo test to the
+    # gradient test, so the solves also take gradients at trials they reject
+    FLOORS = pytest.mark.parametrize("floor", [solver.ROUNDING_FLOOR, 1.0], ids=["floor", "floor-1"])
+    ON_INSTANCES = pytest.mark.parametrize("seed,eps", INSTANCES, ids=["saturated", "default-eps"])
+
+    @FLOORS
+    @ON_INSTANCES
+    def test_one_soft_max_pass_per_value_evaluation(self, monkeypatch, seed, eps, floor):
+        monkeypatch.setattr(solver, "ROUNDING_FLOOR", floor)
+        counts = {"passes": 0, "values": 0}
+        soft_pass, value = objective._soft_pass, bounds.minimized_value
+
+        def counted_pass(*args):
+            counts["passes"] += 1
+            return soft_pass(*args)
+
+        def counted_value(*args, **kwargs):
+            counts["values"] += 1
+            return value(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "_soft_pass", counted_pass)
+        monkeypatch.setattr(bounds, "minimized_value", counted_value)
+        data, model, G = random_instance(np.random.default_rng(seed), num_classes=3)
+        lo, hi = estimate_bounds(data, model, G, SmoothingConfig(epsilon=eps))
+        assert lo.report.iterations > 0 and hi.report.iterations > 0
+        # beyond the solves' value evaluations, each side makes two passes at
+        # its centred optimizer: the reported value and the plug-in std
+        assert counts["passes"] == counts["values"] + 4
+
+    @FLOORS
+    @ON_INSTANCES
+    def test_reused_weights_change_no_bit(self, monkeypatch, seed, eps, floor):
+        monkeypatch.setattr(solver, "ROUNDING_FLOOR", floor)
+        data, model, G = random_instance(np.random.default_rng(seed), num_classes=3)
+        cfg = SmoothingConfig(epsilon=eps)
+        reused = estimate_bounds(data, model, G, cfg)
+        for name in ("gradient", "hessian"):
+            fresh_fn = getattr(objective, name)
+            monkeypatch.setattr(
+                bounds, name, lambda cells, a, cfg, side, weights, fn=fresh_fn: fn(cells, a, cfg, side)
+            )
+        fresh = estimate_bounds(data, model, G, cfg)
+        for r, f in zip(reused, fresh):
+            assert np.array_equal(r.optimizer, f.optimizer)
+            assert (r.value, r.plugin_std, r.report) == (f.value, f.plugin_std, f.report)
