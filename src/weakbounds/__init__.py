@@ -10,12 +10,12 @@ small-instance oracle, and diagnostics for label-model quality.
 from .bounds import (
     BoundEstimate,
     ConfidenceInterval,
+    check_gamma,
     ci_half_width,
     confidence_interval,
     estimate_bounds,
     estimate_class_prior,
     plugin_std,
-    subsample_for_bounds,
 )
 from .diagnostics import (
     MisspecReport,
@@ -73,13 +73,13 @@ from .metrics import (
 )
 from .objective import (
     Side,
-    SmoothingConfig,
+    check_epsilon,
+    default_epsilon,
     eval_objective,
     gradient,
     hessian,
     minimized_value,
     per_cell_objective,
-    soft_extreme,
 )
 from .oracle import (
     OracleResult,

@@ -11,7 +11,8 @@ from .domain import DatasetView, GMatrix, LabelModel, cell_table, center_columns
 from .errors import InsufficientSampleError
 from .objective import (
     Side,
-    SmoothingConfig,
+    check_epsilon,
+    default_epsilon,
     eval_objective,
     gradient,
     hessian,
@@ -37,16 +38,16 @@ class ConfidenceInterval(NamedTuple):
     high: float
 
 
-def plugin_std(cells, a_hat, cfg, side) -> float:
+def plugin_std(cells, a_hat, epsilon, side) -> float:
     """Sample standard deviation (divisor n-1) of the per-sample dual values."""
     if cells.n < 2:
         raise InsufficientSampleError("plug-in std needs at least 2 samples")
-    values = per_cell_objective(cells, a_hat, cfg, side)
+    values = per_cell_objective(cells, a_hat, epsilon, side)
     variance = cells.mass @ (values - cells.mass @ values) ** 2
     return float(np.sqrt(variance * cells.n / (cells.n - 1)))
 
 
-def _newton_ridge(cells, cfg) -> np.ndarray:
+def _newton_ridge(cells, epsilon) -> np.ndarray:
     """Added to each signature's Hessian block so that every block is invertible.
 
     The all-ones direction is an exact null direction of each block and the
@@ -56,15 +57,15 @@ def _newton_ridge(cells, cfg) -> np.ndarray:
     no samples has a zero gradient, and an identity block gives it a zero step.
     """
     k = cells.label_model.shape[1]
-    scale = cells.z_mass / cfg.epsilon
+    scale = cells.z_mass / epsilon
     ridge = scale[:, None, None] * (np.ones((k, k)) / k**2 + 1e-12 * np.eye(k))
     ridge[scale == 0.0] = np.eye(k)
     return ridge
 
 
-def _solve_side(cells, cfg, side, max_step) -> BoundEstimate:
+def _solve_side(cells, epsilon, side, max_step) -> BoundEstimate:
     a0 = np.zeros(cells.label_model.shape[::-1])
-    ridge = _newton_ridge(cells, cfg)
+    ridge = _newton_ridge(cells, epsilon)
     # The solver takes the gradient and the Hessian only at the iterate of its
     # latest value evaluation, and never changes an iterate in place, so both
     # reuse that evaluation's soft-max weights.
@@ -74,7 +75,7 @@ def _solve_side(cells, cfg, side, max_step) -> BoundEstimate:
     def value(a):
         nonlocal weights_at
         weights_at = None
-        f = minimized_value(cells, a, cfg, side, weights_out=weights)
+        f = minimized_value(cells, a, epsilon, side, weights_out=weights)
         weights_at = a
         return f
 
@@ -83,8 +84,8 @@ def _solve_side(cells, cfg, side, max_step) -> BoundEstimate:
 
     a_hat, report = minimize(
         value,
-        lambda a: gradient(cells, a, cfg, side, reusable(a)),
-        lambda a: hessian(cells, a, cfg, side, reusable(a)) + ridge,
+        lambda a: gradient(cells, a, epsilon, side, reusable(a)),
+        lambda a: hessian(cells, a, epsilon, side, reusable(a)) + ridge,
         a0,
         max_step,
     )
@@ -94,12 +95,12 @@ def _solve_side(cells, cfg, side, max_step) -> BoundEstimate:
     report = report._replace(optimizer_sup_norm=sup_norm)
     return BoundEstimate(
         side=side,
-        value=eval_objective(cells, a_hat, cfg, side),
+        value=eval_objective(cells, a_hat, epsilon, side),
         optimizer=a_hat,
-        plugin_std=plugin_std(cells, a_hat, cfg, side),
+        plugin_std=plugin_std(cells, a_hat, epsilon, side),
         n=cells.n,
         report=report,
-        epsilon=cfg.epsilon,
+        epsilon=epsilon,
     )
 
 
@@ -107,29 +108,34 @@ def estimate_bounds(
     data: DatasetView,
     model: LabelModel,
     G: GMatrix,
-    cfg: SmoothingConfig | None = None,
+    epsilon: float | None = None,
 ) -> tuple[BoundEstimate, BoundEstimate]:
-    """Solve both one-sided smoothed dual problems from a zero start."""
-    cfg = cfg or SmoothingConfig.for_classes(model.num_classes)
+    """Solve both one-sided smoothed dual problems from a zero start at temperature ``epsilon``."""
+    epsilon = default_epsilon(model.num_classes) if epsilon is None else check_epsilon(epsilon)
     cells = cell_table(data, model, G)
     # a larger step overshoots when the weights saturate at small eps; the eps
     # term keeps a G of all zeros from freezing the iterate
-    max_step = 2.0 * G.sup_norm + cfg.epsilon
-    lower = _solve_side(cells, cfg, Side.LOWER, max_step)
-    upper = _solve_side(cells, cfg, Side.UPPER, max_step)
+    max_step = 2.0 * G.sup_norm + epsilon
+    lower = _solve_side(cells, epsilon, Side.LOWER, max_step)
+    upper = _solve_side(cells, epsilon, Side.UPPER, max_step)
     return lower, upper
+
+
+def check_gamma(gamma: float) -> float:
+    """Return ``gamma`` if it is a usable CI miscoverage level, else raise ValueError."""
+    if not (0.0 < gamma < 1.0):
+        raise ValueError("gamma must lie in (0, 1)")
+    if 1.0 - gamma / 2.0 == 1.0:
+        raise ValueError(f"gamma must be large enough that 1 - gamma/2 < 1, got {gamma:g}")
+    return gamma
 
 
 def ci_half_width(std: float, n: int, gamma: float) -> float:
     """Half-width z_{1-gamma/2} * std / sqrt(n) of a two-sided normal interval."""
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
-    level = 1.0 - gamma / 2.0
-    if level == 1.0:
-        raise ValueError(f"gamma must be large enough that 1 - gamma/2 < 1, got {gamma:g}")
+    check_gamma(gamma)
     if n < 2:
         raise InsufficientSampleError("confidence interval needs n >= 2")
-    return NormalDist().inv_cdf(level) * std / np.sqrt(n)
+    return NormalDist().inv_cdf(1.0 - gamma / 2.0) * std / np.sqrt(n)
 
 
 def normal_interval(value: float, std: float, n: int, gamma: float) -> ConfidenceInterval:
@@ -149,14 +155,3 @@ def estimate_class_prior(data: DatasetView, model: LabelModel, positive_class: i
         raise ValueError("positive_class out of range")
     check_covers(data, model)
     return float(model.table[data.z_ids, positive_class].mean())
-
-
-def subsample_for_bounds(data: DatasetView, n_target: int, seed: int) -> DatasetView:
-    """Uniform subset without replacement, deterministic per seed."""
-    if not (2 <= n_target <= data.n):
-        raise ValueError(f"n_target must lie in [2, {data.n}], got {n_target}")
-    if n_target == data.n:
-        return data
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(data.n, size=n_target, replace=False))
-    return data.take(idx)

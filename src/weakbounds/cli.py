@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical failure.
-All randomness sits behind a single --seed flag, so re-running any command with
-identical inputs reproduces its output files byte for byte.
+Only synth and coverage draw random numbers, all behind a single --seed flag, so
+re-running any command with identical inputs reproduces its output files byte
+for byte.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import estimate_bounds, estimate_class_prior, subsample_for_bounds
+from .bounds import check_gamma, estimate_bounds, estimate_class_prior
 from .diagnostics import (
     SelectionStrategy,
     conditional_entropy_y,
@@ -37,7 +38,7 @@ from .fileio import (
     write_sweep_csv,
 )
 from .metrics import MetricKind, MetricSpec, bound_rows, build_g, estimate_h1, threshold_sweep
-from .objective import SmoothingConfig
+from .objective import check_epsilon
 from .oracle import exact_bounds
 from .synth import SynthSpec, coverage_experiment, generate_synthetic
 
@@ -48,6 +49,10 @@ EXIT_NUMERICAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: ``sweep --threshold`` would silently replace --thresholds
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -63,13 +68,17 @@ def _metric_kind(name: str) -> MetricKind:
     }[name]
 
 
-def _load_loss_table(path: str | None):
+def _load_loss_table(path: str | None, num_classes: int):
     if path is None:
         return None
     try:
-        return np.asarray(json.loads(Path(path).read_text()), dtype=np.float64)
+        table = np.asarray(json.loads(Path(path).read_text()), dtype=np.float64)
     except (json.JSONDecodeError, ValueError, TypeError) as exc:
         raise FormatError(f"{path}: bad loss table ({exc})") from None
+    if table.shape != (num_classes, num_classes):
+        k = num_classes
+        raise FormatError(f"{path}: loss table must be |Y|-by-|Y| = {k}-by-{k}, not {table.shape}")
+    return table
 
 
 def _finite(text: str) -> float:
@@ -93,17 +102,21 @@ def _prior(text: str) -> float:
     return value
 
 
-def _smoothing(args, num_classes: int) -> SmoothingConfig:
-    if args.epsilon is not None:
-        return SmoothingConfig(epsilon=args.epsilon)
-    return SmoothingConfig.for_classes(num_classes)
+def _checked(check):
+    """An argparse type: a float that ``check`` accepts, checked before any work."""
+
+    def parse(text: str) -> float:
+        try:
+            return check(float(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _load_inputs(args):
     data, table = read_dataset_csv(args.data)
     model = read_label_model_json(args.label_model, table)
-    if getattr(args, "n", None):
-        data = subsample_for_bounds(data, args.n, args.seed)
     return data, table, model
 
 
@@ -111,7 +124,7 @@ def _metric_g(args, data, model):
     """The metric named by ``args`` and its cost matrix G on ``data``."""
     spec = MetricSpec(
         kind=_metric_kind(args.metric),
-        loss_table=_load_loss_table(args.loss_table),
+        loss_table=_load_loss_table(args.loss_table, model.num_classes),
         threshold=args.threshold,
     )
     return spec, build_g(data, spec, LabelSpace(num_classes=model.num_classes))
@@ -153,14 +166,13 @@ def _entry(row) -> dict:
 def cmd_estimate(args) -> int:
     data, table, model = _load_inputs(args)
     spec, g = _metric_g(args, data, model)
-    cfg = _smoothing(args, model.num_classes)
-    lo, hi = estimate_bounds(data, model, g, cfg)
+    lo, hi = estimate_bounds(data, model, g, args.epsilon)
     _warn_unconverged([(args.metric, lo), (args.metric, hi)])
 
     metadata = {
         "n": data.n,
         "num_signatures": table.num_signatures,
-        "epsilon": cfg.epsilon,
+        "epsilon": lo.epsilon,
         "seed": args.seed,
         "label_model_score": label_model_score(data, model, g),
         "note": "plugin std substitutes the fitted optimizer and estimated label model",
@@ -185,9 +197,8 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     data, table, model = _load_inputs(args)
     kinds = [k.strip().replace("-", "_") for k in args.metric.split(",") if k.strip()]
-    cfg = _smoothing(args, model.num_classes)
     sweep = threshold_sweep(
-        data, model, args.thresholds, kinds, cfg, gamma=args.gamma, p_y1=args.prior_y1
+        data, model, args.thresholds, kinds, args.epsilon, gamma=args.gamma, p_y1=args.prior_y1
     )
     _warn_unconverged(sweep.solves)
     write_sweep_csv(args.out, sweep)  # stdout without --out
@@ -254,8 +265,7 @@ def cmd_diagnose(args) -> int:
     }
     if args.label_model_alt:
         alt = read_label_model_json(args.label_model_alt, table)
-        cfg = _smoothing(args, model.num_classes)
-        report = misspecification_report(data, model, alt, g, cfg)
+        report = misspecification_report(data, model, alt, g, args.epsilon)
         _warn_unconverged((f"{args.metric} under the {label}", est) for label, est in report.solves)
         fields = report._asdict()
         del fields["solves"]
@@ -304,21 +314,25 @@ def cmd_coverage(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, with_model=True):
+def _add_common(p, cost=True, epsilon=True, gamma=True):
+    """The options of a command that bounds one dataset, less those it would ignore."""
     p.add_argument("--data", required=True, help="dataset CSV")
-    if with_model:
-        p.add_argument("--label-model", required=True, help="label model JSON")
+    p.add_argument("--label-model", required=True, help="label model JSON")
     p.add_argument(
         "--metric",
         default="accuracy",
         help="accuracy, risk, or joint-positive",
     )
-    p.add_argument("--loss-table", default=None, help="JSON |Y|x|Y| loss matrix (risk)")
-    p.add_argument("--threshold", type=_finite, default=None,
-                   help="classify by score >= threshold, even if the data has a pred column")
-    p.add_argument("--epsilon", type=float, default=None, help="smoothing temperature")
-    p.add_argument("--gamma", type=float, default=0.05, help="CI miscoverage level")
-    p.add_argument("--n", type=int, default=None, help="subsample size for the bound sum")
+    if cost:
+        p.add_argument("--loss-table", default=None, help="JSON |Y|x|Y| loss matrix (risk)")
+        p.add_argument("--threshold", type=_finite, default=None,
+                       help="classify by score >= threshold, even if the data has a pred column")
+    if epsilon:
+        p.add_argument("--epsilon", type=_checked(check_epsilon), default=None,
+                       help="smoothing temperature (default 0.01 / ln|Y|)")
+    if gamma:
+        p.add_argument("--gamma", type=_checked(check_gamma), default=0.05,
+                       help="CI miscoverage level")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file")
 
@@ -344,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("sweep", help="bounds across score thresholds (CSV out)")
-    _add_common(p)
+    _add_common(p, cost=False)
     p.add_argument(
         "--thresholds", type=_thresholds, required=True, help="comma-separated thresholds"
     )
@@ -352,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("oracle", help="exact bounds by per-signature transport")
-    _add_common(p)
+    _add_common(p, epsilon=False, gamma=False)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("select", help="pick a candidate from result files")
@@ -367,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("diagnose", help="informativeness and misspecification checks")
-    _add_common(p)
+    _add_common(p, gamma=False)
     p.add_argument("--label-model-alt", default=None, help="alternative label model JSON")
     p.set_defaults(fn=cmd_diagnose)
 
@@ -381,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coverage", help="Monte-Carlo CI coverage experiment")
     _add_generator(p)
     p.add_argument("--replications", type=int, default=500)
-    p.add_argument("--gamma", type=float, default=0.05)
+    p.add_argument("--gamma", type=_checked(check_gamma), default=0.05)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_coverage)
 

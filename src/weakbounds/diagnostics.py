@@ -10,7 +10,6 @@ import numpy as np
 from .bounds import BoundEstimate, estimate_bounds
 from .domain import DatasetView, GMatrix, LabelModel, cell_table
 from .errors import CoverageError
-from .objective import SmoothingConfig
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -71,7 +70,7 @@ def misspecification_report(
     model_p: LabelModel,
     model_q: LabelModel,
     G: GMatrix,
-    cfg: SmoothingConfig | None = None,
+    epsilon: float | None = None,
 ) -> MisspecReport:
     """Bound shift under an alternative label model, with its computable certificate.
 
@@ -84,8 +83,8 @@ def misspecification_report(
         tv_distance(model_p.table[z], model_q.table[z])
         for z in range(model_p.num_signatures)
     )
-    lo_p, up_p = estimate_bounds(data, model_p, G, cfg)
-    lo_q, up_q = estimate_bounds(data, model_q, G, cfg)
+    lo_p, up_p = estimate_bounds(data, model_p, G, epsilon)
+    lo_q, up_q = estimate_bounds(data, model_q, G, epsilon)
     norm_p = max(lo_p.report.optimizer_sup_norm, up_p.report.optimizer_sup_norm)
     norm_q = max(lo_q.report.optimizer_sup_norm, up_q.report.optimizer_sup_norm)
     return MisspecReport(

@@ -138,16 +138,6 @@ class DatasetView:
 
     __setattr__ = __delattr__ = read_only
 
-    def take(self, indices: np.ndarray) -> "DatasetView":
-        pick = lambda arr: None if arr is None else arr[indices]
-        return DatasetView(
-            n=len(indices),
-            z_ids=self.z_ids[indices],
-            scores=pick(self.scores),
-            predictions=pick(self.predictions),
-            labels=pick(self.labels),
-        )
-
 
 class LabelModel:
     """Conditional probability table P(Y=y | Z=z): one simplex row per z-id."""
@@ -209,11 +199,6 @@ class GMatrix:
         vars(self).update(costs=costs, rows=rows)
 
     __setattr__ = __delattr__ = read_only
-
-    @property
-    def values(self) -> np.ndarray:
-        """The n-by-|Y| matrix of per-sample cost rows."""
-        return self.costs[self.rows]
 
     @property
     def sup_norm(self) -> float:

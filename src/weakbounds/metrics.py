@@ -17,7 +17,6 @@ from .bounds import (
 )
 from .domain import DatasetView, GMatrix, LabelModel, LabelSpace, read_only
 from .errors import FormatError
-from .objective import SmoothingConfig
 
 
 class MetricKind(enum.Enum):
@@ -208,7 +207,7 @@ def threshold_sweep(
     model: LabelModel,
     thresholds: list[float],
     metric_kinds: list[str],
-    cfg: SmoothingConfig | None = None,
+    epsilon: float | None = None,
     gamma: float = 0.05,
     p_y1: float | None = None,
 ) -> SweepTable:
@@ -241,7 +240,7 @@ def threshold_sweep(
         p_h1 = estimate_h1(at_t) if wants_prf else None
         for metric in solved:
             g = build_g(at_t, MetricSpec(MetricKind(metric)), space)
-            lo, hi = estimate_bounds(at_t, model, g, cfg)
+            lo, hi = estimate_bounds(at_t, model, g, epsilon)
             solves += [(f"{metric} at threshold {t:g}", est) for est in (lo, hi)]
             rows += bound_rows(lo, hi, metric, metric_kinds, gamma, p_h1, p_y1, t)
     return SweepTable(rows=tuple(rows), solves=tuple(solves))

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .domain import CellTable, read_only
+from .domain import CellTable
 
 EPSILON_FLOOR = 1e-6
 
@@ -34,46 +34,21 @@ class Side(enum.Enum):
     UPPER = "upper"
 
 
-class SmoothingConfig:
-    """Smoothing temperature of the log-mean-exp relaxation."""
-
-    epsilon: float
-
-    def __init__(self, epsilon: float = 0.01 / math.log(2.0)):
-        if not math.isfinite(epsilon):
-            raise ValueError(f"epsilon must be finite, got {epsilon}")
-        if epsilon < EPSILON_FLOOR:
-            raise ValueError(
-                f"epsilon must be >= {EPSILON_FLOOR} (overflow guard), got {epsilon}"
-            )
-        vars(self)["epsilon"] = epsilon
-
-    __setattr__ = __delattr__ = read_only
-
-    @classmethod
-    def for_classes(cls, num_classes: int, target_error: float = 0.01):
-        """Temperature giving a smoothing bias of ``target_error`` units."""
-        return cls(epsilon=target_error / math.log(num_classes))
+def default_epsilon(num_classes: int) -> float:
+    """Temperature whose smoothing bias, at most eps * ln|Y|, is 0.01 units of the metric."""
+    return 0.01 / math.log(num_classes)
 
 
-def soft_extreme(values, epsilon: float, side: Side) -> float:
-    """Log-mean-exp relaxation of min (LOWER) or max (UPPER) of ``values``.
-
-    Lies within ``epsilon * log(len(values))`` of the hard extreme, on the
-    inside of it: soft-min >= min, soft-max <= max.
-    """
-    b = np.asarray(values, dtype=np.float64)
-    if b.size == 0:
-        raise ValueError("soft_extreme of an empty list")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    sign = -1.0 if side is Side.LOWER else 1.0
-    t = sign * b / epsilon
-    m = t.max()
-    return float(sign * epsilon * (m + np.log(np.mean(np.exp(t - m)))))
+def check_epsilon(eps: float) -> float:
+    """Return ``eps`` if it is a usable temperature, else raise ValueError."""
+    if not math.isfinite(eps):
+        raise ValueError(f"epsilon must be finite, got {eps}")
+    if eps < EPSILON_FLOOR:
+        raise ValueError(f"epsilon must be >= {EPSILON_FLOOR} (overflow guard), got {eps}")
+    return eps
 
 
-def _soft_pass(cells: CellTable, a, cfg, side, weights_out=None) -> np.ndarray:
+def _soft_pass(cells: CellTable, a, epsilon, side, weights_out=None) -> np.ndarray:
     """One soft-max pass: the soft extreme over classes of ``G[c, y] + a[y, z_c]``.
 
     The |Y|-by-cells array is class-major, so the max, the exp and the sum over
@@ -82,39 +57,38 @@ def _soft_pass(cells: CellTable, a, cfg, side, weights_out=None) -> np.ndarray:
     is given, the pass also writes its normalised soft-min (LOWER) or soft-max
     (UPPER) weights into it.
     """
-    eps = cfg.epsilon
     sign = -1.0 if side is Side.LOWER else 1.0
     t = np.add(cells.costs.T, a.take(cells.z, axis=1), order="C")
     t *= sign
-    t /= eps
+    t /= epsilon
     m = t.max(axis=0)
     t -= m
     np.exp(t, out=t)
     total = t.sum(axis=0)
     if weights_out is not None:
         np.divide(t, total, out=weights_out)
-    return sign * eps * (m + np.log(total / len(t)))
+    return sign * epsilon * (m + np.log(total / len(t)))
 
 
-def per_cell_objective(cells: CellTable, a, cfg, side, weights_out=None) -> np.ndarray:
+def per_cell_objective(cells: CellTable, a, epsilon, side, weights_out=None) -> np.ndarray:
     """The smoothed dual value of each cell's samples; their mass-weighted sum is the objective.
 
     A ``weights_out`` array receives the soft-max weights, as in ``minimized_value``.
     """
-    soft = _soft_pass(cells, a, cfg, side, weights_out)
+    soft = _soft_pass(cells, a, epsilon, side, weights_out)
     # label-model expectation, grouped by z: one dot product per signature
     per_z = np.einsum("zy,yz->z", cells.label_model, a)
     return soft - per_z[cells.z]
 
 
-def eval_objective(cells, a, cfg, side) -> float:
+def eval_objective(cells, a, epsilon, side) -> float:
     """Mean smoothed dual value over the sample."""
-    return float(cells.mass @ per_cell_objective(cells, a, cfg, side))
+    return float(cells.mass @ per_cell_objective(cells, a, epsilon, side))
 
 
-def _weights(cells, a, cfg, side) -> np.ndarray:
+def _weights(cells, a, epsilon, side) -> np.ndarray:
     w = np.empty((a.shape[0], cells.z.size))
-    _soft_pass(cells, a, cfg, side, w)
+    _soft_pass(cells, a, epsilon, side, w)
     return w
 
 
@@ -126,21 +100,21 @@ def _by_signature(z: np.ndarray, values: np.ndarray, num_z: int) -> np.ndarray:
     return sums.reshape(len(values), num_z)
 
 
-def gradient(cells, a, cfg, side, weights=None) -> np.ndarray:
+def gradient(cells, a, epsilon, side, weights=None) -> np.ndarray:
     """Exact gradient in ``a`` of ``minimized_value``.
 
     ``weights`` are the soft-max weights that ``minimized_value`` wrote at this
     same ``a``; without them the gradient makes its own soft-max pass. Each
     column sums to zero, since every weight column and label-model row does.
     """
-    w = _weights(cells, a, cfg, side) if weights is None else weights
+    w = _weights(cells, a, epsilon, side) if weights is None else weights
     # per class and signature, the mass-weighted sum of the weights
     sums = _by_signature(cells.z, cells.mass * w, a.shape[1])
     data_term = sums - cells.z_mass * cells.label_model.T
     return data_term if side is Side.UPPER else -data_term
 
 
-def hessian(cells, a, cfg, side, weights=None) -> np.ndarray:
+def hessian(cells, a, epsilon, side, weights=None) -> np.ndarray:
     """Exact Hessian of ``minimized_value`` as a (|Z|, |Y|, |Y|) stack of blocks.
 
     Block z is ``sum_{c: z_c = z} mass_c (diag w_c - w_c w_c^T) / eps`` on both
@@ -148,7 +122,7 @@ def hessian(cells, a, cfg, side, weights=None) -> np.ndarray:
     space, and all zero for a signature absent from the sample. ``weights`` is
     as for ``gradient``.
     """
-    w = _weights(cells, a, cfg, side) if weights is None else weights
+    w = _weights(cells, a, epsilon, side) if weights is None else weights
     num_y, num_z = a.shape
     ys, xs = np.nonzero(np.arange(num_y)[:, None] < np.arange(num_y))  # pairs y < x
     outer = np.zeros((num_y, num_y, num_z))
@@ -158,10 +132,10 @@ def hessian(cells, a, cfg, side, weights=None) -> np.ndarray:
     # as a weight saturates
     blocks = -outer
     blocks[np.arange(num_y), np.arange(num_y)] = outer.sum(axis=0)  # outer is symmetric
-    return blocks.transpose(2, 0, 1) / cfg.epsilon
+    return blocks.transpose(2, 0, 1) / epsilon
 
 
-def minimized_value(cells, a, cfg, side, weights_out=None) -> float:
+def minimized_value(cells, a, epsilon, side, weights_out=None) -> float:
     """The scalar the solver minimizes: the objective, negated on the LOWER side.
 
     The lower bound is a supremum, so its solve minimizes the negation; both
@@ -169,5 +143,5 @@ def minimized_value(cells, a, cfg, side, weights_out=None) -> float:
     A ``weights_out`` array receives the soft-max weights of this evaluation,
     for the gradient and Hessian at the same ``a`` to reuse.
     """
-    v = float(cells.mass @ per_cell_objective(cells, a, cfg, side, weights_out))
+    v = float(cells.mass @ per_cell_objective(cells, a, epsilon, side, weights_out))
     return v if side is Side.UPPER else -v

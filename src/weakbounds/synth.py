@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundEstimate, confidence_interval, estimate_bounds
+from .bounds import BoundEstimate, check_gamma, confidence_interval, estimate_bounds
 from .domain import (
     ABSTAIN,
     DatasetView,
@@ -24,7 +24,6 @@ from .domain import (
     read_only,
 )
 from .metrics import MetricKind, MetricSpec, build_g
-from .objective import SmoothingConfig
 
 SCORE_NOISE = 0.15
 
@@ -156,7 +155,6 @@ def coverage_experiment(
     replications: int,
     gamma: float,
     metric: MetricKind = MetricKind.ACCURACY,
-    cfg: SmoothingConfig | None = None,
     truth_factor: int = 100,
 ) -> CoverageReport:
     """Empirical CI coverage of the smoothed bounds under a well-specified model.
@@ -167,16 +165,14 @@ def coverage_experiment(
     """
     if replications < 100:
         raise ValueError("need at least 100 replications")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
-    cfg = cfg or SmoothingConfig.for_classes(2)
+    check_gamma(gamma)
     mspec = MetricSpec(kind=metric, threshold=spec.threshold)
 
     def run(n, seed):
         # through the constructor, which checks the spec
         result = generate_synthetic(SynthSpec(**{**vars(spec), "n": n, "seed": seed}))
         g = build_g(result.data, mspec, LabelSpace(num_classes=2))
-        return estimate_bounds(result.data, result.model, g, cfg)
+        return estimate_bounds(result.data, result.model, g)
 
     truth_lo, truth_hi = run(truth_factor * spec.n, spec.seed)
     solves = [(f"{metric.value} on the truth sample", est) for est in (truth_lo, truth_hi)]

@@ -5,7 +5,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from weakbounds import DatasetView, GMatrix, LabelModel
+from weakbounds import DatasetView, GMatrix, LabelModel, Side
+
+
+def g_values(G):
+    """The n-by-|Y| matrix of per-sample cost rows of ``G``."""
+    return G.costs[G.rows]
+
+
+def soft_extreme(values, epsilon: float, side: Side) -> float:
+    """Log-mean-exp relaxation of min (LOWER) or max (UPPER) of ``values``.
+
+    Lies within ``epsilon * log(len(values))`` of the hard extreme, on the
+    inside of it: soft-min >= min, soft-max <= max.
+    """
+    b = np.asarray(values, dtype=np.float64)
+    if b.size == 0:
+        raise ValueError("soft_extreme of an empty list")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    sign = -1.0 if side is Side.LOWER else 1.0
+    t = sign * b / epsilon
+    m = t.max()
+    return float(sign * epsilon * (m + np.log(np.mean(np.exp(t - m)))))
 
 
 def per_sample_g(values):

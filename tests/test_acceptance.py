@@ -17,7 +17,6 @@ from weakbounds import (
     MetricKind,
     MetricSpec,
     Side,
-    SmoothingConfig,
     SolveReport,
     SynthSpec,
     TransportInstance,
@@ -25,6 +24,7 @@ from weakbounds import (
     cell_table,
     conditional_entropy_y,
     coverage_experiment,
+    default_epsilon,
     empirical_z_weights,
     estimate_bounds,
     exact_bounds,
@@ -37,7 +37,7 @@ from weakbounds import (
     prf_from_joint,
 )
 from weakbounds.cli import main as cli_main
-from conftest import random_instance, two_point_instance
+from conftest import g_values, random_instance, two_point_instance
 
 
 def report(line):
@@ -51,10 +51,10 @@ def test_criterion_01_oracle_sandwich_500_instances():
     for _ in range(500):
         k = int(rng.integers(2, 4))
         data, model, G = random_instance(rng, n_max=60, num_classes=k, num_sig_max=5)
-        cfg = SmoothingConfig(epsilon=1e-3 / math.log(k))
-        lo, hi = estimate_bounds(data, model, G, cfg)
+        epsilon = 1e-3 / math.log(k)
+        lo, hi = estimate_bounds(data, model, G, epsilon)
         res = exact_bounds(data, model, G)
-        cap = cfg.epsilon * math.log(k)
+        cap = epsilon * math.log(k)
         assert res.lower - 1e-5 <= lo.value <= res.lower + cap + 1e-5
         assert res.upper - cap - 1e-5 <= hi.value <= res.upper + 1e-5
     elapsed = time.time() - t0
@@ -70,18 +70,18 @@ def test_criterion_02_gradient_matches_finite_differences():
         k = int(rng.integers(2, 4))
         data, model, G = random_instance(rng, n_max=40, num_classes=k)
         a = rng.normal(scale=0.5, size=(k, model.num_signatures))
-        cfg = SmoothingConfig.for_classes(k)
+        epsilon = default_epsilon(k)
         side = Side.LOWER if trial % 2 else Side.UPPER
         cells = cell_table(data, model, G)
-        analytic = gradient(cells, a, cfg, side)
+        analytic = gradient(cells, a, epsilon, side)
         fd = np.zeros_like(a)
         for idx in np.ndindex(a.shape):
             ap, am = a.copy(), a.copy()
             ap[idx] += h
             am[idx] -= h
             fd[idx] = (
-                minimized_value(cells, ap, cfg, side)
-                - minimized_value(cells, am, cfg, side)
+                minimized_value(cells, ap, epsilon, side)
+                - minimized_value(cells, am, epsilon, side)
             ) / (2 * h)
         err = float(np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()))
         worst = max(worst, err)
@@ -93,8 +93,7 @@ def test_criterion_03_smoothing_gap_shrinks_with_epsilon():
     data, model, G = two_point_instance(0.75)
     deviations = []
     for eps in (1e-1, 1e-2, 1e-3):
-        cfg = SmoothingConfig(epsilon=eps)
-        lo, _ = estimate_bounds(data, model, G, cfg)
+        lo, _ = estimate_bounds(data, model, G, eps)
         dev = abs(lo.value - 0.25)
         assert dev <= eps * math.log(2) + 1e-5
         deviations.append(dev)
@@ -177,7 +176,7 @@ def test_criterion_07_entropy_bound_dominates_width():
         data, model, G = random_instance(rng, n_max=30, num_classes=k)
         res = exact_bounds(data, model, G)
         h = conditional_entropy_y(model, empirical_z_weights(data, model.num_signatures))
-        cap = informativeness_bound(float(np.abs(G.values).max()), h)
+        cap = informativeness_bound(float(np.abs(g_values(G)).max()), h)
         assert res.upper - res.lower <= cap + 1e-9
     for _ in range(20):
         data, _, G = random_instance(rng, n_max=30)
@@ -202,7 +201,7 @@ def test_criterion_08_feasible_couplings_contained():
             if idx.size == 0:
                 continue
             inst = TransportInstance(
-                costs=G.values[idx],
+                costs=g_values(G)[idx],
                 row_mass=np.full(idx.size, 1.0 / data.n),
                 col_mass=(idx.size / data.n) * model.table[z],
             )

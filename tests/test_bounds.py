@@ -12,7 +12,6 @@ from weakbounds import (
     MetricKind,
     MetricSpec,
     Side,
-    SmoothingConfig,
     SolveReport,
     SynthSpec,
     build_g,
@@ -20,19 +19,18 @@ from weakbounds import (
     ci_half_width,
     confidence_interval,
     count_label_model,
+    default_epsilon,
     estimate_bounds,
     estimate_class_prior,
     eval_objective,
     exact_bounds,
     generate_synthetic,
     plugin_std,
-    soft_extreme,
-    subsample_for_bounds,
     threshold_sweep,
 )
-from conftest import per_sample_g, random_instance, two_point_instance
+from conftest import g_values, per_sample_g, random_instance, soft_extreme, two_point_instance
 
-TIGHT = SmoothingConfig(epsilon=1e-3 / math.log(2))
+TIGHT = 1e-3 / math.log(2)
 
 
 def make_estimate(value, std, n):
@@ -52,22 +50,22 @@ class TestEstimateBounds:
     def test_two_point_half(self):
         data, model, G = two_point_instance(0.5)
         lo, hi = estimate_bounds(data, model, G, TIGHT)
-        cap = TIGHT.epsilon * math.log(2)
+        cap = TIGHT * math.log(2)
         assert 0.0 - 1e-5 <= lo.value <= 0.0 + cap + 1e-5
         assert 1.0 - cap - 1e-5 <= hi.value <= 1.0 + 1e-5
 
     def test_two_point_three_quarters(self):
         data, model, G = two_point_instance(0.75)
         lo, hi = estimate_bounds(data, model, G, TIGHT)
-        cap = TIGHT.epsilon * math.log(2)
+        cap = TIGHT * math.log(2)
         assert 0.25 - 1e-5 <= lo.value <= 0.25 + cap + 1e-5
         assert 0.75 - cap - 1e-5 <= hi.value <= 0.75 + 1e-5
 
     def test_constant_g_collapses(self, rng):
         data, model, _ = random_instance(rng)
         G = per_sample_g(np.full((data.n, 2), 0.4))
-        cfg = SmoothingConfig()
-        lo, hi = estimate_bounds(data, model, G, cfg)
+        epsilon = default_epsilon(2)
+        lo, hi = estimate_bounds(data, model, G, epsilon)
         # the exact bounds collapse to the constant; the smoothed estimates sit
         # inside them by at most the epsilon * ln|Y| smoothing slack
         from weakbounds import exact_bounds
@@ -75,7 +73,7 @@ class TestEstimateBounds:
         res = exact_bounds(data, model, G)
         assert res.lower == pytest.approx(0.4, abs=1e-12)
         assert res.upper == pytest.approx(0.4, abs=1e-12)
-        cap = cfg.epsilon * math.log(2) + 1e-6
+        cap = epsilon * math.log(2) + 1e-6
         assert 0.4 - 1e-6 <= lo.value <= 0.4 + cap
         assert 0.4 - cap <= hi.value <= 0.4 + 1e-6
 
@@ -87,21 +85,21 @@ class TestEstimateBounds:
 
     def test_reported_value_reproducible_from_optimizer(self, rng):
         data, model, G = random_instance(rng)
-        cfg = SmoothingConfig()
-        lo, hi = estimate_bounds(data, model, G, cfg)
+        epsilon = default_epsilon(2)
+        lo, hi = estimate_bounds(data, model, G, epsilon)
         cells = cell_table(data, model, G)
         assert lo.value == pytest.approx(
-            eval_objective(cells, lo.optimizer, cfg, Side.LOWER), abs=1e-12
+            eval_objective(cells, lo.optimizer, epsilon, Side.LOWER), abs=1e-12
         )
         assert hi.value == pytest.approx(
-            eval_objective(cells, hi.optimizer, cfg, Side.UPPER), abs=1e-12
+            eval_objective(cells, hi.optimizer, epsilon, Side.UPPER), abs=1e-12
         )
 
     def test_invariant_to_sample_permutation(self, rng):
         data, model, G = random_instance(rng, n_max=40)
         perm = rng.permutation(data.n)
         data_p = DatasetView(n=data.n, z_ids=data.z_ids[perm])
-        G_p = per_sample_g(G.values[perm])
+        G_p = per_sample_g(g_values(G)[perm])
         lo, hi = estimate_bounds(data, model, G)
         lo_p, hi_p = estimate_bounds(data_p, model, G_p)
         assert lo_p.value == pytest.approx(lo.value, abs=1e-8)
@@ -125,7 +123,7 @@ class TestPluginStd:
         data, model, G = two_point_instance(0.5)
         cells = cell_table(data, model, per_sample_g(np.full((2, 2), 0.3)))
         a = np.zeros((2, 1))
-        assert plugin_std(cells, a, SmoothingConfig(), Side.LOWER) == 0.0
+        assert plugin_std(cells, a, default_epsilon(2), Side.LOWER) == 0.0
 
     def test_two_point_sample_std(self, rng):
         # per-sample values {0, 1} with divisor n-1 give 1/sqrt(2)
@@ -134,25 +132,25 @@ class TestPluginStd:
 
     def test_matches_direct_recomputation(self, rng):
         data, model, G = random_instance(rng)
-        cfg = SmoothingConfig()
+        epsilon = default_epsilon(2)
         a = rng.normal(size=(2, model.num_signatures))
         per_sample = [
-            soft_extreme(G.values[i] + a[:, z], cfg.epsilon, Side.UPPER) - model.table[z] @ a[:, z]
+            soft_extreme(g_values(G)[i] + a[:, z], epsilon, Side.UPPER) - model.table[z] @ a[:, z]
             for i, z in enumerate(data.z_ids)
         ]
         direct = float(np.std(per_sample, ddof=1))
         cells = cell_table(data, model, G)
-        assert plugin_std(cells, a, cfg, Side.UPPER) == pytest.approx(direct)
+        assert plugin_std(cells, a, epsilon, Side.UPPER) == pytest.approx(direct)
 
     def test_shift_invariance(self, rng):
         data, model, G = random_instance(rng)
-        cfg = SmoothingConfig()
+        epsilon = default_epsilon(2)
         a = rng.normal(size=(2, model.num_signatures))
         shift = rng.normal(size=(1, model.num_signatures))
         cells = cell_table(data, model, G)
         for side in Side:
-            assert plugin_std(cells, a + shift, cfg, side) == pytest.approx(
-                plugin_std(cells, a, cfg, side), abs=1e-10
+            assert plugin_std(cells, a + shift, epsilon, side) == pytest.approx(
+                plugin_std(cells, a, epsilon, side), abs=1e-10
             )
 
     def test_needs_two_samples(self):
@@ -160,7 +158,7 @@ class TestPluginStd:
         model = LabelModel(table=np.array([[0.5, 0.5]]))
         cells = cell_table(data, model, per_sample_g(np.array([[0.0, 1.0]])))
         with pytest.raises(InsufficientSampleError):
-            plugin_std(cells, np.zeros((2, 1)), SmoothingConfig(), Side.LOWER)
+            plugin_std(cells, np.zeros((2, 1)), default_epsilon(2), Side.LOWER)
 
 
 class TestConfidenceInterval:
@@ -230,25 +228,6 @@ class TestEstimateClassPrior:
         assert estimate_class_prior(data, model, 1) == pytest.approx(0.8)
 
 
-class TestSubsample:
-    def test_full_size_is_identity(self, rng):
-        data, _, _ = random_instance(rng)
-        sub = subsample_for_bounds(data, data.n, seed=0)
-        assert sub is data
-
-    def test_too_small_rejected(self, rng):
-        data, _, _ = random_instance(rng)
-        with pytest.raises(ValueError):
-            subsample_for_bounds(data, 0, seed=0)
-
-    def test_deterministic_per_seed(self, rng):
-        data, _, _ = random_instance(rng, n_max=50)
-        n_target = max(2, data.n // 2)
-        s1 = subsample_for_bounds(data, n_target, seed=9)
-        s2 = subsample_for_bounds(data, n_target, seed=9)
-        assert np.array_equal(s1.z_ids, s2.z_ids)
-
-
 class TestSolverConvergence:
     def test_wide_sweep_converges_on_every_solve(self):
         # six labelers with frequent abstains: ~500 observed signatures at n = 1000
@@ -269,10 +248,10 @@ class TestSolverConvergence:
         assert np.any(model.table == 0.0)
         g = build_g(result.data, MetricSpec(MetricKind.ACCURACY), LabelSpace(num_classes=2))
         exact = exact_bounds(result.data, model, g)
-        for cfg in (SmoothingConfig(), TIGHT):
-            lo, hi = estimate_bounds(result.data, model, g, cfg)
+        for epsilon in (default_epsilon(2), TIGHT):
+            lo, hi = estimate_bounds(result.data, model, g, epsilon)
             assert lo.report.converged and hi.report.converged
-            cap = cfg.epsilon * math.log(2)
+            cap = epsilon * math.log(2)
             assert exact.lower - 1e-6 <= lo.value <= exact.lower + cap + 1e-6
             assert exact.upper - cap - 1e-6 <= hi.value <= exact.upper + 1e-6
 
@@ -329,7 +308,7 @@ class TestCellTable:
         # one cell per sample (rows = arange(n)) gives the same bounds, stds and
         # oracle values as one cell per (signature, prediction)
         for data, model, g in [*_binary_instances(3000, seed=8), _multiclass_risk(600, seed=9)]:
-            per_sample = per_sample_g(g.values)
+            per_sample = per_sample_g(g_values(g))
             assert cell_table(data, model, per_sample).mass.size == data.n
             for merged, split in zip(
                 estimate_bounds(data, model, g), estimate_bounds(data, model, per_sample)

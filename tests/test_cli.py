@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from weakbounds import solver
-from weakbounds.cli import main
+from weakbounds import bounds, solver
+from weakbounds.cli import build_parser, main
 
 
 def run(*argv):
@@ -99,6 +99,22 @@ class TestExitCodes:
         assert rc == 2
         assert f"{loss}: bad loss table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["estimate", "oracle"])
+    @pytest.mark.parametrize("table", ["[[0,1,1],[1,0,1],[1,1,0]]", "[0,1]"], ids=["3x3", "flat"])
+    def test_loss_table_of_wrong_shape_is_data_error(
+        self, tmp_path, synth_files, capsys, command, table
+    ):
+        # a well-formed table of the wrong shape exited 1, a ragged one 2
+        data, model = synth_files
+        loss = tmp_path / "loss.json"
+        loss.write_text(table)
+        rc = run(
+            command, "--data", str(data), "--label-model", str(model),
+            "--metric", "risk", "--loss-table", str(loss),
+        )
+        assert rc == 2
+        assert f"{loss}: loss table must be |Y|-by-|Y|" in capsys.readouterr().err
+
     def test_duplicate_column_is_data_error(self, tmp_path, synth_files, capsys):
         _, model = synth_files
         data = tmp_path / "dup.csv"
@@ -133,6 +149,56 @@ class TestExitCodes:
         rc = run(*argv, "--data", str(data), "--label-model", str(model), "--out", str(out))
         assert rc == 1
         assert "must" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--n", "40"),
+            ("sweep", "--thresholds", "0.5", "--threshold", "0.9"),
+            ("sweep", "--thresholds", "0.5", "--loss-table", "x.json"),
+            ("oracle", "--gamma", "0.1"),
+            ("oracle", "--epsilon", "0.01"),
+            ("diagnose", "--gamma", "0.1"),
+            ("diagnose", "--n", "40"),
+        ],
+        ids=["estimate-n", "sweep-threshold", "sweep-loss-table", "oracle-gamma",
+             "oracle-epsilon", "diagnose-gamma", "diagnose-n"],
+    )
+    def test_option_the_command_does_not_read_is_usage_error(
+        self, tmp_path, synth_files, capsys, argv
+    ):
+        # each was accepted and ignored; sweep's --threshold replaced --thresholds
+        data, model = synth_files
+        out = tmp_path / "o"
+        rc = run(*argv, "--data", str(data), "--label-model", str(model), "--out", str(out))
+        assert rc == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--gamma", "1e-300"),
+            ("sweep", "--thresholds", "0.3,0.7", "--gamma", "2"),
+            ("coverage", "--n", "100", "--replications", "100", "--gamma", "1e-300"),
+        ],
+        ids=["estimate", "sweep", "coverage"],
+    )
+    def test_bad_gamma_stops_before_any_solve(
+        self, tmp_path, synth_files, capsys, monkeypatch, argv
+    ):
+        solves = []
+        solve_side = bounds._solve_side
+        monkeypatch.setattr(
+            bounds, "_solve_side", lambda *args: solves.append(args) or solve_side(*args)
+        )
+        data, model = synth_files
+        inputs = [] if argv[0] == "coverage" else ["--data", str(data), "--label-model", str(model)]
+        out = tmp_path / "o"
+        assert run(*argv, *inputs, "--out", str(out)) == 1
+        assert "argument --gamma: gamma must" in capsys.readouterr().err
+        assert solves == []
         assert not out.exists()
 
     @pytest.mark.parametrize("num_classes", [2.9, 1e15])
@@ -243,16 +309,6 @@ class TestEstimate:
         assert rc == 0
         entry = json.loads(out.read_text())["metrics"]["risk"]
         assert entry["lower"] <= entry["upper"]
-
-    def test_subsample_flag(self, tmp_path, synth_files):
-        data, model = synth_files
-        out = tmp_path / "r.json"
-        rc = run(
-            "estimate", "--data", str(data), "--label-model", str(model),
-            "--n", "40", "--seed", "1", "--out", str(out),
-        )
-        assert rc == 0
-        assert json.loads(out.read_text())["metrics"]["accuracy"]["n"] == 40
 
 
 class TestSweep:
@@ -400,10 +456,10 @@ class TestSelect:
         data, model = synth_files
         cand = tmp_path / "cands"
         cand.mkdir()
-        for i, n_sub in enumerate((40, 80)):
+        for i, threshold in enumerate(("0.3", "0.7")):
             run(
                 "estimate", "--data", str(data), "--label-model", str(model),
-                "--n", str(n_sub), "--out", str(cand / f"c{i}.json"),
+                "--threshold", threshold, "--out", str(cand / f"c{i}.json"),
             )
         out = tmp_path / "sel.json"
         rc = run(
@@ -524,3 +580,29 @@ class TestDeterminism:
         assert run(*args, "--out", str(o1)) == 0
         assert run(*args, "--out", str(o2)) == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+
+def test_each_command_has_exactly_its_options():
+    """A new option is a deliberate edit here, not one more that a command ignores."""
+    common = {"--data", "--label-model", "--metric", "--seed", "--out"}
+    cost = {"--loss-table", "--threshold"}
+    generator = {
+        "--n", "--num-labelers", "--accuracies", "--abstain-rates", "--prior-y1",
+        "--separation", "--threshold", "--seed",
+    }
+    expected = {
+        "estimate": common | cost | {"--epsilon", "--gamma", "--prior-y1"},
+        "sweep": common | {"--epsilon", "--gamma", "--thresholds", "--prior-y1"},
+        "oracle": common | cost,
+        "select": {"--candidates", "--strategy", "--metric", "--out"},
+        "diagnose": common | cost | {"--epsilon", "--label-model-alt"},
+        "synth": generator | {"--out", "--model-out", "--metrics-out"},
+        "coverage": generator | {"--replications", "--gamma", "--out"},
+    }
+    (subcommands,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    found = {
+        name: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.choices.items()
+    }
+    assert found == expected
+    assert sum(len(found[c]) for c in ("estimate", "sweep", "oracle", "diagnose")) == 35

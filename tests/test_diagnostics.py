@@ -11,10 +11,10 @@ from weakbounds import (
     MetricKind,
     MetricSpec,
     SelectionStrategy,
-    SmoothingConfig,
     SynthSpec,
     build_g,
     conditional_entropy_y,
+    default_epsilon,
     empirical_z_weights,
     exact_bounds,
     generate_synthetic,
@@ -24,7 +24,7 @@ from weakbounds import (
     select_model,
     tv_distance,
 )
-from conftest import random_instance, two_point_instance
+from conftest import g_values, random_instance, two_point_instance
 
 
 class TestTvDistance:
@@ -79,7 +79,7 @@ class TestInformativenessBound:
             res = exact_bounds(data, model, G)
             w = empirical_z_weights(data, model.num_signatures)
             h = conditional_entropy_y(model, w)
-            cap = informativeness_bound(float(np.abs(G.values).max()), h)
+            cap = informativeness_bound(float(np.abs(g_values(G)).max()), h)
             assert res.upper - res.lower <= cap + 1e-9
 
 
@@ -111,7 +111,7 @@ class TestMisspecification:
         uniform = LabelModel(table=np.array([[0.5, 0.5]]))
         rep = misspecification_report(data, one_hot, uniform, G)
         # oracle bounds: one-hot forces (0.5, 0.5); uniform gives (0, 1)
-        slack = 2 * SmoothingConfig().epsilon * math.log(2) + 1e-4
+        slack = 2 * default_epsilon(2) * math.log(2) + 1e-4
         assert rep.bound_gap_lower == pytest.approx(0.5, abs=slack)
         assert rep.bound_gap_upper == pytest.approx(0.5, abs=slack)
         assert rep.within_certificate
@@ -154,7 +154,7 @@ class TestLabelModelScore:
 
     def test_matches_per_sample_mean(self, rng):
         # the per-sample einsum this cell-table sum replaced
-        per_sample = lambda d, m, g: np.einsum("iy,iy->i", g.values, m.table[d.z_ids]).mean()
+        per_sample = lambda d, m, g: np.einsum("iy,iy->i", g_values(g), m.table[d.z_ids]).mean()
         for _ in range(30):
             data, model, G = random_instance(rng, n_max=60, num_classes=3)
             assert abs(label_model_score(data, model, G) - per_sample(data, model, G)) <= 1e-12

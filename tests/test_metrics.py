@@ -9,14 +9,14 @@ from weakbounds import (
     LabelSpace,
     MetricKind,
     MetricSpec,
-    SmoothingConfig,
     build_g,
+    default_epsilon,
     estimate_bounds,
     estimate_h1,
     prf_from_joint,
     threshold_sweep,
 )
-from conftest import random_instance
+from conftest import g_values, random_instance
 
 SPACE2 = LabelSpace(num_classes=2)
 
@@ -36,12 +36,12 @@ class TestBuildG:
     def test_accuracy_row_is_indicator(self):
         data = DatasetView(n=1, z_ids=np.array([0]), predictions=np.array([1]))
         g = build_g(data, MetricSpec(MetricKind.ACCURACY), SPACE2)
-        assert list(g.values[0]) == [0.0, 1.0]
+        assert list(g_values(g)[0]) == [0.0, 1.0]
 
     def test_joint_positive_negative_prediction_kills_row(self):
         data = DatasetView(n=1, z_ids=np.array([0]), predictions=np.array([0]))
         g = build_g(data, MetricSpec(MetricKind.JOINT_POSITIVE), SPACE2)
-        assert list(g.values[0]) == [0.0, 0.0]
+        assert list(g_values(g)[0]) == [0.0, 0.0]
 
     def test_zero_one_loss_complements_accuracy(self):
         data = DatasetView(
@@ -50,7 +50,7 @@ class TestBuildG:
         loss = 1.0 - np.eye(2)
         g_risk = build_g(data, MetricSpec(MetricKind.RISK, loss_table=loss), SPACE2)
         g_acc = build_g(data, MetricSpec(MetricKind.ACCURACY), SPACE2)
-        assert g_risk.values + g_acc.values == pytest.approx(np.ones((4, 2)))
+        assert g_values(g_risk) + g_values(g_acc) == pytest.approx(np.ones((4, 2)))
 
     def test_risk_requires_loss_table(self):
         with pytest.raises(ValueError):
@@ -64,7 +64,7 @@ class TestBuildG:
     def test_threshold_rule_ties_positive(self):
         data = DatasetView(n=2, z_ids=np.array([0, 0]), scores=np.array([0.5, 0.49]))
         g = build_g(data, MetricSpec(MetricKind.ACCURACY, threshold=0.5), SPACE2)
-        assert list(g.values[:, 1]) == [1.0, 0.0]
+        assert list(g_values(g)[:, 1]) == [1.0, 0.0]
 
     def test_missing_predictions_rejected(self):
         data = DatasetView(n=1, z_ids=np.array([0]))
@@ -146,7 +146,7 @@ class TestThresholdSweep:
     def test_threshold_below_min_makes_recall_joint_over_prior(self, rng):
         data, model = sweep_fixture(rng)
         sweep = threshold_sweep(
-            data, model, [-0.1], ["joint_positive", "recall"], SmoothingConfig()
+            data, model, [-0.1], ["joint_positive", "recall"], default_epsilon(2)
         )
         rows = {r.metric: r for r in sweep.rows}
         from weakbounds import estimate_class_prior
@@ -157,20 +157,20 @@ class TestThresholdSweep:
 
     def test_threshold_above_max_collapses_joint(self, rng):
         data, model = sweep_fixture(rng)
-        cfg = SmoothingConfig()
-        sweep = threshold_sweep(data, model, [1.1], ["joint_positive"], cfg)
+        epsilon = default_epsilon(2)
+        sweep = threshold_sweep(data, model, [1.1], ["joint_positive"], epsilon)
         row = sweep.rows[0]
         # exact bounds are [0, 0]; the smoothed values carry only smoothing slack
         import math
 
-        cap = cfg.epsilon * math.log(2) + 1e-6
+        cap = epsilon * math.log(2) + 1e-6
         assert -1e-6 <= row.lower <= cap
         assert -cap <= row.upper <= 1e-6
 
     def test_matches_independent_estimates(self, rng):
         data, model = sweep_fixture(rng)
-        cfg = SmoothingConfig()
-        sweep = threshold_sweep(data, model, [0.25, 0.75], ["accuracy"], cfg)
+        epsilon = default_epsilon(2)
+        sweep = threshold_sweep(data, model, [0.25, 0.75], ["accuracy"], epsilon)
         assert [r.threshold for r in sweep.rows] == [0.25, 0.75]
         for row in sweep.rows:
             at_t = DatasetView(
@@ -180,7 +180,7 @@ class TestThresholdSweep:
                 predictions=(data.scores >= row.threshold).astype(np.int64),
             )
             g = build_g(at_t, MetricSpec(MetricKind.ACCURACY), SPACE2)
-            lo, hi = estimate_bounds(at_t, model, g, cfg)
+            lo, hi = estimate_bounds(at_t, model, g, epsilon)
             assert row.lower == pytest.approx(lo.value, abs=1e-12)
             assert row.upper == pytest.approx(hi.value, abs=1e-12)
 
@@ -207,14 +207,14 @@ class TestAccuracyRange:
     def test_bounds_inside_unit_interval_up_to_smoothing(self, rng):
         import math
 
-        cfg = SmoothingConfig()
+        epsilon = default_epsilon(2)
         for _ in range(10):
             data, model, _ = random_instance(rng)
             preds = rng.integers(0, 2, data.n)
             d = DatasetView(n=data.n, z_ids=data.z_ids, predictions=preds)
             g = build_g(d, MetricSpec(MetricKind.ACCURACY), SPACE2)
-            lo, hi = estimate_bounds(d, model, g, cfg)
-            slack = cfg.epsilon * math.log(2) + 1e-6
+            lo, hi = estimate_bounds(d, model, g, epsilon)
+            slack = epsilon * math.log(2) + 1e-6
             assert -slack <= lo.value and hi.value <= 1.0 + slack
 
     def test_one_hot_model_matches_direct_accuracy(self, rng):
@@ -229,9 +229,9 @@ class TestAccuracyRange:
         preds = rng.integers(0, 2, data.n)
         d = DatasetView(n=data.n, z_ids=data.z_ids, predictions=preds)
         g = build_g(d, MetricSpec(MetricKind.ACCURACY), SPACE2)
-        cfg = SmoothingConfig()
-        lo, hi = estimate_bounds(d, model, g, cfg)
+        epsilon = default_epsilon(2)
+        lo, hi = estimate_bounds(d, model, g, epsilon)
         direct = float(np.mean(preds == hot[data.z_ids]))
-        slack = cfg.epsilon * math.log(2) + 1e-5
+        slack = epsilon * math.log(2) + 1e-5
         assert abs(lo.value - direct) <= slack
         assert abs(hi.value - direct) <= slack

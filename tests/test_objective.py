@@ -9,31 +9,36 @@ from weakbounds import (
     DatasetView,
     LabelModel,
     Side,
-    SmoothingConfig,
     cell_table,
     center_columns,
+    check_epsilon,
+    default_epsilon,
+    estimate_bounds,
     eval_objective,
     gradient,
     hessian,
     minimized_value,
     per_cell_objective,
-    soft_extreme,
 )
-from conftest import per_sample_g, random_instance
+from conftest import g_values, per_sample_g, random_instance, soft_extreme, two_point_instance
 
 
 class TestSmoothingConfig:
+    """The smoothing configuration is one temperature: its default and its checks."""
+
     def test_default_epsilon_binary(self):
-        assert SmoothingConfig().epsilon == pytest.approx(0.01 / math.log(2))
+        assert default_epsilon(2) == pytest.approx(0.01 / math.log(2))
 
     def test_for_classes(self):
-        assert SmoothingConfig.for_classes(3).epsilon == pytest.approx(
-            0.01 / math.log(3)
-        )
+        assert default_epsilon(3) == pytest.approx(0.01 / math.log(3))
 
     def test_floor_enforced(self):
-        with pytest.raises(ValueError):
-            SmoothingConfig(epsilon=1e-9)
+        with pytest.raises(ValueError, match="overflow guard"):
+            check_epsilon(1e-9)
+
+    def test_estimate_bounds_checks_epsilon(self):
+        with pytest.raises(ValueError, match="overflow guard"):
+            estimate_bounds(*two_point_instance(0.75), epsilon=1e-9)
 
 
 class TestSoftExtreme:
@@ -65,11 +70,11 @@ class TestSoftExtreme:
 class TestEvalObjective:
     def test_zero_g_zero_a(self, rng):
         data, model, G = random_instance(rng)
-        cells = cell_table(data, model, per_sample_g(np.zeros_like(G.values)))
+        cells = cell_table(data, model, per_sample_g(np.zeros_like(g_values(G))))
         a = np.zeros((model.num_classes, model.num_signatures))
-        cfg = SmoothingConfig()
-        assert eval_objective(cells, a, cfg, Side.LOWER) == pytest.approx(0.0)
-        assert eval_objective(cells, a, cfg, Side.UPPER) == pytest.approx(0.0)
+        epsilon = default_epsilon(2)
+        assert eval_objective(cells, a, epsilon, Side.LOWER) == pytest.approx(0.0)
+        assert eval_objective(cells, a, epsilon, Side.UPPER) == pytest.approx(0.0)
 
     def test_one_hot_model_zero_a_upper_closed_form(self):
         # binary, deterministic Y|Z: at a=0 the upper objective is the
@@ -77,15 +82,15 @@ class TestEvalObjective:
         data = DatasetView(n=2, z_ids=np.array([0, 0]))
         model = LabelModel(table=np.array([[0.0, 1.0]]))
         G = per_sample_g(np.array([[0.3, 0.7], [0.1, 0.2]]))
-        cfg = SmoothingConfig(epsilon=0.05)
+        epsilon = 0.05
         a = np.zeros((2, 1))
         expect = np.mean(
             [
                 0.05 * np.log(0.5 * np.exp(r[0] / 0.05) + 0.5 * np.exp(r[1] / 0.05))
-                for r in G.values
+                for r in g_values(G)
             ]
         )
-        got = eval_objective(cell_table(data, model, G), a, cfg, Side.UPPER)
+        got = eval_objective(cell_table(data, model, G), a, epsilon, Side.UPPER)
         assert got == pytest.approx(float(expect), abs=1e-10)
 
     def test_shift_invariance(self, rng):
@@ -93,10 +98,10 @@ class TestEvalObjective:
             cells = cell_table(*random_instance(rng, num_classes=3))
             a = rng.normal(size=(3, cells.z_mass.size))
             shift = rng.normal(size=(1, cells.z_mass.size))
-            cfg = SmoothingConfig.for_classes(3)
+            epsilon = default_epsilon(3)
             for side in Side:
-                v0 = eval_objective(cells, a, cfg, side)
-                v1 = eval_objective(cells, a + shift, cfg, side)
+                v0 = eval_objective(cells, a, epsilon, side)
+                v1 = eval_objective(cells, a + shift, epsilon, side)
                 assert v1 == pytest.approx(v0, abs=1e-12)
 
     def test_per_sample_sandwich_vs_hard_extreme(self, rng):
@@ -105,15 +110,15 @@ class TestEvalObjective:
             data, model, G = random_instance(rng, num_classes=3)
             cells = cell_table(data, model, G)
             a = rng.normal(size=(3, model.num_signatures))
-            cfg = SmoothingConfig.for_classes(3, target_error=0.05)
+            epsilon = 0.05 / math.log(3)
             shifted = cells.costs + a.T[cells.z]
             lm = np.einsum("zy,yz->z", model.table, a)[cells.z]
-            cap = cfg.epsilon * math.log(3)
-            lo = per_cell_objective(cells, a, cfg, Side.LOWER)
+            cap = epsilon * math.log(3)
+            lo = per_cell_objective(cells, a, epsilon, Side.LOWER)
             hard_lo = shifted.min(axis=1) - lm
             assert np.all(lo >= hard_lo - 1e-9)
             assert np.all(lo <= hard_lo + cap + 1e-9)
-            hi = per_cell_objective(cells, a, cfg, Side.UPPER)
+            hi = per_cell_objective(cells, a, epsilon, Side.UPPER)
             hard_hi = shifted.max(axis=1) - lm
             assert np.all(hi <= hard_hi + 1e-9)
             assert np.all(hi >= hard_hi - cap - 1e-9)
@@ -125,10 +130,10 @@ class TestPenalized:
     def test_centered_a_has_no_penalty(self, rng):
         cells = cell_table(*random_instance(rng))
         a = rng.normal(size=(2, cells.z_mass.size))
-        cfg = SmoothingConfig()
+        epsilon = default_epsilon(2)
         for side in Side:
-            assert minimized_value(cells, center_columns(a), cfg, side) == pytest.approx(
-                minimized_value(cells, a, cfg, side), abs=1e-12
+            assert minimized_value(cells, center_columns(a), epsilon, side) == pytest.approx(
+                minimized_value(cells, a, epsilon, side), abs=1e-12
             )
 
     def test_upper_penalized_is_convex(self, rng):
@@ -137,9 +142,9 @@ class TestPenalized:
             a1 = rng.normal(size=(2, cells.z_mass.size))
             a2 = rng.normal(size=(2, cells.z_mass.size))
             t = rng.uniform(0.05, 0.95)
-            cfg = SmoothingConfig()
+            epsilon = default_epsilon(2)
             for side in Side:
-                f = lambda a: minimized_value(cells, a, cfg, side)
+                f = lambda a: minimized_value(cells, a, epsilon, side)
                 assert f(t * a1 + (1 - t) * a2) <= t * f(a1) + (1 - t) * f(a2) + 1e-10
 
 
@@ -150,7 +155,7 @@ class TestGradient:
         cells = cell_table(data, model, per_sample_g(np.full((4, 2), 0.3)))
         a = np.zeros((2, 2))
         for side in Side:
-            g = gradient(cells, a, SmoothingConfig(), side)
+            g = gradient(cells, a, default_epsilon(2), side)
             assert np.abs(g).max() <= 1e-14
 
     def test_column_sum_identity(self, rng):
@@ -159,9 +164,9 @@ class TestGradient:
             cells = cell_table(*random_instance(rng, num_classes=3))
             num_z = cells.z_mass.size
             a = rng.normal(size=(3, num_z))
-            cfg = SmoothingConfig.for_classes(3)
+            epsilon = default_epsilon(3)
             for side in Side:
-                g = gradient(cells, a, cfg, side)
+                g = gradient(cells, a, epsilon, side)
                 assert g.sum(axis=0) == pytest.approx(np.zeros(num_z), abs=1e-15)
 
     def test_matches_central_finite_differences(self, rng):
@@ -170,17 +175,17 @@ class TestGradient:
             k = int(rng.integers(2, 4))
             cells = cell_table(*random_instance(rng, num_classes=k))
             a = rng.normal(scale=0.5, size=(k, cells.z_mass.size))
-            cfg = SmoothingConfig.for_classes(k)
+            epsilon = default_epsilon(k)
             for side in Side:
-                analytic = gradient(cells, a, cfg, side)
+                analytic = gradient(cells, a, epsilon, side)
                 fd = np.zeros_like(a)
                 for idx in np.ndindex(a.shape):
                     ap, am = a.copy(), a.copy()
                     ap[idx] += h
                     am[idx] -= h
                     fd[idx] = (
-                        minimized_value(cells, ap, cfg, side)
-                        - minimized_value(cells, am, cfg, side)
+                        minimized_value(cells, ap, epsilon, side)
+                        - minimized_value(cells, am, epsilon, side)
                     ) / (2 * h)
                 scale = max(1.0, float(np.abs(fd).max()))
                 assert np.abs(analytic - fd).max() / scale <= 1e-5
@@ -195,15 +200,17 @@ class TestHessian:
             k = int(rng.integers(2, 4))
             cells = cell_table(*random_instance(rng, n_max=40, num_classes=k))
             a = rng.normal(scale=0.5, size=(k, cells.z_mass.size))
-            cfg = SmoothingConfig.for_classes(k)
+            epsilon = default_epsilon(k)
             side = Side.LOWER if trial % 2 else Side.UPPER
-            blocks = hessian(cells, a, cfg, side)
+            blocks = hessian(cells, a, epsilon, side)
             fd = np.zeros_like(blocks)
             for y, z in np.ndindex(a.shape):
                 ap, am = a.copy(), a.copy()
                 ap[y, z] += h
                 am[y, z] -= h
-                diff = (gradient(cells, ap, cfg, side) - gradient(cells, am, cfg, side)) / (2 * h)
+                diff = (
+                    gradient(cells, ap, epsilon, side) - gradient(cells, am, epsilon, side)
+                ) / (2 * h)
                 # block diagonal: perturbing column z moves only column z
                 assert np.abs(np.delete(diff, z, axis=1)).max(initial=0.0) == 0.0
                 fd[z, :, y] = diff[:, z]
@@ -214,9 +221,9 @@ class TestHessian:
         for _ in range(20):
             cells = cell_table(*random_instance(rng, num_classes=3))
             a = rng.normal(size=(3, cells.z_mass.size))
-            cfg = SmoothingConfig.for_classes(3)
+            epsilon = default_epsilon(3)
             for side in Side:
-                blocks = hessian(cells, a, cfg, side)
+                blocks = hessian(cells, a, epsilon, side)
                 assert np.allclose(blocks, blocks.transpose(0, 2, 1))
                 assert np.abs(blocks.sum(axis=2)).max() <= 1e-12 * np.abs(blocks).max()
                 assert np.linalg.eigvalsh(blocks).min() >= -1e-9
@@ -226,7 +233,7 @@ class TestHessian:
         model = LabelModel(table=np.array([[0.3, 0.7], [0.5, 0.5]]))
         G = per_sample_g(np.array([[0.0, 1.0], [1.0, 0.0]]))
         cells = cell_table(data, model, G)
-        blocks = hessian(cells, np.zeros((2, 2)), SmoothingConfig(), Side.UPPER)
+        blocks = hessian(cells, np.zeros((2, 2)), default_epsilon(2), Side.UPPER)
         assert np.array_equal(blocks[1], np.zeros((2, 2)))
         assert blocks[0, 0, 0] > 0.0
 
@@ -235,17 +242,17 @@ class TestMinimizedValue:
     def test_upper_equals_objective(self, rng):
         cells = cell_table(*random_instance(rng))
         a = rng.normal(size=(2, cells.z_mass.size))
-        cfg = SmoothingConfig()
-        assert minimized_value(cells, a, cfg, Side.UPPER) == eval_objective(
-            cells, a, cfg, Side.UPPER
+        epsilon = default_epsilon(2)
+        assert minimized_value(cells, a, epsilon, Side.UPPER) == eval_objective(
+            cells, a, epsilon, Side.UPPER
         )
 
     def test_lower_is_negated_objective(self, rng):
         cells = cell_table(*random_instance(rng))
         a = rng.normal(size=(2, cells.z_mass.size))
-        cfg = SmoothingConfig()
-        assert minimized_value(cells, a, cfg, Side.LOWER) == -eval_objective(
-            cells, a, cfg, Side.LOWER
+        epsilon = default_epsilon(2)
+        assert minimized_value(cells, a, epsilon, Side.LOWER) == -eval_objective(
+            cells, a, epsilon, Side.LOWER
         )
 
 
@@ -286,7 +293,7 @@ class TestClassMajorKernels:
     def test_matches_row_major_reference(self, num_classes, saturated):
         rng = np.random.default_rng(1000 * num_classes + saturated)
         target = 1e-3 if saturated else 0.01
-        cfg = SmoothingConfig.for_classes(num_classes, target_error=target)
+        epsilon = target / math.log(num_classes)
         for trial in range(20):
             # a per-sample G: every sample is its own cost row
             data, model, G = random_instance(rng, num_classes=num_classes)
@@ -294,12 +301,12 @@ class TestClassMajorKernels:
             cells = cell_table(data, model, G)
             a = rng.normal(scale=[0.1, 1.0, 5.0][trial % 3], size=(num_classes, model.num_signatures))
             for side in Side:
-                ref = _row_major_reference(cells, a, cfg.epsilon, side)
+                ref = _row_major_reference(cells, a, epsilon, side)
                 got = (
-                    per_cell_objective(cells, a, cfg, side),
-                    eval_objective(cells, a, cfg, side),
-                    gradient(cells, a, cfg, side),
-                    hessian(cells, a, cfg, side),
+                    per_cell_objective(cells, a, epsilon, side),
+                    eval_objective(cells, a, epsilon, side),
+                    gradient(cells, a, epsilon, side),
+                    hessian(cells, a, epsilon, side),
                 )
                 # the size of the terms each result sums, to scale the tolerance
                 scales = (

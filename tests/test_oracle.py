@@ -21,7 +21,7 @@ from weakbounds import (
 )
 from weakbounds import oracle
 from weakbounds.cli import main
-from conftest import per_sample_g, random_instance, two_point_instance
+from conftest import g_values, per_sample_g, random_instance, two_point_instance
 
 
 def random_transport(rng, n_rows, n_cols):
@@ -255,7 +255,7 @@ class TestExactBounds:
         table[np.arange(num_z), hot] = 1.0
         model = LabelModel(table=table)
         res = exact_bounds(data, model, G)
-        forced = float(G.values[np.arange(data.n), hot[data.z_ids]].mean())
+        forced = float(g_values(G)[np.arange(data.n), hot[data.z_ids]].mean())
         assert res.lower == pytest.approx(forced, abs=1e-12)
         assert res.upper == pytest.approx(forced, abs=1e-12)
 
@@ -269,7 +269,7 @@ class TestExactBounds:
     def test_scaling_and_shift(self, rng):
         data, model, G = random_instance(rng, n_max=30)
         res = exact_bounds(data, model, G)
-        G2 = per_sample_g(3.0 * G.values + 0.5)
+        G2 = per_sample_g(3.0 * g_values(G) + 0.5)
         res2 = exact_bounds(data, model, G2)
         assert res2.lower == pytest.approx(3.0 * res.lower + 0.5, abs=1e-9)
         assert res2.upper == pytest.approx(3.0 * res.upper + 0.5, abs=1e-9)
@@ -278,7 +278,7 @@ class TestExactBounds:
         data, model, G = random_instance(rng, n_max=30)
         res = exact_bounds(data, model, G)
         swapped_model = LabelModel(table=model.table[:, ::-1].copy())
-        swapped_G = per_sample_g(G.values[:, ::-1].copy())
+        swapped_G = per_sample_g(g_values(G)[:, ::-1].copy())
         res_s = exact_bounds(data, swapped_model, swapped_G)
         assert res_s.lower == pytest.approx(res.lower, abs=1e-9)
         assert res_s.upper == pytest.approx(res.upper, abs=1e-9)
@@ -294,7 +294,7 @@ class TestExactBounds:
                 if idx.size == 0:
                     continue
                 inst = TransportInstance(
-                    costs=G.values[idx],
+                    costs=g_values(G)[idx],
                     row_mass=np.full(idx.size, 1.0 / data.n),
                     col_mass=(idx.size / data.n) * model.table[z],
                 )

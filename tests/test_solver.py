@@ -7,7 +7,6 @@ from weakbounds import (
     LabelModel,
     NumericalError,
     Side,
-    SmoothingConfig,
     estimate_bounds,
     minimize,
 )
@@ -59,8 +58,8 @@ class TestMinimize:
         values = {side: [] for side in Side}
         original = bounds.minimized_value
 
-        def tracked(cells, a, cfg, side, **kwargs):
-            values[side].append(original(cells, a, cfg, side, **kwargs))
+        def tracked(cells, a, epsilon, side, **kwargs):
+            values[side].append(original(cells, a, epsilon, side, **kwargs))
             return values[side][-1]
 
         monkeypatch.setattr(bounds, "minimized_value", tracked)
@@ -120,7 +119,7 @@ class TestDualSolves:
         for _ in range(50):
             k = int(rng.integers(2, 4))
             data, model, G = random_instance(rng, num_classes=k)
-            for est in estimate_bounds(data, model, G, SmoothingConfig(epsilon=1e-3 / math.log(k))):
+            for est in estimate_bounds(data, model, G, 1e-3 / math.log(k)):
                 assert est.report.converged
                 assert np.all(np.isfinite(est.optimizer))
 
@@ -130,11 +129,11 @@ class TestDualSolves:
         # accepts the step because it shrinks the gradient. Without the floor
         # the solve stalls above the tolerance until its budget runs out.
         data, model, G = random_instance(np.random.default_rng(34), num_classes=3)
-        cfg = SmoothingConfig(epsilon=1e-3 / math.log(3))
-        lo, _ = estimate_bounds(data, model, G, cfg)
+        epsilon = 1e-3 / math.log(3)
+        lo, _ = estimate_bounds(data, model, G, epsilon)
         assert lo.report.converged and lo.report.iterations < 50
         monkeypatch.setattr(solver, "ROUNDING_FLOOR", 0.0)
-        lo, _ = estimate_bounds(data, model, G, cfg)
+        lo, _ = estimate_bounds(data, model, G, epsilon)
         assert not lo.report.converged
         assert lo.report.iterations == solver.MAX_ITERATIONS
 
@@ -180,7 +179,7 @@ class TestWeightReuse:
         monkeypatch.setattr(objective, "_soft_pass", counted_pass)
         monkeypatch.setattr(bounds, "minimized_value", counted_value)
         data, model, G = random_instance(np.random.default_rng(seed), num_classes=3)
-        lo, hi = estimate_bounds(data, model, G, SmoothingConfig(epsilon=eps))
+        lo, hi = estimate_bounds(data, model, G, eps)
         assert lo.report.iterations > 0 and hi.report.iterations > 0
         # beyond the solves' value evaluations, each side makes two passes at
         # its centred optimizer: the reported value and the plug-in std
@@ -191,14 +190,13 @@ class TestWeightReuse:
     def test_reused_weights_change_no_bit(self, monkeypatch, seed, eps, floor):
         monkeypatch.setattr(solver, "ROUNDING_FLOOR", floor)
         data, model, G = random_instance(np.random.default_rng(seed), num_classes=3)
-        cfg = SmoothingConfig(epsilon=eps)
-        reused = estimate_bounds(data, model, G, cfg)
+        reused = estimate_bounds(data, model, G, eps)
         for name in ("gradient", "hessian"):
             fresh_fn = getattr(objective, name)
             monkeypatch.setattr(
-                bounds, name, lambda cells, a, cfg, side, weights, fn=fresh_fn: fn(cells, a, cfg, side)
+                bounds, name, lambda cells, a, eps, side, weights, fn=fresh_fn: fn(cells, a, eps, side)
             )
-        fresh = estimate_bounds(data, model, G, cfg)
+        fresh = estimate_bounds(data, model, G, eps)
         for r, f in zip(reused, fresh):
             assert np.array_equal(r.optimizer, f.optimizer)
             assert (r.value, r.plugin_std, r.report) == (f.value, f.plugin_std, f.report)
