@@ -7,98 +7,120 @@ marginals, with normal-approximation confidence intervals, an exact
 small-instance oracle, and diagnostics for label-model quality.
 """
 
-from .bounds import (
-    BoundEstimate,
-    ConfidenceInterval,
-    check_gamma,
-    ci_half_width,
-    confidence_interval,
-    estimate_bounds,
-    estimate_class_prior,
-    plugin_std,
-)
-from .diagnostics import (
-    MisspecReport,
-    SelectionResult,
-    SelectionStrategy,
-    conditional_entropy_y,
-    empirical_z_weights,
-    informativeness_bound,
-    label_model_score,
-    misspecification_report,
-    select_model,
-    tv_distance,
-)
-from .domain import (
-    ABSTAIN,
-    CellTable,
-    DatasetView,
-    GMatrix,
-    LabelModel,
-    LabelSpace,
-    SignatureTable,
-    cell_table,
-    center_columns,
-    check_covers,
-    encode_signatures,
-)
-from .errors import (
-    CoverageError,
-    FormatError,
-    InsufficientSampleError,
-    NumericalError,
-    WeakBoundsError,
-)
-from .fileio import (
-    count_label_model,
-    dump_result_json,
-    read_dataset_csv,
-    read_label_model_json,
-    write_dataset_csv,
-    write_label_model_json,
-    write_sweep_csv,
-)
-from .metrics import (
-    MetricInterval,
-    MetricKind,
-    MetricSpec,
-    PRFBounds,
-    SweepRow,
-    SweepTable,
-    bound_rows,
-    build_g,
-    estimate_h1,
-    prf_from_joint,
-    threshold_sweep,
-)
-from .objective import (
-    Side,
-    check_epsilon,
-    default_epsilon,
-    eval_objective,
-    gradient,
-    hessian,
-    minimized_value,
-    per_cell_objective,
-)
-from .oracle import (
-    OracleResult,
-    TooLargeError,
-    TransportInstance,
-    exact_bounds,
-    transport_binary,
-    transport_general,
-)
-from .solver import SolveReport, minimize
-from .synth import (
-    CoverageReport,
-    SynthResult,
-    SynthSpec,
-    coverage_experiment,
-    exact_posterior_y1,
-    generate_synthetic,
-)
+from importlib import import_module
+
+# the public names of each submodule; a name is imported on first access
+# (PEP 562), so ``import weakbounds.cli`` loads only the modules a command runs
+_EXPORTS = {
+    "bounds": (
+        "BoundEstimate",
+        "ConfidenceInterval",
+        "check_gamma",
+        "ci_half_width",
+        "confidence_interval",
+        "estimate_bounds",
+        "estimate_bounds_batch",
+        "estimate_class_prior",
+        "plugin_std",
+    ),
+    "diagnostics": (
+        "MisspecReport",
+        "SelectionResult",
+        "SelectionStrategy",
+        "conditional_entropy_y",
+        "empirical_z_weights",
+        "informativeness_bound",
+        "label_model_score",
+        "misspecification_report",
+        "select_model",
+        "tv_distance",
+    ),
+    "domain": (
+        "ABSTAIN",
+        "CellTable",
+        "DatasetView",
+        "GMatrix",
+        "LabelModel",
+        "LabelSpace",
+        "SignatureTable",
+        "cell_table",
+        "center_columns",
+        "check_covers",
+        "encode_signatures",
+    ),
+    "errors": (
+        "CoverageError",
+        "FormatError",
+        "InsufficientSampleError",
+        "NumericalError",
+        "WeakBoundsError",
+    ),
+    "fileio": (
+        "count_label_model",
+        "dump_result_json",
+        "read_dataset_csv",
+        "read_label_model_json",
+        "write_dataset_csv",
+        "write_label_model_json",
+        "write_sweep_csv",
+    ),
+    "metrics": (
+        "MetricInterval",
+        "MetricKind",
+        "MetricSpec",
+        "PRFBounds",
+        "SweepRow",
+        "SweepTable",
+        "bound_rows",
+        "build_g",
+        "estimate_h1",
+        "prf_from_joint",
+        "threshold_sweep",
+    ),
+    "objective": (
+        "Side",
+        "check_epsilon",
+        "default_epsilon",
+        "eval_objective",
+        "gradient",
+        "hessian",
+        "minimized_value",
+        "per_cell_objective",
+    ),
+    "oracle": (
+        "OracleResult",
+        "TooLargeError",
+        "TransportInstance",
+        "exact_bounds",
+        "transport_binary",
+        "transport_general",
+    ),
+    "solver": (
+        "ColumnReport",
+        "SolveReport",
+        "minimize",
+    ),
+    "synth": (
+        "CoverageReport",
+        "SynthResult",
+        "SynthSpec",
+        "coverage_experiment",
+        "exact_posterior_y1",
+        "generate_synthetic",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_MODULE_OF, *_EXPORTS])
+
+
+def __getattr__(name):
+    # looked up on every access and never cached here, so that a name always
+    # is its defining module's attribute
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
-from statistics import NormalDist
+from math import fabs, log, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .domain import DatasetView, GMatrix, LabelModel, cell_table, center_columns, check_covers
+from .domain import (
+    CellTable,
+    DatasetView,
+    GMatrix,
+    LabelModel,
+    cell_table,
+    center_columns,
+    check_covers,
+)
 from .errors import InsufficientSampleError
 from .objective import (
     Side,
@@ -63,45 +71,108 @@ def _newton_ridge(cells, epsilon) -> np.ndarray:
     return ridge
 
 
-def _solve_side(cells, epsilon, side, max_step) -> BoundEstimate:
-    a0 = np.zeros(cells.label_model.shape[::-1])
-    ridge = _newton_ridge(cells, epsilon)
+def _stack(problems, starts) -> CellTable:
+    """One cell table holding every problem as the UPPER side of its own signatures.
+
+    A LOWER problem enters with negated cost rows: its solve then iterates on
+    -a, and since -(g + a) is (-g) + (-a) in IEEE arithmetic, every value,
+    weight and step is the LOWER solve's, bit for bit. The signatures of
+    problem i are numbered from ``starts[i]``, so no two problems share one.
+    """
+    part = lambda field: [getattr(cells, field) for cells, _, _ in problems]
+    return CellTable(
+        n=sum(part("n")),
+        z=np.concatenate([z + start for z, start in zip(part("z"), starts)]),
+        costs=np.concatenate(
+            [cells.costs if side is Side.UPPER else -cells.costs for cells, side, _ in problems]
+        ),
+        mass=np.concatenate(part("mass")),
+        z_mass=np.concatenate(part("z_mass")),
+        label_model=np.concatenate(part("label_model")),
+    )
+
+
+def solve_sides(problems, epsilon: float) -> list[BoundEstimate]:
+    """Solve one-sided smoothed dual problems ``(cells, side, max_step)`` in one Newton solve.
+
+    Each signature of each problem is its own column of the solver, with its
+    own step length and stopping test, so every estimate equals the one its
+    problem gets when solved alone, bit for bit: value, optimizer, plug-in std
+    and report. A report's iterations and gradient norm are those of its own
+    signatures.
+    """
+    widths = [len(cells.label_model) for cells, _, _ in problems]
+    starts = np.cumsum([0] + widths)
+    stacked = _stack(problems, starts)
+    max_step = np.repeat([step for _, _, step in problems], widths)
+    ridge = _newton_ridge(stacked, epsilon)
     # The solver takes the gradient and the Hessian only at the iterate of its
     # latest value evaluation, and never changes an iterate in place, so both
     # reuse that evaluation's soft-max weights.
-    weights = np.empty(cells.costs.shape[::-1])
+    weights = np.empty(stacked.costs.shape[::-1])
     weights_at = None  # the iterate whose weights ``weights`` holds
 
     def value(a):
         nonlocal weights_at
         weights_at = None
-        f = minimized_value(cells, a, epsilon, side, weights_out=weights)
+        f = minimized_value(stacked, a, epsilon, Side.UPPER, weights_out=weights)
         weights_at = a
         return f
 
     def reusable(a):
         return weights if a is weights_at else None
 
-    a_hat, report = minimize(
+    a_hat, columns = minimize(
         value,
-        lambda a: gradient(cells, a, epsilon, side, reusable(a)),
-        lambda a: hessian(cells, a, epsilon, side, reusable(a)) + ridge,
-        a0,
+        lambda a: gradient(stacked, a, epsilon, Side.UPPER, reusable(a)),
+        lambda a: hessian(stacked, a, epsilon, Side.UPPER, reusable(a)) + ridge,
+        np.zeros(stacked.label_model.shape[::-1]),
         max_step,
     )
-    # shift invariance keeps the value; report the zero-column-sum optimizer
-    a_hat = center_columns(a_hat)
-    sup_norm = float(np.max(np.abs(a_hat))) if a_hat.size else 0.0
-    report = report._replace(optimizer_sup_norm=sup_norm)
-    return BoundEstimate(
-        side=side,
-        value=eval_objective(cells, a_hat, epsilon, side),
-        optimizer=a_hat,
-        plugin_std=plugin_std(cells, a_hat, epsilon, side),
-        n=cells.n,
-        report=report,
-        epsilon=epsilon,
-    )
+    estimates = []
+    for (cells, side, _), start, width in zip(problems, starts, widths):
+        own = slice(start, start + width)
+        a = a_hat[:, own] if side is Side.UPPER else -a_hat[:, own]
+        # shift invariance keeps the value; report the zero-column-sum optimizer
+        a = center_columns(a)
+        sup_norm = float(np.max(np.abs(a))) if a.size else 0.0
+        estimates.append(
+            BoundEstimate(
+                side=side,
+                value=eval_objective(cells, a, epsilon, side),
+                optimizer=a,
+                plugin_std=plugin_std(cells, a, epsilon, side),
+                n=cells.n,
+                report=columns.of(own)._replace(optimizer_sup_norm=sup_norm),
+                epsilon=epsilon,
+            )
+        )
+    return estimates
+
+
+def estimate_bounds_batch(
+    problems, epsilon: float | None = None
+) -> list[tuple[BoundEstimate, BoundEstimate]]:
+    """``estimate_bounds`` of each ``(data, model, G)``, with every side solved in one Newton solve.
+
+    Every problem's labels must have the same number of classes, since they
+    share one temperature. Each pair equals what ``estimate_bounds`` returns
+    for its problem alone, bit for bit.
+    """
+    num_classes = {model.num_classes for _, model, _ in problems}
+    if len(num_classes) != 1:
+        raise ValueError("a batch needs problems with one number of classes")
+    (k,) = num_classes
+    epsilon = default_epsilon(k) if epsilon is None else check_epsilon(epsilon)
+    sides = []
+    for data, model, G in problems:
+        cells = cell_table(data, model, G)
+        # a larger step overshoots when the weights saturate at small eps; the
+        # eps term keeps a G of all zeros from freezing the iterate
+        max_step = 2.0 * G.sup_norm + epsilon
+        sides += [(cells, Side.LOWER, max_step), (cells, Side.UPPER, max_step)]
+    estimates = solve_sides(sides, epsilon)
+    return list(zip(estimates[0::2], estimates[1::2]))
 
 
 def estimate_bounds(
@@ -110,15 +181,8 @@ def estimate_bounds(
     G: GMatrix,
     epsilon: float | None = None,
 ) -> tuple[BoundEstimate, BoundEstimate]:
-    """Solve both one-sided smoothed dual problems from a zero start at temperature ``epsilon``."""
-    epsilon = default_epsilon(model.num_classes) if epsilon is None else check_epsilon(epsilon)
-    cells = cell_table(data, model, G)
-    # a larger step overshoots when the weights saturate at small eps; the eps
-    # term keeps a G of all zeros from freezing the iterate
-    max_step = 2.0 * G.sup_norm + epsilon
-    lower = _solve_side(cells, epsilon, Side.LOWER, max_step)
-    upper = _solve_side(cells, epsilon, Side.UPPER, max_step)
-    return lower, upper
+    """Both one-sided smoothed dual bounds, solved from a zero start at temperature ``epsilon``."""
+    return estimate_bounds_batch([(data, model, G)], epsilon)[0]
 
 
 def check_gamma(gamma: float) -> float:
@@ -130,12 +194,84 @@ def check_gamma(gamma: float) -> float:
     return gamma
 
 
+def normal_quantile(p: float) -> float:
+    """The standard normal quantile at ``p`` in (0, 1), by Wichura's AS241 (PPND16).
+
+    Wichura, M. J. (1988), "Algorithm AS 241: The Percentage Points of the
+    Normal Distribution", Applied Statistics 37(3), 477-484. The coefficients
+    and the order of every operation are those of the standard library's
+    ``statistics.NormalDist().inv_cdf``, so the result is the same to the bit,
+    without importing ``statistics`` (and with it ``fractions`` and ``decimal``).
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie in (0, 1), got {p}")
+    q = p - 0.5
+    if fabs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num = (((((((2.5090809287301226727e+3 * r +
+                     3.3430575583588128105e+4) * r +
+                     6.7265770927008700853e+4) * r +
+                     4.5921953931549871457e+4) * r +
+                     1.3731693765509461125e+4) * r +
+                     1.9715909503065514427e+3) * r +
+                     1.3314166789178437745e+2) * r +
+                     3.3871328727963666080e+0) * q
+        den = (((((((5.2264952788528545610e+3 * r +
+                     2.8729085735721942674e+4) * r +
+                     3.9307895800092710610e+4) * r +
+                     2.1213794301586595867e+4) * r +
+                     5.3941960214247511077e+3) * r +
+                     6.8718700749205790830e+2) * r +
+                     4.2313330701600911252e+1) * r +
+                     1.0)
+        return num / den
+    r = sqrt(-log(p if q <= 0.0 else 1.0 - p))
+    if r <= 5.0:
+        r = r - 1.6
+        num = (((((((7.7454501427834140764e-4 * r +
+                     2.2723844989269184583e-2) * r +
+                     2.4178072517745061177e-1) * r +
+                     1.2704582524523683826e+0) * r +
+                     3.6478483247632045960e+0) * r +
+                     5.7694972214606914055e+0) * r +
+                     4.6303378461565452959e+0) * r +
+                     1.4234371107496835773e+0)
+        den = (((((((1.0507500716444168432e-9 * r +
+                     5.4759380849953449460e-4) * r +
+                     1.5198666563616457197e-2) * r +
+                     1.4810397642748007459e-1) * r +
+                     6.8976733498510000455e-1) * r +
+                     1.6763848301838038494e+0) * r +
+                     2.0531916266377588219e+0) * r +
+                     1.0)
+    else:
+        r = r - 5.0
+        num = (((((((2.0103343992922881327e-7 * r +
+                     2.7115555687434875782e-5) * r +
+                     1.2426609473880784386e-3) * r +
+                     2.6532189526576123093e-2) * r +
+                     2.9656057182850489123e-1) * r +
+                     1.7848265399172913358e+0) * r +
+                     5.4637849111641143699e+0) * r +
+                     6.6579046435011037772e+0)
+        den = (((((((2.0442631033899397856e-15 * r +
+                     1.4215117583164458887e-7) * r +
+                     1.8463183175100546818e-5) * r +
+                     7.8686913114561325910e-4) * r +
+                     1.4875361290850614852e-2) * r +
+                     1.3692988092273580531e-1) * r +
+                     5.9983220655588793769e-1) * r +
+                     1.0)
+    x = num / den
+    return -x if q < 0.0 else x
+
+
 def ci_half_width(std: float, n: int, gamma: float) -> float:
     """Half-width z_{1-gamma/2} * std / sqrt(n) of a two-sided normal interval."""
     check_gamma(gamma)
     if n < 2:
         raise InsufficientSampleError("confidence interval needs n >= 2")
-    return NormalDist().inv_cdf(1.0 - gamma / 2.0) * std / np.sqrt(n)
+    return normal_quantile(1.0 - gamma / 2.0) * std / np.sqrt(n)
 
 
 def normal_interval(value: float, std: float, n: int, gamma: float) -> ConfidenceInterval:

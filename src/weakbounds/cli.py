@@ -17,15 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import check_gamma, estimate_bounds, estimate_class_prior
-from .diagnostics import (
-    SelectionStrategy,
-    conditional_entropy_y,
-    empirical_z_weights,
-    informativeness_bound,
-    label_model_score,
-    misspecification_report,
-    select_model,
-)
 from .domain import LabelSpace
 from .errors import FormatError, NumericalError, WeakBoundsError
 from .fileio import (
@@ -39,8 +30,11 @@ from .fileio import (
 )
 from .metrics import MetricKind, MetricSpec, bound_rows, build_g, estimate_h1, threshold_sweep
 from .objective import check_epsilon
-from .oracle import exact_bounds
-from .synth import SynthSpec, coverage_experiment, generate_synthetic
+
+# A command imports what it runs of the oracle, synth and diagnostics modules
+# when it runs, so no process compiles or loads the others. Those names are
+# imported inside each command and never cached in this module, so a tracer that
+# patches module attributes sees every call.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,6 +124,15 @@ def _metric_g(args, data, model):
     return spec, build_g(data, spec, LabelSpace(num_classes=model.num_classes))
 
 
+def _check_metric_options(args) -> None:
+    """Reject an option that the chosen --metric does not read, before any work."""
+    kind = _metric_kind(args.metric)
+    if args.loss_table is not None and kind is not MetricKind.RISK:
+        raise ValueError("--loss-table is read only with --metric risk")
+    if getattr(args, "prior_y1", None) is not None and kind is not MetricKind.JOINT_POSITIVE:
+        raise ValueError("--prior-y1 is read only with --metric joint-positive")
+
+
 def _warn_unconverged(solves) -> None:
     """One stderr line per solved bound whose solver stopped short of its tolerance."""
     for label, est in solves:
@@ -164,6 +167,9 @@ def _entry(row) -> dict:
 
 
 def cmd_estimate(args) -> int:
+    from .diagnostics import label_model_score
+
+    _check_metric_options(args)
     data, table, model = _load_inputs(args)
     spec, g = _metric_g(args, data, model)
     lo, hi = estimate_bounds(data, model, g, args.epsilon)
@@ -206,6 +212,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import exact_bounds
+
+    _check_metric_options(args)
     data, table, model = _load_inputs(args)
     _, g = _metric_g(args, data, model)
     result = exact_bounds(data, model, g)
@@ -235,6 +244,8 @@ def _candidate(path: Path, metric: str) -> tuple[float, float, float]:
 
 
 def cmd_select(args) -> int:
+    from .diagnostics import SelectionStrategy, select_model
+
     files = sorted(Path(args.candidates).glob("*.json"))
     if not files:
         raise FormatError(f"no candidate result files in {args.candidates}")
@@ -254,6 +265,15 @@ def cmd_select(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from .diagnostics import (
+        conditional_entropy_y,
+        empirical_z_weights,
+        informativeness_bound,
+        label_model_score,
+        misspecification_report,
+    )
+
+    _check_metric_options(args)
     data, table, model = _load_inputs(args)
     _, g = _metric_g(args, data, model)
     weights = empirical_z_weights(data, model.num_signatures)
@@ -280,7 +300,9 @@ def cmd_diagnose(args) -> int:
     return EXIT_OK
 
 
-def _synth_spec(args) -> SynthSpec:
+def _synth_spec(args):
+    from .synth import SynthSpec
+
     return SynthSpec(
         n=args.n,
         num_labelers=args.num_labelers,
@@ -294,6 +316,8 @@ def _synth_spec(args) -> SynthSpec:
 
 
 def cmd_synth(args) -> int:
+    from .synth import generate_synthetic
+
     result = generate_synthetic(_synth_spec(args))
     write_dataset_csv(args.out, result.data, result.table)
     if args.model_out:
@@ -304,6 +328,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    from .synth import coverage_experiment
+
     report = coverage_experiment(_synth_spec(args), args.replications, args.gamma)
     _warn_unconverged(report.solves)
     payload = report._asdict()
@@ -314,17 +340,15 @@ def cmd_coverage(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, cost=True, epsilon=True, gamma=True):
+def _add_common(p, cost=True, epsilon=True, gamma=True,
+                metric_help="accuracy, risk, or joint-positive"):
     """The options of a command that bounds one dataset, less those it would ignore."""
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--label-model", required=True, help="label model JSON")
-    p.add_argument(
-        "--metric",
-        default="accuracy",
-        help="accuracy, risk, or joint-positive",
-    )
+    p.add_argument("--metric", default="accuracy", help=metric_help)
     if cost:
-        p.add_argument("--loss-table", default=None, help="JSON |Y|x|Y| loss matrix (risk)")
+        p.add_argument("--loss-table", default=None,
+                       help="JSON |Y|x|Y| loss matrix (read only with --metric risk)")
         p.add_argument("--threshold", type=_finite, default=None,
                        help="classify by score >= threshold, even if the data has a pred column")
     if epsilon:
@@ -354,11 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="smoothed bound estimates with CIs")
     _add_common(p)
-    p.add_argument("--prior-y1", type=_prior, default=None, help="known P(Y=1) override")
+    p.add_argument("--prior-y1", type=_prior, default=None,
+                   help="known P(Y=1) override (read only with --metric joint-positive)")
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("sweep", help="bounds across score thresholds (CSV out)")
-    _add_common(p, cost=False)
+    _add_common(p, cost=False, metric_help=(
+        "comma-separated list of accuracy, joint-positive, precision, recall and f1"
+    ))
     p.add_argument(
         "--thresholds", type=_thresholds, required=True, help="comma-separated thresholds"
     )
@@ -374,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategy",
         default="lower",
-        choices=[s.value for s in SelectionStrategy],
+        choices=("lower", "upper", "average", "label_model"),  # SelectionStrategy's values
     )
     p.add_argument("--metric", default="accuracy")
     p.add_argument("--out", default=None)

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundEstimate, estimate_bounds
+from .bounds import BoundEstimate, estimate_bounds_batch
 from .domain import DatasetView, GMatrix, LabelModel, cell_table
 from .errors import CoverageError
 
@@ -83,8 +83,9 @@ def misspecification_report(
         tv_distance(model_p.table[z], model_q.table[z])
         for z in range(model_p.num_signatures)
     )
-    lo_p, up_p = estimate_bounds(data, model_p, G, epsilon)
-    lo_q, up_q = estimate_bounds(data, model_q, G, epsilon)
+    (lo_p, up_p), (lo_q, up_q) = estimate_bounds_batch(
+        [(data, model_p, G), (data, model_q, G)], epsilon
+    )
     norm_p = max(lo_p.report.optimizer_sup_norm, up_p.report.optimizer_sup_norm)
     norm_q = max(lo_q.report.optimizer_sup_norm, up_q.report.optimizer_sup_norm)
     return MisspecReport(

@@ -11,13 +11,17 @@ import math
 import re
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .domain import DatasetView, LabelModel, SignatureTable, encode_signatures, group_rows
 from .errors import CoverageError, FormatError
-from .metrics import SweepTable
+
+if TYPE_CHECKING:  # an annotation only: importing metrics would load the solver
+    from .metrics import SweepTable
 
 SIG_DIGITS = 9
 # a label model file may name at most this many classes; the solver holds one
@@ -231,6 +235,49 @@ def _number(v) -> float:
     raise ValueError(f"{v!r} is not a number")
 
 
+def _plain_entries(entries, num_classes: int) -> dict | None:
+    """The rows of the common file, checked with no Python call per value: every
+    'z' a list of JSON integers and every 'p' a list of ``num_classes`` JSON
+    numbers, with no signature twice. None for anything else, which
+    ``_checked_entries`` then reads, or rejects with the error that names it."""
+    try:
+        zs = [e["z"] for e in entries]
+        ps = [e["p"] for e in entries]
+        if not (
+            set(map(type, zs)) <= {list}
+            and set(map(type, ps)) <= {list}
+            and set(map(type, chain.from_iterable(zs))) <= {int}
+            and set(map(type, chain.from_iterable(ps))) <= {int, float}
+            and set(map(len, ps)) <= {num_classes}
+        ):
+            return None
+        rows = np.array(ps, dtype=np.float64).reshape(len(ps), num_classes)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    by_sig = dict(zip(map(tuple, zs), rows))
+    return by_sig if len(by_sig) == len(entries) else None
+
+
+def _checked_entries(path, entries, num_classes: int) -> dict:
+    """The rows of any file, checked one value at a time: the first bad entry is
+    named by its index."""
+    by_sig: dict[tuple[int, ...], list[float]] = {}
+    for i, e in enumerate(entries):
+        try:
+            sig = tuple(_integer(v) for v in e["z"])
+            p = [_number(v) for v in e["p"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(
+                f"{path}: entry {i} needs an integer list 'z' and a numeric list 'p' ({exc!r})"
+            ) from None
+        if sig in by_sig:
+            raise FormatError(f"{path}: duplicate signature {sig}")
+        if len(p) != num_classes:
+            raise FormatError(f"{path}: row for {sig} has wrong length")
+        by_sig[sig] = p
+    return by_sig
+
+
 def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel:
     """Load a conditional table and align its rows to the dataset's signatures."""
     try:
@@ -250,20 +297,9 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
             f"{path}: num_classes must lie in [2, {MAX_CLASSES}], got {num_classes}"
         )
 
-    by_sig: dict[tuple[int, ...], list[float]] = {}
-    for i, e in enumerate(entries):
-        try:
-            sig = tuple(_integer(v) for v in e["z"])
-            p = [_number(v) for v in e["p"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(
-                f"{path}: entry {i} needs an integer list 'z' and a numeric list 'p' ({exc!r})"
-            ) from None
-        if sig in by_sig:
-            raise FormatError(f"{path}: duplicate signature {sig}")
-        if len(p) != num_classes:
-            raise FormatError(f"{path}: row for {sig} has wrong length")
-        by_sig[sig] = p
+    by_sig = _plain_entries(entries, num_classes)
+    if by_sig is None:
+        by_sig = _checked_entries(path, entries, num_classes)
 
     rows = np.empty((table.num_signatures, num_classes))
     for z, sig in enumerate(table.signatures):

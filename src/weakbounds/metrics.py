@@ -11,7 +11,7 @@ import numpy as np
 from .bounds import (
     BoundEstimate,
     ConfidenceInterval,
-    estimate_bounds,
+    estimate_bounds_batch,
     estimate_class_prior,
     normal_interval,
 )
@@ -233,14 +233,19 @@ def threshold_sweep(
     if p_y1 is None and wants_prf:
         p_y1 = estimate_class_prior(data, model, positive_class=1)
 
-    rows, solves = [], []
+    problems, p_h1s = [], []
     for t in thresholds:
         # through the constructor, which checks each column's length
         at_t = DatasetView(**{**vars(data), "predictions": (data.scores >= t).astype(np.int64)})
-        p_h1 = estimate_h1(at_t) if wants_prf else None
+        p_h1s.append(estimate_h1(at_t) if wants_prf else None)
         for metric in solved:
-            g = build_g(at_t, MetricSpec(MetricKind(metric)), space)
-            lo, hi = estimate_bounds(at_t, model, g, epsilon)
+            problems.append((at_t, model, build_g(at_t, MetricSpec(MetricKind(metric)), space)))
+    # every threshold, metric and side in one solve
+    pairs = iter(estimate_bounds_batch(problems, epsilon))
+    rows, solves = [], []
+    for t, p_h1 in zip(thresholds, p_h1s):
+        for metric in solved:
+            lo, hi = next(pairs)
             solves += [(f"{metric} at threshold {t:g}", est) for est in (lo, hi)]
             rows += bound_rows(lo, hi, metric, metric_kinds, gamma, p_h1, p_y1, t)
     return SweepTable(rows=tuple(rows), solves=tuple(solves))

@@ -7,8 +7,8 @@ the label-model expectation of ``a[., z_c]``, and weights the result by the
 cell's mass. Everything here is a pure function of immutable inputs.
 
 The objective is invariant to adding a constant to any column of ``a``, and
-its columns interact only through the sample mean, so its Hessian is block
-diagonal: one |Y|-by-|Y| block per signature.
+it is a sum of one share per signature, each a function of its own column, so
+its Hessian is block diagonal: one |Y|-by-|Y| block per signature.
 
 An evaluation holds the shifted costs class-major, as a |Y|-by-cells array, and
 makes one soft-max pass over it. ``minimized_value`` can hand that pass's
@@ -135,13 +135,18 @@ def hessian(cells, a, epsilon, side, weights=None) -> np.ndarray:
     return blocks.transpose(2, 0, 1) / epsilon
 
 
-def minimized_value(cells, a, epsilon, side, weights_out=None) -> float:
-    """The scalar the solver minimizes: the objective, negated on the LOWER side.
+def minimized_value(cells, a, epsilon, side, weights_out=None) -> np.ndarray:
+    """What the solver minimizes: each signature's share of the objective, negated
+    on the LOWER side.
 
-    The lower bound is a supremum, so its solve minimizes the negation; both
-    sides are then convex. gradient() and hessian() are its exact derivatives.
-    A ``weights_out`` array receives the soft-max weights of this evaluation,
-    for the gradient and Hessian at the same ``a`` to reuse.
+    The share of signature z is the mass-weighted sum of its cells' values, so
+    the shares add up to the objective and each depends on column z of ``a``
+    alone. The lower bound is a supremum, so its solve minimizes the negation;
+    both sides are then convex. gradient() and hessian() are the exact
+    derivatives of the shares' sum. A ``weights_out`` array receives the
+    soft-max weights of this evaluation, for the gradient and Hessian at the
+    same ``a`` to reuse.
     """
-    v = float(cells.mass @ per_cell_objective(cells, a, epsilon, side, weights_out))
-    return v if side is Side.UPPER else -v
+    values = cells.mass * per_cell_objective(cells, a, epsilon, side, weights_out)
+    shares = np.bincount(cells.z, weights=values, minlength=a.shape[1])
+    return shares if side is Side.UPPER else -shares

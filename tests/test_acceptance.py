@@ -80,8 +80,8 @@ def test_criterion_02_gradient_matches_finite_differences():
             ap[idx] += h
             am[idx] -= h
             fd[idx] = (
-                minimized_value(cells, ap, epsilon, side)
-                - minimized_value(cells, am, epsilon, side)
+                minimized_value(cells, ap, epsilon, side).sum()
+                - minimized_value(cells, am, epsilon, side).sum()
             ) / (2 * h)
         err = float(np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()))
         worst = max(worst, err)

@@ -21,6 +21,7 @@ from weakbounds import (
     count_label_model,
     default_epsilon,
     estimate_bounds,
+    estimate_bounds_batch,
     estimate_class_prior,
     eval_objective,
     exact_bounds,
@@ -28,6 +29,7 @@ from weakbounds import (
     plugin_std,
     threshold_sweep,
 )
+from weakbounds import bounds, solver
 from conftest import g_values, per_sample_g, random_instance, soft_extreme, two_point_instance
 
 TIGHT = 1e-3 / math.log(2)
@@ -318,3 +320,87 @@ class TestCellTable:
             merged, split = exact_bounds(data, model, g), exact_bounds(data, model, per_sample)
             assert merged.lower == pytest.approx(split.lower, abs=1e-12)
             assert merged.upper == pytest.approx(split.upper, abs=1e-12)
+
+
+def _same_estimate(a, b):
+    return (
+        a.side is b.side
+        and a.value == b.value
+        and np.array_equal(a.optimizer, b.optimizer)
+        and a.plugin_std == b.plugin_std
+        and a.report == b.report
+        and (a.n, a.epsilon) == (b.n, b.epsilon)
+    )
+
+
+class TestStackedSolve:
+    """Problems solved side by side get the bits each gets alone."""
+
+    def test_stacked_sides_equal_each_side_alone(self, rng):
+        epsilon = default_epsilon(3)
+        problems = []
+        for _ in range(6):
+            data, model, G = random_instance(rng, num_classes=3)
+            side = Side.LOWER if rng.random() < 0.5 else Side.UPPER
+            max_step = 2.0 * G.sup_norm + epsilon
+            problems.append((cell_table(data, model, G), side, max_step))
+        stacked = bounds.solve_sides(problems, epsilon)
+        assert len({est.report.iterations for est in stacked}) > 1  # unlike solves
+        for problem, est in zip(problems, stacked):
+            (alone,) = bounds.solve_sides([problem], epsilon)
+            assert _same_estimate(est, alone)
+
+    def test_batch_equals_each_estimate_alone(self, rng):
+        problems = [random_instance(rng, num_sig_max=8) for _ in range(5)]
+        for epsilon in (None, TIGHT):
+            batch = estimate_bounds_batch(problems, epsilon)
+            for problem, (lo, hi) in zip(problems, batch):
+                alone = estimate_bounds(*problem, epsilon)
+                assert _same_estimate(lo, alone[0]) and _same_estimate(hi, alone[1])
+
+    def test_sweep_equals_estimates_at_each_threshold(self):
+        result = generate_synthetic(SynthSpec(n=400, seed=3))
+        data, model = result.data, result.model
+        thresholds = [0.3, 0.5, 0.7]
+        sweep = threshold_sweep(data, model, thresholds, ["accuracy", "f1"])
+        estimates = iter(est for _, est in sweep.solves)
+        space = LabelSpace(num_classes=2)
+        for t in thresholds:
+            for kind in (MetricKind.ACCURACY, MetricKind.JOINT_POSITIVE):
+                g = build_g(data, MetricSpec(kind, threshold=t), space)
+                for alone in estimate_bounds(data, model, g):
+                    assert _same_estimate(next(estimates), alone)
+
+    def test_each_side_reports_its_own_signatures(self, monkeypatch):
+        # lower and upper need different numbers of iterations; a budget between
+        # them leaves one side unconverged and the other converged
+        data, model, G = random_instance(np.random.default_rng(97), num_classes=3)
+        lo, hi = estimate_bounds(data, model, G, TIGHT)
+        assert lo.report.converged and hi.report.converged
+        assert lo.report.iterations != hi.report.iterations
+        fast, slow = sorted((lo, hi), key=lambda est: est.report.iterations)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", fast.report.iterations)
+        capped = {est.side: est for est in estimate_bounds(data, model, G, TIGHT)}
+        assert _same_estimate(capped[fast.side], fast)
+        assert not capped[slow.side].report.converged
+        assert capped[slow.side].report.iterations == fast.report.iterations
+        assert capped[slow.side].report.final_gradient_norm > solver.GRADIENT_TOLERANCE
+
+
+class TestNormalQuantile:
+    def test_matches_statistics_bit_for_bit(self):
+        # the one place the package's tests import statistics
+        from statistics import NormalDist
+
+        rng = np.random.default_rng(241)
+        ps = np.concatenate([rng.random(20000), 10.0 ** -rng.uniform(0, 300, 2000),
+                             1.0 - 10.0 ** -rng.uniform(0, 16, 2000)])
+        levels = [1.0 - gamma / 2.0 for gamma in (0.05, 0.32, 1e-10)]
+        inv_cdf = NormalDist().inv_cdf
+        for p in [*levels, 0.5, 0.075, 0.925, *map(float, ps[(ps > 0) & (ps < 1)])]:
+            assert bounds.normal_quantile(p) == inv_cdf(p), p
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, float("nan")])
+    def test_rejects_p_outside_open_unit_interval(self, p):
+        with pytest.raises(ValueError):
+            bounds.normal_quantile(p)

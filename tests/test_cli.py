@@ -151,29 +151,47 @@ class TestExitCodes:
         assert "must" in capsys.readouterr().err
         assert not out.exists()
 
+    UNKNOWN = "unrecognized arguments"
+    UNREAD = "is read only with --metric"
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ("estimate", "--n", "40"),
-            ("sweep", "--thresholds", "0.5", "--threshold", "0.9"),
-            ("sweep", "--thresholds", "0.5", "--loss-table", "x.json"),
-            ("oracle", "--gamma", "0.1"),
-            ("oracle", "--epsilon", "0.01"),
-            ("diagnose", "--gamma", "0.1"),
-            ("diagnose", "--n", "40"),
+            (("estimate", "--n", "40"), UNKNOWN),
+            (("sweep", "--thresholds", "0.5", "--threshold", "0.9"), UNKNOWN),
+            (("sweep", "--thresholds", "0.5", "--loss-table", "x.json"), UNKNOWN),
+            (("oracle", "--gamma", "0.1"), UNKNOWN),
+            (("oracle", "--epsilon", "0.01"), UNKNOWN),
+            (("diagnose", "--gamma", "0.1"), UNKNOWN),
+            (("diagnose", "--n", "40"), UNKNOWN),
+            # a valid loss table or prior beside a metric that does not read it
+            (("estimate", "--loss-table", "LOSS"), UNREAD),
+            (("estimate", "--metric", "joint-positive", "--loss-table", "LOSS"), UNREAD),
+            (("estimate", "--prior-y1", "0.3"), UNREAD),
+            (("estimate", "--metric", "risk", "--loss-table", "LOSS", "--prior-y1", "0.3"),
+             UNREAD),
+            (("oracle", "--loss-table", "LOSS"), UNREAD),
+            (("diagnose", "--loss-table", "LOSS"), UNREAD),
         ],
         ids=["estimate-n", "sweep-threshold", "sweep-loss-table", "oracle-gamma",
-             "oracle-epsilon", "diagnose-gamma", "diagnose-n"],
+             "oracle-epsilon", "diagnose-gamma", "diagnose-n", "estimate-loss-table",
+             "estimate-joint-loss-table", "estimate-prior-y1", "estimate-risk-prior-y1",
+             "oracle-loss-table", "diagnose-loss-table"],
     )
     def test_option_the_command_does_not_read_is_usage_error(
-        self, tmp_path, synth_files, capsys, argv
+        self, tmp_path, synth_files, capsys, argv, message
     ):
         # each was accepted and ignored; sweep's --threshold replaced --thresholds
         data, model = synth_files
+        loss = tmp_path / "loss.json"
+        loss.write_text("[[0, 5], [5, 0]]")
+        argv = [str(loss) if a == "LOSS" else a for a in argv]
         out = tmp_path / "o"
         rc = run(*argv, "--data", str(data), "--label-model", str(model), "--out", str(out))
         assert rc == 1
-        assert "unrecognized arguments" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -189,9 +207,9 @@ class TestExitCodes:
         self, tmp_path, synth_files, capsys, monkeypatch, argv
     ):
         solves = []
-        solve_side = bounds._solve_side
+        solve_sides = bounds.solve_sides
         monkeypatch.setattr(
-            bounds, "_solve_side", lambda *args: solves.append(args) or solve_side(*args)
+            bounds, "solve_sides", lambda *args: solves.append(args) or solve_sides(*args)
         )
         data, model = synth_files
         inputs = [] if argv[0] == "coverage" else ["--data", str(data), "--label-model", str(model)]
@@ -365,16 +383,18 @@ class TestEstimateMatchesSweep:
         with scores.open("w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([[r[i] for i in keep] for r in rows])
         common = ["--data", str(scores), "--label-model", str(model), "--gamma", gamma]
-        common += ["--prior-y1", prior] if prior else []
+        # estimate reads --prior-y1 only with joint-positive, and rejects it otherwise
+        prior_y1 = ["--prior-y1", prior] if prior else []
 
         out = tmp_path / "s.csv"
-        assert run("sweep", *common, "--thresholds", "0.6", "--out", str(out),
+        assert run("sweep", *common, *prior_y1, "--thresholds", "0.6", "--out", str(out),
                    "--metric", "accuracy,joint_positive,precision,recall,f1") == 0
         swept = {r["metric"]: r for r in csv.DictReader(out.open())}
         estimated = {}
         for metric in ("accuracy", "joint-positive"):
             res = tmp_path / f"{metric}.json"
-            assert run("estimate", *common, "--metric", metric, "--threshold", "0.6",
+            extra = prior_y1 if metric == "joint-positive" else []
+            assert run("estimate", *common, *extra, "--metric", metric, "--threshold", "0.6",
                        "--out", str(res)) == 0
             estimated.update(json.loads(res.read_text())["metrics"])
 
@@ -606,3 +626,23 @@ def test_each_command_has_exactly_its_options():
     }
     assert found == expected
     assert sum(len(found[c]) for c in ("estimate", "sweep", "oracle", "diagnose")) == 35
+
+
+def _subcommand(name):
+    (subcommands,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    return subcommands.choices[name]
+
+
+def test_select_strategies_are_the_selection_strategies():
+    # a literal tuple in the parser, so that building it loads no diagnostics
+    from weakbounds.diagnostics import SelectionStrategy
+
+    (strategy,) = [a for a in _subcommand("select")._actions if a.dest == "strategy"]
+    assert tuple(strategy.choices) == tuple(s.value for s in SelectionStrategy)
+
+
+def test_sweep_help_names_its_own_metric_kinds():
+    (metric,) = [a for a in _subcommand("sweep")._actions if a.dest == "metric"]
+    assert "risk" not in metric.help
+    for kind in ("comma-separated", "accuracy", "joint-positive", "precision", "recall", "f1"):
+        assert kind in metric.help

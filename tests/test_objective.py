@@ -144,8 +144,9 @@ class TestPenalized:
             t = rng.uniform(0.05, 0.95)
             epsilon = default_epsilon(2)
             for side in Side:
+                # each signature's share is convex in its own column
                 f = lambda a: minimized_value(cells, a, epsilon, side)
-                assert f(t * a1 + (1 - t) * a2) <= t * f(a1) + (1 - t) * f(a2) + 1e-10
+                assert np.all(f(t * a1 + (1 - t) * a2) <= t * f(a1) + (1 - t) * f(a2) + 1e-10)
 
 
 class TestGradient:
@@ -184,8 +185,8 @@ class TestGradient:
                     ap[idx] += h
                     am[idx] -= h
                     fd[idx] = (
-                        minimized_value(cells, ap, epsilon, side)
-                        - minimized_value(cells, am, epsilon, side)
+                        minimized_value(cells, ap, epsilon, side).sum()
+                        - minimized_value(cells, am, epsilon, side).sum()
                     ) / (2 * h)
                 scale = max(1.0, float(np.abs(fd).max()))
                 assert np.abs(analytic - fd).max() / scale <= 1e-5
@@ -238,22 +239,43 @@ class TestHessian:
         assert blocks[0, 0, 0] > 0.0
 
 
+def _shares(cells, a, epsilon, side):
+    """Each signature's mass-weighted sum of its cells' values, one cell at a time."""
+    values = cells.mass * per_cell_objective(cells, a, epsilon, side)
+    shares = np.zeros(a.shape[1])
+    for z, v in zip(cells.z, values):
+        shares[z] += v
+    return shares
+
+
 class TestMinimizedValue:
+    """The solver minimizes one share of the objective per signature."""
+
     def test_upper_equals_objective(self, rng):
         cells = cell_table(*random_instance(rng))
         a = rng.normal(size=(2, cells.z_mass.size))
         epsilon = default_epsilon(2)
-        assert minimized_value(cells, a, epsilon, Side.UPPER) == eval_objective(
-            cells, a, epsilon, Side.UPPER
-        )
+        shares = minimized_value(cells, a, epsilon, Side.UPPER)
+        assert np.array_equal(shares, _shares(cells, a, epsilon, Side.UPPER))
+        assert shares.sum() == pytest.approx(eval_objective(cells, a, epsilon, Side.UPPER), abs=1e-15)
 
     def test_lower_is_negated_objective(self, rng):
         cells = cell_table(*random_instance(rng))
         a = rng.normal(size=(2, cells.z_mass.size))
         epsilon = default_epsilon(2)
-        assert minimized_value(cells, a, epsilon, Side.LOWER) == -eval_objective(
-            cells, a, epsilon, Side.LOWER
-        )
+        shares = minimized_value(cells, a, epsilon, Side.LOWER)
+        assert np.array_equal(shares, -_shares(cells, a, epsilon, Side.LOWER))
+        assert shares.sum() == pytest.approx(-eval_objective(cells, a, epsilon, Side.LOWER), abs=1e-15)
+
+    def test_share_depends_on_its_own_column_only(self, rng):
+        cells = cell_table(*random_instance(rng, num_classes=3))
+        a = rng.normal(size=(3, cells.z_mass.size))
+        moved = a.copy()
+        moved[:, 1:] += rng.normal(size=(3, cells.z_mass.size - 1))
+        for side in Side:
+            before = minimized_value(cells, a, default_epsilon(3), side)
+            after = minimized_value(cells, moved, default_epsilon(3), side)
+            assert before[0] == after[0]
 
 
 def _row_major_reference(cells, a, eps, side):

@@ -15,8 +15,8 @@ from conftest import random_instance, two_point_instance
 
 
 def quadratic(center):
-    """sum (a - center)^2: Hessian 2*I in every column block."""
-    value = lambda a: float(((a - center) ** 2).sum())
+    """sum (a - center)^2 per column: Hessian 2*I in every column block."""
+    value = lambda a: ((a - center) ** 2).sum(axis=0)
     grad = lambda a: 2.0 * (a - center)
     hess = lambda a: np.broadcast_to(2.0 * np.eye(a.shape[0]), (a.shape[1], a.shape[0], a.shape[0]))
     return value, grad, hess
@@ -44,6 +44,19 @@ class TestMinimize:
         assert report.converged
         assert report.iterations == 6  # 3 / 0.5 capped steps
 
+    def test_column_without_acceptable_step_keeps_its_iterate(self, monkeypatch):
+        # any move of column 1 raises its value, so no step length is accepted
+        # there (with no rounding floor to accept a vanishing one); column 0
+        # still converges, in its one exact Newton step
+        monkeypatch.setattr(solver, "ROUNDING_FLOOR", 0.0)
+        value, grad, hess = quadratic(3.0)
+        jump = lambda a: value(a) + np.array([0.0, 100.0 * np.any(a[:, 1] != 0.0)])
+        a, report = minimize(jump, grad, hess, np.zeros((2, 2)))
+        assert np.array_equal(a[:, 0], [3.0, 3.0]) and np.array_equal(a[:, 1], [0.0, 0.0])
+        assert report.column_iterations.tolist() == [1, 0]
+        assert report.of([0]).converged and not report.of([1]).converged
+        assert not report.converged and report.iterations == 1
+
     def test_zero_budget_returns_start(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
         value, grad, hess = quadratic(3.0)
@@ -55,19 +68,18 @@ class TestMinimize:
 
     def test_monotone_decrease(self, rng, monkeypatch):
         data, model, G = random_instance(rng)
-        values = {side: [] for side in Side}
+        values = []  # the shares of both sides' signatures, solved side by side
         original = bounds.minimized_value
 
         def tracked(cells, a, epsilon, side, **kwargs):
-            values[side].append(original(cells, a, epsilon, side, **kwargs))
-            return values[side][-1]
+            values.append(original(cells, a, epsilon, side, **kwargs))
+            return values[-1]
 
         monkeypatch.setattr(bounds, "minimized_value", tracked)
         lo, hi = estimate_bounds(data, model, G)
         assert lo.report.converged and hi.report.converged
-        # trial evaluations may rise, but the accepted final iterate does not
-        for side in Side:
-            assert values[side][-1] <= values[side][0] + 1e-12
+        # trial evaluations may rise, but no signature's accepted final share does
+        assert np.all(values[-1] <= values[0] + 1e-12)
 
     def test_bit_determinism(self, rng):
         data, model, G = random_instance(rng, num_classes=3)
@@ -125,10 +137,11 @@ class TestDualSolves:
 
     def test_rounding_floor_lets_a_stalled_solve_converge(self, monkeypatch):
         # near this lower solve's optimum a full Newton step predicts a decrease
-        # below the rounding of f, so the Armijo test cannot see it; the floor
-        # accepts the step because it shrinks the gradient. Without the floor
-        # the solve stalls above the tolerance until its budget runs out.
-        data, model, G = random_instance(np.random.default_rng(34), num_classes=3)
+        # below the rounding of a signature's share f_z, so the Armijo test
+        # cannot see it; the floor accepts the step because it shrinks that
+        # signature's gradient. Without the floor the solve stalls above the
+        # tolerance until its budget runs out.
+        data, model, G = random_instance(np.random.default_rng(97), num_classes=3)
         epsilon = 1e-3 / math.log(3)
         lo, _ = estimate_bounds(data, model, G, epsilon)
         assert lo.report.converged and lo.report.iterations < 50

@@ -1,4 +1,5 @@
-"""Start-up import diet: no command loads scipy, and no module imports it or
+"""Start-up import diet: each command loads only the weakbounds modules it runs,
+no command loads scipy, and no module imports scipy, statistics or
 dataclasses, whose generated methods are compiled again in every process.
 
 The command tests run a fresh interpreter, since the test process itself has
@@ -81,6 +82,34 @@ def test_multiclass_oracle_loads_no_scipy(tmp_path):
     assert abs(result["upper"] - 1.0) < 1e-9
 
 
+# every command's process loads these, with the package and the cli
+BASE = {f"weakbounds.{m}" for m in
+        ("cli", "bounds", "domain", "errors", "fileio", "metrics", "objective", "solver")}
+
+
+def test_import_cli_loads_only_what_every_command_runs(tmp_path):
+    assert set(modules_after([], tmp_path, "weakbounds")) == BASE | {"weakbounds"}
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    common = ["--data", "d.csv", "--label-model", "m.json"]
+    synth = ["synth", "--n", "120", "--seed", "2", "--out", "d.csv", "--model-out", "m.json"]
+    commands = {
+        "synth": (synth, {"synth"}),
+        "estimate": (["estimate", *common, "--out", "c/acc.json"], {"diagnostics"}),
+        "sweep": (["sweep", *common, "--thresholds", "0.4,0.6", "--metric", "accuracy,f1"],
+                  set()),
+        "oracle": (["oracle", *common], {"oracle"}),
+        "diagnose": (["diagnose", *common], {"diagnostics"}),
+        "select": (["select", "--candidates", "c"], {"diagnostics"}),
+        "coverage": (["coverage", "--n", "100", "--replications", "100"], {"synth"}),
+    }
+    (tmp_path / "c").mkdir()
+    for name, (argv, own) in commands.items():
+        loaded = set(modules_after([argv], tmp_path, "weakbounds"))
+        assert loaded == BASE | {"weakbounds"} | {f"weakbounds.{m}" for m in own}, name
+
+
 def import_sites(package):
     """file:line of every import of ``package`` in the weakbounds sources."""
     found = []
@@ -105,3 +134,9 @@ def test_no_module_imports_dataclasses():
     # the records are NamedTuples; a dataclass would compile its methods with
     # exec at every start-up, since generated code is never cached in a .pyc
     assert import_sites("dataclasses") == []
+
+
+def test_no_module_imports_statistics():
+    # statistics loads fractions and decimal in every process; the CI quantile
+    # is bounds.normal_quantile
+    assert import_sites("statistics") == []
