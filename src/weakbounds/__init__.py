@@ -19,7 +19,6 @@ _EXPORTS = {
         "ci_half_width",
         "confidence_interval",
         "estimate_bounds",
-        "estimate_bounds_batch",
         "estimate_class_prior",
         "plugin_std",
     ),

@@ -99,8 +99,10 @@ def solve_sides(problems, epsilon: float) -> list[BoundEstimate]:
     own step length and stopping test, so every estimate equals the one its
     problem gets when solved alone, bit for bit: value, optimizer, plug-in std
     and report. A report's iterations and gradient norm are those of its own
-    signatures.
+    signatures. Every problem must have the same number of classes.
     """
+    if not problems:
+        return []
     widths = [len(cells.label_model) for cells, _, _ in problems]
     starts = np.cumsum([0] + widths)
     stacked = _stack(problems, starts)
@@ -150,29 +152,22 @@ def solve_sides(problems, epsilon: float) -> list[BoundEstimate]:
     return estimates
 
 
-def estimate_bounds_batch(
-    problems, epsilon: float | None = None
-) -> list[tuple[BoundEstimate, BoundEstimate]]:
-    """``estimate_bounds`` of each ``(data, model, G)``, with every side solved in one Newton solve.
+def resolve_epsilon(num_classes: int, epsilon: float | None) -> float:
+    """The temperature to solve at: the default for ``num_classes``, or ``epsilon`` checked."""
+    return default_epsilon(num_classes) if epsilon is None else check_epsilon(epsilon)
 
-    Every problem's labels must have the same number of classes, since they
-    share one temperature. Each pair equals what ``estimate_bounds`` returns
-    for its problem alone, bit for bit.
+
+def bound_sides(data: DatasetView, model: LabelModel, G: GMatrix, epsilon: float) -> list:
+    """Both one-sided problems ``(cells, side, max_step)`` of ``G``, for ``solve_sides``.
+
+    They hold the cell table only, so a caller stacking many of them keeps no
+    per-sample array alive.
     """
-    num_classes = {model.num_classes for _, model, _ in problems}
-    if len(num_classes) != 1:
-        raise ValueError("a batch needs problems with one number of classes")
-    (k,) = num_classes
-    epsilon = default_epsilon(k) if epsilon is None else check_epsilon(epsilon)
-    sides = []
-    for data, model, G in problems:
-        cells = cell_table(data, model, G)
-        # a larger step overshoots when the weights saturate at small eps; the
-        # eps term keeps a G of all zeros from freezing the iterate
-        max_step = 2.0 * G.sup_norm + epsilon
-        sides += [(cells, Side.LOWER, max_step), (cells, Side.UPPER, max_step)]
-    estimates = solve_sides(sides, epsilon)
-    return list(zip(estimates[0::2], estimates[1::2]))
+    cells = cell_table(data, model, G)
+    # a larger step overshoots when the weights saturate at small eps; the eps
+    # term keeps a G of all zeros from freezing the iterate
+    max_step = 2.0 * G.sup_norm + epsilon
+    return [(cells, Side.LOWER, max_step), (cells, Side.UPPER, max_step)]
 
 
 def estimate_bounds(
@@ -182,7 +177,9 @@ def estimate_bounds(
     epsilon: float | None = None,
 ) -> tuple[BoundEstimate, BoundEstimate]:
     """Both one-sided smoothed dual bounds, solved from a zero start at temperature ``epsilon``."""
-    return estimate_bounds_batch([(data, model, G)], epsilon)[0]
+    epsilon = resolve_epsilon(model.num_classes, epsilon)
+    lower, upper = solve_sides(bound_sides(data, model, G, epsilon), epsilon)
+    return lower, upper
 
 
 def check_gamma(gamma: float) -> float:

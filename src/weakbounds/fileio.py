@@ -11,7 +11,6 @@ import math
 import re
 import sys
 import warnings
-from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -235,49 +234,6 @@ def _number(v) -> float:
     raise ValueError(f"{v!r} is not a number")
 
 
-def _plain_entries(entries, num_classes: int) -> dict | None:
-    """The rows of the common file, checked with no Python call per value: every
-    'z' a list of JSON integers and every 'p' a list of ``num_classes`` JSON
-    numbers, with no signature twice. None for anything else, which
-    ``_checked_entries`` then reads, or rejects with the error that names it."""
-    try:
-        zs = [e["z"] for e in entries]
-        ps = [e["p"] for e in entries]
-        if not (
-            set(map(type, zs)) <= {list}
-            and set(map(type, ps)) <= {list}
-            and set(map(type, chain.from_iterable(zs))) <= {int}
-            and set(map(type, chain.from_iterable(ps))) <= {int, float}
-            and set(map(len, ps)) <= {num_classes}
-        ):
-            return None
-        rows = np.array(ps, dtype=np.float64).reshape(len(ps), num_classes)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-    by_sig = dict(zip(map(tuple, zs), rows))
-    return by_sig if len(by_sig) == len(entries) else None
-
-
-def _checked_entries(path, entries, num_classes: int) -> dict:
-    """The rows of any file, checked one value at a time: the first bad entry is
-    named by its index."""
-    by_sig: dict[tuple[int, ...], list[float]] = {}
-    for i, e in enumerate(entries):
-        try:
-            sig = tuple(_integer(v) for v in e["z"])
-            p = [_number(v) for v in e["p"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(
-                f"{path}: entry {i} needs an integer list 'z' and a numeric list 'p' ({exc!r})"
-            ) from None
-        if sig in by_sig:
-            raise FormatError(f"{path}: duplicate signature {sig}")
-        if len(p) != num_classes:
-            raise FormatError(f"{path}: row for {sig} has wrong length")
-        by_sig[sig] = p
-    return by_sig
-
-
 def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel:
     """Load a conditional table and align its rows to the dataset's signatures."""
     try:
@@ -297,9 +253,27 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
             f"{path}: num_classes must lie in [2, {MAX_CLASSES}], got {num_classes}"
         )
 
-    by_sig = _plain_entries(entries, num_classes)
-    if by_sig is None:
-        by_sig = _checked_entries(path, entries, num_classes)
+    by_sig: dict[tuple[int, ...], list[float]] = {}
+    for i, e in enumerate(entries):
+        try:
+            # a list of JSON integers (numbers) is taken as it is; anything else
+            # goes value by value, to convert integral floats or name the bad value
+            z = e["z"]
+            if type(z) is not list or not set(map(type, z)) <= {int}:
+                z = [_integer(v) for v in z]
+            sig = tuple(z)
+            p = e["p"]
+            if type(p) is not list or not set(map(type, p)) <= {int, float}:
+                p = [_number(v) for v in p]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(
+                f"{path}: entry {i} needs an integer list 'z' and a numeric list 'p' ({exc!r})"
+            ) from None
+        if sig in by_sig:
+            raise FormatError(f"{path}: duplicate signature {sig}")
+        if len(p) != num_classes:
+            raise FormatError(f"{path}: row for {sig} has wrong length")
+        by_sig[sig] = p
 
     rows = np.empty((table.num_signatures, num_classes))
     for z, sig in enumerate(table.signatures):

@@ -11,9 +11,11 @@ import numpy as np
 from .bounds import (
     BoundEstimate,
     ConfidenceInterval,
-    estimate_bounds_batch,
+    bound_sides,
     estimate_class_prior,
     normal_interval,
+    resolve_epsilon,
+    solve_sides,
 )
 from .domain import DatasetView, GMatrix, LabelModel, LabelSpace, read_only
 from .errors import FormatError
@@ -233,19 +235,21 @@ def threshold_sweep(
     if p_y1 is None and wants_prf:
         p_y1 = estimate_class_prior(data, model, positive_class=1)
 
+    epsilon = resolve_epsilon(model.num_classes, epsilon)
     problems, p_h1s = [], []
     for t in thresholds:
         # through the constructor, which checks each column's length
         at_t = DatasetView(**{**vars(data), "predictions": (data.scores >= t).astype(np.int64)})
         p_h1s.append(estimate_h1(at_t) if wants_prf else None)
         for metric in solved:
-            problems.append((at_t, model, build_g(at_t, MetricSpec(MetricKind(metric)), space)))
-    # every threshold, metric and side in one solve
-    pairs = iter(estimate_bounds_batch(problems, epsilon))
+            g = build_g(at_t, MetricSpec(MetricKind(metric)), space)
+            problems += bound_sides(at_t, model, g, epsilon)
+    # every threshold, metric and side in one solve, in the order of ``problems``
+    estimates = iter(solve_sides(problems, epsilon))
     rows, solves = [], []
     for t, p_h1 in zip(thresholds, p_h1s):
         for metric in solved:
-            lo, hi = next(pairs)
+            lo, hi = next(estimates), next(estimates)
             solves += [(f"{metric} at threshold {t:g}", est) for est in (lo, hi)]
             rows += bound_rows(lo, hi, metric, metric_kinds, gamma, p_h1, p_y1, t)
     return SweepTable(rows=tuple(rows), solves=tuple(solves))

@@ -21,7 +21,6 @@ from weakbounds import (
     count_label_model,
     default_epsilon,
     estimate_bounds,
-    estimate_bounds_batch,
     estimate_class_prior,
     eval_objective,
     exact_bounds,
@@ -350,13 +349,23 @@ class TestStackedSolve:
             (alone,) = bounds.solve_sides([problem], epsilon)
             assert _same_estimate(est, alone)
 
-    def test_batch_equals_each_estimate_alone(self, rng):
+    def test_stacked_problems_equal_each_estimate_alone(self, rng):
         problems = [random_instance(rng, num_sig_max=8) for _ in range(5)]
-        for epsilon in (None, TIGHT):
-            batch = estimate_bounds_batch(problems, epsilon)
-            for problem, (lo, hi) in zip(problems, batch):
-                alone = estimate_bounds(*problem, epsilon)
-                assert _same_estimate(lo, alone[0]) and _same_estimate(hi, alone[1])
+        for epsilon in (default_epsilon(2), TIGHT):
+            sides = [side for problem in problems for side in bounds.bound_sides(*problem, epsilon)]
+            stacked = iter(bounds.solve_sides(sides, epsilon))
+            for problem in problems:
+                for alone in estimate_bounds(*problem, epsilon):
+                    assert _same_estimate(next(stacked), alone)
+
+    def test_no_problems_no_estimates(self):
+        assert bounds.solve_sides([], default_epsilon(2)) == []
+
+    def test_sweep_without_metrics_is_empty(self):
+        # nothing to solve: an empty table, as before any solve was stacked
+        result = generate_synthetic(SynthSpec(n=50, seed=3))
+        sweep = threshold_sweep(result.data, result.model, [0.5], [])
+        assert sweep.rows == () and sweep.solves == ()
 
     def test_sweep_equals_estimates_at_each_threshold(self):
         result = generate_synthetic(SynthSpec(n=400, seed=3))

@@ -16,6 +16,7 @@ from weakbounds import (
     conditional_entropy_y,
     default_epsilon,
     empirical_z_weights,
+    estimate_bounds,
     exact_bounds,
     generate_synthetic,
     informativeness_bound,
@@ -104,6 +105,17 @@ class TestMisspecification:
             )
             assert rep.delta == pytest.approx(expect_delta)
             assert rep.within_certificate
+
+    def test_both_models_solve_as_if_alone(self, rng):
+        # the two models' four sides are one stacked solve
+        data, model_p, G = random_instance(rng, num_sig_max=8)
+        model_q = LabelModel(table=0.8 * model_p.table + 0.1)
+        rep = misspecification_report(data, model_p, model_q, G)
+        alone = [*estimate_bounds(data, model_p, G), *estimate_bounds(data, model_q, G)]
+        for (_, est), single in zip(rep.solves, alone, strict=True):
+            assert est.value == single.value and est.plugin_std == single.plugin_std
+            assert np.array_equal(est.optimizer, single.optimizer)
+            assert est.report == single.report
 
     def test_one_hot_vs_uniform_two_point(self):
         data, _, G = two_point_instance(0.5)

@@ -217,25 +217,20 @@ class TestLabelModelJson:
         # rows stay on the simplex after the round-trip
         assert model2.table.sum(axis=1) == pytest.approx(np.ones(3))
 
-    def test_plain_and_value_by_value_reads_agree(self, tmp_path, monkeypatch):
-        # the value-by-value reader takes any file the plain-file check declines,
-        # here one whose 'z' holds 2.0 for 2; both give the same table
-        from weakbounds import fileio
-
+    def test_integral_floats_and_integer_probabilities_read_as_numbers(self, tmp_path):
+        # an entry that is not all JSON integers in 'z' and JSON numbers in 'p'
+        # goes value by value; 2.0 reads as the signature value 2, and 1 as 1.0
         _, table = sample_dataset()
         entries = [{"z": list(sig), "p": [0.125 * (z + 1), 1 - 0.125 * (z + 1)]}
                    for z, sig in enumerate(table.signatures)]
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"num_classes": 2, "entries": entries}))
-        plain = read_label_model_json(path, table)
+        plain = read_label_model_json(path, table).table
         entries[0]["z"] = [float(v) for v in entries[0]["z"]]
+        entries[1]["p"] = [1, 0]
         path.write_text(json.dumps({"num_classes": 2, "entries": entries}))
-        checked = []
-        value_by_value = fileio._checked_entries
-        monkeypatch.setattr(fileio, "_checked_entries",
-                            lambda *args: checked.append(1) or value_by_value(*args))
-        assert np.array_equal(read_label_model_json(path, table).table, plain.table)
-        assert checked == [1]
+        assert np.array_equal(read_label_model_json(path, table).table,
+                              np.vstack([plain[0], [1.0, 0.0], plain[2:]]))
 
     def test_missing_signature_errors_by_default(self, tmp_path):
         _, table = sample_dataset()
