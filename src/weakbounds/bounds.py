@@ -71,20 +71,20 @@ def _newton_ridge(cells, epsilon) -> np.ndarray:
     return ridge
 
 
-def _stack(problems, starts) -> CellTable:
-    """One cell table holding every problem as the UPPER side of its own signatures.
+def _stack(sides, starts) -> CellTable:
+    """One cell table holding each side ``(cells, side, max_step)`` as the UPPER side
+    of its own signatures, numbered from ``starts[i]`` for side i.
 
-    A LOWER problem enters with negated cost rows: its solve then iterates on
-    -a, and since -(g + a) is (-g) + (-a) in IEEE arithmetic, every value,
-    weight and step is the LOWER solve's, bit for bit. The signatures of
-    problem i are numbered from ``starts[i]``, so no two problems share one.
+    A LOWER side enters with negated cost rows: its solve then iterates on -a,
+    and since -(g + a) is (-g) + (-a) in IEEE arithmetic, every value, weight
+    and step is the LOWER solve's, bit for bit.
     """
-    part = lambda field: [getattr(cells, field) for cells, _, _ in problems]
+    part = lambda field: [getattr(cells, field) for cells, _, _ in sides]
     return CellTable(
         n=sum(part("n")),
         z=np.concatenate([z + start for z, start in zip(part("z"), starts)]),
         costs=np.concatenate(
-            [cells.costs if side is Side.UPPER else -cells.costs for cells, side, _ in problems]
+            [cells.costs if side is Side.UPPER else -cells.costs for cells, side, _ in sides]
         ),
         mass=np.concatenate(part("mass")),
         z_mass=np.concatenate(part("z_mass")),
@@ -92,21 +92,40 @@ def _stack(problems, starts) -> CellTable:
     )
 
 
-def solve_sides(problems, epsilon: float) -> list[BoundEstimate]:
-    """Solve one-sided smoothed dual problems ``(cells, side, max_step)`` in one Newton solve.
+def bound_problem(data: DatasetView, model: LabelModel, G: GMatrix) -> tuple[CellTable, float]:
+    """The problem of ``G`` for ``solve_bounds``: its cell table, which holds no
+    per-sample array, and the sup-norm of ``G``."""
+    return cell_table(data, model, G), G.sup_norm
 
-    Each signature of each problem is its own column of the solver, with its
-    own step length and stopping test, so every estimate equals the one its
-    problem gets when solved alone, bit for bit: value, optimizer, plug-in std
-    and report. A report's iterations and gradient norm are those of its own
-    signatures. Every problem must have the same number of classes.
+
+def solve_bounds(
+    problems, epsilon: float | None = None
+) -> list[tuple[BoundEstimate, BoundEstimate]]:
+    """The (lower, upper) pair of each problem of ``bound_problem``, from one Newton solve.
+
+    The temperature is ``epsilon``, by default ``default_epsilon``. Each
+    signature of each side is its own column of the solver, with its own step
+    length and stopping test, so each pair is the one its problem gets alone,
+    bit for bit, reports included: a report's iterations and gradient norm are
+    those of its own signatures. Every problem must have the same classes.
     """
+    if epsilon is not None:
+        epsilon = check_epsilon(epsilon)
     if not problems:
         return []
-    widths = [len(cells.label_model) for cells, _, _ in problems]
+    if epsilon is None:
+        epsilon = default_epsilon(problems[0][0].label_model.shape[1])
+    # a larger step overshoots when the weights saturate at small eps; the eps
+    # term keeps a G of all zeros from freezing the iterate
+    sides = [
+        (cells, side, 2.0 * sup_norm + epsilon)
+        for cells, sup_norm in problems
+        for side in (Side.LOWER, Side.UPPER)
+    ]
+    widths = [len(cells.label_model) for cells, _, _ in sides]
     starts = np.cumsum([0] + widths)
-    stacked = _stack(problems, starts)
-    max_step = np.repeat([step for _, _, step in problems], widths)
+    stacked = _stack(sides, starts)
+    max_step = np.repeat([step for _, _, step in sides], widths)
     ridge = _newton_ridge(stacked, epsilon)
     # The solver takes the gradient and the Hessian only at the iterate of its
     # latest value evaluation, and never changes an iterate in place, so both
@@ -132,11 +151,10 @@ def solve_sides(problems, epsilon: float) -> list[BoundEstimate]:
         max_step,
     )
     estimates = []
-    for (cells, side, _), start, width in zip(problems, starts, widths):
+    for (cells, side, _), start, width in zip(sides, starts, widths):
         own = slice(start, start + width)
-        a = a_hat[:, own] if side is Side.UPPER else -a_hat[:, own]
         # shift invariance keeps the value; report the zero-column-sum optimizer
-        a = center_columns(a)
+        a = center_columns(a_hat[:, own] if side is Side.UPPER else -a_hat[:, own])
         sup_norm = float(np.max(np.abs(a))) if a.size else 0.0
         estimates.append(
             BoundEstimate(
@@ -149,25 +167,7 @@ def solve_sides(problems, epsilon: float) -> list[BoundEstimate]:
                 epsilon=epsilon,
             )
         )
-    return estimates
-
-
-def resolve_epsilon(num_classes: int, epsilon: float | None) -> float:
-    """The temperature to solve at: the default for ``num_classes``, or ``epsilon`` checked."""
-    return default_epsilon(num_classes) if epsilon is None else check_epsilon(epsilon)
-
-
-def bound_sides(data: DatasetView, model: LabelModel, G: GMatrix, epsilon: float) -> list:
-    """Both one-sided problems ``(cells, side, max_step)`` of ``G``, for ``solve_sides``.
-
-    They hold the cell table only, so a caller stacking many of them keeps no
-    per-sample array alive.
-    """
-    cells = cell_table(data, model, G)
-    # a larger step overshoots when the weights saturate at small eps; the eps
-    # term keeps a G of all zeros from freezing the iterate
-    max_step = 2.0 * G.sup_norm + epsilon
-    return [(cells, Side.LOWER, max_step), (cells, Side.UPPER, max_step)]
+    return list(zip(estimates[0::2], estimates[1::2]))
 
 
 def estimate_bounds(
@@ -177,9 +177,7 @@ def estimate_bounds(
     epsilon: float | None = None,
 ) -> tuple[BoundEstimate, BoundEstimate]:
     """Both one-sided smoothed dual bounds, solved from a zero start at temperature ``epsilon``."""
-    epsilon = resolve_epsilon(model.num_classes, epsilon)
-    lower, upper = solve_sides(bound_sides(data, model, G, epsilon), epsilon)
-    return lower, upper
+    return solve_bounds([bound_problem(data, model, G)], epsilon)[0]
 
 
 def check_gamma(gamma: float) -> float:

@@ -9,26 +9,33 @@ for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .bounds import check_gamma, estimate_bounds, estimate_class_prior
 from .domain import LabelSpace
 from .errors import FormatError, NumericalError, WeakBoundsError
 from .fileio import (
     dump_result_json,
+    read_candidates,
     read_dataset_csv,
     read_label_model_json,
+    read_loss_table,
     result_json,
     write_dataset_csv,
     write_label_model_json,
     write_sweep_csv,
 )
-from .metrics import MetricKind, MetricSpec, bound_rows, build_g, estimate_h1, threshold_sweep
+from .metrics import (
+    PRF_KINDS,
+    SWEEP_KINDS,
+    MetricKind,
+    MetricSpec,
+    bound_rows,
+    build_g,
+    estimate_h1,
+    threshold_sweep,
+)
 from .objective import check_epsilon
 
 # A command imports what it runs of the oracle, synth and diagnostics modules
@@ -53,26 +60,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# the --metric of estimate, oracle and diagnose; select also takes PRF_KINDS
+METRIC_NAMES = tuple(kind.value for kind in MetricKind)
+
+
 def _metric_kind(name: str) -> MetricKind:
-    return {
-        "accuracy": MetricKind.ACCURACY,
-        "risk": MetricKind.RISK,
-        "joint-positive": MetricKind.JOINT_POSITIVE,
-        "joint_positive": MetricKind.JOINT_POSITIVE,
-    }[name]
+    return MetricKind(name.replace("-", "_"))
 
 
-def _load_loss_table(path: str | None, num_classes: int):
-    if path is None:
-        return None
-    try:
-        table = np.asarray(json.loads(Path(path).read_text()), dtype=np.float64)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
-        raise FormatError(f"{path}: bad loss table ({exc})") from None
-    if table.shape != (num_classes, num_classes):
-        k = num_classes
-        raise FormatError(f"{path}: loss table must be |Y|-by-|Y| = {k}-by-{k}, not {table.shape}")
-    return table
+def _metric(choices):
+    """An argparse type: a --metric named in ``choices``, with - read as _."""
+
+    def parse(text: str) -> str:
+        if text.replace("-", "_") not in choices:
+            raise argparse.ArgumentTypeError(
+                f"unknown metric {text!r}; choose from {', '.join(choices)}"
+            )
+        return text
+
+    return parse
+
+
+def _sweep_kinds(text: str) -> list[str]:
+    """The comma-separated --metric of a sweep, as names in ``SWEEP_KINDS``."""
+    kinds = [_metric(SWEEP_KINDS)(k.strip()) for k in text.split(",") if k.strip()]
+    if not kinds:
+        raise argparse.ArgumentTypeError(f"no metric named; choose from {', '.join(SWEEP_KINDS)}")
+    return [k.replace("-", "_") for k in kinds]
 
 
 def _finite(text: str) -> float:
@@ -116,12 +130,10 @@ def _load_inputs(args):
 
 def _metric_g(args, data, model):
     """The metric named by ``args`` and its cost matrix G on ``data``."""
-    spec = MetricSpec(
-        kind=_metric_kind(args.metric),
-        loss_table=_load_loss_table(args.loss_table, model.num_classes),
-        threshold=args.threshold,
-    )
-    return spec, build_g(data, spec, LabelSpace(num_classes=model.num_classes))
+    k = model.num_classes
+    loss_table = None if args.loss_table is None else read_loss_table(args.loss_table, k)
+    spec = MetricSpec(_metric_kind(args.metric), loss_table, args.threshold)
+    return spec, build_g(data, spec, LabelSpace(num_classes=k))
 
 
 def _check_metric_options(args) -> None:
@@ -201,10 +213,12 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.prior_y1 is not None and not set(PRF_KINDS) & set(args.metric):
+        raise ValueError(f"--prior-y1 is read only with --metric {', '.join(PRF_KINDS)}")
     data, table, model = _load_inputs(args)
-    kinds = [k.strip().replace("-", "_") for k in args.metric.split(",") if k.strip()]
     sweep = threshold_sweep(
-        data, model, args.thresholds, kinds, args.epsilon, gamma=args.gamma, p_y1=args.prior_y1
+        data, model, args.thresholds, args.metric, args.epsilon, gamma=args.gamma,
+        p_y1=args.prior_y1,
     )
     _warn_unconverged(sweep.solves)
     write_sweep_csv(args.out, sweep)  # stdout without --out
@@ -232,35 +246,20 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _candidate(path: Path, metric: str) -> tuple[float, float, float]:
-    """(lower, upper, label-model score) of ``metric`` in one result file."""
-    try:
-        payload = json.loads(path.read_text())
-        entry = payload["metrics"][metric]
-        lm = payload.get("metadata", {}).get("label_model_score", float("nan"))
-        return float(entry["lower"]), float(entry["upper"]), float(lm)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise FormatError(f"{path}: not a result file with bounds on {metric} ({exc!r})") from None
-
-
 def cmd_select(args) -> int:
     from .diagnostics import SelectionStrategy, select_model
 
-    files = sorted(Path(args.candidates).glob("*.json"))
-    if not files:
-        raise FormatError(f"no candidate result files in {args.candidates}")
-    metric = args.metric.replace("-", "_")
-    candidates = [_candidate(f, metric) for f in files]
+    names, candidates = read_candidates(args.candidates, args.metric.replace("-", "_"))
     result = select_model(candidates, SelectionStrategy(args.strategy))
     payload = {
         "strategy": result.strategy.value,
         "chosen_index": result.chosen_index,
-        "chosen_file": files[result.chosen_index].name,
+        "chosen_file": names[result.chosen_index],
         "scores": list(result.scores),
     }
     if args.out:
         dump_result_json(payload, args.out)
-    print(f"chosen: {files[result.chosen_index].name} (index {result.chosen_index})")
+    print(f"chosen: {names[result.chosen_index]} (index {result.chosen_index})")
     return EXIT_OK
 
 
@@ -340,12 +339,12 @@ def cmd_coverage(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p, cost=True, epsilon=True, gamma=True,
+def _add_common(p, cost=True, epsilon=True, gamma=True, metric_type=_metric(METRIC_NAMES),
                 metric_help="accuracy, risk, or joint-positive"):
     """The options of a command that bounds one dataset, less those it would ignore."""
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--label-model", required=True, help="label model JSON")
-    p.add_argument("--metric", default="accuracy", help=metric_help)
+    p.add_argument("--metric", type=metric_type, default="accuracy", help=metric_help)
     if cost:
         p.add_argument("--loss-table", default=None,
                        help="JSON |Y|x|Y| loss matrix (read only with --metric risk)")
@@ -383,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("sweep", help="bounds across score thresholds (CSV out)")
-    _add_common(p, cost=False, metric_help=(
+    _add_common(p, cost=False, metric_type=_sweep_kinds, metric_help=(
         "comma-separated list of accuracy, joint-positive, precision, recall and f1"
     ))
     p.add_argument(
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="lower",
         choices=("lower", "upper", "average", "label_model"),  # SelectionStrategy's values
     )
-    p.add_argument("--metric", default="accuracy")
+    p.add_argument("--metric", type=_metric((*METRIC_NAMES, *PRF_KINDS)), default="accuracy")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_select)
 

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundEstimate, bound_sides, resolve_epsilon, solve_sides
+from .bounds import BoundEstimate, bound_problem, solve_bounds
 from .domain import DatasetView, GMatrix, LabelModel, cell_table
 from .errors import CoverageError
 
@@ -83,10 +83,9 @@ def misspecification_report(
         tv_distance(model_p.table[z], model_q.table[z])
         for z in range(model_p.num_signatures)
     )
-    epsilon = resolve_epsilon(model_p.num_classes, epsilon)
     # both models in one solve
-    lo_p, up_p, lo_q, up_q = solve_sides(
-        bound_sides(data, model_p, G, epsilon) + bound_sides(data, model_q, G, epsilon), epsilon
+    (lo_p, up_p), (lo_q, up_q) = solve_bounds(
+        [bound_problem(data, model_p, G), bound_problem(data, model_q, G)], epsilon
     )
     norm_p = max(lo_p.report.optimizer_sup_norm, up_p.report.optimizer_sup_norm)
     norm_q = max(lo_q.report.optimizer_sup_norm, up_q.report.optimizer_sup_norm)

@@ -1,5 +1,6 @@
-"""File formats (dataset CSV, label-model JSON, result JSON, sweep CSV) and the
-labeled-data counting estimator. The only module that touches the filesystem.
+"""File formats (dataset CSV, label-model JSON, loss-table JSON, result JSON,
+sweep CSV) and the labeled-data counting estimator. The only module that
+touches the filesystem.
 """
 
 from __future__ import annotations
@@ -198,15 +199,10 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
 # ------------------------------------------------------------ label model JSON
 
 
-def write_label_model_json(
-    path: str | Path,
-    model: LabelModel,
-    table: SignatureTable,
-    fallback: str = "error",
-) -> None:
+def write_label_model_json(path: str | Path, model: LabelModel, table: SignatureTable) -> None:
     payload = {
         "num_classes": model.num_classes,
-        "fallback": fallback,
+        "fallback": "error",
         "entries": [
             {"z": list(table.decode(z)), "p": [_round_sig(float(v)) for v in model.table[z]]}
             for z in range(model.num_signatures)
@@ -284,6 +280,46 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
         else:
             raise CoverageError(f"{path}: no entry for data signature {sig}")
     return LabelModel(table=rows)
+
+
+# ------------------------------------------------------------- loss table JSON
+
+
+def read_loss_table(path: str | Path, num_classes: int) -> np.ndarray:
+    """A |Y|-by-|Y| table of numbers, for a risk metric."""
+    try:
+        table = np.asarray(json.loads(Path(path).read_text()), dtype=np.float64)
+    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+        raise FormatError(f"{path}: bad loss table ({exc})") from None
+    if table.shape != (num_classes, num_classes):
+        k = num_classes
+        raise FormatError(f"{path}: loss table must be |Y|-by-|Y| = {k}-by-{k}, not {table.shape}")
+    return table
+
+
+# ----------------------------------------------------- result files for select
+
+
+def _candidate(path: Path, metric: str) -> tuple[float, float, float]:
+    """(lower, upper, label-model score) of ``metric`` in one result file."""
+    try:
+        payload = json.loads(path.read_text())
+        entry = payload["metrics"][metric]
+        lm = payload.get("metadata", {}).get("label_model_score", float("nan"))
+        return float(entry["lower"]), float(entry["upper"]), float(lm)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{path}: not a result file with bounds on {metric} ({exc!r})") from None
+
+
+def read_candidates(
+    directory: str | Path, metric: str
+) -> tuple[list[str], list[tuple[float, float, float]]]:
+    """The names of the result files (``*.json``) in ``directory``, sorted, and
+    the (lower, upper, label-model score) of ``metric`` in each."""
+    files = sorted(Path(directory).glob("*.json"))
+    if not files:
+        raise FormatError(f"no candidate result files in {directory}")
+    return [f.name for f in files], [_candidate(f, metric) for f in files]
 
 
 # ------------------------------------------------------------------- sweep CSV

@@ -11,11 +11,10 @@ import numpy as np
 from .bounds import (
     BoundEstimate,
     ConfidenceInterval,
-    bound_sides,
+    bound_problem,
     estimate_class_prior,
     normal_interval,
-    resolve_epsilon,
-    solve_sides,
+    solve_bounds,
 )
 from .domain import DatasetView, GMatrix, LabelModel, LabelSpace, read_only
 from .errors import FormatError
@@ -25,6 +24,11 @@ class MetricKind(enum.Enum):
     RISK = "risk"
     ACCURACY = "accuracy"
     JOINT_POSITIVE = "joint_positive"
+
+
+# the metrics a threshold sweep reports
+PRF_KINDS = ("precision", "recall", "f1")
+SWEEP_KINDS = ("accuracy", "joint_positive", *PRF_KINDS)
 
 
 class MetricSpec:
@@ -215,19 +219,18 @@ def threshold_sweep(
 ) -> SweepTable:
     """Bounds per threshold for the requested metrics; rows ordered by threshold.
 
-    ``metric_kinds`` may contain "accuracy", "joint_positive", "precision",
-    "recall", and "f1"; the last three are derived from one joint solve.
+    ``metric_kinds`` may hold any of ``SWEEP_KINDS``; those of ``PRF_KINDS`` derive from
+    one joint_positive solve.
     """
     if not thresholds:
         raise ValueError("empty threshold list")
     if data.scores is None:
         raise FormatError("threshold sweep needs scores")
     space = LabelSpace(num_classes=model.num_classes)
-    known = {"accuracy", "joint_positive", "precision", "recall", "f1"}
-    unknown = set(metric_kinds) - known
+    unknown = set(metric_kinds) - set(SWEEP_KINDS)
     if unknown:
-        raise ValueError(f"unknown metric kinds: {sorted(unknown)}")
-    wants_prf = bool({"precision", "recall", "f1"} & set(metric_kinds))
+        raise ValueError(f"unknown metric kinds {sorted(unknown)}; choose from {SWEEP_KINDS}")
+    wants_prf = bool(set(PRF_KINDS) & set(metric_kinds))
     solved = [k for k in ("accuracy", "joint_positive") if k in metric_kinds]
     if wants_prf and "joint_positive" not in solved:
         solved.append("joint_positive")
@@ -235,7 +238,6 @@ def threshold_sweep(
     if p_y1 is None and wants_prf:
         p_y1 = estimate_class_prior(data, model, positive_class=1)
 
-    epsilon = resolve_epsilon(model.num_classes, epsilon)
     problems, p_h1s = [], []
     for t in thresholds:
         # through the constructor, which checks each column's length
@@ -243,13 +245,13 @@ def threshold_sweep(
         p_h1s.append(estimate_h1(at_t) if wants_prf else None)
         for metric in solved:
             g = build_g(at_t, MetricSpec(MetricKind(metric)), space)
-            problems += bound_sides(at_t, model, g, epsilon)
-    # every threshold, metric and side in one solve, in the order of ``problems``
-    estimates = iter(solve_sides(problems, epsilon))
+            problems.append(bound_problem(at_t, model, g))
+    # every threshold and metric in one solve, in the order of ``problems``
+    pairs = iter(solve_bounds(problems, epsilon))
     rows, solves = [], []
     for t, p_h1 in zip(thresholds, p_h1s):
         for metric in solved:
-            lo, hi = next(estimates), next(estimates)
+            lo, hi = next(pairs)
             solves += [(f"{metric} at threshold {t:g}", est) for est in (lo, hi)]
             rows += bound_rows(lo, hi, metric, metric_kinds, gamma, p_h1, p_y1, t)
     return SweepTable(rows=tuple(rows), solves=tuple(solves))

@@ -335,31 +335,34 @@ def _same_estimate(a, b):
 class TestStackedSolve:
     """Problems solved side by side get the bits each gets alone."""
 
-    def test_stacked_sides_equal_each_side_alone(self, rng):
-        epsilon = default_epsilon(3)
-        problems = []
-        for _ in range(6):
-            data, model, G = random_instance(rng, num_classes=3)
-            side = Side.LOWER if rng.random() < 0.5 else Side.UPPER
-            max_step = 2.0 * G.sup_norm + epsilon
-            problems.append((cell_table(data, model, G), side, max_step))
-        stacked = bounds.solve_sides(problems, epsilon)
-        assert len({est.report.iterations for est in stacked}) > 1  # unlike solves
-        for problem, est in zip(problems, stacked):
-            (alone,) = bounds.solve_sides([problem], epsilon)
-            assert _same_estimate(est, alone)
+    def test_stacked_problems_equal_each_problem_alone(self, rng):
+        problems = [bounds.bound_problem(*random_instance(rng, num_classes=3)) for _ in range(6)]
+        stacked = bounds.solve_bounds(problems)
+        # unlike solves
+        assert len({est.report.iterations for pair in stacked for est in pair}) > 1
+        for problem, pair in zip(problems, stacked):
+            assert [est.side for est in pair] == [Side.LOWER, Side.UPPER]
+            (alone,) = bounds.solve_bounds([problem])
+            assert all(map(_same_estimate, pair, alone))
 
     def test_stacked_problems_equal_each_estimate_alone(self, rng):
         problems = [random_instance(rng, num_sig_max=8) for _ in range(5)]
         for epsilon in (default_epsilon(2), TIGHT):
-            sides = [side for problem in problems for side in bounds.bound_sides(*problem, epsilon)]
-            stacked = iter(bounds.solve_sides(sides, epsilon))
-            for problem in problems:
-                for alone in estimate_bounds(*problem, epsilon):
-                    assert _same_estimate(next(stacked), alone)
+            stacked = bounds.solve_bounds([bounds.bound_problem(*p) for p in problems], epsilon)
+            for problem, pair in zip(problems, stacked):
+                assert all(map(_same_estimate, pair, estimate_bounds(*problem, epsilon)))
 
-    def test_no_problems_no_estimates(self):
-        assert bounds.solve_sides([], default_epsilon(2)) == []
+    def test_no_problems_no_pairs(self):
+        assert bounds.solve_bounds([]) == []
+        assert bounds.solve_bounds([], default_epsilon(2)) == []
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-7, float("nan")])
+    def test_bad_epsilon_raises_without_problems(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must"):
+            bounds.solve_bounds([], epsilon)
+        result = generate_synthetic(SynthSpec(n=50, seed=3))
+        with pytest.raises(ValueError, match="epsilon must"):
+            threshold_sweep(result.data, result.model, [0.5], [], epsilon)
 
     def test_sweep_without_metrics_is_empty(self):
         # nothing to solve: an empty table, as before any solve was stacked
@@ -394,6 +397,61 @@ class TestStackedSolve:
         assert not capped[slow.side].report.converged
         assert capped[slow.side].report.iterations == fast.report.iterations
         assert capped[slow.side].report.final_gradient_norm > solver.GRADIENT_TOLERANCE
+
+
+def _closed_form_upper(cells, epsilon):
+    """The smoothed upper bound of a binary cell table with at most 2 cells per
+    signature, in closed form.
+
+    The dual depends on each signature's column only through d = a_1 - a_0. At
+    a = (0, d) with x = exp(d / eps), cell c puts weight r_c x / (1 + r_c x) on
+    class 1, where r_c = exp((g_c1 - g_c0) / eps). The optimum sets the mass-
+    weighted sum of those weights to the label model's share m_z p_1: a linear
+    equation in x for one cell and, for two, times (1 + r_1 x)(1 + r_2 x), the
+    quadratic A x^2 + B x + C = 0 below. A > 0 > C, so it has one positive root.
+    """
+    total = 0.0
+    for z, (_, p1) in enumerate(cells.label_model):
+        own = cells.z == z
+        m, g, mz = cells.mass[own], cells.costs[own], cells.z_mass[z]
+        r = np.exp((g[:, 1] - g[:, 0]) / epsilon)
+        if len(m) == 1:
+            x = p1 / (r[0] * (1.0 - p1))
+        else:
+            a = mz * r[0] * r[1] * (1.0 - p1)
+            b = m[0] * r[0] + m[1] * r[1] - mz * p1 * (r[0] + r[1])
+            c = -mz * p1
+            # the roots are q / a and c / q; this q avoids cancellation
+            q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+            x = q / a if q > 0.0 else c / q
+        d = epsilon * math.log(x)
+        soft = epsilon * (np.logaddexp(g[:, 0] / epsilon, (g[:, 1] + d) / epsilon) - math.log(2))
+        total += float(m @ soft) - mz * p1 * d
+    return total
+
+
+class TestClosedFormBinary:
+    """A test oracle for the binary solve: with at most 2 cells per signature, the
+    optimum of each signature solves a quadratic."""
+
+    def test_estimates_match_closed_form(self):
+        rng = np.random.default_rng(2718)
+        space = LabelSpace(num_classes=2)
+        for i in range(200):
+            n, num_z = int(rng.integers(10, 400)), int(rng.integers(1, 9))
+            z_ids = rng.integers(0, num_z, n)
+            z_ids[:num_z] = np.arange(num_z)  # every signature occurs
+            p1 = rng.uniform(0.05, 0.95, num_z)
+            model = LabelModel(table=np.column_stack([1.0 - p1, p1]))
+            data = DatasetView(n=n, z_ids=z_ids, predictions=rng.integers(0, 2, n))
+            kind = MetricKind.ACCURACY if i % 2 else MetricKind.JOINT_POSITIVE
+            g = build_g(data, MetricSpec(kind), space)
+            lo, hi = estimate_bounds(data, model, g)
+            cells = cell_table(data, model, g)
+            assert hi.value == pytest.approx(_closed_form_upper(cells, hi.epsilon), abs=1e-12)
+            # the lower bound is minus the upper bound of the negated costs
+            negated = cells._replace(costs=-cells.costs)
+            assert lo.value == pytest.approx(-_closed_form_upper(negated, lo.epsilon), abs=1e-12)
 
 
 class TestNormalQuantile:

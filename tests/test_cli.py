@@ -3,12 +3,23 @@ import json
 
 import pytest
 
-from weakbounds import bounds, solver
+from weakbounds import bounds, cli, solver
 from weakbounds.cli import build_parser, main
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def spy_on_solves(monkeypatch):
+    """The list of the Newton solves run from now on: every stacked solve calls
+    ``bounds.minimize``."""
+    solves = []
+    minimize = bounds.minimize
+    monkeypatch.setattr(
+        bounds, "minimize", lambda *args: solves.append(args) or minimize(*args)
+    )
+    return solves
 
 
 @pytest.fixture
@@ -153,6 +164,7 @@ class TestExitCodes:
 
     UNKNOWN = "unrecognized arguments"
     UNREAD = "is read only with --metric"
+    CHOICES = "; choose from "
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -172,16 +184,36 @@ class TestExitCodes:
              UNREAD),
             (("oracle", "--loss-table", "LOSS"), UNREAD),
             (("diagnose", "--loss-table", "LOSS"), UNREAD),
+            # a prior beside sweep metrics that do not read it
+            (("sweep", "--thresholds", "0.5", "--prior-y1", "0.3"), UNREAD),
+            (("sweep", "--thresholds", "0.5", "--metric", "joint-positive,accuracy",
+              "--prior-y1", "0.3"), UNREAD),
+            # a metric the command does not know, or none
+            (("estimate", "--metric", "foo"), CHOICES),
+            (("estimate", "--metric", "f1"), CHOICES),
+            (("oracle", "--metric", "precision"), CHOICES),
+            (("diagnose", "--metric", "foo"), CHOICES),
+            (("sweep", "--thresholds", "0.5", "--metric", "foo"), CHOICES),
+            (("sweep", "--thresholds", "0.5", "--metric", "accuracy,risk"), CHOICES),
+            (("sweep", "--thresholds", "0.5", "--metric", ","), CHOICES),
+            (("select", "--candidates", ".", "--metric", "foo"), CHOICES),
         ],
         ids=["estimate-n", "sweep-threshold", "sweep-loss-table", "oracle-gamma",
              "oracle-epsilon", "diagnose-gamma", "diagnose-n", "estimate-loss-table",
              "estimate-joint-loss-table", "estimate-prior-y1", "estimate-risk-prior-y1",
-             "oracle-loss-table", "diagnose-loss-table"],
+             "oracle-loss-table", "diagnose-loss-table", "sweep-accuracy-prior-y1",
+             "sweep-joint-prior-y1", "estimate-metric-foo", "estimate-metric-f1",
+             "oracle-metric-precision", "diagnose-metric-foo", "sweep-metric-foo",
+             "sweep-metric-risk", "sweep-no-metric", "select-metric-foo"],
     )
     def test_option_the_command_does_not_read_is_usage_error(
-        self, tmp_path, synth_files, capsys, argv, message
+        self, tmp_path, synth_files, capsys, monkeypatch, argv, message
     ):
-        # each was accepted and ignored; sweep's --threshold replaced --thresholds
+        # each was accepted and ignored, or failed only after reading the files;
+        # sweep's --threshold replaced --thresholds
+        reads = []
+        for reader in ("read_dataset_csv", "read_candidates"):
+            monkeypatch.setattr(cli, reader, lambda *args: reads.append(args))
         data, model = synth_files
         loss = tmp_path / "loss.json"
         loss.write_text("[[0, 5], [5, 0]]")
@@ -193,6 +225,7 @@ class TestExitCodes:
         assert message in captured.err
         assert captured.out == ""
         assert not out.exists()
+        assert reads == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -206,11 +239,7 @@ class TestExitCodes:
     def test_bad_gamma_stops_before_any_solve(
         self, tmp_path, synth_files, capsys, monkeypatch, argv
     ):
-        solves = []
-        solve_sides = bounds.solve_sides
-        monkeypatch.setattr(
-            bounds, "solve_sides", lambda *args: solves.append(args) or solve_sides(*args)
-        )
+        solves = spy_on_solves(monkeypatch)
         data, model = synth_files
         inputs = [] if argv[0] == "coverage" else ["--data", str(data), "--label-model", str(model)]
         out = tmp_path / "o"
@@ -600,6 +629,38 @@ class TestDeterminism:
         assert run(*args, "--out", str(o1)) == 0
         assert run(*args, "--out", str(o2)) == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv,solves",
+    [
+        (("estimate", "--data", "DATA", "--label-model", "MODEL", "--metric", "joint-positive",
+          "--threshold", "0.5"), 1),
+        (("sweep", "--data", "DATA", "--label-model", "MODEL", "--thresholds", "0.3,0.5,0.7",
+          "--metric", "accuracy,joint-positive,f1"), 1),
+        (("diagnose", "--data", "DATA", "--label-model", "MODEL", "--label-model-alt", "MODEL"),
+         1),
+        (("diagnose", "--data", "DATA", "--label-model", "MODEL"), 0),
+        (("oracle", "--data", "DATA", "--label-model", "MODEL"), 0),
+        (("select", "--candidates", "CANDIDATES"), 0),
+        (("synth", "--n", "50"), 0),
+        # the truth sample and 500 replications: 501 solves before they were stacked
+        (("coverage", "--n", "40"), 1),
+    ],
+    ids=["estimate", "sweep", "diagnose-alt", "diagnose", "oracle", "select", "synth",
+         "coverage"],
+)
+def test_one_newton_solve_per_command(tmp_path, synth_files, capsys, monkeypatch, argv, solves):
+    data, model = synth_files
+    candidates = tmp_path / "candidates"
+    candidates.mkdir()
+    assert run("estimate", "--data", str(data), "--label-model", str(model),
+               "--out", str(candidates / "c.json")) == 0
+    paths = {"DATA": data, "MODEL": model, "CANDIDATES": candidates}
+    seen = spy_on_solves(monkeypatch)
+    assert run(*[str(paths.get(a, a)) for a in argv], "--out", str(tmp_path / "o")) == 0
+    assert len(seen) == solves
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_each_command_has_exactly_its_options():
