@@ -15,6 +15,7 @@ _EXPORTS = {
     "bounds": (
         "BoundEstimate",
         "ConfidenceInterval",
+        "Side",
         "check_gamma",
         "ci_half_width",
         "confidence_interval",
@@ -77,7 +78,6 @@ _EXPORTS = {
         "threshold_sweep",
     ),
     "objective": (
-        "Side",
         "check_epsilon",
         "default_epsilon",
         "eval_objective",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 from math import fabs, log, sqrt
 from typing import NamedTuple
 
@@ -18,7 +19,6 @@ from .domain import (
 )
 from .errors import InsufficientSampleError
 from .objective import (
-    Side,
     check_epsilon,
     default_epsilon,
     eval_objective,
@@ -28,6 +28,11 @@ from .objective import (
     per_cell_objective,
 )
 from .solver import SolveReport, minimize
+
+
+class Side(enum.Enum):
+    LOWER = "lower"
+    UPPER = "upper"
 
 
 class BoundEstimate(NamedTuple):
@@ -46,11 +51,11 @@ class ConfidenceInterval(NamedTuple):
     high: float
 
 
-def plugin_std(cells, a_hat, epsilon, side) -> float:
+def plugin_std(cells, a_hat, epsilon) -> float:
     """Sample standard deviation (divisor n-1) of the per-sample dual values."""
     if cells.n < 2:
         raise InsufficientSampleError("plug-in std needs at least 2 samples")
-    values = per_cell_objective(cells, a_hat, epsilon, side)
+    values = per_cell_objective(cells, a_hat, epsilon)
     variance = cells.mass @ (values - cells.mass @ values) ** 2
     return float(np.sqrt(variance * cells.n / (cells.n - 1)))
 
@@ -71,21 +76,14 @@ def _newton_ridge(cells, epsilon) -> np.ndarray:
     return ridge
 
 
-def _stack(sides, starts) -> CellTable:
-    """One cell table holding each side ``(cells, side, max_step)`` as the UPPER side
-    of its own signatures, numbered from ``starts[i]`` for side i.
-
-    A LOWER side enters with negated cost rows: its solve then iterates on -a,
-    and since -(g + a) is (-g) + (-a) in IEEE arithmetic, every value, weight
-    and step is the LOWER solve's, bit for bit.
-    """
-    part = lambda field: [getattr(cells, field) for cells, _, _ in sides]
+def _stack(tables, starts) -> CellTable:
+    """One cell table holding each of ``tables``, with the signatures of table i
+    numbered from ``starts[i]``."""
+    part = lambda field: [getattr(cells, field) for cells in tables]
     return CellTable(
         n=sum(part("n")),
         z=np.concatenate([z + start for z, start in zip(part("z"), starts)]),
-        costs=np.concatenate(
-            [cells.costs if side is Side.UPPER else -cells.costs for cells, side, _ in sides]
-        ),
+        costs=np.concatenate(part("costs")),
         mass=np.concatenate(part("mass")),
         z_mass=np.concatenate(part("z_mass")),
         label_model=np.concatenate(part("label_model")),
@@ -115,17 +113,21 @@ def solve_bounds(
         return []
     if epsilon is None:
         epsilon = default_epsilon(problems[0][0].label_model.shape[1])
-    # a larger step overshoots when the weights saturate at small eps; the eps
-    # term keeps a G of all zeros from freezing the iterate
+    # The objective is the upper bound's. The lower bound of G is minus the
+    # upper bound of -G, so each problem enters as its negated cost rows and as
+    # itself. Since -(g + a) is (-g) + (-a) in IEEE arithmetic, negation passes
+    # exactly through every max, exp and log argument, dot product and sum here.
+    # A larger step overshoots when the weights saturate at small eps; the eps
+    # term keeps a G of all zeros from freezing the iterate.
     sides = [
-        (cells, side, 2.0 * sup_norm + epsilon)
+        (table, 2.0 * sup_norm + epsilon)
         for cells, sup_norm in problems
-        for side in (Side.LOWER, Side.UPPER)
+        for table in (cells._replace(costs=-cells.costs), cells)
     ]
-    widths = [len(cells.label_model) for cells, _, _ in sides]
+    widths = [len(cells.label_model) for cells, _ in sides]
     starts = np.cumsum([0] + widths)
-    stacked = _stack(sides, starts)
-    max_step = np.repeat([step for _, _, step in sides], widths)
+    stacked = _stack([cells for cells, _ in sides], starts)
+    max_step = np.repeat([step for _, step in sides], widths)
     ridge = _newton_ridge(stacked, epsilon)
     # The solver takes the gradient and the Hessian only at the iterate of its
     # latest value evaluation, and never changes an iterate in place, so both
@@ -136,7 +138,7 @@ def solve_bounds(
     def value(a):
         nonlocal weights_at
         weights_at = None
-        f = minimized_value(stacked, a, epsilon, Side.UPPER, weights_out=weights)
+        f = minimized_value(stacked, a, epsilon, weights_out=weights)
         weights_at = a
         return f
 
@@ -145,29 +147,33 @@ def solve_bounds(
 
     a_hat, columns = minimize(
         value,
-        lambda a: gradient(stacked, a, epsilon, Side.UPPER, reusable(a)),
-        lambda a: hessian(stacked, a, epsilon, Side.UPPER, reusable(a)) + ridge,
+        lambda a: gradient(stacked, a, epsilon, reusable(a)),
+        lambda a: hessian(stacked, a, epsilon, reusable(a)) + ridge,
         np.zeros(stacked.label_model.shape[::-1]),
         max_step,
     )
-    estimates = []
-    for (cells, side, _), start, width in zip(sides, starts, widths):
+    uppers = []
+    for (cells, _), start, width in zip(sides, starts, widths):
         own = slice(start, start + width)
         # shift invariance keeps the value; report the zero-column-sum optimizer
-        a = center_columns(a_hat[:, own] if side is Side.UPPER else -a_hat[:, own])
+        a = center_columns(a_hat[:, own])
         sup_norm = float(np.max(np.abs(a))) if a.size else 0.0
-        estimates.append(
+        uppers.append(
             BoundEstimate(
-                side=side,
-                value=eval_objective(cells, a, epsilon, side),
+                side=Side.UPPER,
+                value=eval_objective(cells, a, epsilon),
                 optimizer=a,
-                plugin_std=plugin_std(cells, a, epsilon, side),
+                plugin_std=plugin_std(cells, a, epsilon),
                 n=cells.n,
                 report=columns.of(own)._replace(optimizer_sup_norm=sup_norm),
                 epsilon=epsilon,
             )
         )
-    return list(zip(estimates[0::2], estimates[1::2]))
+    # 0.0 - v, not -v: a value that is exactly zero stays +0.0
+    return [
+        (neg._replace(side=Side.LOWER, value=0.0 - neg.value, optimizer=-neg.optimizer), upper)
+        for neg, upper in zip(uppers[0::2], uppers[1::2])
+    ]
 
 
 def estimate_bounds(

@@ -137,8 +137,10 @@ def _metric_g(args, data, model):
 
 
 def _check_metric_options(args) -> None:
-    """Reject an option that the chosen --metric does not read, before any work."""
+    """Reject an option that the chosen --metric does not read, or lacks, before any work."""
     kind = _metric_kind(args.metric)
+    if args.loss_table is None and kind is MetricKind.RISK:
+        raise ValueError("--metric risk needs --loss-table")
     if args.loss_table is not None and kind is not MetricKind.RISK:
         raise ValueError("--loss-table is read only with --metric risk")
     if getattr(args, "prior_y1", None) is not None and kind is not MetricKind.JOINT_POSITIVE:
@@ -273,6 +275,8 @@ def cmd_diagnose(args) -> int:
     )
 
     _check_metric_options(args)
+    if args.epsilon is not None and args.label_model_alt is None:
+        raise ValueError("--epsilon is read only with --label-model-alt")
     data, table, model = _load_inputs(args)
     _, g = _metric_g(args, data, model)
     weights = empirical_z_weights(data, model.num_signatures)

@@ -1,10 +1,13 @@
 """Smoothed dual objectives with their analytic gradients and Hessians.
 
 The decision variable is a real |Y|-by-|Z| matrix ``a``. For each cell c of
-the sample's ``CellTable`` the objective replaces the hard min/max over classes
-of ``G[c, y] + a[y, z_c]`` with a temperature-eps log-mean-exp, then subtracts
-the label-model expectation of ``a[., z_c]``, and weights the result by the
-cell's mass. Everything here is a pure function of immutable inputs.
+the sample's ``CellTable`` the objective replaces the hard max over classes of
+``G[c, y] + a[y, z_c]`` with a temperature-eps log-mean-exp, then subtracts the
+label-model expectation of ``a[., z_c]``, and weights the result by the cell's
+mass. Everything here is a pure function of immutable inputs.
+
+This is the upper bound's objective only. The lower bound of G is minus the
+upper bound of -G, and ``bounds.solve_bounds`` poses it so.
 
 The objective is invariant to adding a constant to any column of ``a``, and
 it is a sum of one share per signature, each a function of its own column, so
@@ -19,7 +22,6 @@ evaluation.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
@@ -27,11 +29,6 @@ import numpy as np
 from .domain import CellTable
 
 EPSILON_FLOOR = 1e-6
-
-
-class Side(enum.Enum):
-    LOWER = "lower"
-    UPPER = "upper"
 
 
 def default_epsilon(num_classes: int) -> float:
@@ -48,18 +45,15 @@ def check_epsilon(eps: float) -> float:
     return eps
 
 
-def _soft_pass(cells: CellTable, a, epsilon, side, weights_out=None) -> np.ndarray:
-    """One soft-max pass: the soft extreme over classes of ``G[c, y] + a[y, z_c]``.
+def _soft_pass(cells: CellTable, a, epsilon, weights_out=None) -> np.ndarray:
+    """One soft-max pass: the soft max over classes of ``G[c, y] + a[y, z_c]``.
 
     The |Y|-by-cells array is class-major, so the max, the exp and the sum over
     classes run as element-wise passes over |Y| contiguous rows of cells, not as
     reductions along rows of 2 or 3 entries. If ``weights_out`` (|Y|-by-cells)
-    is given, the pass also writes its normalised soft-min (LOWER) or soft-max
-    (UPPER) weights into it.
+    is given, the pass also writes its normalised soft-max weights into it.
     """
-    sign = -1.0 if side is Side.LOWER else 1.0
     t = np.add(cells.costs.T, a.take(cells.z, axis=1), order="C")
-    t *= sign
     t /= epsilon
     m = t.max(axis=0)
     t -= m
@@ -67,28 +61,28 @@ def _soft_pass(cells: CellTable, a, epsilon, side, weights_out=None) -> np.ndarr
     total = t.sum(axis=0)
     if weights_out is not None:
         np.divide(t, total, out=weights_out)
-    return sign * epsilon * (m + np.log(total / len(t)))
+    return epsilon * (m + np.log(total / len(t)))
 
 
-def per_cell_objective(cells: CellTable, a, epsilon, side, weights_out=None) -> np.ndarray:
+def per_cell_objective(cells: CellTable, a, epsilon, weights_out=None) -> np.ndarray:
     """The smoothed dual value of each cell's samples; their mass-weighted sum is the objective.
 
     A ``weights_out`` array receives the soft-max weights, as in ``minimized_value``.
     """
-    soft = _soft_pass(cells, a, epsilon, side, weights_out)
+    soft = _soft_pass(cells, a, epsilon, weights_out)
     # label-model expectation, grouped by z: one dot product per signature
     per_z = np.einsum("zy,yz->z", cells.label_model, a)
     return soft - per_z[cells.z]
 
 
-def eval_objective(cells, a, epsilon, side) -> float:
+def eval_objective(cells, a, epsilon) -> float:
     """Mean smoothed dual value over the sample."""
-    return float(cells.mass @ per_cell_objective(cells, a, epsilon, side))
+    return float(cells.mass @ per_cell_objective(cells, a, epsilon))
 
 
-def _weights(cells, a, epsilon, side) -> np.ndarray:
+def _weights(cells, a, epsilon) -> np.ndarray:
     w = np.empty((a.shape[0], cells.z.size))
-    _soft_pass(cells, a, epsilon, side, w)
+    _soft_pass(cells, a, epsilon, w)
     return w
 
 
@@ -100,29 +94,27 @@ def _by_signature(z: np.ndarray, values: np.ndarray, num_z: int) -> np.ndarray:
     return sums.reshape(len(values), num_z)
 
 
-def gradient(cells, a, epsilon, side, weights=None) -> np.ndarray:
+def gradient(cells, a, epsilon, weights=None) -> np.ndarray:
     """Exact gradient in ``a`` of ``minimized_value``.
 
     ``weights`` are the soft-max weights that ``minimized_value`` wrote at this
     same ``a``; without them the gradient makes its own soft-max pass. Each
     column sums to zero, since every weight column and label-model row does.
     """
-    w = _weights(cells, a, epsilon, side) if weights is None else weights
+    w = _weights(cells, a, epsilon) if weights is None else weights
     # per class and signature, the mass-weighted sum of the weights
     sums = _by_signature(cells.z, cells.mass * w, a.shape[1])
-    data_term = sums - cells.z_mass * cells.label_model.T
-    return data_term if side is Side.UPPER else -data_term
+    return sums - cells.z_mass * cells.label_model.T
 
 
-def hessian(cells, a, epsilon, side, weights=None) -> np.ndarray:
+def hessian(cells, a, epsilon, weights=None) -> np.ndarray:
     """Exact Hessian of ``minimized_value`` as a (|Z|, |Y|, |Y|) stack of blocks.
 
-    Block z is ``sum_{c: z_c = z} mass_c (diag w_c - w_c w_c^T) / eps`` on both
-    sides. It is positive semidefinite with the all-ones vector in its null
+    Block z is ``sum_{c: z_c = z} mass_c (diag w_c - w_c w_c^T) / eps``. It is positive semidefinite with the all-ones vector in its null
     space, and all zero for a signature absent from the sample. ``weights`` is
     as for ``gradient``.
     """
-    w = _weights(cells, a, epsilon, side) if weights is None else weights
+    w = _weights(cells, a, epsilon) if weights is None else weights
     num_y, num_z = a.shape
     ys, xs = np.nonzero(np.arange(num_y)[:, None] < np.arange(num_y))  # pairs y < x
     outer = np.zeros((num_y, num_y, num_z))
@@ -135,18 +127,15 @@ def hessian(cells, a, epsilon, side, weights=None) -> np.ndarray:
     return blocks.transpose(2, 0, 1) / epsilon
 
 
-def minimized_value(cells, a, epsilon, side, weights_out=None) -> np.ndarray:
-    """What the solver minimizes: each signature's share of the objective, negated
-    on the LOWER side.
+def minimized_value(cells, a, epsilon, weights_out=None) -> np.ndarray:
+    """What the solver minimizes: each signature's share of the objective.
 
     The share of signature z is the mass-weighted sum of its cells' values, so
     the shares add up to the objective and each depends on column z of ``a``
-    alone. The lower bound is a supremum, so its solve minimizes the negation;
-    both sides are then convex. gradient() and hessian() are the exact
+    alone; each share is convex. gradient() and hessian() are the exact
     derivatives of the shares' sum. A ``weights_out`` array receives the
     soft-max weights of this evaluation, for the gradient and Hessian at the
     same ``a`` to reuse.
     """
-    values = cells.mass * per_cell_objective(cells, a, epsilon, side, weights_out)
-    shares = np.bincount(cells.z, weights=values, minlength=a.shape[1])
-    return shares if side is Side.UPPER else -shares
+    values = cells.mass * per_cell_objective(cells, a, epsilon, weights_out)
+    return np.bincount(cells.z, weights=values, minlength=a.shape[1])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from weakbounds import DatasetView, GMatrix, LabelModel, Side
+from weakbounds import DatasetView, GMatrix, LabelModel
 
 
 def g_values(G):
@@ -13,21 +13,31 @@ def g_values(G):
     return G.costs[G.rows]
 
 
-def soft_extreme(values, epsilon: float, side: Side) -> float:
-    """Log-mean-exp relaxation of min (LOWER) or max (UPPER) of ``values``.
+def soft_max(values, epsilon: float) -> float:
+    """Log-mean-exp relaxation of the max of ``values``.
 
-    Lies within ``epsilon * log(len(values))`` of the hard extreme, on the
-    inside of it: soft-min >= min, soft-max <= max.
+    Lies within ``epsilon * log(len(values))`` below the max. The soft-min,
+    ``-soft_max(-values)``, lies as far above the min: both bracket the hard
+    extreme from inside.
     """
     b = np.asarray(values, dtype=np.float64)
     if b.size == 0:
-        raise ValueError("soft_extreme of an empty list")
+        raise ValueError("soft_max of an empty list")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    sign = -1.0 if side is Side.LOWER else 1.0
-    t = sign * b / epsilon
+    t = b / epsilon
     m = t.max()
-    return float(sign * epsilon * (m + np.log(np.mean(np.exp(t - m)))))
+    return float(epsilon * (m + np.log(np.mean(np.exp(t - m)))))
+
+
+def negated(cells, a):
+    """The lower problem at ``a`` as the upper problem the objective computes.
+
+    The lower bound of G is minus the upper bound of -G: the lower objective at
+    ``a`` is minus the objective of the returned cells at the returned iterate,
+    and what the solver minimizes for it is that objective itself.
+    """
+    return cells._replace(costs=-cells.costs), -a
 
 
 def per_sample_g(values):

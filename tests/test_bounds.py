@@ -6,6 +6,7 @@ import pytest
 from weakbounds import (
     BoundEstimate,
     DatasetView,
+    GMatrix,
     InsufficientSampleError,
     LabelModel,
     LabelSpace,
@@ -29,7 +30,7 @@ from weakbounds import (
     threshold_sweep,
 )
 from weakbounds import bounds, solver
-from conftest import g_values, per_sample_g, random_instance, soft_extreme, two_point_instance
+from conftest import g_values, negated, per_sample_g, random_instance, soft_max, two_point_instance
 
 TIGHT = 1e-3 / math.log(2)
 
@@ -90,11 +91,9 @@ class TestEstimateBounds:
         lo, hi = estimate_bounds(data, model, G, epsilon)
         cells = cell_table(data, model, G)
         assert lo.value == pytest.approx(
-            eval_objective(cells, lo.optimizer, epsilon, Side.LOWER), abs=1e-12
+            -eval_objective(*negated(cells, lo.optimizer), epsilon), abs=1e-12
         )
-        assert hi.value == pytest.approx(
-            eval_objective(cells, hi.optimizer, epsilon, Side.UPPER), abs=1e-12
-        )
+        assert hi.value == pytest.approx(eval_objective(cells, hi.optimizer, epsilon), abs=1e-12)
 
     def test_invariant_to_sample_permutation(self, rng):
         data, model, G = random_instance(rng, n_max=40)
@@ -124,7 +123,8 @@ class TestPluginStd:
         data, model, G = two_point_instance(0.5)
         cells = cell_table(data, model, per_sample_g(np.full((2, 2), 0.3)))
         a = np.zeros((2, 1))
-        assert plugin_std(cells, a, default_epsilon(2), Side.LOWER) == 0.0
+        assert plugin_std(*negated(cells, a), default_epsilon(2)) == 0.0
+        assert plugin_std(cells, a, default_epsilon(2)) == 0.0
 
     def test_two_point_sample_std(self, rng):
         # per-sample values {0, 1} with divisor n-1 give 1/sqrt(2)
@@ -136,12 +136,12 @@ class TestPluginStd:
         epsilon = default_epsilon(2)
         a = rng.normal(size=(2, model.num_signatures))
         per_sample = [
-            soft_extreme(g_values(G)[i] + a[:, z], epsilon, Side.UPPER) - model.table[z] @ a[:, z]
+            soft_max(g_values(G)[i] + a[:, z], epsilon) - model.table[z] @ a[:, z]
             for i, z in enumerate(data.z_ids)
         ]
         direct = float(np.std(per_sample, ddof=1))
         cells = cell_table(data, model, G)
-        assert plugin_std(cells, a, epsilon, Side.UPPER) == pytest.approx(direct)
+        assert plugin_std(cells, a, epsilon) == pytest.approx(direct)
 
     def test_shift_invariance(self, rng):
         data, model, G = random_instance(rng)
@@ -149,9 +149,9 @@ class TestPluginStd:
         a = rng.normal(size=(2, model.num_signatures))
         shift = rng.normal(size=(1, model.num_signatures))
         cells = cell_table(data, model, G)
-        for side in Side:
-            assert plugin_std(cells, a + shift, epsilon, side) == pytest.approx(
-                plugin_std(cells, a, epsilon, side), abs=1e-10
+        for side in (lambda cells, a: (cells, a), negated):
+            assert plugin_std(*side(cells, a + shift), epsilon) == pytest.approx(
+                plugin_std(*side(cells, a), epsilon), abs=1e-10
             )
 
     def test_needs_two_samples(self):
@@ -159,7 +159,7 @@ class TestPluginStd:
         model = LabelModel(table=np.array([[0.5, 0.5]]))
         cells = cell_table(data, model, per_sample_g(np.array([[0.0, 1.0]])))
         with pytest.raises(InsufficientSampleError):
-            plugin_std(cells, np.zeros((2, 1)), default_epsilon(2), Side.LOWER)
+            plugin_std(cells, np.zeros((2, 1)), default_epsilon(2))
 
 
 class TestConfidenceInterval:
@@ -399,6 +399,33 @@ class TestStackedSolve:
         assert capped[slow.side].report.final_gradient_norm > solver.GRADIENT_TOLERANCE
 
 
+class TestNegatedCosts:
+    """The identity the objective rests on: the lower bound of G is minus the
+    upper bound of -G, and the upper bound of G minus the lower bound of -G,
+    bit for bit, optimizers, plug-in stds and reports included."""
+
+    @staticmethod
+    def _assert_mirrored(data, model, G, epsilon=None):
+        lo, hi = estimate_bounds(data, model, G, epsilon)
+        neg_lo, neg_hi = estimate_bounds(data, model, GMatrix(costs=-G.costs, rows=G.rows), epsilon)
+        for est, mirror in ((lo, neg_hi), (hi, neg_lo)):
+            assert est.side is not mirror.side
+            assert est.value == -mirror.value
+            assert est.plugin_std == mirror.plugin_std
+            assert np.array_equal(est.optimizer, -mirror.optimizer)
+            assert est.report == mirror.report
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_random_instances(self, rng, num_classes):
+        for _ in range(10):
+            self._assert_mirrored(*random_instance(rng, num_classes=num_classes))
+
+    def test_saturated_small_epsilon(self):
+        # at eps = 1e-3 / ln|Y| the weights saturate and solves take many steps
+        data, model, G = random_instance(np.random.default_rng(34), num_classes=3)
+        self._assert_mirrored(data, model, G, 1e-3 / math.log(3))
+
+
 def _closed_form_upper(cells, epsilon):
     """The smoothed upper bound of a binary cell table with at most 2 cells per
     signature, in closed form.
@@ -450,8 +477,8 @@ class TestClosedFormBinary:
             cells = cell_table(data, model, g)
             assert hi.value == pytest.approx(_closed_form_upper(cells, hi.epsilon), abs=1e-12)
             # the lower bound is minus the upper bound of the negated costs
-            negated = cells._replace(costs=-cells.costs)
-            assert lo.value == pytest.approx(-_closed_form_upper(negated, lo.epsilon), abs=1e-12)
+            negated_cells, _ = negated(cells, lo.optimizer)
+            assert lo.value == pytest.approx(-_closed_form_upper(negated_cells, lo.epsilon), abs=1e-12)
 
 
 class TestNormalQuantile:

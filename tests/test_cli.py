@@ -165,6 +165,7 @@ class TestExitCodes:
     UNKNOWN = "unrecognized arguments"
     UNREAD = "is read only with --metric"
     CHOICES = "; choose from "
+    RISK = "--metric risk needs --loss-table"
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -184,6 +185,11 @@ class TestExitCodes:
              UNREAD),
             (("oracle", "--loss-table", "LOSS"), UNREAD),
             (("diagnose", "--loss-table", "LOSS"), UNREAD),
+            (("diagnose", "--epsilon", "0.5"), "--epsilon is read only with --label-model-alt"),
+            # a risk metric without the loss table it reads
+            (("estimate", "--metric", "risk"), RISK),
+            (("oracle", "--metric", "risk"), RISK),
+            (("diagnose", "--metric", "risk"), RISK),
             # a prior beside sweep metrics that do not read it
             (("sweep", "--thresholds", "0.5", "--prior-y1", "0.3"), UNREAD),
             (("sweep", "--thresholds", "0.5", "--metric", "joint-positive,accuracy",
@@ -201,7 +207,9 @@ class TestExitCodes:
         ids=["estimate-n", "sweep-threshold", "sweep-loss-table", "oracle-gamma",
              "oracle-epsilon", "diagnose-gamma", "diagnose-n", "estimate-loss-table",
              "estimate-joint-loss-table", "estimate-prior-y1", "estimate-risk-prior-y1",
-             "oracle-loss-table", "diagnose-loss-table", "sweep-accuracy-prior-y1",
+             "oracle-loss-table", "diagnose-loss-table", "diagnose-epsilon",
+             "estimate-risk-no-loss-table", "oracle-risk-no-loss-table",
+             "diagnose-risk-no-loss-table", "sweep-accuracy-prior-y1",
              "sweep-joint-prior-y1", "estimate-metric-foo", "estimate-metric-f1",
              "oracle-metric-precision", "diagnose-metric-foo", "sweep-metric-foo",
              "sweep-metric-risk", "sweep-no-metric", "select-metric-foo"],
@@ -212,7 +220,7 @@ class TestExitCodes:
         # each was accepted and ignored, or failed only after reading the files;
         # sweep's --threshold replaced --thresholds
         reads = []
-        for reader in ("read_dataset_csv", "read_candidates"):
+        for reader in ("read_dataset_csv", "read_label_model_json", "read_candidates"):
             monkeypatch.setattr(cli, reader, lambda *args: reads.append(args))
         data, model = synth_files
         loss = tmp_path / "loss.json"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from weakbounds import (
     DatasetView,
     LabelModel,
-    Side,
     cell_table,
     center_columns,
     check_epsilon,
@@ -20,7 +19,7 @@ from weakbounds import (
     minimized_value,
     per_cell_objective,
 )
-from conftest import g_values, per_sample_g, random_instance, soft_extreme, two_point_instance
+from conftest import g_values, negated, per_sample_g, random_instance, soft_max, two_point_instance
 
 
 class TestSmoothingConfig:
@@ -41,17 +40,24 @@ class TestSmoothingConfig:
             estimate_bounds(*two_point_instance(0.75), epsilon=1e-9)
 
 
+# the upper problem at ``a`` as it is, and the lower one as the upper problem of -G
+BOTH_SIDES = (lambda cells, a: (cells, a), negated)
+
+
+def soft_min(values, eps):
+    """The soft-min is minus the soft-max of the negated values."""
+    return -soft_max([-v for v in values], eps)
+
+
 class TestSoftExtreme:
     def test_constant_list(self):
-        assert soft_extreme([2.5] * 4, 0.1, Side.LOWER) == pytest.approx(2.5)
-        assert soft_extreme([2.5] * 4, 0.1, Side.UPPER) == pytest.approx(2.5)
+        assert soft_min([2.5] * 4, 0.1) == pytest.approx(2.5)
+        assert soft_max([2.5] * 4, 0.1) == pytest.approx(2.5)
 
     def test_soft_min_of_zero_one(self):
         # direct evaluation: -0.5 * ln(0.5 * (1 + exp(-2)))
         expect = -0.5 * math.log(0.5 * (1.0 + math.exp(-2.0)))
-        assert soft_extreme([0.0, 1.0], 0.5, Side.LOWER) == pytest.approx(
-            expect, abs=1e-12
-        )
+        assert soft_min([0.0, 1.0], 0.5) == pytest.approx(expect, abs=1e-12)
         assert expect == pytest.approx(0.2831096, abs=1e-6)
 
     @given(
@@ -61,8 +67,8 @@ class TestSoftExtreme:
     @settings(max_examples=200, deadline=None)
     def test_sandwich_property(self, values, eps):
         k = len(values)
-        lo = soft_extreme(values, eps, Side.LOWER)
-        hi = soft_extreme(values, eps, Side.UPPER)
+        lo = soft_min(values, eps)
+        hi = soft_max(values, eps)
         assert min(values) - 1e-9 <= lo <= min(values) + eps * math.log(k) + 1e-9
         assert max(values) - eps * math.log(k) - 1e-9 <= hi <= max(values) + 1e-9
 
@@ -73,8 +79,8 @@ class TestEvalObjective:
         cells = cell_table(data, model, per_sample_g(np.zeros_like(g_values(G))))
         a = np.zeros((model.num_classes, model.num_signatures))
         epsilon = default_epsilon(2)
-        assert eval_objective(cells, a, epsilon, Side.LOWER) == pytest.approx(0.0)
-        assert eval_objective(cells, a, epsilon, Side.UPPER) == pytest.approx(0.0)
+        assert -eval_objective(*negated(cells, a), epsilon) == pytest.approx(0.0)
+        assert eval_objective(cells, a, epsilon) == pytest.approx(0.0)
 
     def test_one_hot_model_zero_a_upper_closed_form(self):
         # binary, deterministic Y|Z: at a=0 the upper objective is the
@@ -90,7 +96,7 @@ class TestEvalObjective:
                 for r in g_values(G)
             ]
         )
-        got = eval_objective(cell_table(data, model, G), a, epsilon, Side.UPPER)
+        got = eval_objective(cell_table(data, model, G), a, epsilon)
         assert got == pytest.approx(float(expect), abs=1e-10)
 
     def test_shift_invariance(self, rng):
@@ -99,9 +105,9 @@ class TestEvalObjective:
             a = rng.normal(size=(3, cells.z_mass.size))
             shift = rng.normal(size=(1, cells.z_mass.size))
             epsilon = default_epsilon(3)
-            for side in Side:
-                v0 = eval_objective(cells, a, epsilon, side)
-                v1 = eval_objective(cells, a + shift, epsilon, side)
+            for side in BOTH_SIDES:
+                v0 = eval_objective(*side(cells, a), epsilon)
+                v1 = eval_objective(*side(cells, a + shift), epsilon)
                 assert v1 == pytest.approx(v0, abs=1e-12)
 
     def test_per_sample_sandwich_vs_hard_extreme(self, rng):
@@ -114,11 +120,11 @@ class TestEvalObjective:
             shifted = cells.costs + a.T[cells.z]
             lm = np.einsum("zy,yz->z", model.table, a)[cells.z]
             cap = epsilon * math.log(3)
-            lo = per_cell_objective(cells, a, epsilon, Side.LOWER)
+            lo = -per_cell_objective(*negated(cells, a), epsilon)
             hard_lo = shifted.min(axis=1) - lm
             assert np.all(lo >= hard_lo - 1e-9)
             assert np.all(lo <= hard_lo + cap + 1e-9)
-            hi = per_cell_objective(cells, a, epsilon, Side.UPPER)
+            hi = per_cell_objective(cells, a, epsilon)
             hard_hi = shifted.max(axis=1) - lm
             assert np.all(hi <= hard_hi + 1e-9)
             assert np.all(hi >= hard_hi - cap - 1e-9)
@@ -131,9 +137,9 @@ class TestPenalized:
         cells = cell_table(*random_instance(rng))
         a = rng.normal(size=(2, cells.z_mass.size))
         epsilon = default_epsilon(2)
-        for side in Side:
-            assert minimized_value(cells, center_columns(a), epsilon, side) == pytest.approx(
-                minimized_value(cells, a, epsilon, side), abs=1e-12
+        for side in BOTH_SIDES:
+            assert minimized_value(*side(cells, center_columns(a)), epsilon) == pytest.approx(
+                minimized_value(*side(cells, a), epsilon), abs=1e-12
             )
 
     def test_upper_penalized_is_convex(self, rng):
@@ -143,9 +149,9 @@ class TestPenalized:
             a2 = rng.normal(size=(2, cells.z_mass.size))
             t = rng.uniform(0.05, 0.95)
             epsilon = default_epsilon(2)
-            for side in Side:
+            for side in BOTH_SIDES:
                 # each signature's share is convex in its own column
-                f = lambda a: minimized_value(cells, a, epsilon, side)
+                f = lambda a: minimized_value(*side(cells, a), epsilon)
                 assert np.all(f(t * a1 + (1 - t) * a2) <= t * f(a1) + (1 - t) * f(a2) + 1e-10)
 
 
@@ -155,8 +161,8 @@ class TestGradient:
         model = LabelModel(table=np.array([[0.5, 0.5], [0.5, 0.5]]))
         cells = cell_table(data, model, per_sample_g(np.full((4, 2), 0.3)))
         a = np.zeros((2, 2))
-        for side in Side:
-            g = gradient(cells, a, default_epsilon(2), side)
+        for c, x in (side(cells, a) for side in BOTH_SIDES):
+            g = gradient(c, x, default_epsilon(2))
             assert np.abs(g).max() <= 1e-14
 
     def test_column_sum_identity(self, rng):
@@ -166,8 +172,8 @@ class TestGradient:
             num_z = cells.z_mass.size
             a = rng.normal(size=(3, num_z))
             epsilon = default_epsilon(3)
-            for side in Side:
-                g = gradient(cells, a, epsilon, side)
+            for c, x in (side(cells, a) for side in BOTH_SIDES):
+                g = gradient(c, x, epsilon)
                 assert g.sum(axis=0) == pytest.approx(np.zeros(num_z), abs=1e-15)
 
     def test_matches_central_finite_differences(self, rng):
@@ -177,16 +183,15 @@ class TestGradient:
             cells = cell_table(*random_instance(rng, num_classes=k))
             a = rng.normal(scale=0.5, size=(k, cells.z_mass.size))
             epsilon = default_epsilon(k)
-            for side in Side:
-                analytic = gradient(cells, a, epsilon, side)
-                fd = np.zeros_like(a)
-                for idx in np.ndindex(a.shape):
-                    ap, am = a.copy(), a.copy()
-                    ap[idx] += h
-                    am[idx] -= h
+            for c, x in (side(cells, a) for side in BOTH_SIDES):
+                analytic = gradient(c, x, epsilon)
+                fd = np.zeros_like(x)
+                for idx in np.ndindex(x.shape):
+                    xp, xm = x.copy(), x.copy()
+                    xp[idx] += h
+                    xm[idx] -= h
                     fd[idx] = (
-                        minimized_value(cells, ap, epsilon, side).sum()
-                        - minimized_value(cells, am, epsilon, side).sum()
+                        minimized_value(c, xp, epsilon).sum() - minimized_value(c, xm, epsilon).sum()
                     ) / (2 * h)
                 scale = max(1.0, float(np.abs(fd).max()))
                 assert np.abs(analytic - fd).max() / scale <= 1e-5
@@ -202,16 +207,14 @@ class TestHessian:
             cells = cell_table(*random_instance(rng, n_max=40, num_classes=k))
             a = rng.normal(scale=0.5, size=(k, cells.z_mass.size))
             epsilon = default_epsilon(k)
-            side = Side.LOWER if trial % 2 else Side.UPPER
-            blocks = hessian(cells, a, epsilon, side)
+            c, x = BOTH_SIDES[trial % 2](cells, a)
+            blocks = hessian(c, x, epsilon)
             fd = np.zeros_like(blocks)
-            for y, z in np.ndindex(a.shape):
-                ap, am = a.copy(), a.copy()
-                ap[y, z] += h
-                am[y, z] -= h
-                diff = (
-                    gradient(cells, ap, epsilon, side) - gradient(cells, am, epsilon, side)
-                ) / (2 * h)
+            for y, z in np.ndindex(x.shape):
+                xp, xm = x.copy(), x.copy()
+                xp[y, z] += h
+                xm[y, z] -= h
+                diff = (gradient(c, xp, epsilon) - gradient(c, xm, epsilon)) / (2 * h)
                 # block diagonal: perturbing column z moves only column z
                 assert np.abs(np.delete(diff, z, axis=1)).max(initial=0.0) == 0.0
                 fd[z, :, y] = diff[:, z]
@@ -223,8 +226,8 @@ class TestHessian:
             cells = cell_table(*random_instance(rng, num_classes=3))
             a = rng.normal(size=(3, cells.z_mass.size))
             epsilon = default_epsilon(3)
-            for side in Side:
-                blocks = hessian(cells, a, epsilon, side)
+            for c, x in (side(cells, a) for side in BOTH_SIDES):
+                blocks = hessian(c, x, epsilon)
                 assert np.allclose(blocks, blocks.transpose(0, 2, 1))
                 assert np.abs(blocks.sum(axis=2)).max() <= 1e-12 * np.abs(blocks).max()
                 assert np.linalg.eigvalsh(blocks).min() >= -1e-9
@@ -234,16 +237,15 @@ class TestHessian:
         model = LabelModel(table=np.array([[0.3, 0.7], [0.5, 0.5]]))
         G = per_sample_g(np.array([[0.0, 1.0], [1.0, 0.0]]))
         cells = cell_table(data, model, G)
-        blocks = hessian(cells, np.zeros((2, 2)), default_epsilon(2), Side.UPPER)
+        blocks = hessian(cells, np.zeros((2, 2)), default_epsilon(2))
         assert np.array_equal(blocks[1], np.zeros((2, 2)))
         assert blocks[0, 0, 0] > 0.0
 
 
-def _shares(cells, a, epsilon, side):
-    """Each signature's mass-weighted sum of its cells' values, one cell at a time."""
-    values = cells.mass * per_cell_objective(cells, a, epsilon, side)
+def _shares(cells, a, values):
+    """Each signature's mass-weighted sum of its cells' ``values``, one cell at a time."""
     shares = np.zeros(a.shape[1])
-    for z, v in zip(cells.z, values):
+    for z, v in zip(cells.z, cells.mass * values):
         shares[z] += v
     return shares
 
@@ -255,43 +257,47 @@ class TestMinimizedValue:
         cells = cell_table(*random_instance(rng))
         a = rng.normal(size=(2, cells.z_mass.size))
         epsilon = default_epsilon(2)
-        shares = minimized_value(cells, a, epsilon, Side.UPPER)
-        assert np.array_equal(shares, _shares(cells, a, epsilon, Side.UPPER))
-        assert shares.sum() == pytest.approx(eval_objective(cells, a, epsilon, Side.UPPER), abs=1e-15)
+        shares = minimized_value(cells, a, epsilon)
+        assert np.array_equal(shares, _shares(cells, a, per_cell_objective(cells, a, epsilon)))
+        assert shares.sum() == pytest.approx(eval_objective(cells, a, epsilon), abs=1e-15)
 
     def test_lower_is_negated_objective(self, rng):
         cells = cell_table(*random_instance(rng))
         a = rng.normal(size=(2, cells.z_mass.size))
         epsilon = default_epsilon(2)
-        shares = minimized_value(cells, a, epsilon, Side.LOWER)
-        assert np.array_equal(shares, -_shares(cells, a, epsilon, Side.LOWER))
-        assert shares.sum() == pytest.approx(-eval_objective(cells, a, epsilon, Side.LOWER), abs=1e-15)
+        # the lower dual value of each cell, a soft-min written out directly
+        lower = [
+            soft_min(cells.costs[c] + a[:, z], epsilon) - cells.label_model[z] @ a[:, z]
+            for c, z in enumerate(cells.z)
+        ]
+        shares = minimized_value(*negated(cells, a), epsilon)
+        assert shares == pytest.approx(-_shares(cells, a, np.array(lower)), abs=1e-14)
+        assert shares.sum() == pytest.approx(-(cells.mass @ lower), abs=1e-14)
 
     def test_share_depends_on_its_own_column_only(self, rng):
         cells = cell_table(*random_instance(rng, num_classes=3))
         a = rng.normal(size=(3, cells.z_mass.size))
         moved = a.copy()
         moved[:, 1:] += rng.normal(size=(3, cells.z_mass.size - 1))
-        for side in Side:
-            before = minimized_value(cells, a, default_epsilon(3), side)
-            after = minimized_value(cells, moved, default_epsilon(3), side)
+        for side in BOTH_SIDES:
+            before = minimized_value(*side(cells, a), default_epsilon(3))
+            after = minimized_value(*side(cells, moved), default_epsilon(3))
             assert before[0] == after[0]
 
 
-def _row_major_reference(cells, a, eps, side):
+def _row_major_reference(cells, a, eps):
     """Per-cell values, value, gradient and Hessian from plain cells-by-|Y| formulas."""
-    sign = -1.0 if side is Side.LOWER else 1.0
-    t = sign * (cells.costs + a.T[cells.z]) / eps
+    t = (cells.costs + a.T[cells.z]) / eps
     m = t.max(axis=1)
     e = np.exp(t - m[:, None])
-    per_cell = sign * eps * (m + np.log(np.mean(e, axis=1)))
+    per_cell = eps * (m + np.log(np.mean(e, axis=1)))
     per_cell = per_cell - np.einsum("zy,yz->z", cells.label_model, a)[cells.z]
     w = e / e.sum(axis=1, keepdims=True)
     num_y, num_z = a.shape
     sums = np.stack(
         [np.bincount(cells.z, weights=cells.mass * w[:, y], minlength=num_z) for y in range(num_y)]
     )
-    grad = sign * (sums - cells.z_mass * cells.label_model.T)
+    grad = sums - cells.z_mass * cells.label_model.T
     hess = np.zeros((num_z, num_y, num_y))
     for y in range(num_y):
         for x in range(y + 1, num_y):
@@ -322,13 +328,13 @@ class TestClassMajorKernels:
             assert np.array_equal(G.rows, np.arange(data.n))
             cells = cell_table(data, model, G)
             a = rng.normal(scale=[0.1, 1.0, 5.0][trial % 3], size=(num_classes, model.num_signatures))
-            for side in Side:
-                ref = _row_major_reference(cells, a, epsilon, side)
+            for c, x in (side(cells, a) for side in BOTH_SIDES):
+                ref = _row_major_reference(c, x, epsilon)
                 got = (
-                    per_cell_objective(cells, a, epsilon, side),
-                    eval_objective(cells, a, epsilon, side),
-                    gradient(cells, a, epsilon, side),
-                    hessian(cells, a, epsilon, side),
+                    per_cell_objective(c, x, epsilon),
+                    eval_objective(c, x, epsilon),
+                    gradient(c, x, epsilon),
+                    hessian(c, x, epsilon),
                 )
                 # the size of the terms each result sums, to scale the tolerance
                 scales = (

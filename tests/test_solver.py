@@ -6,7 +6,6 @@ import pytest
 from weakbounds import (
     LabelModel,
     NumericalError,
-    Side,
     estimate_bounds,
     minimize,
 )
@@ -71,8 +70,8 @@ class TestMinimize:
         values = []  # the shares of both sides' signatures, solved side by side
         original = bounds.minimized_value
 
-        def tracked(cells, a, epsilon, side, **kwargs):
-            values.append(original(cells, a, epsilon, side, **kwargs))
+        def tracked(cells, a, epsilon, **kwargs):
+            values.append(original(cells, a, epsilon, **kwargs))
             return values[-1]
 
         monkeypatch.setattr(bounds, "minimized_value", tracked)
@@ -206,9 +205,7 @@ class TestWeightReuse:
         reused = estimate_bounds(data, model, G, eps)
         for name in ("gradient", "hessian"):
             fresh_fn = getattr(objective, name)
-            monkeypatch.setattr(
-                bounds, name, lambda cells, a, eps, side, weights, fn=fresh_fn: fn(cells, a, eps, side)
-            )
+            monkeypatch.setattr(bounds, name, lambda cells, a, eps, weights, fn=fresh_fn: fn(cells, a, eps))
         fresh = estimate_bounds(data, model, G, eps)
         for r, f in zip(reused, fresh):
             assert np.array_equal(r.optimizer, f.optimizer)
