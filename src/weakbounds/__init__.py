@@ -44,6 +44,7 @@ _EXPORTS = {
         "LabelSpace",
         "SignatureTable",
         "cell_table",
+        "cells_from_counts",
         "center_columns",
         "check_covers",
         "encode_signatures",

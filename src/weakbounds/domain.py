@@ -234,23 +234,39 @@ class CellTable(NamedTuple):
     label_model: np.ndarray  # |Z|-by-|Y| table of P(Y | Z)
 
 
+def cells_from_counts(
+    z: np.ndarray, rows: np.ndarray, counts: np.ndarray, costs: np.ndarray, model: LabelModel
+) -> CellTable:
+    """The cell table of a sample given by integer counts of (signature, cost row) cells.
+
+    Cell i holds ``counts[i]`` samples of signature ``z[i]`` whose cost row is
+    ``costs[rows[i]]``. The cells come in ``cell_table``'s order, by signature
+    and then by cost row; those with a zero count are dropped. The sample size
+    is the total count, and shares of it are formed only here.
+    """
+    keep = counts > 0
+    z, rows, counts = z[keep], rows[keep], counts[keep]
+    n = int(counts.sum())
+    return CellTable(
+        n=n,
+        z=z,
+        costs=costs[rows],
+        mass=counts / n,
+        z_mass=np.bincount(z, weights=counts, minlength=model.num_signatures) / n,
+        label_model=model.table,
+    )
+
+
 def cell_table(data: DatasetView, model: LabelModel, G: GMatrix) -> CellTable:
-    """Check that data, label model and G fit together, then group the sample into cells."""
+    """Check that data, label model and G fit together, then count the sample's cells."""
     check_covers(data, model)
     if G.n != data.n or G.num_classes != model.num_classes:
         raise ValueError("shape mismatch between data, label model, and G")
     num_rows = len(G.costs)
     # an integer key: np.unique on float cost rows is far slower
     keys, counts = np.unique(data.z_ids * num_rows + G.rows, return_counts=True)
-    z, row = np.divmod(keys, num_rows)
-    return CellTable(
-        n=data.n,
-        z=z,
-        costs=G.costs[row],
-        mass=counts / data.n,
-        z_mass=np.bincount(z, weights=counts, minlength=model.num_signatures) / data.n,
-        label_model=model.table,
-    )
+    z, rows = np.divmod(keys, num_rows)
+    return cells_from_counts(z, rows, counts, G.costs, model)
 
 
 def center_columns(a: np.ndarray) -> np.ndarray:

@@ -185,6 +185,10 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
         raise FormatError(f"{path}: dataset has no rows")
 
     column = lambda name: body[f"c{col[name]}"].copy() if name in col else None
+    # loadtxt reads nan as a float; rows count from line 2, as in _body_error
+    nan_rows = np.flatnonzero(np.isnan(body[f"c{col['score']}"])) if "score" in col else []
+    if len(nan_rows):
+        raise FormatError(f"{path}:{nan_rows[0] + 2}: column score: NaN is not a score")
     table, z_ids = encode_signatures(np.stack([body[f"c{i}"] for i in wl_cols], axis=1))
     data = DatasetView(
         n=len(body),

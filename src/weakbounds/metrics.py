@@ -11,12 +11,19 @@ import numpy as np
 from .bounds import (
     BoundEstimate,
     ConfidenceInterval,
-    bound_problem,
     estimate_class_prior,
     normal_interval,
     solve_bounds,
 )
-from .domain import DatasetView, GMatrix, LabelModel, LabelSpace, read_only
+from .domain import (
+    DatasetView,
+    GMatrix,
+    LabelModel,
+    LabelSpace,
+    cells_from_counts,
+    check_covers,
+    read_only,
+)
 from .errors import FormatError
 
 
@@ -70,23 +77,27 @@ def _predictions(data: DatasetView, spec: MetricSpec, num_classes: int) -> np.nd
     raise FormatError("metric needs predictions, or scores plus a threshold")
 
 
+def _cost_table(kind: MetricKind, k: int, loss_table: np.ndarray | None = None) -> np.ndarray:
+    """The cost rows of a built-in metric over ``k`` classes, one per prediction."""
+    if kind is MetricKind.ACCURACY:
+        return np.eye(k)
+    if kind is MetricKind.RISK:
+        if loss_table.shape != (k, k):
+            raise ValueError("loss_table must be |Y|-by-|Y|")
+        return loss_table
+    # joint_positive: g = 1[h(x)=1 and y=1], binary only
+    if k != 2:
+        raise ValueError("joint_positive is defined for binary tasks only")
+    return np.array([[0.0, 0.0], [0.0, 1.0]])
+
+
 def build_g(data: DatasetView, spec: MetricSpec, space: LabelSpace) -> GMatrix:
     """Cost matrix for a metric: sample i takes the cost row of its prediction.
 
     For any other cost, construct a ``GMatrix`` directly.
     """
-    k = space.num_classes
-    preds = _predictions(data, spec, k)
-    if spec.kind is MetricKind.ACCURACY:
-        return GMatrix(costs=np.eye(k), rows=preds)
-    if spec.kind is MetricKind.RISK:
-        if spec.loss_table.shape != (k, k):
-            raise ValueError("loss_table must be |Y|-by-|Y|")
-        return GMatrix(costs=spec.loss_table, rows=preds)
-    # joint_positive: g = 1[h(x)=1 and y=1], binary only
-    if k != 2:
-        raise ValueError("joint_positive is defined for binary tasks only")
-    return GMatrix(costs=[[0.0, 0.0], [0.0, 1.0]], rows=preds)
+    preds = _predictions(data, spec, space.num_classes)
+    return GMatrix(costs=_cost_table(spec.kind, space.num_classes, spec.loss_table), rows=preds)
 
 
 def estimate_h1(data: DatasetView, threshold: float | None = None) -> float:
@@ -217,16 +228,16 @@ def threshold_sweep(
     gamma: float = 0.05,
     p_y1: float | None = None,
 ) -> SweepTable:
-    """Bounds per threshold for the requested metrics; rows ordered by threshold.
+    """Bounds per threshold for the requested metrics; rows follow the order of ``thresholds``.
 
     ``metric_kinds`` may hold any of ``SWEEP_KINDS``; those of ``PRF_KINDS`` derive from
-    one joint_positive solve.
+    one joint_positive solve. A sample is positive at ``t`` when ``score >= t``, so
+    a threshold reads the sample only through each signature's count of positives.
     """
     if not thresholds:
         raise ValueError("empty threshold list")
     if data.scores is None:
         raise FormatError("threshold sweep needs scores")
-    space = LabelSpace(num_classes=model.num_classes)
     unknown = set(metric_kinds) - set(SWEEP_KINDS)
     if unknown:
         raise ValueError(f"unknown metric kinds {sorted(unknown)}; choose from {SWEEP_KINDS}")
@@ -234,18 +245,40 @@ def threshold_sweep(
     solved = [k for k in ("accuracy", "joint_positive") if k in metric_kinds]
     if wants_prf and "joint_positive" not in solved:
         solved.append("joint_positive")
+    # through the constructor, which checks each column's length
+    data = DatasetView(**vars(data))
+    # a NaN fails every score >= t, but sorts above every threshold
+    if np.isnan(data.scores).any():
+        raise FormatError("scores must not be NaN")
+    check_covers(data, model)
+    costs = {metric: _cost_table(MetricKind(metric), model.num_classes) for metric in solved}
 
     if p_y1 is None and wants_prf:
         p_y1 = estimate_class_prior(data, model, positive_class=1)
 
+    # A sample is positive at each threshold at or below its score: a binary
+    # search among the distinct thresholds, sorted in the scores' precision (in
+    # which score >= t compares a float t), finds how many those are.
+    cuts, column = np.unique(
+        np.asarray(thresholds, dtype=np.result_type(data.scores, 0.0)), return_inverse=True
+    )
+    num_z, width = model.num_signatures, len(cuts) + 1
+    key = np.searchsorted(cuts, data.scores, side="right")
+    key += data.z_ids * width
+    hist = np.bincount(key, minlength=num_z * width).reshape(num_z, width)
+    # positives[:, j]: the samples of each signature with a score of at least cuts[j]
+    positives = np.cumsum(hist[:, :0:-1], axis=1)[:, ::-1]
+    totals = hist.sum(axis=1)
+    # each signature's cells, prediction 0 then 1: a cost row per prediction
+    z, preds = np.repeat(np.arange(num_z), 2), np.tile([0, 1], num_z)
+
     problems, p_h1s = [], []
-    for t in thresholds:
-        # through the constructor, which checks each column's length
-        at_t = DatasetView(**{**vars(data), "predictions": (data.scores >= t).astype(np.int64)})
-        p_h1s.append(estimate_h1(at_t) if wants_prf else None)
+    for j in column:
+        counts = np.column_stack([totals - positives[:, j], positives[:, j]]).ravel()
+        p_h1s.append(float(positives[:, j].sum() / data.n) if wants_prf else None)
         for metric in solved:
-            g = build_g(at_t, MetricSpec(MetricKind(metric)), space)
-            problems.append(bound_problem(at_t, model, g))
+            cells = cells_from_counts(z, preds, counts, costs[metric], model)
+            problems.append((cells, float(np.abs(costs[metric]).max())))
     # every threshold and metric in one solve, in the order of ``problems``
     pairs = iter(solve_bounds(problems, epsilon))
     rows, solves = [], []

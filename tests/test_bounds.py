@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,14 +16,17 @@ from weakbounds import (
     Side,
     SolveReport,
     SynthSpec,
+    bound_rows,
     build_g,
     cell_table,
+    cells_from_counts,
     ci_half_width,
     confidence_interval,
     count_label_model,
     default_epsilon,
     estimate_bounds,
     estimate_class_prior,
+    estimate_h1,
     eval_objective,
     exact_bounds,
     generate_synthetic,
@@ -291,7 +295,41 @@ def _binary_instances(n, seed):
         yield result.data, result.model, g
 
 
+def _counted_cells(data, model, G):
+    """The cells counted one sample at a time, in ``cell_table``'s order."""
+    counts = Counter(zip(data.z_ids.tolist(), G.rows.tolist()))
+    z_counts = Counter(data.z_ids.tolist())
+    keys = sorted(counts)
+    return (
+        data.n,
+        np.array([z for z, _ in keys]),
+        G.costs[[row for _, row in keys]],
+        np.array([counts[key] / data.n for key in keys]),
+        np.array([z_counts[z] / data.n for z in range(model.num_signatures)]),
+        model.table,
+    )
+
+
 class TestCellTable:
+    def test_counts_give_the_cells_of_each_sample(self, rng):
+        # built-in G (accuracy and joint_positive; a 3-class risk) and a general
+        # per-sample G, whose rows = arange(n) make one cell per sample
+        instances = [random_instance(rng, num_classes=k, num_sig_max=8) for k in (2, 2, 3, 3)]
+        instances += [_multiclass_risk(300, seed=5), *_binary_instances(500, seed=6)]
+        for data, model, G in instances:
+            expected = _counted_cells(data, model, G)
+            dense = np.zeros((model.num_signatures, len(G.costs)), dtype=np.int64)
+            np.add.at(dense, (data.z_ids, G.rows), 1)
+            z, rows = np.indices(dense.shape).reshape(2, -1)
+            for cells in (
+                cell_table(data, model, G),
+                # every (signature, cost row) pair, empty ones included
+                cells_from_counts(z, rows, dense.ravel(), G.costs, model),
+            ):
+                assert len(cells) == len(expected)
+                for got, want in zip(cells, expected):
+                    assert np.array_equal(got, want)
+
     def test_large_n_sandwich(self):
         # the oracle runs on cells, so the sandwich holds at a size where a
         # per-sample oracle is out of reach
@@ -373,15 +411,42 @@ class TestStackedSolve:
     def test_sweep_equals_estimates_at_each_threshold(self):
         result = generate_synthetic(SynthSpec(n=400, seed=3))
         data, model = result.data, result.model
-        thresholds = [0.3, 0.5, 0.7]
-        sweep = threshold_sweep(data, model, thresholds, ["accuracy", "f1"])
-        estimates = iter(est for _, est in sweep.solves)
-        space = LabelSpace(num_classes=2)
-        for t in thresholds:
-            for kind in (MetricKind.ACCURACY, MetricKind.JOINT_POSITIVE):
-                g = build_g(data, MetricSpec(kind, threshold=t), space)
-                for alone in estimate_bounds(data, model, g):
-                    assert _same_estimate(next(estimates), alone)
+        view = lambda scores: DatasetView(n=data.n, z_ids=data.z_ids, scores=scores)
+        ties = view(np.round(data.scores, 1))
+        assert np.isin([0.3, 0.5, 0.7], ties.scores).all()
+        # every score of signature 0 lies above every threshold, of signature 1 below
+        one_sided = view(np.select([data.z_ids == 0, data.z_ids == 1], [9.0, -9.0], data.scores))
+        rng = np.random.default_rng(31)
+        tri, tri_model, _ = random_instance(rng, n_max=200, num_classes=3)
+        tri = DatasetView(n=tri.n, z_ids=tri.z_ids, scores=rng.uniform(0.0, 1.0, tri.n))
+        prf = ["accuracy", "f1"]
+        cases = [
+            (data, model, [0.3, 0.5, 0.7], prf),
+            (ties, model, [0.3, 0.5, 0.7], prf),  # ties classify positive
+            # float32(0.7) < 0.7, yet score >= 0.7 compares in float32 and holds
+            (view(ties.scores.astype(np.float32)), model, [0.3, 0.7], prf),
+            (data, model, [-1.0, 2.0], prf),  # below and above every score
+            (data, model, [0.7, 0.3, 0.5, 0.3, 0.7], prf),
+            (one_sided, model, [0.2, 0.6], prf),
+            (tri, tri_model, [0.25, 0.5, 0.75], ["accuracy"]),
+        ]
+        for data, model, thresholds, kinds in cases:
+            sweep = threshold_sweep(data, model, thresholds, kinds)
+            estimates = iter(est for _, est in sweep.solves)
+            rows = iter(sweep.rows)
+            space = LabelSpace(num_classes=model.num_classes)
+            p_y1 = estimate_class_prior(data, model, positive_class=1)
+            solved = [MetricKind.ACCURACY] + [MetricKind.JOINT_POSITIVE] * ("f1" in kinds)
+            for t in thresholds:
+                for kind in solved:
+                    g = build_g(data, MetricSpec(kind, threshold=t), space)
+                    lo, hi = estimate_bounds(data, model, g)
+                    assert _same_estimate(next(estimates), lo)
+                    assert _same_estimate(next(estimates), hi)
+                    p_h1 = estimate_h1(data, t)
+                    for want in bound_rows(lo, hi, kind.value, kinds, 0.05, p_h1, p_y1, t):
+                        assert next(rows)._replace(solve=None) == want._replace(solve=None)
+            assert next(rows, None) is None
 
     def test_each_side_reports_its_own_signatures(self, monkeypatch):
         # lower and upper need different numbers of iterations; a budget between

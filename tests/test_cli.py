@@ -403,6 +403,17 @@ class TestSweep:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize("metric", ["f1", "joint-positive"])
+    def test_three_class_sweep_of_joint_positive_is_usage_error(self, tmp_path, capsys, metric):
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        data.write_text("score,wl_0\n0.5,1\n0.2,0\n0.7,2\n0.9,0\n")
+        model.write_text(json.dumps({"num_classes": 3, "fallback": "uniform", "entries": []}))
+        rc = run("sweep", "--data", str(data), "--label-model", str(model),
+                 "--thresholds", "0.3,0.6", "--metric", metric)
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert "joint_positive is defined for binary tasks only" in err
+
 
 class TestEstimateMatchesSweep:
     """`estimate` and `sweep` report the same numbers for the same threshold."""
@@ -487,6 +498,22 @@ class TestThresholdBesidePred:
                  "--threshold", "0.5")
         assert rc == 2
         assert "a threshold needs a score column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("estimate", "--metric", "accuracy", "--threshold", "0.5"),
+         ("sweep", "--thresholds", "0.5")],
+        ids=["estimate", "sweep"],
+    )
+    def test_nan_score_is_data_error(self, tmp_path, capsys, argv):
+        # a NaN score fails every score >= t, so it would count as a negative
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        data.write_text("score,wl_0\n0.5,1\n0.2,0\nnan,1\n0.9,0\n")
+        model.write_text(json.dumps({"num_classes": 2, "fallback": "uniform", "entries": []}))
+        rc = run(argv[0], "--data", str(data), "--label-model", str(model), *argv[1:])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert f"{data}:4: column score: NaN is not a score" in err
 
 
 class TestOracleCommand:

@@ -91,9 +91,12 @@ class TestDatasetCsv:
             ("0.5,1,0,1\n\n0.5,1,x,1\n", 3, "blank line"),
             ("0.5,1,0,1\n0.5,1,x,1\n\n", 3, "column wl_0: could not convert 'x' to int64"),
             ("0.5,1,0,1\n0.5\x1f,1,0,1\n", 3, "control character '\\x1f'"),
+            ("0.5,1,0,1\nnan,1,0,1\n0.5,1,0,1\n", 3, "column score: NaN is not a score"),
+            ("-NaN,1,0,1\n", 2, "column score: NaN is not a score"),
         ],
         ids=["short", "long", "empty-field", "float-vote", "exponent-pred", "blank",
-             "blank-before-bad-value", "bad-value-before-blank", "ascii-separator"],
+             "blank-before-bad-value", "bad-value-before-blank", "ascii-separator",
+             "nan-score", "minus-nan-score"],
     )
     def test_malformed_row_names_its_file_line(self, tmp_path, body, line, what):
         path = tmp_path / "e.csv"

@@ -197,6 +197,15 @@ class TestThresholdSweep:
         with pytest.raises(FormatError, match="scores length must equal n"):
             threshold_sweep(data, model, [0.5], ["accuracy"])
 
+    def test_nan_score_rejected(self, rng):
+        data, model = sweep_fixture(rng)
+        scores = data.scores.copy()
+        scores[3] = np.nan
+        data = DatasetView(n=data.n, z_ids=data.z_ids, scores=scores)
+        # a NaN sorts above every threshold, so counting it would make it positive
+        with pytest.raises(FormatError, match="scores must not be NaN"):
+            threshold_sweep(data, model, [0.5], ["accuracy"])
+
     def test_needs_scores(self, rng):
         data, model, _ = random_instance(rng)
         with pytest.raises(FormatError):
