@@ -21,7 +21,6 @@ from .errors import InsufficientSampleError
 from .objective import (
     check_epsilon,
     default_epsilon,
-    eval_objective,
     gradient,
     hessian,
     minimized_value,
@@ -51,11 +50,13 @@ class ConfidenceInterval(NamedTuple):
     high: float
 
 
-def plugin_std(cells, a_hat, epsilon) -> float:
-    """Sample standard deviation (divisor n-1) of the per-sample dual values."""
+def plugin_std(cells, values) -> float:
+    """Sample standard deviation (divisor n-1) of the per-sample dual values.
+
+    ``values`` holds the dual value of each cell, as ``per_cell_objective`` gives it.
+    """
     if cells.n < 2:
         raise InsufficientSampleError("plug-in std needs at least 2 samples")
-    values = per_cell_objective(cells, a_hat, epsilon)
     variance = cells.mass @ (values - cells.mass @ values) ** 2
     return float(np.sqrt(variance * cells.n / (cells.n - 1)))
 
@@ -87,83 +88,64 @@ def _stack(tables, starts) -> CellTable:
         mass=np.concatenate(part("mass")),
         z_mass=np.concatenate(part("z_mass")),
         label_model=np.concatenate(part("label_model")),
+        sup_norm=max(part("sup_norm")),
     )
-
-
-def bound_problem(data: DatasetView, model: LabelModel, G: GMatrix) -> tuple[CellTable, float]:
-    """The problem of ``G`` for ``solve_bounds``: its cell table, which holds no
-    per-sample array, and the sup-norm of ``G``."""
-    return cell_table(data, model, G), G.sup_norm
 
 
 def solve_bounds(
-    problems, epsilon: float | None = None
+    tables: list[CellTable], epsilon: float | None = None
 ) -> list[tuple[BoundEstimate, BoundEstimate]]:
-    """The (lower, upper) pair of each problem of ``bound_problem``, from one Newton solve.
+    """The (lower, upper) pair of each cell table, from one Newton solve.
 
     The temperature is ``epsilon``, by default ``default_epsilon``. Each
     signature of each side is its own column of the solver, with its own step
-    length and stopping test, so each pair is the one its problem gets alone,
+    length and stopping test, so each pair is the one its table gets alone,
     bit for bit, reports included: a report's iterations and gradient norm are
-    those of its own signatures. Every problem must have the same classes.
+    those of its own signatures. Every table must have the same classes.
     """
     if epsilon is not None:
         epsilon = check_epsilon(epsilon)
-    if not problems:
+    if not tables:
         return []
     if epsilon is None:
-        epsilon = default_epsilon(problems[0][0].label_model.shape[1])
+        epsilon = default_epsilon(tables[0].label_model.shape[1])
     # The objective is the upper bound's. The lower bound of G is minus the
-    # upper bound of -G, so each problem enters as its negated cost rows and as
+    # upper bound of -G, so each table enters as its negated cost rows and as
     # itself. Since -(g + a) is (-g) + (-a) in IEEE arithmetic, negation passes
     # exactly through every max, exp and log argument, dot product and sum here.
+    sides = [table for cells in tables for table in (cells._replace(costs=-cells.costs), cells)]
+    widths = [len(cells.label_model) for cells in sides]
+    starts = np.cumsum([0] + widths)
+    stacked = _stack(sides, starts)
     # A larger step overshoots when the weights saturate at small eps; the eps
     # term keeps a G of all zeros from freezing the iterate.
-    sides = [
-        (table, 2.0 * sup_norm + epsilon)
-        for cells, sup_norm in problems
-        for table in (cells._replace(costs=-cells.costs), cells)
-    ]
-    widths = [len(cells.label_model) for cells, _ in sides]
-    starts = np.cumsum([0] + widths)
-    stacked = _stack([cells for cells, _ in sides], starts)
-    max_step = np.repeat([step for _, step in sides], widths)
+    max_step = np.repeat([2.0 * cells.sup_norm + epsilon for cells in sides], widths)
     ridge = _newton_ridge(stacked, epsilon)
-    # The solver takes the gradient and the Hessian only at the iterate of its
-    # latest value evaluation, and never changes an iterate in place, so both
-    # reuse that evaluation's soft-max weights.
-    weights = np.empty(stacked.costs.shape[::-1])
-    weights_at = None  # the iterate whose weights ``weights`` holds
-
-    def value(a):
-        nonlocal weights_at
-        weights_at = None
-        f = minimized_value(stacked, a, epsilon, weights_out=weights)
-        weights_at = a
-        return f
-
-    def reusable(a):
-        return weights if a is weights_at else None
-
     a_hat, columns = minimize(
-        value,
-        lambda a: gradient(stacked, a, epsilon, reusable(a)),
-        lambda a: hessian(stacked, a, epsilon, reusable(a)) + ridge,
+        lambda a: minimized_value(stacked, a, epsilon),
+        lambda weights: gradient(stacked, weights),
+        lambda weights: hessian(stacked, weights, epsilon) + ridge,
         np.zeros(stacked.label_model.shape[::-1]),
         max_step,
     )
+    # shift invariance keeps the value; report the zero-column-sum optimizer.
+    # A cell's value and a column's mean do not depend on what is stacked
+    # beside them, so one pass gives each side its own values: the cells of
+    # its signatures.
+    a_hat = center_columns(a_hat)
+    values = per_cell_objective(stacked, a_hat, epsilon)
+    per_side = np.split(values, np.searchsorted(stacked.z, starts[1:-1]))
     uppers = []
-    for (cells, _), start, width in zip(sides, starts, widths):
+    for cells, start, width, mine in zip(sides, starts, widths, per_side):
         own = slice(start, start + width)
-        # shift invariance keeps the value; report the zero-column-sum optimizer
-        a = center_columns(a_hat[:, own])
+        a = a_hat[:, own]
         sup_norm = float(np.max(np.abs(a))) if a.size else 0.0
         uppers.append(
             BoundEstimate(
                 side=Side.UPPER,
-                value=eval_objective(cells, a, epsilon),
+                value=float(cells.mass @ mine),
                 optimizer=a,
-                plugin_std=plugin_std(cells, a, epsilon),
+                plugin_std=plugin_std(cells, mine),
                 n=cells.n,
                 report=columns.of(own)._replace(optimizer_sup_norm=sup_norm),
                 epsilon=epsilon,
@@ -183,7 +165,7 @@ def estimate_bounds(
     epsilon: float | None = None,
 ) -> tuple[BoundEstimate, BoundEstimate]:
     """Both one-sided smoothed dual bounds, solved from a zero start at temperature ``epsilon``."""
-    return solve_bounds([bound_problem(data, model, G)], epsilon)[0]
+    return solve_bounds([cell_table(data, model, G)], epsilon)[0]
 
 
 def check_gamma(gamma: float) -> float:

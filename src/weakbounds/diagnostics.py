@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundEstimate, bound_problem, solve_bounds
+from .bounds import BoundEstimate, solve_bounds
 from .domain import DatasetView, GMatrix, LabelModel, cell_table
 from .errors import CoverageError
 
@@ -83,9 +83,10 @@ def misspecification_report(
         tv_distance(model_p.table[z], model_q.table[z])
         for z in range(model_p.num_signatures)
     )
-    # both models in one solve
+    # the sample counted once, and both models in one solve
+    cells = cell_table(data, model_p, G)
     (lo_p, up_p), (lo_q, up_q) = solve_bounds(
-        [bound_problem(data, model_p, G), bound_problem(data, model_q, G)], epsilon
+        [cells, cells._replace(label_model=model_q.table)], epsilon
     )
     norm_p = max(lo_p.report.optimizer_sup_norm, up_p.report.optimizer_sup_norm)
     norm_q = max(lo_q.report.optimizer_sup_norm, up_q.report.optimizer_sup_norm)

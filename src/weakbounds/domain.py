@@ -232,6 +232,7 @@ class CellTable(NamedTuple):
     mass: np.ndarray  # share of the sample in each cell
     z_mass: np.ndarray  # share of the sample in each signature
     label_model: np.ndarray  # |Z|-by-|Y| table of P(Y | Z)
+    sup_norm: float  # max |cost| over the whole cost table, also rows no cell uses
 
 
 def cells_from_counts(
@@ -242,7 +243,8 @@ def cells_from_counts(
     Cell i holds ``counts[i]`` samples of signature ``z[i]`` whose cost row is
     ``costs[rows[i]]``. The cells come in ``cell_table``'s order, by signature
     and then by cost row; those with a zero count are dropped. The sample size
-    is the total count, and shares of it are formed only here.
+    is the total count, and shares of it are formed only here. The table's
+    ``sup_norm`` is that of all of ``costs``, which caps the solver's steps.
     """
     keep = counts > 0
     z, rows, counts = z[keep], rows[keep], counts[keep]
@@ -254,6 +256,7 @@ def cells_from_counts(
         mass=counts / n,
         z_mass=np.bincount(z, weights=counts, minlength=model.num_signatures) / n,
         label_model=model.table,
+        sup_norm=float(np.abs(costs).max(initial=0.0)),
     )
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -91,8 +92,8 @@ def write_dataset_csv(path: str | Path, data: DatasetView, table: SignatureTable
 
 
 # numpy's loadtxt messages for a row with the wrong number of fields (its row
-# counts file lines from 0) and for a field it cannot convert (its row counts
-# data rows from 0)
+# counts rows from 0, the header first) and for a field it cannot convert (its
+# row counts data rows from 0)
 _RAGGED = re.compile(r"requires \d+ columns but (\d+) were found at row (\d+)")
 _BAD_VALUE = re.compile(r"could not convert string (.*) to (\w+) at row (\d+), column (\d+)", re.S)
 # loadtxt also reads what int() and float() on the csv module's fields reject: it
@@ -122,16 +123,32 @@ def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
     return None
 
 
+def _row_line(path, row: int) -> int:
+    """The 1-based file line on which data row ``row`` (from 0) ends.
+
+    A quoted field may span lines, so rows are counted by the csv module, past
+    the blank lines that loadtxt skips.
+    """
+    try:
+        with open(path, newline="", errors="replace") as fh:
+            reader = csv.reader(fh)
+            next(reader)  # the header, one line
+            ends = (reader.line_num for fields in reader if fields)
+            return next(itertools.islice(ends, row, None))
+    except (csv.Error, StopIteration):
+        return row + 2  # as if no field spanned lines
+
+
 def _body_error(
     path, exc: ValueError, header: list[str], misread: tuple[int, str] | None
 ) -> FormatError:
     """The FormatError, naming the 1-based file line, for a loadtxt failure."""
     msg = str(exc)
     if m := _RAGGED.search(msg):
-        line = int(m[2]) + 1
+        line = _row_line(path, int(m[2]) - 1)
         what = f"wrong number of fields ({m[1]}, the header has {len(header)})"
     elif m := _BAD_VALUE.search(msg):
-        line = int(m[3]) + 2
+        line = _row_line(path, int(m[3]))
         what = f"column {header[int(m[4]) - 1]}: could not convert {m[1]} to {m[2]}"
     else:
         return FormatError(f"{path}: {msg}")
@@ -185,10 +202,11 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
         raise FormatError(f"{path}: dataset has no rows")
 
     column = lambda name: body[f"c{col[name]}"].copy() if name in col else None
-    # loadtxt reads nan as a float; rows count from line 2, as in _body_error
+    # loadtxt reads nan as a float
     nan_rows = np.flatnonzero(np.isnan(body[f"c{col['score']}"])) if "score" in col else []
     if len(nan_rows):
-        raise FormatError(f"{path}:{nan_rows[0] + 2}: column score: NaN is not a score")
+        line = _row_line(path, nan_rows[0])
+        raise FormatError(f"{path}:{line}: column score: NaN is not a score")
     table, z_ids = encode_signatures(np.stack([body[f"c{i}"] for i in wl_cols], axis=1))
     data = DatasetView(
         n=len(body),

@@ -63,8 +63,12 @@ def _predictions(data: DatasetView, spec: MetricSpec, num_classes: int) -> np.nd
     if spec.threshold is not None:
         if data.scores is None:
             raise FormatError("a threshold needs a score column")
+        scores = np.asarray(data.scores)
+        # a NaN fails every score >= t, which would count it as a negative
+        if np.isnan(scores).any():
+            raise FormatError("scores must not be NaN")
         # ties at the threshold classify positive
-        return (np.asarray(data.scores) >= spec.threshold).astype(np.int64)
+        return (scores >= spec.threshold).astype(np.int64)
     if data.predictions is not None:
         preds = np.asarray(data.predictions, dtype=np.int64)
         # a negative class would silently index from the end in build_g
@@ -272,15 +276,13 @@ def threshold_sweep(
     # each signature's cells, prediction 0 then 1: a cost row per prediction
     z, preds = np.repeat(np.arange(num_z), 2), np.tile([0, 1], num_z)
 
-    problems, p_h1s = [], []
+    tables, p_h1s = [], []
     for j in column:
         counts = np.column_stack([totals - positives[:, j], positives[:, j]]).ravel()
         p_h1s.append(float(positives[:, j].sum() / data.n) if wants_prf else None)
-        for metric in solved:
-            cells = cells_from_counts(z, preds, counts, costs[metric], model)
-            problems.append((cells, float(np.abs(costs[metric]).max())))
-    # every threshold and metric in one solve, in the order of ``problems``
-    pairs = iter(solve_bounds(problems, epsilon))
+        tables += [cells_from_counts(z, preds, counts, costs[metric], model) for metric in solved]
+    # every threshold and metric in one solve, in the order of ``tables``
+    pairs = iter(solve_bounds(tables, epsilon))
     rows, solves = [], []
     for t, p_h1 in zip(thresholds, p_h1s):
         for metric in solved:

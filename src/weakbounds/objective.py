@@ -14,10 +14,10 @@ it is a sum of one share per signature, each a function of its own column, so
 its Hessian is block diagonal: one |Y|-by-|Y| block per signature.
 
 An evaluation holds the shifted costs class-major, as a |Y|-by-cells array, and
-makes one soft-max pass over it. ``minimized_value`` can hand that pass's
-weights to ``gradient`` and ``hessian`` at the same ``a``, which then only sum
-them per signature, so a Newton iteration computes weights once per value
-evaluation.
+makes one soft-max pass over it. ``minimized_value`` returns that pass's
+weights beside the shares; ``gradient`` and ``hessian`` take those weights and
+only sum them per signature, so a Newton iteration computes weights once per
+value evaluation.
 """
 
 from __future__ import annotations
@@ -45,13 +45,15 @@ def check_epsilon(eps: float) -> float:
     return eps
 
 
-def _soft_pass(cells: CellTable, a, epsilon, weights_out=None) -> np.ndarray:
-    """One soft-max pass: the soft max over classes of ``G[c, y] + a[y, z_c]``.
+def _soft_pass(cells: CellTable, a, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """One soft-max pass: each cell's dual value and its soft-max weights.
 
-    The |Y|-by-cells array is class-major, so the max, the exp and the sum over
-    classes run as element-wise passes over |Y| contiguous rows of cells, not as
-    reductions along rows of 2 or 3 entries. If ``weights_out`` (|Y|-by-cells)
-    is given, the pass also writes its normalised soft-max weights into it.
+    A cell's value is the soft max over classes of ``G[c, y] + a[y, z_c]`` minus
+    the label-model expectation of ``a[., z_c]``. The |Y|-by-cells array is
+    class-major, so the max, the exp and the sum over classes run as
+    element-wise passes over |Y| contiguous rows of cells, not as reductions
+    along rows of 2 or 3 entries. The exp buffer, normalised in place, is
+    returned as the |Y|-by-cells weights.
     """
     t = np.add(cells.costs.T, a.take(cells.z, axis=1), order="C")
     t /= epsilon
@@ -59,31 +61,21 @@ def _soft_pass(cells: CellTable, a, epsilon, weights_out=None) -> np.ndarray:
     t -= m
     np.exp(t, out=t)
     total = t.sum(axis=0)
-    if weights_out is not None:
-        np.divide(t, total, out=weights_out)
-    return epsilon * (m + np.log(total / len(t)))
-
-
-def per_cell_objective(cells: CellTable, a, epsilon, weights_out=None) -> np.ndarray:
-    """The smoothed dual value of each cell's samples; their mass-weighted sum is the objective.
-
-    A ``weights_out`` array receives the soft-max weights, as in ``minimized_value``.
-    """
-    soft = _soft_pass(cells, a, epsilon, weights_out)
+    soft = epsilon * (m + np.log(total / len(t)))
+    t /= total
     # label-model expectation, grouped by z: one dot product per signature
     per_z = np.einsum("zy,yz->z", cells.label_model, a)
-    return soft - per_z[cells.z]
+    return soft - per_z[cells.z], t
+
+
+def per_cell_objective(cells: CellTable, a, epsilon) -> np.ndarray:
+    """The smoothed dual value of each cell's samples; their mass-weighted sum is the objective."""
+    return _soft_pass(cells, a, epsilon)[0]
 
 
 def eval_objective(cells, a, epsilon) -> float:
     """Mean smoothed dual value over the sample."""
     return float(cells.mass @ per_cell_objective(cells, a, epsilon))
-
-
-def _weights(cells, a, epsilon) -> np.ndarray:
-    w = np.empty((a.shape[0], cells.z.size))
-    _soft_pass(cells, a, epsilon, w)
-    return w
 
 
 def _by_signature(z: np.ndarray, values: np.ndarray, num_z: int) -> np.ndarray:
@@ -94,31 +86,29 @@ def _by_signature(z: np.ndarray, values: np.ndarray, num_z: int) -> np.ndarray:
     return sums.reshape(len(values), num_z)
 
 
-def gradient(cells, a, epsilon, weights=None) -> np.ndarray:
-    """Exact gradient in ``a`` of ``minimized_value``.
+def gradient(cells, weights) -> np.ndarray:
+    """Exact gradient of ``minimized_value`` at the ``a`` whose ``weights`` it returned.
 
-    ``weights`` are the soft-max weights that ``minimized_value`` wrote at this
-    same ``a``; without them the gradient makes its own soft-max pass. Each
-    column sums to zero, since every weight column and label-model row does.
+    Each column sums to zero, since every weight column and label-model row does.
     """
-    w = _weights(cells, a, epsilon) if weights is None else weights
     # per class and signature, the mass-weighted sum of the weights
-    sums = _by_signature(cells.z, cells.mass * w, a.shape[1])
+    sums = _by_signature(cells.z, cells.mass * weights, len(cells.z_mass))
     return sums - cells.z_mass * cells.label_model.T
 
 
-def hessian(cells, a, epsilon, weights=None) -> np.ndarray:
+def hessian(cells, weights, epsilon) -> np.ndarray:
     """Exact Hessian of ``minimized_value`` as a (|Z|, |Y|, |Y|) stack of blocks.
 
-    Block z is ``sum_{c: z_c = z} mass_c (diag w_c - w_c w_c^T) / eps``. It is positive semidefinite with the all-ones vector in its null
-    space, and all zero for a signature absent from the sample. ``weights`` is
-    as for ``gradient``.
+    ``weights`` are as for ``gradient``. Block z is
+    ``sum_{c: z_c = z} mass_c (diag w_c - w_c w_c^T) / eps``. It is positive
+    semidefinite with the all-ones vector in its null space, and all zero for a
+    signature absent from the sample.
     """
-    w = _weights(cells, a, epsilon) if weights is None else weights
-    num_y, num_z = a.shape
+    num_y, num_z = len(weights), len(cells.z_mass)
     ys, xs = np.nonzero(np.arange(num_y)[:, None] < np.arange(num_y))  # pairs y < x
     outer = np.zeros((num_y, num_y, num_z))
-    outer[ys, xs] = outer[xs, ys] = _by_signature(cells.z, cells.mass * w[ys] * w[xs], num_z)
+    pairs = cells.mass * weights[ys] * weights[xs]
+    outer[ys, xs] = outer[xs, ys] = _by_signature(cells.z, pairs, num_z)
     # diag w - w w^T has zero row sums, so each diagonal entry is minus the sum
     # of its row's off-diagonal entries; this avoids cancellation in w - w**2
     # as a weight saturates
@@ -127,15 +117,14 @@ def hessian(cells, a, epsilon, weights=None) -> np.ndarray:
     return blocks.transpose(2, 0, 1) / epsilon
 
 
-def minimized_value(cells, a, epsilon, weights_out=None) -> np.ndarray:
-    """What the solver minimizes: each signature's share of the objective.
+def minimized_value(cells, a, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """What the solver minimizes: each signature's share of the objective, and the weights.
 
     The share of signature z is the mass-weighted sum of its cells' values, so
     the shares add up to the objective and each depends on column z of ``a``
-    alone; each share is convex. gradient() and hessian() are the exact
-    derivatives of the shares' sum. A ``weights_out`` array receives the
-    soft-max weights of this evaluation, for the gradient and Hessian at the
-    same ``a`` to reuse.
+    alone; each share is convex. The soft-max weights of this evaluation are
+    what gradient() and hessian() take for the exact derivatives of the shares'
+    sum at ``a``.
     """
-    values = cells.mass * per_cell_objective(cells, a, epsilon, weights_out)
-    return np.bincount(cells.z, weights=values, minlength=a.shape[1])
+    values, weights = _soft_pass(cells, a, epsilon)
+    return np.bincount(cells.z, weights=cells.mass * values, minlength=a.shape[1]), weights

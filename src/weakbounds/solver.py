@@ -14,15 +14,11 @@ independent problems side by side gives every column the bits it would get
 alone. The contract: bit-deterministic iterates, a gradient sup-norm stopping
 rule per column, and a report that distinguishes convergence from budget
 exhaustion.
-
-The gradient and the Hessian are only ever asked for at the point of the
-latest value evaluation, and no iterate is changed in place, so the callbacks
-may reuse work from that evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -83,35 +79,42 @@ def _newton_step(blocks: np.ndarray, g: np.ndarray, max_step: np.ndarray) -> np.
 
 
 def minimize(
-    value_fn: Callable[[np.ndarray], np.ndarray],
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    hess_fn: Callable[[np.ndarray], np.ndarray],
+    value_fn: Callable[[np.ndarray], tuple[np.ndarray, Any]],
+    grad_fn: Callable[[Any], np.ndarray],
+    hess_fn: Callable[[Any], np.ndarray],
     a0: np.ndarray,
     max_step: float | np.ndarray = np.inf,
 ) -> tuple[np.ndarray, ColumnReport]:
     """Minimize a sum of smooth convex functions, one per column of a (k, m) matrix, from ``a0``.
 
-    ``value_fn`` returns the m column values, ``grad_fn`` the (k, m) gradient
-    and ``hess_fn`` the (m, k, k) stack of positive definite Hessian blocks.
-    No column moves by more than its ``max_step`` (sup norm; a scalar or one
-    per column) in one iteration. Returns the last accepted iterate and a
-    report per column; a column has converged when its gradient sup-norm at
-    that iterate is within the tolerance, so an exhausted budget or a step no
-    backtracking can accept leaves it unconverged.
+    ``value_fn(a)`` returns the m column values at ``a`` and a state of that
+    evaluation; ``grad_fn(state)`` returns the (k, m) gradient and
+    ``hess_fn(state)`` the (m, k, k) stack of positive definite Hessian blocks
+    at the evaluated point. No column moves by more than its ``max_step`` (sup
+    norm; a scalar or one per column) in one iteration. Returns the last
+    accepted iterate and a report per column; a column has converged when its
+    gradient sup-norm at that iterate is within the tolerance, so an exhausted
+    budget or a step no backtracking can accept leaves it unconverged.
     """
     a = np.array(a0, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("starting point must be finite")
     cap = np.broadcast_to(np.asarray(max_step, dtype=np.float64), a.shape[1:])
 
-    def checked(fn, x, what):
-        out = fn(x)
+    def checked(out, what):
         if not np.isfinite(out).all():
             raise NumericalError(f"non-finite {what}", last_iterate=a)
         return out
 
-    f = np.asarray(checked(value_fn, a, "objective value"), dtype=np.float64)
-    g = np.asarray(checked(grad_fn, a, "gradient"), dtype=np.float64)
+    def value(x):
+        f, state = value_fn(x)
+        return np.asarray(checked(f, "objective value"), dtype=np.float64), state
+
+    def grad(state):
+        return np.asarray(checked(grad_fn(state), "gradient"), dtype=np.float64)
+
+    f, state = value(a)
+    g = grad(state)
     gnorm = _sup(g)
     iterations = np.zeros(a.shape[1], dtype=np.int64)
     stalled = np.zeros(a.shape[1], dtype=bool)  # no step length was acceptable
@@ -124,7 +127,7 @@ def minimize(
         cols = np.flatnonzero(active)
         step = np.zeros_like(a)
         try:
-            blocks = checked(hess_fn, a, "Hessian")[cols]
+            blocks = checked(hess_fn(state), "Hessian")[cols]
             step[:, cols] = _newton_step(blocks, g[:, cols], cap[cols])
         except np.linalg.LinAlgError:
             raise NumericalError("singular Hessian block", last_iterate=a) from None
@@ -133,12 +136,12 @@ def minimize(
         pending = active.copy()
         for _ in range(MAX_BACKTRACKS):
             trial = a + t * step
-            f_trial = checked(value_fn, trial, "objective value")
+            f_trial, trial_state = value(trial)
             g_trial = None
             ok = f_trial <= f + ARMIJO * t * slope
             floor = pending & ~ok & (-t * slope <= ROUNDING_FLOOR * np.abs(f))
             if floor.any():
-                g_trial = checked(grad_fn, trial, "gradient")
+                g_trial = grad(trial_state)
                 ok |= floor & (_sup(g_trial) < gnorm)
             pending &= ~ok
             if not pending.any():
@@ -150,11 +153,11 @@ def minimize(
             stalled |= pending
             t[pending] = 0.0
             trial = a + t * step
-            f_trial, g_trial = checked(value_fn, trial, "objective value"), None
+            (f_trial, trial_state), g_trial = value(trial), None
         if g_trial is None:
-            g_trial = checked(grad_fn, trial, "gradient")
+            g_trial = grad(trial_state)
         iterations += active & ~pending
-        a, f, g = trial, np.asarray(f_trial), np.asarray(g_trial, dtype=np.float64)
+        a, f, g, state = trial, f_trial, g_trial, trial_state
         gnorm = _sup(g)
 
     return a, ColumnReport(column_iterations=iterations, column_gradient_norms=gnorm)

@@ -13,13 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundEstimate, bound_problem, check_gamma, confidence_interval, solve_bounds
+from .bounds import BoundEstimate, check_gamma, confidence_interval, solve_bounds
 from .domain import (
     ABSTAIN,
     DatasetView,
     LabelModel,
     LabelSpace,
     SignatureTable,
+    cell_table,
     encode_signatures,
     read_only,
 )
@@ -168,15 +169,15 @@ def coverage_experiment(
     check_gamma(gamma)
     mspec = MetricSpec(kind=MetricKind.ACCURACY, threshold=spec.threshold)
 
-    def problem(n, seed):
+    def cells(n, seed):
         # through the constructor, which checks the spec
         result = generate_synthetic(SynthSpec(**{**vars(spec), "n": n, "seed": seed}))
         g = build_g(result.data, mspec, LabelSpace(num_classes=2))
-        return bound_problem(result.data, result.model, g)
+        return cell_table(result.data, result.model, g)
 
-    problems = [problem(truth_factor * spec.n, spec.seed)]
-    problems += [problem(spec.n, spec.seed + 1 + r) for r in range(replications)]
-    (truth_lo, truth_hi), *pairs = solve_bounds(problems)
+    tables = [cells(truth_factor * spec.n, spec.seed)]
+    tables += [cells(spec.n, spec.seed + 1 + r) for r in range(replications)]
+    (truth_lo, truth_hi), *pairs = solve_bounds(tables)
     solves = [("accuracy on the truth sample", est) for est in (truth_lo, truth_hi)]
 
     hits_lo = hits_hi = 0

@@ -74,14 +74,15 @@ def test_criterion_02_gradient_matches_finite_differences():
         cells = cell_table(data, model, G)
         # odd trials check the lower side: the upper form on negated costs and iterate
         cells, x = negated(cells, a) if trial % 2 else (cells, a)
-        analytic = gradient(cells, x, epsilon)
+        analytic = gradient(cells, minimized_value(cells, x, epsilon)[1])
         fd = np.zeros_like(x)
         for idx in np.ndindex(x.shape):
             xp, xm = x.copy(), x.copy()
             xp[idx] += h
             xm[idx] -= h
             fd[idx] = (
-                minimized_value(cells, xp, epsilon).sum() - minimized_value(cells, xm, epsilon).sum()
+                minimized_value(cells, xp, epsilon)[0].sum()
+                - minimized_value(cells, xm, epsilon)[0].sum()
             ) / (2 * h)
         err = float(np.abs(analytic - fd).max() / max(1.0, np.abs(fd).max()))
         worst = max(worst, err)

@@ -30,6 +30,7 @@ from weakbounds import (
     eval_objective,
     exact_bounds,
     generate_synthetic,
+    per_cell_objective,
     plugin_std,
     threshold_sweep,
 )
@@ -37,6 +38,11 @@ from weakbounds import bounds, solver
 from conftest import g_values, negated, per_sample_g, random_instance, soft_max, two_point_instance
 
 TIGHT = 1e-3 / math.log(2)
+
+
+def std_at(cells, a, epsilon):
+    """The plug-in std of the per-cell dual values at ``a``."""
+    return plugin_std(cells, per_cell_objective(cells, a, epsilon))
 
 
 def make_estimate(value, std, n):
@@ -127,8 +133,8 @@ class TestPluginStd:
         data, model, G = two_point_instance(0.5)
         cells = cell_table(data, model, per_sample_g(np.full((2, 2), 0.3)))
         a = np.zeros((2, 1))
-        assert plugin_std(*negated(cells, a), default_epsilon(2)) == 0.0
-        assert plugin_std(cells, a, default_epsilon(2)) == 0.0
+        assert std_at(*negated(cells, a), default_epsilon(2)) == 0.0
+        assert std_at(cells, a, default_epsilon(2)) == 0.0
 
     def test_two_point_sample_std(self, rng):
         # per-sample values {0, 1} with divisor n-1 give 1/sqrt(2)
@@ -145,7 +151,7 @@ class TestPluginStd:
         ]
         direct = float(np.std(per_sample, ddof=1))
         cells = cell_table(data, model, G)
-        assert plugin_std(cells, a, epsilon) == pytest.approx(direct)
+        assert std_at(cells, a, epsilon) == pytest.approx(direct)
 
     def test_shift_invariance(self, rng):
         data, model, G = random_instance(rng)
@@ -154,8 +160,8 @@ class TestPluginStd:
         shift = rng.normal(size=(1, model.num_signatures))
         cells = cell_table(data, model, G)
         for side in (lambda cells, a: (cells, a), negated):
-            assert plugin_std(*side(cells, a + shift), epsilon) == pytest.approx(
-                plugin_std(*side(cells, a), epsilon), abs=1e-10
+            assert std_at(*side(cells, a + shift), epsilon) == pytest.approx(
+                std_at(*side(cells, a), epsilon), abs=1e-10
             )
 
     def test_needs_two_samples(self):
@@ -163,7 +169,10 @@ class TestPluginStd:
         model = LabelModel(table=np.array([[0.5, 0.5]]))
         cells = cell_table(data, model, per_sample_g(np.array([[0.0, 1.0]])))
         with pytest.raises(InsufficientSampleError):
-            plugin_std(cells, np.zeros((2, 1)), default_epsilon(2))
+            std_at(cells, np.zeros((2, 1)), default_epsilon(2))
+        # a side of a stacked solve with n < 2 raises there too
+        with pytest.raises(InsufficientSampleError):
+            bounds.solve_bounds([cell_table(*two_point_instance(0.75)), cells])
 
 
 class TestConfidenceInterval:
@@ -307,6 +316,7 @@ def _counted_cells(data, model, G):
         np.array([counts[key] / data.n for key in keys]),
         np.array([z_counts[z] / data.n for z in range(model.num_signatures)]),
         model.table,
+        G.sup_norm,
     )
 
 
@@ -374,7 +384,7 @@ class TestStackedSolve:
     """Problems solved side by side get the bits each gets alone."""
 
     def test_stacked_problems_equal_each_problem_alone(self, rng):
-        problems = [bounds.bound_problem(*random_instance(rng, num_classes=3)) for _ in range(6)]
+        problems = [cell_table(*random_instance(rng, num_classes=3)) for _ in range(6)]
         stacked = bounds.solve_bounds(problems)
         # unlike solves
         assert len({est.report.iterations for pair in stacked for est in pair}) > 1
@@ -386,9 +396,31 @@ class TestStackedSolve:
     def test_stacked_problems_equal_each_estimate_alone(self, rng):
         problems = [random_instance(rng, num_sig_max=8) for _ in range(5)]
         for epsilon in (default_epsilon(2), TIGHT):
-            stacked = bounds.solve_bounds([bounds.bound_problem(*p) for p in problems], epsilon)
+            stacked = bounds.solve_bounds([cell_table(*p) for p in problems], epsilon)
             for problem, pair in zip(problems, stacked):
                 assert all(map(_same_estimate, pair, estimate_bounds(*problem, epsilon)))
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_each_side_is_finished_at_its_optimizer(self, rng, num_classes):
+        tables = [cell_table(*random_instance(rng, num_classes=num_classes)) for _ in range(5)]
+        epsilon = default_epsilon(num_classes)
+        for cells, (lo, hi) in zip(tables, bounds.solve_bounds(tables)):
+            # the lower side is the upper side of the negated costs, negated
+            sides = ((lo, negated(cells, lo.optimizer), -1.0), (hi, (cells, hi.optimizer), 1.0))
+            for est, (c, a), sign in sides:
+                # the same bits as evaluating this side alone at its optimizer
+                assert est.value == sign * eval_objective(c, a, epsilon)
+                assert est.plugin_std == plugin_std(c, per_cell_objective(c, a, epsilon))
+
+    def test_finishing_makes_one_pass(self, rng, monkeypatch):
+        passes = []
+        counted = lambda *args: passes.append(args) or per_cell_objective(*args)
+        monkeypatch.setattr(bounds, "per_cell_objective", counted)
+        tables = [cell_table(*random_instance(rng, num_classes=3)) for _ in range(4)]
+        assert len(bounds.solve_bounds(tables)) == 4
+        assert len(passes) == 1
+        # over every side's cells at once
+        assert len(passes[0][0].z) == 2 * sum(len(cells.z) for cells in tables)
 
     def test_no_problems_no_pairs(self):
         assert bounds.solve_bounds([]) == []

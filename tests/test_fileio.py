@@ -115,6 +115,20 @@ class TestDatasetCsv:
         with pytest.raises(FormatError, match=re.escape(f"{path}:1: duplicate column name {name!r}")):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize(
+        "row, what",
+        [("0.2,x", "column wl_0: could not convert 'x' to int64"),
+         ("nan,1", "column score: NaN is not a score"),
+         ("0.2", "wrong number of fields (1, the header has 2)")],
+        ids=["bad-value", "nan-score", "ragged"],
+    )
+    def test_line_after_a_quoted_field_spanning_lines(self, tmp_path, row, what):
+        # the first data row takes lines 2 and 3, so the bad row is on line 4
+        path = tmp_path / "e.csv"
+        path.write_text('score,wl_0\n"0.5\n",1\n' + row + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:4: {what}")):
+            read_dataset_csv(path)
+
     def test_header_field_spanning_lines_rejected(self, tmp_path):
         # the csv module reads the rest of the file into the open quote, while
         # loadtxt reads the rows below the header's first line

@@ -71,6 +71,15 @@ class TestBuildG:
         with pytest.raises(FormatError):
             build_g(data, MetricSpec(MetricKind.ACCURACY), SPACE2)
 
+    def test_nan_score_rejected_with_threshold(self):
+        # a NaN fails score >= t, so it would be counted as a negative
+        scores = np.array([0.7, np.nan, 0.2, 0.9])
+        data = DatasetView(n=4, z_ids=np.zeros(4, dtype=int), scores=scores)
+        with pytest.raises(FormatError, match="scores must not be NaN"):
+            build_g(data, MetricSpec(MetricKind.ACCURACY, threshold=0.5), SPACE2)
+        with pytest.raises(FormatError, match="scores must not be NaN"):
+            estimate_h1(data, threshold=0.5)
+
 
 class TestEstimateH1:
     def test_counts_positives(self):

@@ -44,6 +44,20 @@ class TestSmoothingConfig:
 BOTH_SIDES = (lambda cells, a: (cells, a), negated)
 
 
+def shares_at(cells, a, epsilon):
+    return minimized_value(cells, a, epsilon)[0]
+
+
+def gradient_at(cells, a, epsilon):
+    """The gradient from the weights of an evaluation at ``a``."""
+    return gradient(cells, minimized_value(cells, a, epsilon)[1])
+
+
+def hessian_at(cells, a, epsilon):
+    """The Hessian from the weights of an evaluation at ``a``."""
+    return hessian(cells, minimized_value(cells, a, epsilon)[1], epsilon)
+
+
 def soft_min(values, eps):
     """The soft-min is minus the soft-max of the negated values."""
     return -soft_max([-v for v in values], eps)
@@ -138,8 +152,8 @@ class TestPenalized:
         a = rng.normal(size=(2, cells.z_mass.size))
         epsilon = default_epsilon(2)
         for side in BOTH_SIDES:
-            assert minimized_value(*side(cells, center_columns(a)), epsilon) == pytest.approx(
-                minimized_value(*side(cells, a), epsilon), abs=1e-12
+            assert shares_at(*side(cells, center_columns(a)), epsilon) == pytest.approx(
+                shares_at(*side(cells, a), epsilon), abs=1e-12
             )
 
     def test_upper_penalized_is_convex(self, rng):
@@ -151,7 +165,7 @@ class TestPenalized:
             epsilon = default_epsilon(2)
             for side in BOTH_SIDES:
                 # each signature's share is convex in its own column
-                f = lambda a: minimized_value(*side(cells, a), epsilon)
+                f = lambda a: shares_at(*side(cells, a), epsilon)
                 assert np.all(f(t * a1 + (1 - t) * a2) <= t * f(a1) + (1 - t) * f(a2) + 1e-10)
 
 
@@ -162,7 +176,7 @@ class TestGradient:
         cells = cell_table(data, model, per_sample_g(np.full((4, 2), 0.3)))
         a = np.zeros((2, 2))
         for c, x in (side(cells, a) for side in BOTH_SIDES):
-            g = gradient(c, x, default_epsilon(2))
+            g = gradient_at(c, x, default_epsilon(2))
             assert np.abs(g).max() <= 1e-14
 
     def test_column_sum_identity(self, rng):
@@ -173,7 +187,7 @@ class TestGradient:
             a = rng.normal(size=(3, num_z))
             epsilon = default_epsilon(3)
             for c, x in (side(cells, a) for side in BOTH_SIDES):
-                g = gradient(c, x, epsilon)
+                g = gradient_at(c, x, epsilon)
                 assert g.sum(axis=0) == pytest.approx(np.zeros(num_z), abs=1e-15)
 
     def test_matches_central_finite_differences(self, rng):
@@ -184,14 +198,14 @@ class TestGradient:
             a = rng.normal(scale=0.5, size=(k, cells.z_mass.size))
             epsilon = default_epsilon(k)
             for c, x in (side(cells, a) for side in BOTH_SIDES):
-                analytic = gradient(c, x, epsilon)
+                analytic = gradient_at(c, x, epsilon)
                 fd = np.zeros_like(x)
                 for idx in np.ndindex(x.shape):
                     xp, xm = x.copy(), x.copy()
                     xp[idx] += h
                     xm[idx] -= h
                     fd[idx] = (
-                        minimized_value(c, xp, epsilon).sum() - minimized_value(c, xm, epsilon).sum()
+                        shares_at(c, xp, epsilon).sum() - shares_at(c, xm, epsilon).sum()
                     ) / (2 * h)
                 scale = max(1.0, float(np.abs(fd).max()))
                 assert np.abs(analytic - fd).max() / scale <= 1e-5
@@ -208,13 +222,13 @@ class TestHessian:
             a = rng.normal(scale=0.5, size=(k, cells.z_mass.size))
             epsilon = default_epsilon(k)
             c, x = BOTH_SIDES[trial % 2](cells, a)
-            blocks = hessian(c, x, epsilon)
+            blocks = hessian_at(c, x, epsilon)
             fd = np.zeros_like(blocks)
             for y, z in np.ndindex(x.shape):
                 xp, xm = x.copy(), x.copy()
                 xp[y, z] += h
                 xm[y, z] -= h
-                diff = (gradient(c, xp, epsilon) - gradient(c, xm, epsilon)) / (2 * h)
+                diff = (gradient_at(c, xp, epsilon) - gradient_at(c, xm, epsilon)) / (2 * h)
                 # block diagonal: perturbing column z moves only column z
                 assert np.abs(np.delete(diff, z, axis=1)).max(initial=0.0) == 0.0
                 fd[z, :, y] = diff[:, z]
@@ -227,7 +241,7 @@ class TestHessian:
             a = rng.normal(size=(3, cells.z_mass.size))
             epsilon = default_epsilon(3)
             for c, x in (side(cells, a) for side in BOTH_SIDES):
-                blocks = hessian(c, x, epsilon)
+                blocks = hessian_at(c, x, epsilon)
                 assert np.allclose(blocks, blocks.transpose(0, 2, 1))
                 assert np.abs(blocks.sum(axis=2)).max() <= 1e-12 * np.abs(blocks).max()
                 assert np.linalg.eigvalsh(blocks).min() >= -1e-9
@@ -237,7 +251,7 @@ class TestHessian:
         model = LabelModel(table=np.array([[0.3, 0.7], [0.5, 0.5]]))
         G = per_sample_g(np.array([[0.0, 1.0], [1.0, 0.0]]))
         cells = cell_table(data, model, G)
-        blocks = hessian(cells, np.zeros((2, 2)), default_epsilon(2))
+        blocks = hessian_at(cells, np.zeros((2, 2)), default_epsilon(2))
         assert np.array_equal(blocks[1], np.zeros((2, 2)))
         assert blocks[0, 0, 0] > 0.0
 
@@ -257,7 +271,7 @@ class TestMinimizedValue:
         cells = cell_table(*random_instance(rng))
         a = rng.normal(size=(2, cells.z_mass.size))
         epsilon = default_epsilon(2)
-        shares = minimized_value(cells, a, epsilon)
+        shares = shares_at(cells, a, epsilon)
         assert np.array_equal(shares, _shares(cells, a, per_cell_objective(cells, a, epsilon)))
         assert shares.sum() == pytest.approx(eval_objective(cells, a, epsilon), abs=1e-15)
 
@@ -270,7 +284,7 @@ class TestMinimizedValue:
             soft_min(cells.costs[c] + a[:, z], epsilon) - cells.label_model[z] @ a[:, z]
             for c, z in enumerate(cells.z)
         ]
-        shares = minimized_value(*negated(cells, a), epsilon)
+        shares = shares_at(*negated(cells, a), epsilon)
         assert shares == pytest.approx(-_shares(cells, a, np.array(lower)), abs=1e-14)
         assert shares.sum() == pytest.approx(-(cells.mass @ lower), abs=1e-14)
 
@@ -280,8 +294,8 @@ class TestMinimizedValue:
         moved = a.copy()
         moved[:, 1:] += rng.normal(size=(3, cells.z_mass.size - 1))
         for side in BOTH_SIDES:
-            before = minimized_value(*side(cells, a), default_epsilon(3))
-            after = minimized_value(*side(cells, moved), default_epsilon(3))
+            before = shares_at(*side(cells, a), default_epsilon(3))
+            after = shares_at(*side(cells, moved), default_epsilon(3))
             assert before[0] == after[0]
 
 
@@ -333,8 +347,8 @@ class TestClassMajorKernels:
                 got = (
                     per_cell_objective(c, x, epsilon),
                     eval_objective(c, x, epsilon),
-                    gradient(c, x, epsilon),
-                    hessian(c, x, epsilon),
+                    gradient_at(c, x, epsilon),
+                    hessian_at(c, x, epsilon),
                 )
                 # the size of the terms each result sums, to scale the tolerance
                 scales = (

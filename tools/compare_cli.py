@@ -1,0 +1,163 @@
+"""Run the CLI of a parent revision and of the working tree on the same inputs
+and compare every output: exit code, stdout, stderr and each file written.
+
+    python tools/compare_cli.py <parent-rev>
+
+The parent's ``src`` is exported with ``git archive``. Both versions run each
+command set in the same directory, restored to the same inputs before each
+version runs, so paths in messages agree too. Everything is written under one
+temporary directory, which is removed at the end. Prints ``N of N identical``
+and exits 1 if any output differs.
+
+The command sets:
+- every command of the benchmark's ``smoothed`` and ``exact-io`` workloads, at
+  seeds 0 and 7919, on the inputs ``perfbench/workloads.py`` generates;
+- on a ``synth --n 5000 --seed 3`` dataset: ``estimate`` for accuracy,
+  joint-positive and risk, a 6-threshold sweep of all five kinds, ``diagnose``
+  with and without an alternative label model, and ``oracle``;
+- ``coverage --n 2000 --replications 500 --seed 42``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 7919)
+
+
+def _export_src(rev: str, dest: Path) -> Path:
+    """The ``src`` directory of ``rev``, extracted under ``dest``."""
+    tar = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def _workload_commands(name: str, seed: int):
+    """A setup that writes one benchmark workload's inputs, and its commands."""
+
+    def setup(case: Path):
+        sys.dont_write_bytecode = True  # keep perfbench/ free of caches
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        from workloads import WORKLOADS
+
+        workload = WORKLOADS[name]
+        inputs = workload.make(case, seed)
+        for inp in inputs:
+            (inp.dir / "out").mkdir()
+        return [(op.name, op.argv) for op in workload.job(inputs)]
+
+    return setup
+
+
+def _cli_commands(case: Path):
+    (case / "loss.json").write_text(json.dumps([[0.0, 1.0], [3.0, 0.0]]))
+    data = ["--data", "data.csv", "--label-model", "model.json"]
+    return [
+        ("synth", ["synth", "--n", "5000", "--seed", "3", "--out", "data.csv",
+                   "--model-out", "model.json", "--metrics-out", "truth.json"]),
+        ("synth-alt", ["synth", "--n", "5000", "--seed", "4", "--accuracies", "0.75,0.7,0.7",
+                       "--out", "alt.csv", "--model-out", "alt.json"]),
+        ("estimate-accuracy", ["estimate", *data, "--out", "accuracy.json"]),
+        ("estimate-joint", ["estimate", *data, "--metric", "joint-positive", "--threshold", "0.5",
+                            "--epsilon", "0.001", "--gamma", "0.1", "--out", "joint.json"]),
+        ("estimate-risk", ["estimate", *data, "--metric", "risk", "--loss-table", "loss.json"]),
+        ("sweep", ["sweep", *data, "--thresholds", "0.2,0.35,0.5,0.5,0.65,0.8",
+                   "--metric", "accuracy,joint-positive,precision,recall,f1",
+                   "--out", "sweep.csv"]),
+        ("diagnose", ["diagnose", *data, "--out", "diagnose.json"]),
+        ("diagnose-alt", ["diagnose", *data, "--label-model-alt", "alt.json"]),
+        ("oracle", ["oracle", *data, "--out", "oracle.json"]),
+    ]
+
+
+def _coverage_commands(case: Path):
+    return [("coverage", ["coverage", "--n", "2000", "--replications", "500", "--seed", "42",
+                          "--out", "coverage.json"])]
+
+
+CASES = {
+    **{f"{w}-seed-{s}": _workload_commands(w, s) for w in ("smoothed", "exact-io") for s in SEEDS},
+    "cli": _cli_commands,
+    "coverage": _coverage_commands,
+}
+
+
+def _run(src: Path, pycache: Path, case: Path, commands):
+    """Each command's (exit code, stdout, stderr), then a digest of every file in ``case``."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONPYCACHEPREFIX": str(pycache)}
+    results = {}
+    for name, argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "weakbounds.cli", *argv],
+                              cwd=case, env=env, capture_output=True)
+        results[name] = (proc.returncode, proc.stdout, proc.stderr)
+    files = {
+        str(path.relative_to(case)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(case.rglob("*")) if path.is_file()
+    }
+    return results, files
+
+
+def _differences(case_name, parent, change):
+    (runs_p, files_p), (runs_c, files_c) = parent, change
+    items = []  # (label, identical)
+    for name in runs_p:
+        (rc_p, out_p, err_p), (rc_c, out_c, err_c) = runs_p[name], runs_c[name]
+        what = [f"exit {rc_p} != {rc_c}"] if rc_p != rc_c else []
+        what += ["stdout"] if out_p != out_c else []
+        what += ["stderr"] if err_p != err_c else []
+        items.append((f"{case_name} {name}: {', '.join(what)}", not what))
+    for path in sorted(files_p.keys() | files_c.keys()):
+        same = files_p.get(path) == files_c.get(path)
+        missing = "missing in parent" if path not in files_p else "missing in change"
+        detail = "content" if path in files_p and path in files_c else missing
+        items.append((f"{case_name} file {path}: {detail}", same))
+    return items
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python tools/compare_cli.py <parent-rev>", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory(prefix="compare-cli-") as tmp:
+        tmp = Path(tmp)
+        versions = {"parent": _export_src(argv[0], tmp / "parent"), "change": ROOT / "src"}
+        items = []
+        for case_name, setup in CASES.items():
+            case, pristine = tmp / "work" / case_name, tmp / "pristine" / case_name
+            case.mkdir(parents=True)
+            commands = setup(case)
+            shutil.copytree(case, pristine)
+            outputs = []
+            for version, src in versions.items():
+                shutil.rmtree(case)
+                shutil.copytree(pristine, case)
+                outputs.append(_run(src, tmp / f"pycache-{version}", case, commands))
+            case_items = _differences(case_name, *outputs)
+            for label, same in case_items:
+                if not same:
+                    print(f"DIFF {label}")
+            print(f"{case_name}: {sum(same for _, same in case_items)} of {len(case_items)} identical",
+                  flush=True)
+            items += case_items
+    same = sum(same for _, same in items)
+    print(f"{same} of {len(items)} identical")
+    return 0 if same == len(items) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
