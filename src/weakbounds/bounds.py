@@ -67,14 +67,11 @@ def _newton_ridge(cells, epsilon) -> np.ndarray:
     The all-ones direction is an exact null direction of each block and the
     gradient is orthogonal to it, so a multiple of 11^T fixes that direction
     without changing the step. A relative floor on the diagonal keeps blocks of
-    saturated weights (exactly zero at small eps) invertible. A signature with
-    no samples has a zero gradient, and an identity block gives it a zero step.
+    saturated weights (exactly zero at small eps) invertible.
     """
     k = cells.label_model.shape[1]
     scale = cells.z_mass / epsilon
-    ridge = scale[:, None, None] * (np.ones((k, k)) / k**2 + 1e-12 * np.eye(k))
-    ridge[scale == 0.0] = np.eye(k)
-    return ridge
+    return scale[:, None, None] * (np.ones((k, k)) / k**2 + 1e-12 * np.eye(k))
 
 
 def _stack(tables, starts) -> CellTable:

@@ -64,19 +64,16 @@ class _Parser(argparse.ArgumentParser):
 METRIC_NAMES = tuple(kind.value for kind in MetricKind)
 
 
-def _metric_kind(name: str) -> MetricKind:
-    return MetricKind(name.replace("-", "_"))
-
-
 def _metric(choices):
-    """An argparse type: a --metric named in ``choices``, with - read as _."""
+    """An argparse type: the name in ``choices`` of a --metric, with - read as _."""
 
     def parse(text: str) -> str:
-        if text.replace("-", "_") not in choices:
+        name = text.replace("-", "_")
+        if name not in choices:
             raise argparse.ArgumentTypeError(
                 f"unknown metric {text!r}; choose from {', '.join(choices)}"
             )
-        return text
+        return name
 
     return parse
 
@@ -86,7 +83,7 @@ def _sweep_kinds(text: str) -> list[str]:
     kinds = [_metric(SWEEP_KINDS)(k.strip()) for k in text.split(",") if k.strip()]
     if not kinds:
         raise argparse.ArgumentTypeError(f"no metric named; choose from {', '.join(SWEEP_KINDS)}")
-    return [k.replace("-", "_") for k in kinds]
+    return kinds
 
 
 def _finite(text: str) -> float:
@@ -128,23 +125,22 @@ def _load_inputs(args):
     return data, table, model
 
 
-def _metric_g(args, data, model):
-    """The metric named by ``args`` and its cost matrix G on ``data``."""
-    k = model.num_classes
-    loss_table = None if args.loss_table is None else read_loss_table(args.loss_table, k)
-    spec = MetricSpec(_metric_kind(args.metric), loss_table, args.threshold)
-    return spec, build_g(data, spec, LabelSpace(num_classes=k))
-
-
-def _check_metric_options(args) -> None:
-    """Reject an option that the chosen --metric does not read, or lacks, before any work."""
-    kind = _metric_kind(args.metric)
+def _metric_inputs(args):
+    """The dataset, its signature table, the label model and the cost matrix G
+    of the --metric. An option that the --metric does not read, or lacks, is
+    rejected before any file is read."""
+    kind = MetricKind(args.metric)
     if args.loss_table is None and kind is MetricKind.RISK:
         raise ValueError("--metric risk needs --loss-table")
     if args.loss_table is not None and kind is not MetricKind.RISK:
         raise ValueError("--loss-table is read only with --metric risk")
     if getattr(args, "prior_y1", None) is not None and kind is not MetricKind.JOINT_POSITIVE:
         raise ValueError("--prior-y1 is read only with --metric joint-positive")
+    data, table, model = _load_inputs(args)
+    k = model.num_classes
+    loss_table = None if args.loss_table is None else read_loss_table(args.loss_table, k)
+    g = build_g(data, MetricSpec(kind, loss_table, args.threshold), LabelSpace(num_classes=k))
+    return data, table, model, g
 
 
 def _warn_unconverged(solves) -> None:
@@ -183,9 +179,7 @@ def _entry(row) -> dict:
 def cmd_estimate(args) -> int:
     from .diagnostics import label_model_score
 
-    _check_metric_options(args)
-    data, table, model = _load_inputs(args)
-    spec, g = _metric_g(args, data, model)
+    data, table, model, g = _metric_inputs(args)
     lo, hi = estimate_bounds(data, model, g, args.epsilon)
     _warn_unconverged([(args.metric, lo), (args.metric, hi)])
 
@@ -198,13 +192,12 @@ def cmd_estimate(args) -> int:
         "note": "plugin std substitutes the fitted optimizer and estimated label model",
     }
     p_h1 = p_y1 = None
-    if spec.kind is MetricKind.JOINT_POSITIVE:
+    if args.metric == "joint_positive":
         p_h1 = estimate_h1(data, threshold=args.threshold)
         p_y1 = args.prior_y1 if args.prior_y1 is not None else estimate_class_prior(data, model, 1)
         metadata.update(p_h1=p_h1, p_y1=p_y1)
-    name = args.metric.replace("-", "_")
-    kinds = (name, "precision", "recall", "f1")
-    rows = bound_rows(lo, hi, name, kinds, args.gamma, p_h1, p_y1, args.threshold)
+    kinds = (args.metric, *PRF_KINDS)
+    rows = bound_rows(lo, hi, args.metric, kinds, args.gamma, p_h1, p_y1, args.threshold)
     metrics = {row.metric: _entry(row) for row in rows}
     payload = {"metrics": metrics, "metadata": metadata}
     if args.out:
@@ -215,8 +208,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.prior_y1 is not None and not set(PRF_KINDS) & set(args.metric):
-        raise ValueError(f"--prior-y1 is read only with --metric {', '.join(PRF_KINDS)}")
+    # recall and F1 are the rows that divide by P(Y=1)
+    if args.prior_y1 is not None and not {"recall", "f1"} & set(args.metric):
+        raise ValueError("--prior-y1 is read only with --metric recall, f1")
     data, table, model = _load_inputs(args)
     sweep = threshold_sweep(
         data, model, args.thresholds, args.metric, args.epsilon, gamma=args.gamma,
@@ -230,9 +224,7 @@ def cmd_sweep(args) -> int:
 def cmd_oracle(args) -> int:
     from .oracle import exact_bounds
 
-    _check_metric_options(args)
-    data, table, model = _load_inputs(args)
-    _, g = _metric_g(args, data, model)
+    data, table, model, g = _metric_inputs(args)
     result = exact_bounds(data, model, g)
     payload = {
         "lower": result.lower,
@@ -251,7 +243,7 @@ def cmd_oracle(args) -> int:
 def cmd_select(args) -> int:
     from .diagnostics import SelectionStrategy, select_model
 
-    names, candidates = read_candidates(args.candidates, args.metric.replace("-", "_"))
+    names, candidates = read_candidates(args.candidates, args.metric)
     result = select_model(candidates, SelectionStrategy(args.strategy))
     payload = {
         "strategy": result.strategy.value,
@@ -274,11 +266,9 @@ def cmd_diagnose(args) -> int:
         misspecification_report,
     )
 
-    _check_metric_options(args)
     if args.epsilon is not None and args.label_model_alt is None:
         raise ValueError("--epsilon is read only with --label-model-alt")
-    data, table, model = _load_inputs(args)
-    _, g = _metric_g(args, data, model)
+    data, table, model, g = _metric_inputs(args)
     weights = empirical_z_weights(data, model.num_signatures)
     h_cond = conditional_entropy_y(model, weights)
     payload = {

@@ -148,6 +148,8 @@ class LabelModel:
         table = np.asarray(table, dtype=np.float64)
         if table.ndim != 2:
             raise FormatError("label model table must be 2-dimensional")
+        if table.shape[1] < 2:
+            raise FormatError(f"label model table needs at least 2 classes, got {table.shape[1]}")
         if not np.all(np.isfinite(table)):
             raise FormatError("label model entries must be finite")
         if np.any(table < -SIMPLEX_TOL) or np.any(table > 1.0 + SIMPLEX_TOL):

@@ -139,6 +139,13 @@ def _scaled(lower: BoundEstimate, upper: BoundEstimate, factor: float) -> Metric
     )
 
 
+def _prf_factors(p_h1: float, p_y1: float) -> dict[str, float]:
+    """The factor that scales a bound on P(h=1, Y=1) into precision, recall and
+    F1, for each of them whose denominator is positive."""
+    table = (("precision", 1.0, p_h1), ("recall", 1.0, p_y1), ("f1", 2.0, p_h1 + p_y1))
+    return {name: top / bottom for name, top, bottom in table if bottom > 0.0}
+
+
 def prf_from_joint(
     lower: BoundEstimate, upper: BoundEstimate, p_h1: float, p_y1: float
 ) -> PRFBounds:
@@ -148,15 +155,11 @@ def prf_from_joint(
     2/(P(h=1)+P(Y=1)) for F1; the plug-in stds scale by the same factors.
     Values are clamped to [0, 1] post hoc with a flag.
     """
-    if p_h1 <= 0.0 or p_y1 <= 0.0:
+    factors = _prf_factors(p_h1, p_y1)
+    if len(factors) < len(PRF_KINDS):
         raise ZeroDivisionError("degenerate denominator: p_h1 and p_y1 must be > 0")
-    return PRFBounds(
-        precision=_scaled(lower, upper, 1.0 / p_h1),
-        recall=_scaled(lower, upper, 1.0 / p_y1),
-        f1=_scaled(lower, upper, 2.0 / (p_h1 + p_y1)),
-        p_hat_h1=p_h1,
-        p_hat_y1=p_y1,
-    )
+    scaled = {name: _scaled(lower, upper, factor) for name, factor in factors.items()}
+    return PRFBounds(**scaled, p_hat_h1=p_h1, p_hat_y1=p_y1)
 
 
 class SweepRow(NamedTuple):
@@ -193,18 +196,18 @@ def bound_rows(
 ) -> list[SweepRow]:
     """The reported rows of one solved pair, one per metric named in ``kinds``.
 
-    The solved ``metric`` reports the pair itself. A joint_positive pair also
-    reports precision, recall and F1 when ``p_h1`` and ``p_y1`` are both
-    positive. Every CI is a normal interval around the reported value.
+    The solved ``metric`` reports the pair itself; given ``p_h1`` and ``p_y1``, a
+    joint_positive pair also reports each of precision, recall and F1 whose
+    denominator is positive. Every CI is a normal interval around the value.
     """
     intervals = {
         metric: MetricInterval(
             lower.value, upper.value, lower.plugin_std, upper.plugin_std, clamped=False
         )
     }
-    if metric == "joint_positive" and (p_h1 or 0.0) > 0.0 and (p_y1 or 0.0) > 0.0:
-        prf = prf_from_joint(lower, upper, p_h1, p_y1)
-        intervals.update(precision=prf.precision, recall=prf.recall, f1=prf.f1)
+    if metric == "joint_positive" and None not in (p_h1, p_y1):
+        factors = _prf_factors(p_h1, p_y1)
+        intervals |= {name: _scaled(lower, upper, f) for name, f in factors.items()}
     return [
         SweepRow(
             threshold=threshold,

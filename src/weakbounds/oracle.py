@@ -282,7 +282,8 @@ def exact_bounds(data: DatasetView, model: LabelModel, G: GMatrix) -> OracleResu
         neg = TransportInstance(
             costs=-inst.costs, row_mass=inst.row_mass, col_mass=inst.col_mass
         )
-        hi = -_min_transport(neg)
+        # 0.0 - v, not -v: an upper bound that is exactly zero stays +0.0
+        hi = 0.0 - _min_transport(neg)
         per_signature.append((z, lo, hi))
         lower += lo
         upper += hi

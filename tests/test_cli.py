@@ -194,6 +194,9 @@ class TestExitCodes:
             (("sweep", "--thresholds", "0.5", "--prior-y1", "0.3"), UNREAD),
             (("sweep", "--thresholds", "0.5", "--metric", "joint-positive,accuracy",
               "--prior-y1", "0.3"), UNREAD),
+            # precision divides by P(h=1), never by P(Y=1)
+            (("sweep", "--thresholds", "0.5", "--metric", "precision", "--prior-y1", "0.3"),
+             UNREAD),
             # a metric the command does not know, or none
             (("estimate", "--metric", "foo"), CHOICES),
             (("estimate", "--metric", "f1"), CHOICES),
@@ -210,7 +213,7 @@ class TestExitCodes:
              "oracle-loss-table", "diagnose-loss-table", "diagnose-epsilon",
              "estimate-risk-no-loss-table", "oracle-risk-no-loss-table",
              "diagnose-risk-no-loss-table", "sweep-accuracy-prior-y1",
-             "sweep-joint-prior-y1", "estimate-metric-foo", "estimate-metric-f1",
+             "sweep-joint-prior-y1", "sweep-precision-prior-y1", "estimate-metric-foo", "estimate-metric-f1",
              "oracle-metric-precision", "diagnose-metric-foo", "sweep-metric-foo",
              "sweep-metric-risk", "sweep-no-metric", "select-metric-foo"],
     )
@@ -290,6 +293,15 @@ class TestUnconvergedWarning:
         payload = json.loads(out.read_text())
         assert not payload["metrics"]["accuracy"]["solver"]["lower"]["converged"]
 
+    def test_estimate_warns_under_the_result_name(self, tmp_path, synth_files, capsys):
+        # the warning spelled the option (joint-positive), the sweep's the result name
+        data, model = synth_files
+        assert run("estimate", "--data", str(data), "--label-model", str(model),
+                   "--metric", "joint-positive", "--out", str(tmp_path / "r.json")) == 0
+        lines = self.warnings(capsys)
+        assert len(lines) == 2
+        assert "warning: joint_positive, lower bound" in lines[0]
+
     def test_sweep_warns_per_solve(self, tmp_path, synth_files, capsys):
         data, model = synth_files
         assert run("sweep", "--data", str(data), "--label-model", str(model),
@@ -351,6 +363,25 @@ class TestEstimate:
             assert name in payload["metrics"]
         prec = payload["metrics"]["precision"]
         assert 0.0 <= prec["lower"] <= prec["upper"] <= 1.0
+
+    def test_no_positive_prediction_still_emits_recall_and_f1(self, tmp_path, synth_files):
+        # above every score P(h=1) = 0: precision is undefined, but recall and
+        # F1 are (both 0); the file held joint_positive alone
+        data, model = synth_files
+        out = tmp_path / "r.json"
+        rc = run(
+            "estimate", "--data", str(data), "--label-model", str(model),
+            "--metric", "joint-positive", "--threshold", "2", "--out", str(out),
+        )
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert sorted(payload["metrics"]) == ["f1", "joint_positive", "recall"]
+        assert payload["metadata"]["p_h1"] == 0.0
+        metrics, p_y1 = payload["metrics"], payload["metadata"]["p_y1"]
+        joint = metrics["joint_positive"]["lower"]
+        assert 0.0 <= joint <= 0.01  # exactly 0, up to the smoothing slack eps * ln 2
+        assert metrics["recall"]["lower"] == pytest.approx(joint / p_y1)
+        assert metrics["f1"]["lower"] == pytest.approx(2 * joint / p_y1)
 
     def test_risk_with_loss_table(self, tmp_path, synth_files):
         data, model = synth_files
@@ -533,6 +564,18 @@ class TestOracleCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "L=0.25" in out and "U=0.75" in out
+
+    def test_zero_upper_bound_is_written_positive(self, tmp_path, synth_files):
+        # above every score each signature's upper bound is exactly zero; it was
+        # written as -0.0
+        data, model = synth_files
+        out = tmp_path / "o.json"
+        assert run("oracle", "--data", str(data), "--label-model", str(model),
+                   "--metric", "joint-positive", "--threshold", "2", "--out", str(out)) == 0
+        text = out.read_text()
+        assert "-0.0" not in text
+        per_signature = json.loads(text)["per_signature"]
+        assert per_signature and all(s["upper"] == 0.0 for s in per_signature)
 
 
 class TestSelect:

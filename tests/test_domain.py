@@ -106,7 +106,8 @@ class TestLabelModel:
         with pytest.raises(FormatError):
             LabelModel(table=np.array([[1.1, -0.1]]))
 
-    @pytest.mark.parametrize("table", [[0.5, 0.5], [[np.inf, 0.0]]])
+    # a one-class table left the default temperature (0.01 / ln 1) to divide by zero
+    @pytest.mark.parametrize("table", [[0.5, 0.5], [[np.inf, 0.0]], [[1.0], [1.0]]])
     def test_rejects_flat_or_non_finite_table(self, table):
         with pytest.raises(FormatError):
             LabelModel(table=np.array(table))

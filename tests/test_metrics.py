@@ -176,6 +176,18 @@ class TestThresholdSweep:
         assert -1e-6 <= row.lower <= cap
         assert -cap <= row.upper <= 1e-6
 
+    def test_no_positive_prediction_drops_only_precision(self, rng):
+        # P(h=1) = 0 leaves recall and F1 defined; the sweep dropped all three
+        data, model = sweep_fixture(rng)
+        sweep = threshold_sweep(data, model, [1.1], ["precision", "recall", "f1"])
+        assert [r.metric for r in sweep.rows] == ["recall", "f1"]
+
+    def test_no_positive_label_drops_only_recall(self, rng):
+        data, model = sweep_fixture(rng)
+        never_positive = LabelModel(table=np.tile([1.0, 0.0], (model.num_signatures, 1)))
+        sweep = threshold_sweep(data, never_positive, [0.5], ["precision", "recall", "f1"])
+        assert [r.metric for r in sweep.rows] == ["precision", "f1"]
+
     def test_matches_independent_estimates(self, rng):
         data, model = sweep_fixture(rng)
         epsilon = default_epsilon(2)
