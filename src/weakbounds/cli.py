@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from pathlib import Path
 
 from .bounds import check_gamma, estimate_bounds, estimate_class_prior
 from .domain import LabelSpace
@@ -28,6 +29,7 @@ from .fileio import (
 )
 from .metrics import (
     PRF_KINDS,
+    PRIOR_Y1_KINDS,
     SWEEP_KINDS,
     MetricKind,
     MetricSpec,
@@ -208,9 +210,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # recall and F1 are the rows that divide by P(Y=1)
-    if args.prior_y1 is not None and not {"recall", "f1"} & set(args.metric):
-        raise ValueError("--prior-y1 is read only with --metric recall, f1")
+    if args.prior_y1 is not None and not set(PRIOR_Y1_KINDS) & set(args.metric):
+        raise ValueError(f"--prior-y1 is read only with --metric {', '.join(PRIOR_Y1_KINDS)}")
     data, table, model = _load_inputs(args)
     sweep = threshold_sweep(
         data, model, args.thresholds, args.metric, args.epsilon, gamma=args.gamma,
@@ -244,7 +245,14 @@ def cmd_select(args) -> int:
     from .diagnostics import SelectionStrategy, select_model
 
     names, candidates = read_candidates(args.candidates, args.metric)
-    result = select_model(candidates, SelectionStrategy(args.strategy))
+    strategy = SelectionStrategy(args.strategy)
+    # a missing score reads as NaN, which np.argmax would choose
+    if strategy is SelectionStrategy.LABEL_MODEL:
+        for name, (_, _, score) in zip(names, candidates):
+            if math.isnan(score):
+                path = Path(args.candidates) / name
+                raise FormatError(f"{path}: no metadata.label_model_score to select by")
+    result = select_model(candidates, strategy)
     payload = {
         "strategy": result.strategy.value,
         "chosen_index": result.chosen_index,

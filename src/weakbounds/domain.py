@@ -62,6 +62,9 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     multiply that would overflow, so any int64 values are grouped exactly.
     Groups are then numbered by a counting pass over a table of at most 2n
     keys, so no step sorts the n rows.
+
+    The key is folded in place, one column at a time, so a column-major (or a
+    strided) ``rows`` is read without a copy.
     """
     key = np.zeros(len(rows), dtype=np.int64)
     bound = 1  # every key lies in [0, bound)
@@ -71,7 +74,11 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if bound * span > _INT64_MAX:
             key, col = (np.unique(v, return_inverse=True)[1] for v in (key, col))
             bound, lo, span = int(key.max()) + 1, 0, int(col.max()) + 1
-        key = key * span + (col - lo)
+        # the sum before ``-= lo`` may wrap, but the folded key fits int64, and
+        # wrapped int64 sums are exact modulo 2**64
+        key *= span
+        key += col
+        key -= lo
         bound *= span
     n = len(key)
     if bound > 2 * n:

@@ -28,6 +28,9 @@ SIG_DIGITS = 9
 # a label model file may name at most this many classes; the solver holds one
 # |Y|-by-|Y| Hessian block per signature
 MAX_CLASSES = 1000
+# the dataset writer formats and writes this many rows at a time, so its
+# text temporaries do not grow with n
+WRITE_CHUNK_ROWS = 1 << 15
 
 
 def _round_sig(x: float) -> float:
@@ -71,24 +74,30 @@ def write_dataset_csv(path: str | Path, data: DatasetView, table: SignatureTable
     header += [f"wl_{k}" for k in range(num_labelers)]
 
     # every row past the score is one of the few distinct (pred, label, signature)
-    # cells, so each cell's text is formatted once
-    cells = np.column_stack(
-        [v for v in (data.predictions, data.labels) if v is not None] + [data.z_ids]
-    ).astype(np.int64, copy=False)
+    # cells, so each cell's text is formatted once; ``cells`` is column-major,
+    # which group_rows reads fastest
+    cells = np.array(
+        [v for v in (data.predictions, data.labels) if v is not None] + [data.z_ids],
+        dtype=np.int64,
+    ).T
     first, ids = group_rows(cells)
-    tails = np.array(
+    texts = np.array(
         [",".join(map(str, [*row[:-1], *table.decode(row[-1])])) for row in cells[first].tolist()],
         dtype=object,
-    )[ids].tolist()
-    if data.scores is None:
-        body = "\n".join(tails) + "\n"
-    else:
-        # one %-format over the whole body: scores and tails interleaved
-        fields = [None] * (2 * data.n)
-        fields[0::2] = data.scores.tolist()
-        fields[1::2] = tails
-        body = f"%.{SIG_DIGITS}g,%s\n" * data.n % tuple(fields)
-    Path(path).write_text(",".join(header) + "\n" + body)
+    )
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, data.n, WRITE_CHUNK_ROWS):
+            chunk = slice(start, start + WRITE_CHUNK_ROWS)
+            tails = texts[ids[chunk]].tolist()
+            if data.scores is None:
+                fh.write("\n".join(tails) + "\n")
+                continue
+            # one %-format over the chunk: scores and tails interleaved
+            fields = [None] * (2 * len(tails))
+            fields[0::2] = data.scores[chunk].tolist()
+            fields[1::2] = tails
+            fh.write(f"%.{SIG_DIGITS}g,%s\n" * len(tails) % tuple(fields))
 
 
 # numpy's loadtxt messages for a row with the wrong number of fields (its row
@@ -99,11 +108,41 @@ _BAD_VALUE = re.compile(r"could not convert string (.*) to (\w+) at row (\d+), c
 # loadtxt also reads what int() and float() on the csv module's fields reject: it
 # skips blank lines and takes the ASCII separators \x1c-\x1f for whitespace
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+_SCAN_CHUNK = 1 << 16  # bytes per chunk of the raw-byte scan
+
+
+def _may_misread(path: str | Path) -> bool:
+    """Whether the raw bytes hold an ASCII separator or two line ends in a row
+    (each a ``\\n`` or a ``\\r``, but not the pair ``\\r\\n``), as every blank line
+    of the decoded, newline-translated text does. Vectorised over fixed-size
+    chunks, it is several times faster than the scan of the decoded text."""
+    buf = np.zeros(1 + _SCAN_CHUNK, dtype=np.uint8)  # buf[0]: the previous chunk's last byte
+    low, hit, nl, cr = np.empty_like(buf), *(np.empty(buf.shape, dtype=bool) for _ in range(3))
+    with open(path, "rb") as fh:
+        while got := fh.readinto(memoryview(buf)[1:]):
+            m = slice(0, 1 + got)
+            b = buf[m]
+            # the separators are the four bytes from 0x1c; below it, b - 0x1c wraps
+            np.subtract(b, 0x1C, out=low[m])
+            if np.less(low[m], len(_SEPARATORS), out=hit[m]).any():
+                return True
+            n, r = np.equal(b, ord("\n"), out=nl[m]), np.equal(b, ord("\r"), out=cr[m])
+            if r.any():
+                ends = n | r
+                pairs = ends[:-1] & ends[1:] & ~(r[:-1] & n[1:])
+            else:
+                pairs = np.logical_and(n[:-1], n[1:], out=hit[:got])
+            if pairs.any():
+                return True
+            buf[0] = buf[got]
+    return False
 
 
 def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
     """The 1-based line and the reason of the first blank line or ASCII separator,
     with lines counted as loadtxt counts them."""
+    if not _may_misread(path):
+        return None
     with open(path, errors="replace") as fh:
         newlines = 0  # before the current chunk
         prev = ""  # the last character of the previous chunk
@@ -161,6 +200,8 @@ def _body_error(
 def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
     try:
         with open(path, newline="") as fh:
+            if fh.read(1) != "\ufeff":  # a UTF-8 byte order mark, as Excel writes
+                fh.seek(0)
             header = next(csv.reader(fh), None)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from None
@@ -169,6 +210,8 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
     # loadtxt skips one physical line for the header, whatever its quotes hold
     if any("\n" in name or "\r" in name for name in header):
         raise FormatError(f"{path}:1: a header field spans more than one line")
+    # names are matched without the whitespace around them, as loadtxt strips fields
+    header = [name.strip() for name in header]
     seen = set()
     for name in header:
         if name in seen:
@@ -180,12 +223,20 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
     col = {name: i for i, name in enumerate(header)}
 
     # one field per column, so loadtxt checks every row's field count; other
-    # columns are read into zero-width strings, which keeps them ignored
-    ints = {col.get("pred"), col.get("label"), *wl_cols}
-    dtype = [
-        (f"c{i}", "f8" if i == col.get("score") else "i8" if i in ints else "U0")
-        for i in range(len(header))
-    ]
+    # columns are read into zero-width strings, which keeps them ignored. The
+    # votes lead each record, side by side in header order, so the records hold
+    # them as one n-by-K block; the score, pred and label follow.
+    numeric = wl_cols + [col[name] for name in ("score", "pred", "label") if name in col]
+    offset = {i: 8 * at for at, i in enumerate(numeric)}
+    dtype = np.dtype({
+        "names": [f"c{i}" for i in range(len(header))],
+        "formats": [
+            "f8" if i == col.get("score") else "i8" if i in offset else "U0"
+            for i in range(len(header))
+        ],
+        "offsets": [offset.get(i, 0) for i in range(len(header))],
+        "itemsize": 8 * len(numeric),
+    })
     misread = _first_misread_line(path)
     try:
         with warnings.catch_warnings():
@@ -201,13 +252,15 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
     if len(body) == 0:
         raise FormatError(f"{path}: dataset has no rows")
 
-    column = lambda name: body[f"c{col[name]}"].copy() if name in col else None
+    # views into the records, not copies
+    column = lambda name: body[f"c{col[name]}"] if name in col else None
     # loadtxt reads nan as a float
-    nan_rows = np.flatnonzero(np.isnan(body[f"c{col['score']}"])) if "score" in col else []
+    nan_rows = np.flatnonzero(np.isnan(column("score"))) if "score" in col else []
     if len(nan_rows):
         line = _row_line(path, nan_rows[0])
         raise FormatError(f"{path}:{line}: column score: NaN is not a score")
-    table, z_ids = encode_signatures(np.stack([body[f"c{i}"] for i in wl_cols], axis=1))
+    votes = body.view(np.int64).reshape(len(body), -1)[:, : len(wl_cols)]
+    table, z_ids = encode_signatures(votes)
     data = DatasetView(
         n=len(body),
         z_ids=z_ids,

@@ -36,6 +36,8 @@ class MetricKind(enum.Enum):
 # the metrics a threshold sweep reports
 PRF_KINDS = ("precision", "recall", "f1")
 SWEEP_KINDS = ("accuracy", "joint_positive", *PRF_KINDS)
+# the rows that divide by P(Y=1), the only ones that read it: recall and F1
+PRIOR_Y1_KINDS = ("recall", "f1")
 
 
 class MetricSpec:
@@ -139,10 +141,13 @@ def _scaled(lower: BoundEstimate, upper: BoundEstimate, factor: float) -> Metric
     )
 
 
-def _prf_factors(p_h1: float, p_y1: float) -> dict[str, float]:
+def _prf_factors(p_h1: float, p_y1: float | None) -> dict[str, float]:
     """The factor that scales a bound on P(h=1, Y=1) into precision, recall and
-    F1, for each of them whose denominator is positive."""
-    table = (("precision", 1.0, p_h1), ("recall", 1.0, p_y1), ("f1", 2.0, p_h1 + p_y1))
+    F1, for each of them whose denominator is positive; without ``p_y1``, for
+    precision alone."""
+    table = [("precision", 1.0, p_h1)]
+    if p_y1 is not None:
+        table += zip(PRIOR_Y1_KINDS, (1.0, 2.0), (p_y1, p_h1 + p_y1))
     return {name: top / bottom for name, top, bottom in table if bottom > 0.0}
 
 
@@ -196,16 +201,17 @@ def bound_rows(
 ) -> list[SweepRow]:
     """The reported rows of one solved pair, one per metric named in ``kinds``.
 
-    The solved ``metric`` reports the pair itself; given ``p_h1`` and ``p_y1``, a
+    The solved ``metric`` reports the pair itself; given ``p_h1``, a
     joint_positive pair also reports each of precision, recall and F1 whose
-    denominator is positive. Every CI is a normal interval around the value.
+    denominator is known (recall and F1 need ``p_y1``) and positive. Every CI is
+    a normal interval around the value.
     """
     intervals = {
         metric: MetricInterval(
             lower.value, upper.value, lower.plugin_std, upper.plugin_std, clamped=False
         )
     }
-    if metric == "joint_positive" and None not in (p_h1, p_y1):
+    if metric == "joint_positive" and p_h1 is not None:
         factors = _prf_factors(p_h1, p_y1)
         intervals |= {name: _scaled(lower, upper, f) for name, f in factors.items()}
     return [
@@ -260,7 +266,7 @@ def threshold_sweep(
     check_covers(data, model)
     costs = {metric: _cost_table(MetricKind(metric), model.num_classes) for metric in solved}
 
-    if p_y1 is None and wants_prf:
+    if p_y1 is None and set(PRIOR_Y1_KINDS) & set(metric_kinds):
         p_y1 = estimate_class_prior(data, model, positive_class=1)
 
     # A sample is positive at each threshold at or below its score: a binary

@@ -102,15 +102,18 @@ def generate_synthetic(spec: SynthSpec) -> SynthResult:
     rng = np.random.default_rng(spec.seed)
     y = (rng.random(spec.n) < spec.prior_y1).astype(np.int64)
 
-    sigs = np.empty((spec.n, spec.num_labelers), dtype=np.int64)
-    for k in range(spec.num_labelers):
+    # column-major, so each labeler's votes fill one contiguous column
+    sigs = np.empty((spec.n, spec.num_labelers), dtype=np.int64, order="F")
+    for k, vote in enumerate(sigs.T):
         abstain = rng.random(spec.n) < spec.abstain_rates[k]
         correct = rng.random(spec.n) < spec.labeler_accuracies[k]
-        wl = np.where(correct, y, 1 - y)
-        sigs[:, k] = np.where(abstain, ABSTAIN, wl)
+        np.equal(y, correct, out=vote)  # y when correct, 1 - y otherwise
+        vote[abstain] = ABSTAIN
 
-    center = 0.5 + spec.score_separation * (y - 0.5)
-    scores = np.clip(center + SCORE_NOISE * rng.standard_normal(spec.n), 0.0, 1.0)
+    scores = rng.standard_normal(spec.n)
+    scores *= SCORE_NOISE
+    scores += 0.5 + spec.score_separation * (y - 0.5)
+    np.clip(scores, 0.0, 1.0, out=scores)
     preds = (scores >= spec.threshold).astype(np.int64)
 
     table, z_ids = encode_signatures(sigs)

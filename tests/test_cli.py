@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from weakbounds import bounds, cli, solver
+from weakbounds import bounds, cli, metrics, solver
 from weakbounds.cli import build_parser, main
 
 
@@ -423,6 +423,27 @@ class TestSweep:
         assert run(*args) == 0
         assert capsys.readouterr().out == out.read_text()
 
+    def test_precision_alone_reads_no_class_prior(
+        self, tmp_path, synth_files, capsys, monkeypatch
+    ):
+        # only recall and F1 divide by P(Y=1); precision rows are the same either way
+        data, model = synth_files
+        calls = []
+        prior = metrics.estimate_class_prior
+        monkeypatch.setattr(
+            metrics, "estimate_class_prior", lambda *a, **k: calls.append(a) or prior(*a, **k)
+        )
+        args = ["sweep", "--data", str(data), "--label-model", str(model),
+                "--thresholds", "0.3,0.5,0.7"]
+        assert run(*args, "--metric", "precision,recall") == 0
+        both = capsys.readouterr().out.splitlines()
+        assert len(calls) == 1
+        assert run(*args, "--metric", "precision") == 0
+        assert len(calls) == 1
+        precision = [both[0]] + [line for line in both[1:] if ",precision," in line]
+        assert capsys.readouterr().out.splitlines() == precision
+        assert len(precision) == 4
+
     @pytest.mark.parametrize("prior", ["1", "0.25"])
     def test_prior_inside_the_unit_interval_accepted(self, tmp_path, synth_files, prior):
         data, model = synth_files
@@ -597,6 +618,28 @@ class TestSelect:
         payload = json.loads(out.read_text())
         assert payload["chosen_index"] in (0, 1)
         assert payload["chosen_file"] == f"c{payload['chosen_index']}.json"
+
+    def test_label_model_strategy_rejects_a_candidate_without_a_score(
+        self, tmp_path, synth_files, capsys
+    ):
+        # read as NaN, the missing score was the one np.argmax chose
+        data, model = synth_files
+        cand = tmp_path / "cands"
+        cand.mkdir()
+        for i, threshold in enumerate(("0.3", "0.7")):
+            run(
+                "estimate", "--data", str(data), "--label-model", str(model),
+                "--threshold", threshold, "--out", str(cand / f"c{i}.json"),
+            )
+        payload = json.loads((cand / "c1.json").read_text())
+        del payload["metadata"]["label_model_score"]
+        (cand / "c1.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("select", "--candidates", str(cand), "--strategy", "label_model") == 2
+        err = capsys.readouterr().err
+        assert f"{cand / 'c1.json'}: no metadata.label_model_score" in err
+        # the other strategies do not read the score
+        assert run("select", "--candidates", str(cand), "--strategy", "lower") == 0
 
     def test_empty_directory_is_data_error(self, tmp_path):
         cand = tmp_path / "empty"

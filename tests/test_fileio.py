@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakbounds import (
     CoverageError,
@@ -21,6 +23,7 @@ from weakbounds import (
     write_dataset_csv,
     write_label_model_json,
 )
+from weakbounds.fileio import _SCAN_CHUNK, WRITE_CHUNK_ROWS, _may_misread
 
 
 def sample_dataset():
@@ -106,7 +109,8 @@ class TestDatasetCsv:
 
     @pytest.mark.parametrize(
         "header, name",
-        [("score,pred,pred,wl_0,wl_0", "pred"), ("wl_0,note,wl_1,note", "note")],
+        [("score,pred,pred,wl_0,wl_0", "pred"), ("wl_0,note,wl_1,note", "note"),
+         ("wl_0,pred, wl_0", "wl_0")],
     )
     def test_duplicate_column_name_rejected(self, tmp_path, header, name):
         # without the check the last of the duplicates wins silently
@@ -128,6 +132,60 @@ class TestDatasetCsv:
         path.write_text('score,wl_0\n"0.5\n",1\n' + row + "\n")
         with pytest.raises(FormatError, match=re.escape(f"{path}:4: {what}")):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        ["\ufeffwl_0,wl_1,pred", "wl_0, wl_1,pred", '\ufeff"wl_0" , wl_1 ,pred'],
+        ids=["byte-order-mark", "spaces", "both-and-quotes"],
+    )
+    def test_header_names_read_without_byte_order_mark_or_spaces(self, tmp_path, header):
+        # matched as written, the first or second weak labeler was silently dropped
+        path = tmp_path / "h.csv"
+        path.write_text(header + "\n0,0,1\n0,1,0\n1,0,1\n1,1,0\n", encoding="utf-8")
+        data, table = read_dataset_csv(path)
+        assert table.signatures == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert data.predictions.tolist() == [1, 0, 1, 0]
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [("1,0.5,x,1,c", "column wl_0: could not convert 'x' to int64"),
+         ("y,0.5,0,1,c", "column wl_1: could not convert 'y' to int64")],
+        ids=["second-vote", "first-vote"],
+    )
+    def test_bad_vote_after_a_quoted_field_spanning_lines_in_split_columns(
+        self, tmp_path, row, what
+    ):
+        # the votes are read side by side out of header order; the error still
+        # names the file's column and line
+        path = tmp_path / "e.csv"
+        path.write_text('wl_1,score,wl_0,pred,extra\n1,0.5,0,1,"a\nb"\n' + row + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:4: {what}")):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("ends", ["\n\n", "\r\r", "\n\r\n", "\r\n\r\n", "\r\n\n"])
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_blank_line_at_a_byte_scan_chunk_boundary(self, tmp_path, ends, shift):
+        # the two line ends sit across, or next to, the edge of a raw-byte chunk:
+        # spaces pad the last vote before them so the first is at byte
+        # _SCAN_CHUNK - 1 + shift
+        k = 1000
+        head = "wl_0\n" + "1\n" * k
+        pad = " " * (_SCAN_CHUNK - 2 + shift - len(head))
+        path = tmp_path / "e.csv"
+        path.write_bytes((head + pad + "1" + ends + "1\n").encode())
+        with pytest.raises(FormatError, match=re.escape(f"{path}:{k + 3}: blank line")):
+            read_dataset_csv(path)
+
+    @given(st.text(alphabet="a\n\r\x1b\x1c\x1f \u00e9", max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_byte_scan_flags_what_the_decoded_text_holds(self, tmp_path_factory, text):
+        # the decoded, newline-translated text, as loadtxt reads it, is the reference
+        path = tmp_path_factory.getbasetemp() / "scan.csv"
+        path.write_bytes(text.encode())
+        with open(path) as fh:
+            decoded = fh.read()
+        expect = "\n\n" in decoded or any(c in decoded for c in "\x1c\x1d\x1e\x1f")
+        assert _may_misread(path) == expect
 
     def test_header_field_spanning_lines_rejected(self, tmp_path):
         # the csv module reads the rest of the file into the open quote, while
@@ -209,6 +267,45 @@ class TestDatasetCsv:
             for s, z in zip(scores.tolist(), z_ids.tolist())
         ]
         assert path.read_text() == "\n".join(expect) + "\n"
+
+    @pytest.mark.parametrize(
+        "n", [1, WRITE_CHUNK_ROWS - 1, WRITE_CHUNK_ROWS + 1, 3 * WRITE_CHUNK_ROWS + 7]
+    )
+    @pytest.mark.parametrize("with_scores", [True, False], ids=["scores", "no-scores"])
+    def test_writer_matches_per_row_writer_across_chunks(self, tmp_path, n, with_scores):
+        rng = np.random.default_rng(n)
+        table, z_ids = encode_signatures(rng.integers(-1, 2, size=(n, 3)))
+        scores = rng.random(n) if with_scores else None
+        data = DatasetView(n=n, z_ids=z_ids, scores=scores, predictions=rng.integers(0, 2, n))
+        path = tmp_path / "w.csv"
+        write_dataset_csv(path, data, table)
+        rows = [
+            ",".join(map(str, [p, *table.decode(z)]))
+            for p, z in zip(data.predictions.tolist(), z_ids.tolist())
+        ]
+        if with_scores:
+            rows = [f"{s:.9g},{row}" for s, row in zip(scores.tolist(), rows)]
+        header = ("score," if with_scores else "") + "pred,wl_0,wl_1,wl_2"
+        assert path.read_text() == "\n".join([header, *rows]) + "\n"
+
+    def test_reordered_and_split_votes_read_as_a_stacked_reference(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 500
+        votes, scores, preds = rng.integers(-1, 2, size=(n, 2)), rng.random(n), rng.integers(0, 2, n)
+        lines = ["wl_1,score,wl_0,pred,extra"] + [
+            f"{v[1]},{s!r},{v[0]},{p},x{i}"
+            for i, (v, s, p) in enumerate(zip(votes.tolist(), scores.tolist(), preds.tolist()))
+        ]
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(lines) + "\n")
+        data, table = read_dataset_csv(path)
+        # the votes in header order: wl_1, then wl_0
+        ref_table, ref_ids = encode_signatures(np.stack([votes[:, 1], votes[:, 0]], axis=1))
+        assert table == ref_table
+        assert np.array_equal(data.z_ids, ref_ids)
+        assert np.array_equal(data.scores, scores)
+        assert np.array_equal(data.predictions, preds)
+        assert data.labels is None
 
     def test_synth_roundtrip_at_scale(self, tmp_path):
         result = generate_synthetic(SynthSpec(n=200_000, seed=11))

@@ -97,9 +97,12 @@ def test_mutated_label_model_maps_to_an_exit_code(model_bytes):
 
 
 def reference_read(path):
-    """The per-row reader: the csv module, int() and float() on every field."""
-    with open(path, newline="") as fh:
+    """The per-row reader: the csv module, int() and float() on every field.
+    Header names drop a leading UTF-8 byte order mark and, like fields, the
+    whitespace around them."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header, *rows = list(csv.reader(fh))
+    header = [name.strip() for name in header]
     col = {name: i for i, name in enumerate(header)}
     wl_cols = [i for i, name in enumerate(header) if name.startswith("wl_")]
     assert rows and all(len(row) == len(header) for row in rows)

@@ -13,15 +13,21 @@ The command sets:
 - every command of the benchmark's ``smoothed`` and ``exact-io`` workloads, at
   seeds 0 and 7919, on the inputs ``perfbench/workloads.py`` generates;
 - on a ``synth --n 5000 --seed 3`` dataset: ``estimate`` for accuracy,
-  joint-positive and risk, a 6-threshold sweep of all five kinds, ``diagnose``
-  with and without an alternative label model, and ``oracle``;
-- ``coverage --n 2000 --replications 500 --seed 42``.
+  joint-positive and risk, a 6-threshold sweep of all five kinds, a
+  precision-only sweep, ``diagnose`` with and without an alternative label
+  model, and ``oracle``;
+- ``coverage --n 2000 --replications 500 --seed 42``;
+- ``estimate``, ``oracle`` and ``diagnose`` on one 3000-row dataset written in
+  each layout the reader accepts: plain; vote columns reordered and split by
+  other columns (with a label model in that vote order) plus a sweep; CRLF line
+  ends; and every field quoted, some padded with spaces or spanning lines.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -30,6 +36,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7919)
@@ -78,10 +86,63 @@ def _cli_commands(case: Path):
         ("sweep", ["sweep", *data, "--thresholds", "0.2,0.35,0.5,0.5,0.65,0.8",
                    "--metric", "accuracy,joint-positive,precision,recall,f1",
                    "--out", "sweep.csv"]),
+        ("sweep-precision", ["sweep", *data, "--thresholds", "0.35,0.65", "--metric", "precision"]),
         ("diagnose", ["diagnose", *data, "--out", "diagnose.json"]),
         ("diagnose-alt", ["diagnose", *data, "--label-model-alt", "alt.json"]),
         ("oracle", ["oracle", *data, "--out", "oracle.json"]),
     ]
+
+
+def _layout_commands(case: Path):
+    rng = np.random.default_rng(5)
+    n, accuracies = 3000, np.array([0.8, 0.7, 0.65])
+    y = rng.integers(0, 2, n)
+    right = rng.random((n, 3)) < accuracies
+    votes = np.where(rng.random((n, 3)) < 0.15, -1, np.where(right, y[:, None], 1 - y[:, None]))
+    scores = np.clip(0.5 + 0.4 * (y - 0.5) + 0.2 * rng.standard_normal(n), 0.0, 1.0)
+    text = {
+        "score": [f"{s:.6f}" for s in scores],
+        "pred": (scores >= 0.5).astype(int).astype(str),
+        "label": y.astype(str),
+        **{f"wl_{k}": votes[:, k].astype(str) for k in range(3)},
+        "note": [f'"row {i},\n{i % 5}"' if i % 7 == 0 else f'"row {i}, ok"' for i in range(n)],
+    }
+
+    def write(name, columns, newline="\n", quote=lambda v: v):
+        rows = [columns] + [[quote(text[c][i]) for c in columns] for i in range(n)]
+        (case / name).write_bytes(newline.join(",".join(r) for r in rows).encode() + newline.encode())
+
+    def model(name, order):
+        signatures = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
+        like = np.ones((len(signatures), 2))
+        for k, acc in enumerate(accuracies):
+            vote = signatures[:, k][:, None]
+            like *= np.where(vote == -1, 1.0, np.where(vote == np.arange(2), acc, 1.0 - acc))
+        like /= like.sum(axis=1, keepdims=True)
+        entries = [{"z": s[list(order)].tolist(), "p": p.tolist()} for s, p in zip(signatures, like)]
+        (case / name).write_text(json.dumps({"num_classes": 2, "entries": entries}))
+
+    plain = ["score", "pred", "label", "wl_0", "wl_1", "wl_2"]
+    write("plain.csv", plain)
+    write("split.csv", ["wl_1", "score", "wl_0", "pred", "note", "wl_2", "label"])
+    write("crlf.csv", plain, newline="\r\n")
+    quote = lambda v: v if v.startswith('"') else f'" {v}"' if v.startswith("-") else f'"{v}"'
+    write("quoted.csv", ["score", "pred", "note", "wl_0", "wl_1", "wl_2"], quote=quote)
+    model("model.json", (0, 1, 2))
+    model("split.json", (1, 0, 2))
+    commands = []
+    for layout, labels in (("plain", "model"), ("split", "split"), ("crlf", "model"),
+                           ("quoted", "model")):
+        data = ["--data", f"{layout}.csv", "--label-model", f"{labels}.json"]
+        commands += [
+            (f"{layout}-estimate", ["estimate", *data, "--out", f"{layout}-estimate.json"]),
+            (f"{layout}-oracle", ["oracle", *data, "--out", f"{layout}-oracle.json"]),
+            (f"{layout}-diagnose", ["diagnose", *data, "--out", f"{layout}-diagnose.json"]),
+        ]
+    commands.append(("split-sweep", ["sweep", "--data", "split.csv", "--label-model", "split.json",
+                                     "--thresholds", "0.3,0.5,0.7",
+                                     "--metric", "accuracy,precision,recall,f1"]))
+    return commands
 
 
 def _coverage_commands(case: Path):
@@ -92,6 +153,7 @@ def _coverage_commands(case: Path):
 CASES = {
     **{f"{w}-seed-{s}": _workload_commands(w, s) for w in ("smoothed", "exact-io") for s in SEEDS},
     "cli": _cli_commands,
+    "layouts": _layout_commands,
     "coverage": _coverage_commands,
 }
 
