@@ -66,16 +66,13 @@ _EXPORTS = {
         "write_sweep_csv",
     ),
     "metrics": (
-        "MetricInterval",
         "MetricKind",
         "MetricSpec",
-        "PRFBounds",
         "SweepRow",
         "SweepTable",
         "bound_rows",
         "build_g",
         "estimate_h1",
-        "prf_from_joint",
         "threshold_sweep",
     ),
     "objective": (

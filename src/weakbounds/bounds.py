@@ -8,15 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import (
-    CellTable,
-    DatasetView,
-    GMatrix,
-    LabelModel,
-    cell_table,
-    center_columns,
-    check_covers,
-)
+from .domain import CellTable, DatasetView, LabelModel, center_columns, check_covers
 from .errors import InsufficientSampleError
 from .objective import (
     check_epsilon,
@@ -156,13 +148,11 @@ def solve_bounds(
 
 
 def estimate_bounds(
-    data: DatasetView,
-    model: LabelModel,
-    G: GMatrix,
-    epsilon: float | None = None,
+    cells: CellTable, epsilon: float | None = None
 ) -> tuple[BoundEstimate, BoundEstimate]:
-    """Both one-sided smoothed dual bounds, solved from a zero start at temperature ``epsilon``."""
-    return solve_bounds([cell_table(data, model, G)], epsilon)[0]
+    """Both one-sided smoothed dual bounds of one cell table, solved from a zero
+    start at temperature ``epsilon``."""
+    return solve_bounds([cells], epsilon)[0]
 
 
 def check_gamma(gamma: float) -> float:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .bounds import check_gamma, estimate_bounds, estimate_class_prior
-from .domain import LabelSpace
+from .domain import LabelSpace, cell_table
 from .errors import FormatError, NumericalError, WeakBoundsError
 from .fileio import (
     dump_result_json,
@@ -182,7 +182,8 @@ def cmd_estimate(args) -> int:
     from .diagnostics import label_model_score
 
     data, table, model, g = _metric_inputs(args)
-    lo, hi = estimate_bounds(data, model, g, args.epsilon)
+    cells = cell_table(data, model, g)
+    lo, hi = estimate_bounds(cells, args.epsilon)
     _warn_unconverged([(args.metric, lo), (args.metric, hi)])
 
     metadata = {
@@ -190,7 +191,7 @@ def cmd_estimate(args) -> int:
         "num_signatures": table.num_signatures,
         "epsilon": lo.epsilon,
         "seed": args.seed,
-        "label_model_score": label_model_score(data, model, g),
+        "label_model_score": label_model_score(cells),
         "note": "plugin std substitutes the fitted optimizer and estimated label model",
     }
     p_h1 = p_y1 = None
@@ -268,7 +269,6 @@ def cmd_select(args) -> int:
 def cmd_diagnose(args) -> int:
     from .diagnostics import (
         conditional_entropy_y,
-        empirical_z_weights,
         informativeness_bound,
         label_model_score,
         misspecification_report,
@@ -277,16 +277,16 @@ def cmd_diagnose(args) -> int:
     if args.epsilon is not None and args.label_model_alt is None:
         raise ValueError("--epsilon is read only with --label-model-alt")
     data, table, model, g = _metric_inputs(args)
-    weights = empirical_z_weights(data, model.num_signatures)
-    h_cond = conditional_entropy_y(model, weights)
+    cells = cell_table(data, model, g)
+    h_cond = conditional_entropy_y(model, cells.z_mass)
     payload = {
         "conditional_entropy_y_nats": h_cond,
-        "informativeness_bound": informativeness_bound(g.sup_norm, h_cond),
-        "label_model_score": label_model_score(data, model, g),
+        "informativeness_bound": informativeness_bound(cells.sup_norm, h_cond),
+        "label_model_score": label_model_score(cells),
     }
     if args.label_model_alt:
         alt = read_label_model_json(args.label_model_alt, table)
-        report = misspecification_report(data, model, alt, g, args.epsilon)
+        report = misspecification_report(cells, alt, args.epsilon)
         _warn_unconverged((f"{args.metric} under the {label}", est) for label, est in report.solves)
         fields = report._asdict()
         del fields["solves"]
@@ -358,7 +358,6 @@ def _add_common(p, cost=True, epsilon=True, gamma=True, metric_type=_metric(METR
     if gamma:
         p.add_argument("--gamma", type=_checked(check_gamma), default=0.05,
                        help="CI miscoverage level")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file")
 
 
@@ -381,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--prior-y1", type=_prior, default=None,
                    help="known P(Y=1) override (read only with --metric joint-positive)")
+    p.add_argument("--seed", type=int, default=0, help="recorded as metadata.seed")
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("sweep", help="bounds across score thresholds (CSV out)")

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BoundEstimate, solve_bounds
-from .domain import DatasetView, GMatrix, LabelModel, cell_table
+from .domain import CellTable, DatasetView, LabelModel
 from .errors import CoverageError
 
 
@@ -35,6 +35,7 @@ def conditional_entropy_y(model: LabelModel, z_weights: np.ndarray) -> float:
 
 
 def empirical_z_weights(data: DatasetView, num_signatures: int) -> np.ndarray:
+    """Each signature's share of the sample, as a ``CellTable``'s ``z_mass`` holds it."""
     counts = np.bincount(data.z_ids, minlength=num_signatures)
     return counts / data.n
 
@@ -66,25 +67,19 @@ class MisspecReport(NamedTuple):
 
 
 def misspecification_report(
-    data: DatasetView,
-    model_p: LabelModel,
-    model_q: LabelModel,
-    G: GMatrix,
-    epsilon: float | None = None,
+    cells: CellTable, model_q: LabelModel, epsilon: float | None = None
 ) -> MisspecReport:
-    """Bound shift under an alternative label model, with its computable certificate.
+    """Bound shift when ``model_q`` replaces the label model of ``cells``, with
+    its computable certificate.
 
     The certificate is 2 * delta * max optimizer sup-norm, where delta is the
     worst per-signature total variation distance between the two models.
     """
-    if model_p.table.shape != model_q.table.shape:
+    model_p = cells.label_model
+    if model_p.shape != model_q.table.shape:
         raise CoverageError("models must cover the same signatures and classes")
-    delta = max(
-        tv_distance(model_p.table[z], model_q.table[z])
-        for z in range(model_p.num_signatures)
-    )
-    # the sample counted once, and both models in one solve
-    cells = cell_table(data, model_p, G)
+    delta = max(tv_distance(p, q) for p, q in zip(model_p, model_q.table))
+    # both models in one solve
     (lo_p, up_p), (lo_q, up_q) = solve_bounds(
         [cells, cells._replace(label_model=model_q.table)], epsilon
     )
@@ -104,13 +99,12 @@ def misspecification_report(
     )
 
 
-def label_model_score(data: DatasetView, model: LabelModel, G: GMatrix) -> float:
+def label_model_score(cells: CellTable) -> float:
     """Mean of the label-model expectation of g per sample.
 
     This is the value of the conditional-independence coupling, so it always
     lies inside the exact bounds.
     """
-    cells = cell_table(data, model, G)
     return float(cells.mass @ (cells.costs * cells.label_model[cells.z]).sum(axis=1))
 
 

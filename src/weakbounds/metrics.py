@@ -112,33 +112,16 @@ def estimate_h1(data: DatasetView, threshold: float | None = None) -> float:
     return float(np.mean(predictions == 1))
 
 
-class MetricInterval(NamedTuple):
-    lower: float
-    upper: float
-    lower_std: float
-    upper_std: float
-    clamped: bool
-
-
-class PRFBounds(NamedTuple):
-    precision: MetricInterval
-    recall: MetricInterval
-    f1: MetricInterval
-    p_hat_h1: float
-    p_hat_y1: float
-
-
-def _scaled(lower: BoundEstimate, upper: BoundEstimate, factor: float) -> MetricInterval:
+def _scaled(
+    lower: BoundEstimate, upper: BoundEstimate, factor: float
+) -> tuple[float, float, float, float, bool]:
+    """The (lower, upper, lower_std, upper_std, clamped) of a solved pair scaled
+    by ``factor``: the values are clamped to [0, 1], with a flag if they were
+    outside, and the plug-in stds scale by the same factor."""
     lo, hi = factor * lower.value, factor * upper.value
     clamped = lo < 0.0 or hi > 1.0
     lo_c, hi_c = min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)
-    return MetricInterval(
-        lower=lo_c,
-        upper=max(hi_c, lo_c),
-        lower_std=factor * lower.plugin_std,
-        upper_std=factor * upper.plugin_std,
-        clamped=clamped,
-    )
+    return lo_c, max(hi_c, lo_c), factor * lower.plugin_std, factor * upper.plugin_std, clamped
 
 
 def _prf_factors(p_h1: float, p_y1: float | None) -> dict[str, float]:
@@ -149,22 +132,6 @@ def _prf_factors(p_h1: float, p_y1: float | None) -> dict[str, float]:
     if p_y1 is not None:
         table += zip(PRIOR_Y1_KINDS, (1.0, 2.0), (p_y1, p_h1 + p_y1))
     return {name: top / bottom for name, top, bottom in table if bottom > 0.0}
-
-
-def prf_from_joint(
-    lower: BoundEstimate, upper: BoundEstimate, p_h1: float, p_y1: float
-) -> PRFBounds:
-    """Precision/recall/F1 bounds from bounds on P(h=1, Y=1).
-
-    The joint bound scales by 1/P(h=1) for precision, 1/P(Y=1) for recall, and
-    2/(P(h=1)+P(Y=1)) for F1; the plug-in stds scale by the same factors.
-    Values are clamped to [0, 1] post hoc with a flag.
-    """
-    factors = _prf_factors(p_h1, p_y1)
-    if len(factors) < len(PRF_KINDS):
-        raise ZeroDivisionError("degenerate denominator: p_h1 and p_y1 must be > 0")
-    scaled = {name: _scaled(lower, upper, factor) for name, factor in factors.items()}
-    return PRFBounds(**scaled, p_hat_h1=p_h1, p_hat_y1=p_y1)
 
 
 class SweepRow(NamedTuple):
@@ -203,14 +170,11 @@ def bound_rows(
 
     The solved ``metric`` reports the pair itself; given ``p_h1``, a
     joint_positive pair also reports each of precision, recall and F1 whose
-    denominator is known (recall and F1 need ``p_y1``) and positive. Every CI is
-    a normal interval around the value.
+    denominator is known (recall and F1 need ``p_y1``) and positive: the joint
+    pair scaled by 1/P(h=1), 1/P(Y=1) or 2/(P(h=1)+P(Y=1)), stds included, and
+    clamped to [0, 1] with a flag. Every CI is a normal interval around the value.
     """
-    intervals = {
-        metric: MetricInterval(
-            lower.value, upper.value, lower.plugin_std, upper.plugin_std, clamped=False
-        )
-    }
+    intervals = {metric: (lower.value, upper.value, lower.plugin_std, upper.plugin_std, False)}
     if metric == "joint_positive" and p_h1 is not None:
         factors = _prf_factors(p_h1, p_y1)
         intervals |= {name: _scaled(lower, upper, f) for name, f in factors.items()}
@@ -218,16 +182,16 @@ def bound_rows(
         SweepRow(
             threshold=threshold,
             metric=name,
-            lower=mi.lower,
-            upper=mi.upper,
-            lower_std=mi.lower_std,
-            upper_std=mi.upper_std,
-            ci_lower=normal_interval(mi.lower, mi.lower_std, lower.n, gamma),
-            ci_upper=normal_interval(mi.upper, mi.upper_std, upper.n, gamma),
-            clamped=mi.clamped,
+            lower=lo,
+            upper=hi,
+            lower_std=lo_std,
+            upper_std=hi_std,
+            ci_lower=normal_interval(lo, lo_std, lower.n, gamma),
+            ci_upper=normal_interval(hi, hi_std, upper.n, gamma),
+            clamped=clamped,
             solve=(lower, upper),
         )
-        for name, mi in intervals.items()
+        for name, (lo, hi, lo_std, hi_std, clamped) in intervals.items()
         if name in kinds
     ]
 

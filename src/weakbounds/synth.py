@@ -59,6 +59,10 @@ class SynthSpec:
                 raise ValueError(f"probability {p} outside [0, 1]")
         if n < 2:
             raise ValueError("need n >= 2")
+        # a NaN separation makes every score NaN; a NaN threshold classifies every sample negative
+        for name, value in (("score_separation", score_separation), ("threshold", threshold)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         vars(self).update(
             n=n,
             num_labelers=num_labelers,

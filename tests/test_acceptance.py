@@ -20,6 +20,7 @@ from weakbounds import (
     SolveReport,
     SynthSpec,
     TransportInstance,
+    bound_rows,
     build_g,
     cell_table,
     conditional_entropy_y,
@@ -34,7 +35,6 @@ from weakbounds import (
     label_model_score,
     minimized_value,
     misspecification_report,
-    prf_from_joint,
 )
 from weakbounds.cli import main as cli_main
 from conftest import g_values, negated, random_instance, two_point_instance
@@ -52,7 +52,7 @@ def test_criterion_01_oracle_sandwich_500_instances():
         k = int(rng.integers(2, 4))
         data, model, G = random_instance(rng, n_max=60, num_classes=k, num_sig_max=5)
         epsilon = 1e-3 / math.log(k)
-        lo, hi = estimate_bounds(data, model, G, epsilon)
+        lo, hi = estimate_bounds(cell_table(data, model, G), epsilon)
         res = exact_bounds(data, model, G)
         cap = epsilon * math.log(k)
         assert res.lower - 1e-5 <= lo.value <= res.lower + cap + 1e-5
@@ -94,7 +94,7 @@ def test_criterion_03_smoothing_gap_shrinks_with_epsilon():
     data, model, G = two_point_instance(0.75)
     deviations = []
     for eps in (1e-1, 1e-2, 1e-3):
-        lo, _ = estimate_bounds(data, model, G, eps)
+        lo, _ = estimate_bounds(cell_table(data, model, G), eps)
         dev = abs(lo.value - 0.25)
         assert dev <= eps * math.log(2) + 1e-5
         deviations.append(dev)
@@ -140,11 +140,13 @@ def test_criterion_05_joint_to_prf_arithmetic():
         l_val = float(rng.uniform(0.0, min(p_h1, p_y1)))
         u_val = float(rng.uniform(l_val, 1.0))
         s_l, s_u = float(rng.uniform(0, 0.5)), float(rng.uniform(0, 0.5))
-        prf = prf_from_joint(fake(Side.LOWER, l_val, s_l), fake(Side.UPPER, u_val, s_u), p_h1, p_y1)
+        rows = bound_rows(fake(Side.LOWER, l_val, s_l), fake(Side.UPPER, u_val, s_u),
+                          "joint_positive", ("precision", "recall", "f1"), 0.05, p_h1, p_y1)
+        prf = {row.metric: row for row in rows}
         for interval, factor in (
-            (prf.precision, 1.0 / p_h1),
-            (prf.recall, 1.0 / p_y1),
-            (prf.f1, 2.0 / (p_h1 + p_y1)),
+            (prf["precision"], 1.0 / p_h1),
+            (prf["recall"], 1.0 / p_y1),
+            (prf["f1"], 2.0 / (p_h1 + p_y1)),
         ):
             assert abs(interval.lower - min(max(factor * l_val, 0.0), 1.0)) <= 1e-12
             raw_hi = min(max(factor * u_val, 0.0), 1.0)
@@ -160,12 +162,12 @@ def test_criterion_06_misspecification_certificate():
         data, model_p, G = random_instance(rng, n_max=40)
         t = float(rng.uniform(0, 0.6))
         model_q = LabelModel(table=(1 - t) * model_p.table + t * 0.5)
-        rep = misspecification_report(data, model_p, model_q, G)
+        rep = misspecification_report(cell_table(data, model_p, G), model_q)
         cert = rep.certificate + 1e-5
         assert rep.bound_gap_lower <= cert and rep.bound_gap_upper <= cert
     for _ in range(10):
         data, model, G = random_instance(rng, n_max=40)
-        rep = misspecification_report(data, model, model, G)
+        rep = misspecification_report(cell_table(data, model, G), model)
         assert rep.bound_gap_lower <= 1e-6 and rep.bound_gap_upper <= 1e-6
     report("PASS criterion 6: bound shifts within the 2*delta*max-norm certificate")
 
@@ -214,7 +216,7 @@ def test_criterion_08_feasible_couplings_contained():
             assert np.abs(pi.sum(axis=0) - inst.col_mass).max() < 1e-12
             total += float((pi * inst.costs).sum())
         assert res.lower - 1e-9 <= total <= res.upper + 1e-9
-        score = label_model_score(data, model, G)
+        score = label_model_score(cell_table(data, model, G))
         assert res.lower - 1e-9 <= score <= res.upper + 1e-9
         checked += 1
     report("PASS criterion 8: 100 random feasible couplings and model scores contained")
@@ -231,7 +233,7 @@ def test_criterion_09_true_metric_in_widened_interval():
             MetricSpec(MetricKind.ACCURACY, threshold=0.5),
             LabelSpace(num_classes=2),
         )
-        lo, hi = estimate_bounds(result.data, result.model, g)
+        lo, hi = estimate_bounds(cell_table(result.data, result.model, g))
         cap = lo.epsilon * math.log(2)
         low = lo.value - cap - 3 * lo.plugin_std / math.sqrt(lo.n)
         high = hi.value + cap + 3 * hi.plugin_std / math.sqrt(hi.n)
@@ -264,7 +266,7 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
         "estimate": ["estimate", "--data", str(data), "--label-model", str(model),
                      "--metric", "joint-positive", "--threshold", "0.5", "--seed", "3"],
         "sweep": ["sweep", "--data", str(data), "--label-model", str(model),
-                  "--thresholds", "0.4,0.6", "--metric", "accuracy,f1", "--seed", "3"],
+                  "--thresholds", "0.4,0.6", "--metric", "accuracy,f1"],
         "oracle": ["oracle", "--data", str(data), "--label-model", str(model)],
         "diagnose": ["diagnose", "--data", str(data), "--label-model", str(model),
                      "--label-model-alt", str(alt)],

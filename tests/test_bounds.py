@@ -61,14 +61,14 @@ def make_estimate(value, std, n):
 class TestEstimateBounds:
     def test_two_point_half(self):
         data, model, G = two_point_instance(0.5)
-        lo, hi = estimate_bounds(data, model, G, TIGHT)
+        lo, hi = estimate_bounds(cell_table(data, model, G), TIGHT)
         cap = TIGHT * math.log(2)
         assert 0.0 - 1e-5 <= lo.value <= 0.0 + cap + 1e-5
         assert 1.0 - cap - 1e-5 <= hi.value <= 1.0 + 1e-5
 
     def test_two_point_three_quarters(self):
         data, model, G = two_point_instance(0.75)
-        lo, hi = estimate_bounds(data, model, G, TIGHT)
+        lo, hi = estimate_bounds(cell_table(data, model, G), TIGHT)
         cap = TIGHT * math.log(2)
         assert 0.25 - 1e-5 <= lo.value <= 0.25 + cap + 1e-5
         assert 0.75 - cap - 1e-5 <= hi.value <= 0.75 + 1e-5
@@ -77,7 +77,7 @@ class TestEstimateBounds:
         data, model, _ = random_instance(rng)
         G = per_sample_g(np.full((data.n, 2), 0.4))
         epsilon = default_epsilon(2)
-        lo, hi = estimate_bounds(data, model, G, epsilon)
+        lo, hi = estimate_bounds(cell_table(data, model, G), epsilon)
         # the exact bounds collapse to the constant; the smoothed estimates sit
         # inside them by at most the epsilon * ln|Y| smoothing slack
         from weakbounds import exact_bounds
@@ -91,14 +91,14 @@ class TestEstimateBounds:
 
     def test_optimizer_columns_sum_to_zero(self, rng):
         data, model, G = random_instance(rng, num_classes=3)
-        lo, hi = estimate_bounds(data, model, G)
+        lo, hi = estimate_bounds(cell_table(data, model, G))
         for est in (lo, hi):
             assert np.abs(est.optimizer.sum(axis=0)).max() <= 1e-9
 
     def test_reported_value_reproducible_from_optimizer(self, rng):
         data, model, G = random_instance(rng)
         epsilon = default_epsilon(2)
-        lo, hi = estimate_bounds(data, model, G, epsilon)
+        lo, hi = estimate_bounds(cell_table(data, model, G), epsilon)
         cells = cell_table(data, model, G)
         assert lo.value == pytest.approx(
             -eval_objective(*negated(cells, lo.optimizer), epsilon), abs=1e-12
@@ -110,8 +110,8 @@ class TestEstimateBounds:
         perm = rng.permutation(data.n)
         data_p = DatasetView(n=data.n, z_ids=data.z_ids[perm])
         G_p = per_sample_g(g_values(G)[perm])
-        lo, hi = estimate_bounds(data, model, G)
-        lo_p, hi_p = estimate_bounds(data_p, model, G_p)
+        lo, hi = estimate_bounds(cell_table(data, model, G))
+        lo_p, hi_p = estimate_bounds(cell_table(data_p, model, G_p))
         assert lo_p.value == pytest.approx(lo.value, abs=1e-8)
         assert hi_p.value == pytest.approx(hi.value, abs=1e-8)
 
@@ -122,8 +122,8 @@ class TestEstimateBounds:
         inv = np.argsort(perm)
         data_r = DatasetView(n=data.n, z_ids=inv[data.z_ids])
         model_r = LabelModel(table=model.table[perm])
-        lo, hi = estimate_bounds(data, model, G)
-        lo_r, hi_r = estimate_bounds(data_r, model_r, G)
+        lo, hi = estimate_bounds(cell_table(data, model, G))
+        lo_r, hi_r = estimate_bounds(cell_table(data_r, model_r, G))
         assert lo_r.value == pytest.approx(lo.value, abs=1e-8)
         assert hi_r.value == pytest.approx(hi.value, abs=1e-8)
 
@@ -263,7 +263,7 @@ class TestSolverConvergence:
         g = build_g(result.data, MetricSpec(MetricKind.ACCURACY), LabelSpace(num_classes=2))
         exact = exact_bounds(result.data, model, g)
         for epsilon in (default_epsilon(2), TIGHT):
-            lo, hi = estimate_bounds(result.data, model, g, epsilon)
+            lo, hi = estimate_bounds(cell_table(result.data, model, g), epsilon)
             assert lo.report.converged and hi.report.converged
             cap = epsilon * math.log(2)
             assert exact.lower - 1e-6 <= lo.value <= exact.lower + cap + 1e-6
@@ -278,7 +278,7 @@ class TestSolverConvergence:
         )
         result = generate_synthetic(spec)
         g = build_g(result.data, MetricSpec(MetricKind.ACCURACY), LabelSpace(num_classes=2))
-        for est in estimate_bounds(result.data, result.model, g):
+        for est in estimate_bounds(cell_table(result.data, result.model, g)):
             assert est.report.converged
             assert est.report.final_gradient_norm <= 1e-8
 
@@ -347,7 +347,7 @@ class TestCellTable:
         for data, model, g in [*_binary_instances(n, seed=3), _multiclass_risk(n, seed=4)]:
             assert cell_table(data, model, g).mass.size <= model.table.size
             exact = exact_bounds(data, model, g)
-            lo, hi = estimate_bounds(data, model, g)
+            lo, hi = estimate_bounds(cell_table(data, model, g))
             assert lo.report.converged and hi.report.converged
             cap = lo.epsilon * math.log(model.num_classes)
             assert exact.lower - 1e-6 <= lo.value <= exact.lower + cap + 1e-6
@@ -360,7 +360,8 @@ class TestCellTable:
             per_sample = per_sample_g(g_values(g))
             assert cell_table(data, model, per_sample).mass.size == data.n
             for merged, split in zip(
-                estimate_bounds(data, model, g), estimate_bounds(data, model, per_sample)
+                estimate_bounds(cell_table(data, model, g)),
+                estimate_bounds(cell_table(data, model, per_sample)),
             ):
                 assert merged.value == pytest.approx(split.value, abs=1e-12)
                 assert merged.plugin_std == pytest.approx(split.plugin_std, abs=1e-12)
@@ -395,10 +396,11 @@ class TestStackedSolve:
 
     def test_stacked_problems_equal_each_estimate_alone(self, rng):
         problems = [random_instance(rng, num_sig_max=8) for _ in range(5)]
+        tables = [cell_table(*p) for p in problems]
         for epsilon in (default_epsilon(2), TIGHT):
-            stacked = bounds.solve_bounds([cell_table(*p) for p in problems], epsilon)
-            for problem, pair in zip(problems, stacked):
-                assert all(map(_same_estimate, pair, estimate_bounds(*problem, epsilon)))
+            stacked = bounds.solve_bounds(tables, epsilon)
+            for cells, pair in zip(tables, stacked):
+                assert all(map(_same_estimate, pair, estimate_bounds(cells, epsilon)))
 
     @pytest.mark.parametrize("num_classes", [2, 3])
     def test_each_side_is_finished_at_its_optimizer(self, rng, num_classes):
@@ -472,7 +474,7 @@ class TestStackedSolve:
             for t in thresholds:
                 for kind in solved:
                     g = build_g(data, MetricSpec(kind, threshold=t), space)
-                    lo, hi = estimate_bounds(data, model, g)
+                    lo, hi = estimate_bounds(cell_table(data, model, g))
                     assert _same_estimate(next(estimates), lo)
                     assert _same_estimate(next(estimates), hi)
                     p_h1 = estimate_h1(data, t)
@@ -484,12 +486,12 @@ class TestStackedSolve:
         # lower and upper need different numbers of iterations; a budget between
         # them leaves one side unconverged and the other converged
         data, model, G = random_instance(np.random.default_rng(97), num_classes=3)
-        lo, hi = estimate_bounds(data, model, G, TIGHT)
+        lo, hi = estimate_bounds(cell_table(data, model, G), TIGHT)
         assert lo.report.converged and hi.report.converged
         assert lo.report.iterations != hi.report.iterations
         fast, slow = sorted((lo, hi), key=lambda est: est.report.iterations)
         monkeypatch.setattr(solver, "MAX_ITERATIONS", fast.report.iterations)
-        capped = {est.side: est for est in estimate_bounds(data, model, G, TIGHT)}
+        capped = {est.side: est for est in estimate_bounds(cell_table(data, model, G), TIGHT)}
         assert _same_estimate(capped[fast.side], fast)
         assert not capped[slow.side].report.converged
         assert capped[slow.side].report.iterations == fast.report.iterations
@@ -503,8 +505,10 @@ class TestNegatedCosts:
 
     @staticmethod
     def _assert_mirrored(data, model, G, epsilon=None):
-        lo, hi = estimate_bounds(data, model, G, epsilon)
-        neg_lo, neg_hi = estimate_bounds(data, model, GMatrix(costs=-G.costs, rows=G.rows), epsilon)
+        lo, hi = estimate_bounds(cell_table(data, model, G), epsilon)
+        neg_lo, neg_hi = estimate_bounds(
+            cell_table(data, model, GMatrix(costs=-G.costs, rows=G.rows)), epsilon
+        )
         for est, mirror in ((lo, neg_hi), (hi, neg_lo)):
             assert est.side is not mirror.side
             assert est.value == -mirror.value
@@ -570,7 +574,7 @@ class TestClosedFormBinary:
             data = DatasetView(n=n, z_ids=z_ids, predictions=rng.integers(0, 2, n))
             kind = MetricKind.ACCURACY if i % 2 else MetricKind.JOINT_POSITIVE
             g = build_g(data, MetricSpec(kind), space)
-            lo, hi = estimate_bounds(data, model, g)
+            lo, hi = estimate_bounds(cell_table(data, model, g))
             cells = cell_table(data, model, g)
             assert hi.value == pytest.approx(_closed_form_upper(cells, hi.epsilon), abs=1e-12)
             # the lower bound is minus the upper bound of the negated costs

@@ -1,9 +1,12 @@
 import csv
+import importlib
 import json
+import pkgutil
 
 import pytest
 
-from weakbounds import bounds, cli, metrics, solver
+import weakbounds
+from weakbounds import bounds, cli, domain, metrics, solver
 from weakbounds.cli import build_parser, main
 
 
@@ -177,6 +180,10 @@ class TestExitCodes:
             (("oracle", "--epsilon", "0.01"), UNKNOWN),
             (("diagnose", "--gamma", "0.1"), UNKNOWN),
             (("diagnose", "--n", "40"), UNKNOWN),
+            # only estimate reads a --seed, which it records
+            (("sweep", "--thresholds", "0.5", "--seed", "3"), UNKNOWN),
+            (("oracle", "--seed", "3"), UNKNOWN),
+            (("diagnose", "--seed", "3"), UNKNOWN),
             # a valid loss table or prior beside a metric that does not read it
             (("estimate", "--loss-table", "LOSS"), UNREAD),
             (("estimate", "--metric", "joint-positive", "--loss-table", "LOSS"), UNREAD),
@@ -208,7 +215,8 @@ class TestExitCodes:
             (("select", "--candidates", ".", "--metric", "foo"), CHOICES),
         ],
         ids=["estimate-n", "sweep-threshold", "sweep-loss-table", "oracle-gamma",
-             "oracle-epsilon", "diagnose-gamma", "diagnose-n", "estimate-loss-table",
+             "oracle-epsilon", "diagnose-gamma", "diagnose-n", "sweep-seed", "oracle-seed",
+             "diagnose-seed", "estimate-loss-table",
              "estimate-joint-loss-table", "estimate-prior-y1", "estimate-risk-prior-y1",
              "oracle-loss-table", "diagnose-loss-table", "diagnose-epsilon",
              "estimate-risk-no-loss-table", "oracle-risk-no-loss-table",
@@ -269,6 +277,16 @@ class TestExitCodes:
         ))
         assert run("estimate", "--data", str(data), "--label-model", str(bad)) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["synth", "coverage"])
+    def test_nan_separation_is_usage_error(self, tmp_path, capsys, command):
+        # synth wrote a file of NaN scores, which every command then refused to
+        # read; coverage failed on those scores as if the data were bad
+        out = tmp_path / "o"
+        rc = run(command, "--n", "100", "--separation", "nan", "--out", str(out))
+        assert rc == 1
+        assert "score_separation must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUnconvergedWarning:
@@ -745,55 +763,88 @@ class TestDeterminism:
         o1, o2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
         args = [
             "sweep", "--data", str(data), "--label-model", str(model),
-            "--thresholds", "0.4,0.6", "--metric", "accuracy", "--seed", "3",
+            "--thresholds", "0.4,0.6", "--metric", "accuracy",
         ]
         assert run(*args, "--out", str(o1)) == 0
         assert run(*args, "--out", str(o2)) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "argv,solves",
-    [
-        (("estimate", "--data", "DATA", "--label-model", "MODEL", "--metric", "joint-positive",
-          "--threshold", "0.5"), 1),
-        (("sweep", "--data", "DATA", "--label-model", "MODEL", "--thresholds", "0.3,0.5,0.7",
-          "--metric", "accuracy,joint-positive,f1"), 1),
-        (("diagnose", "--data", "DATA", "--label-model", "MODEL", "--label-model-alt", "MODEL"),
-         1),
-        (("diagnose", "--data", "DATA", "--label-model", "MODEL"), 0),
-        (("oracle", "--data", "DATA", "--label-model", "MODEL"), 0),
-        (("select", "--candidates", "CANDIDATES"), 0),
-        (("synth", "--n", "50"), 0),
-        # the truth sample and 500 replications: 501 solves before they were stacked
-        (("coverage", "--n", "40"), 1),
-    ],
-    ids=["estimate", "sweep", "diagnose-alt", "diagnose", "oracle", "select", "synth",
-         "coverage"],
-)
-def test_one_newton_solve_per_command(tmp_path, synth_files, capsys, monkeypatch, argv, solves):
+# one run of each command, on the synth_files dataset or a directory of one result file
+COMMANDS = {
+    "estimate": ("estimate", "--data", "DATA", "--label-model", "MODEL",
+                 "--metric", "joint-positive", "--threshold", "0.5"),
+    "sweep": ("sweep", "--data", "DATA", "--label-model", "MODEL", "--thresholds", "0.3,0.5,0.7",
+              "--metric", "accuracy,joint-positive,f1"),
+    "diagnose-alt": ("diagnose", "--data", "DATA", "--label-model", "MODEL",
+                     "--label-model-alt", "MODEL"),
+    "diagnose": ("diagnose", "--data", "DATA", "--label-model", "MODEL"),
+    "oracle": ("oracle", "--data", "DATA", "--label-model", "MODEL"),
+    "select": ("select", "--candidates", "CANDIDATES"),
+    "synth": ("synth", "--n", "50"),
+    "coverage": ("coverage", "--n", "40"),
+}
+
+
+def run_command(name, tmp_path, synth_files, spy):
+    """Run ``COMMANDS[name]``; return the list that ``spy()`` makes once the inputs exist."""
     data, model = synth_files
     candidates = tmp_path / "candidates"
     candidates.mkdir()
     assert run("estimate", "--data", str(data), "--label-model", str(model),
                "--out", str(candidates / "c.json")) == 0
     paths = {"DATA": data, "MODEL": model, "CANDIDATES": candidates}
-    seen = spy_on_solves(monkeypatch)
-    assert run(*[str(paths.get(a, a)) for a in argv], "--out", str(tmp_path / "o")) == 0
+    seen = spy()
+    assert run(*[str(paths.get(a, a)) for a in COMMANDS[name]], "--out", str(tmp_path / "o")) == 0
+    return seen
+
+
+def spy_on_counts(monkeypatch):
+    """The list of the samples counted into cell tables from now on: the spy
+    replaces ``domain.cell_table`` in every module that holds it."""
+    counted = []
+    cell_table = domain.cell_table
+    spy = lambda *args: counted.append(args) or cell_table(*args)
+    for info in pkgutil.iter_modules(weakbounds.__path__):
+        module = importlib.import_module(f"weakbounds.{info.name}")
+        if getattr(module, "cell_table", None) is cell_table:
+            monkeypatch.setattr(module, "cell_table", spy)
+    return counted
+
+
+# the truth sample and 500 replications of coverage: 501 solves before they were stacked
+SOLVES = {"estimate": 1, "sweep": 1, "diagnose-alt": 1, "diagnose": 0, "oracle": 0, "select": 0,
+          "synth": 0, "coverage": 1}
+
+
+@pytest.mark.parametrize("command,solves", SOLVES.items(), ids=SOLVES)
+def test_one_newton_solve_per_command(tmp_path, synth_files, capsys, monkeypatch, command, solves):
+    seen = run_command(command, tmp_path, synth_files, lambda: spy_on_solves(monkeypatch))
     assert len(seen) == solves
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# a sweep counts every threshold from one pass over the scores, not through cell_table
+COUNTS = {"estimate": 1, "diagnose": 1, "diagnose-alt": 1, "oracle": 1, "sweep": 0}
+
+
+@pytest.mark.parametrize("command,counts", COUNTS.items(), ids=COUNTS)
+def test_one_count_per_command(tmp_path, synth_files, capsys, monkeypatch, command, counts):
+    seen = run_command(command, tmp_path, synth_files, lambda: spy_on_counts(monkeypatch))
+    assert len(seen) == counts
     assert "Traceback" not in capsys.readouterr().err
 
 
 def test_each_command_has_exactly_its_options():
     """A new option is a deliberate edit here, not one more that a command ignores."""
-    common = {"--data", "--label-model", "--metric", "--seed", "--out"}
+    common = {"--data", "--label-model", "--metric", "--out"}
     cost = {"--loss-table", "--threshold"}
     generator = {
         "--n", "--num-labelers", "--accuracies", "--abstain-rates", "--prior-y1",
         "--separation", "--threshold", "--seed",
     }
     expected = {
-        "estimate": common | cost | {"--epsilon", "--gamma", "--prior-y1"},
+        "estimate": common | cost | {"--epsilon", "--gamma", "--prior-y1", "--seed"},
         "sweep": common | {"--epsilon", "--gamma", "--thresholds", "--prior-y1"},
         "oracle": common | cost,
         "select": {"--candidates", "--strategy", "--metric", "--out"},
@@ -807,7 +858,7 @@ def test_each_command_has_exactly_its_options():
         for name, sub in subcommands.choices.items()
     }
     assert found == expected
-    assert sum(len(found[c]) for c in ("estimate", "sweep", "oracle", "diagnose")) == 35
+    assert sum(len(found[c]) for c in ("estimate", "sweep", "oracle", "diagnose")) == 32
 
 
 def _subcommand(name):

@@ -13,6 +13,7 @@ from weakbounds import (
     SelectionStrategy,
     SynthSpec,
     build_g,
+    cell_table,
     conditional_entropy_y,
     default_epsilon,
     empirical_z_weights,
@@ -87,7 +88,7 @@ class TestInformativenessBound:
 class TestMisspecification:
     def test_identical_models_zero_gap(self, rng):
         data, model, G = random_instance(rng)
-        rep = misspecification_report(data, model, model, G)
+        rep = misspecification_report(cell_table(data, model, G), model)
         assert rep.delta == 0.0
         assert rep.bound_gap_lower <= 1e-6
         assert rep.bound_gap_upper <= 1e-6
@@ -98,7 +99,7 @@ class TestMisspecification:
             t = rng.uniform(0, 0.5)
             mixed = (1 - t) * model_p.table + t * 0.5
             model_q = LabelModel(table=mixed)
-            rep = misspecification_report(data, model_p, model_q, G)
+            rep = misspecification_report(cell_table(data, model_p, G), model_q)
             expect_delta = max(
                 tv_distance(model_p.table[z], model_q.table[z])
                 for z in range(model_p.num_signatures)
@@ -110,8 +111,11 @@ class TestMisspecification:
         # the two models' four sides are one stacked solve
         data, model_p, G = random_instance(rng, num_sig_max=8)
         model_q = LabelModel(table=0.8 * model_p.table + 0.1)
-        rep = misspecification_report(data, model_p, model_q, G)
-        alone = [*estimate_bounds(data, model_p, G), *estimate_bounds(data, model_q, G)]
+        rep = misspecification_report(cell_table(data, model_p, G), model_q)
+        alone = [
+            *estimate_bounds(cell_table(data, model_p, G)),
+            *estimate_bounds(cell_table(data, model_q, G)),
+        ]
         for (_, est), single in zip(rep.solves, alone, strict=True):
             assert est.value == single.value and est.plugin_std == single.plugin_std
             assert np.array_equal(est.optimizer, single.optimizer)
@@ -121,7 +125,7 @@ class TestMisspecification:
         data, _, G = two_point_instance(0.5)
         one_hot = LabelModel(table=np.array([[0.0, 1.0]]))
         uniform = LabelModel(table=np.array([[0.5, 0.5]]))
-        rep = misspecification_report(data, one_hot, uniform, G)
+        rep = misspecification_report(cell_table(data, one_hot, G), uniform)
         # oracle bounds: one-hot forces (0.5, 0.5); uniform gives (0, 1)
         slack = 2 * default_epsilon(2) * math.log(2) + 1e-4
         assert rep.bound_gap_lower == pytest.approx(0.5, abs=slack)
@@ -143,7 +147,7 @@ class TestLabelModelScore:
         d = DatasetView(n=data.n, z_ids=data.z_ids, predictions=preds)
         g = build_g(d, MetricSpec(MetricKind.ACCURACY), LabelSpace(num_classes=2))
         expect = float(np.mean(preds == hot[data.z_ids]))
-        assert label_model_score(d, model, g) == pytest.approx(expect)
+        assert label_model_score(cell_table(d, model, g)) == pytest.approx(expect)
 
     def test_uniform_model_accuracy_half(self, rng):
         data, _, _ = random_instance(rng)
@@ -154,13 +158,13 @@ class TestLabelModelScore:
 
         d = DatasetView(n=data.n, z_ids=data.z_ids, predictions=preds)
         g = build_g(d, MetricSpec(MetricKind.ACCURACY), LabelSpace(num_classes=2))
-        assert label_model_score(d, model, g) == pytest.approx(0.5)
+        assert label_model_score(cell_table(d, model, g)) == pytest.approx(0.5)
 
     def test_contained_in_oracle_bounds(self, rng):
         for _ in range(30):
             data, model, G = random_instance(rng, n_max=30, num_classes=3)
             res = exact_bounds(data, model, G)
-            score = label_model_score(data, model, G)
+            score = label_model_score(cell_table(data, model, G))
             assert res.lower - 1e-9 <= score <= res.upper + 1e-9
 
 
@@ -169,13 +173,14 @@ class TestLabelModelScore:
         per_sample = lambda d, m, g: np.einsum("iy,iy->i", g_values(g), m.table[d.z_ids]).mean()
         for _ in range(30):
             data, model, G = random_instance(rng, n_max=60, num_classes=3)
-            assert abs(label_model_score(data, model, G) - per_sample(data, model, G)) <= 1e-12
+            score = label_model_score(cell_table(data, model, G))
+            assert abs(score - per_sample(data, model, G)) <= 1e-12
         result = generate_synthetic(SynthSpec(n=5000, seed=2))
         specs = [MetricSpec(MetricKind.ACCURACY), MetricSpec(MetricKind.JOINT_POSITIVE),
                  MetricSpec(MetricKind.RISK, loss_table=[[0.0, 1.0], [3.0, 0.5]])]
         for spec in specs:
             G = build_g(result.data, spec, LabelSpace(num_classes=2))
-            got = label_model_score(result.data, result.model, G)
+            got = label_model_score(cell_table(result.data, result.model, G))
             assert abs(got - per_sample(result.data, result.model, G)) <= 1e-12
 
 

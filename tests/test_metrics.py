@@ -9,11 +9,12 @@ from weakbounds import (
     LabelSpace,
     MetricKind,
     MetricSpec,
+    bound_rows,
     build_g,
+    cell_table,
     default_epsilon,
     estimate_bounds,
     estimate_h1,
-    prf_from_joint,
     threshold_sweep,
 )
 from conftest import g_values, random_instance
@@ -95,51 +96,53 @@ class TestEstimateH1:
         assert estimate_h1(data, threshold=0.5) == pytest.approx(0.5)
 
 
+def prf_rows(lower, upper, p_h1, p_y1):
+    """The precision, recall and F1 rows that ``bound_rows`` derives from a joint pair."""
+    rows = bound_rows(lower, upper, "joint_positive", ("precision", "recall", "f1"), 0.05,
+                      p_h1, p_y1)
+    return {row.metric: row for row in rows}
+
+
 class TestPrfFromJoint:
     def test_direct_arithmetic(self):
         lo, hi = fake_estimates(0.2, 0.3)
-        prf = prf_from_joint(lo, hi, p_h1=0.5, p_y1=0.4)
-        assert prf.precision.lower == pytest.approx(0.4)
-        assert prf.recall.lower == pytest.approx(0.5)
-        assert prf.f1.lower == pytest.approx(2 * 0.2 / 0.9)
+        prf = prf_rows(lo, hi, p_h1=0.5, p_y1=0.4)
+        assert prf["precision"].lower == pytest.approx(0.4)
+        assert prf["recall"].lower == pytest.approx(0.5)
+        assert prf["f1"].lower == pytest.approx(2 * 0.2 / 0.9)
 
     def test_zero_joint_lower(self):
         lo, hi = fake_estimates(0.0, 0.3)
-        prf = prf_from_joint(lo, hi, p_h1=0.5, p_y1=0.4)
-        assert prf.precision.lower == 0.0
-        assert prf.recall.lower == 0.0
-        assert prf.f1.lower == 0.0
+        prf = prf_rows(lo, hi, p_h1=0.5, p_y1=0.4)
+        assert prf["precision"].lower == 0.0
+        assert prf["recall"].lower == 0.0
+        assert prf["f1"].lower == 0.0
 
     def test_clamping_flagged(self):
         lo, hi = fake_estimates(0.2, 0.75)
-        prf = prf_from_joint(lo, hi, p_h1=0.5, p_y1=0.5)
+        prf = prf_rows(lo, hi, p_h1=0.5, p_y1=0.5)
         # raw precision upper 1.5 clamps to 1
-        assert prf.precision.upper == 1.0
-        assert prf.precision.clamped
-        assert not prf.recall.clamped or prf.recall.upper <= 1.0
+        assert prf["precision"].upper == 1.0
+        assert prf["precision"].clamped
+        assert not prf["recall"].clamped or prf["recall"].upper <= 1.0
 
     def test_std_scaling_exact(self):
         lo, hi = fake_estimates(0.2, 0.3, lower_std=0.05, upper_std=0.07)
         p_h1, p_y1 = 0.5, 0.4
-        prf = prf_from_joint(lo, hi, p_h1, p_y1)
-        assert prf.precision.lower_std == (1.0 / p_h1) * 0.05
-        assert prf.recall.lower_std == (1.0 / p_y1) * 0.05
-        assert prf.f1.lower_std == (2.0 / (p_h1 + p_y1)) * 0.05
-        assert prf.f1.upper_std == (2.0 / (p_h1 + p_y1)) * 0.07
+        prf = prf_rows(lo, hi, p_h1, p_y1)
+        assert prf["precision"].lower_std == (1.0 / p_h1) * 0.05
+        assert prf["recall"].lower_std == (1.0 / p_y1) * 0.05
+        assert prf["f1"].lower_std == (2.0 / (p_h1 + p_y1)) * 0.05
+        assert prf["f1"].upper_std == (2.0 / (p_h1 + p_y1)) * 0.07
 
     def test_homogeneity(self):
         lo1, hi1 = fake_estimates(0.1, 0.2)
         lo2, hi2 = fake_estimates(0.2, 0.4)
-        a = prf_from_joint(lo1, hi1, p_h1=0.9, p_y1=0.9)
-        b = prf_from_joint(lo2, hi2, p_h1=0.9, p_y1=0.9)
-        assert b.precision.lower == pytest.approx(2 * a.precision.lower)
-        assert b.recall.lower == pytest.approx(2 * a.recall.lower)
-        assert b.f1.lower == pytest.approx(2 * a.f1.lower)
-
-    def test_degenerate_denominators_rejected(self):
-        lo, hi = fake_estimates(0.1, 0.2)
-        with pytest.raises(ZeroDivisionError):
-            prf_from_joint(lo, hi, p_h1=0.0, p_y1=0.5)
+        a = prf_rows(lo1, hi1, p_h1=0.9, p_y1=0.9)
+        b = prf_rows(lo2, hi2, p_h1=0.9, p_y1=0.9)
+        assert b["precision"].lower == pytest.approx(2 * a["precision"].lower)
+        assert b["recall"].lower == pytest.approx(2 * a["recall"].lower)
+        assert b["f1"].lower == pytest.approx(2 * a["f1"].lower)
 
 
 def sweep_fixture(rng, n=40):
@@ -201,7 +204,7 @@ class TestThresholdSweep:
                 predictions=(data.scores >= row.threshold).astype(np.int64),
             )
             g = build_g(at_t, MetricSpec(MetricKind.ACCURACY), SPACE2)
-            lo, hi = estimate_bounds(at_t, model, g, epsilon)
+            lo, hi = estimate_bounds(cell_table(at_t, model, g), epsilon)
             assert row.lower == pytest.approx(lo.value, abs=1e-12)
             assert row.upper == pytest.approx(hi.value, abs=1e-12)
 
@@ -243,7 +246,7 @@ class TestAccuracyRange:
             preds = rng.integers(0, 2, data.n)
             d = DatasetView(n=data.n, z_ids=data.z_ids, predictions=preds)
             g = build_g(d, MetricSpec(MetricKind.ACCURACY), SPACE2)
-            lo, hi = estimate_bounds(d, model, g, epsilon)
+            lo, hi = estimate_bounds(cell_table(d, model, g), epsilon)
             slack = epsilon * math.log(2) + 1e-6
             assert -slack <= lo.value and hi.value <= 1.0 + slack
 
@@ -260,7 +263,7 @@ class TestAccuracyRange:
         d = DatasetView(n=data.n, z_ids=data.z_ids, predictions=preds)
         g = build_g(d, MetricSpec(MetricKind.ACCURACY), SPACE2)
         epsilon = default_epsilon(2)
-        lo, hi = estimate_bounds(d, model, g, epsilon)
+        lo, hi = estimate_bounds(cell_table(d, model, g), epsilon)
         direct = float(np.mean(preds == hot[data.z_ids]))
         slack = epsilon * math.log(2) + 1e-5
         assert abs(lo.value - direct) <= slack

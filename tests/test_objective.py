@@ -37,7 +37,7 @@ class TestSmoothingConfig:
 
     def test_estimate_bounds_checks_epsilon(self):
         with pytest.raises(ValueError, match="overflow guard"):
-            estimate_bounds(*two_point_instance(0.75), epsilon=1e-9)
+            estimate_bounds(cell_table(*two_point_instance(0.75)), epsilon=1e-9)
 
 
 # the upper problem at ``a`` as it is, and the lower one as the upper problem of -G

@@ -6,6 +6,7 @@ import pytest
 from weakbounds import (
     LabelModel,
     NumericalError,
+    cell_table,
     estimate_bounds,
     minimize,
 )
@@ -79,14 +80,14 @@ class TestMinimize:
             return shares, weights
 
         monkeypatch.setattr(bounds, "minimized_value", tracked)
-        lo, hi = estimate_bounds(data, model, G)
+        lo, hi = estimate_bounds(cell_table(data, model, G))
         assert lo.report.converged and hi.report.converged
         # trial evaluations may rise, but no signature's accepted final share does
         assert np.all(values[-1] <= values[0] + 1e-12)
 
     def test_bit_determinism(self, rng):
         data, model, G = random_instance(rng, num_classes=3)
-        runs = [estimate_bounds(data, model, G) for _ in range(2)]
+        runs = [estimate_bounds(cell_table(data, model, G)) for _ in range(2)]
         for first, second in zip(*runs):
             assert np.array_equal(first.optimizer, second.optimizer)
             assert first.value == second.value
@@ -94,7 +95,7 @@ class TestMinimize:
 
     def test_two_point_upper_solve(self):
         data, model, G = two_point_instance(0.75)
-        _, hi = estimate_bounds(data, model, G)
+        _, hi = estimate_bounds(cell_table(data, model, G))
         assert hi.report.converged
         assert hi.report.final_gradient_norm <= 1e-8
 
@@ -134,7 +135,7 @@ class TestDualSolves:
         for _ in range(50):
             k = int(rng.integers(2, 4))
             data, model, G = random_instance(rng, num_classes=k)
-            for est in estimate_bounds(data, model, G, 1e-3 / math.log(k)):
+            for est in estimate_bounds(cell_table(data, model, G), 1e-3 / math.log(k)):
                 assert est.report.converged
                 assert np.all(np.isfinite(est.optimizer))
 
@@ -146,24 +147,24 @@ class TestDualSolves:
         # tolerance until its budget runs out.
         data, model, G = random_instance(np.random.default_rng(97), num_classes=3)
         epsilon = 1e-3 / math.log(3)
-        lo, _ = estimate_bounds(data, model, G, epsilon)
+        lo, _ = estimate_bounds(cell_table(data, model, G), epsilon)
         assert lo.report.converged and lo.report.iterations < 50
         monkeypatch.setattr(solver, "ROUNDING_FLOOR", 0.0)
-        lo, _ = estimate_bounds(data, model, G, epsilon)
+        lo, _ = estimate_bounds(cell_table(data, model, G), epsilon)
         assert not lo.report.converged
         assert lo.report.iterations == solver.MAX_ITERATIONS
 
     def test_absent_signature_takes_no_step(self, rng):
         data, model, G = random_instance(rng, num_sig_max=3)
         wider = LabelModel(table=np.vstack([model.table, [[0.5, 0.5]]]))
-        for est in estimate_bounds(data, wider, G):
+        for est in estimate_bounds(cell_table(data, wider, G)):
             assert est.report.converged
             assert np.array_equal(est.optimizer[:, -1], np.zeros(2))
 
     def test_estimate_bounds_reports_solver_outcome(self, rng, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
         data, model, G = random_instance(rng)
-        lo, hi = estimate_bounds(data, model, G)
+        lo, hi = estimate_bounds(cell_table(data, model, G))
         assert not lo.report.converged and not hi.report.converged
         assert lo.report.iterations == hi.report.iterations == 0
 
@@ -207,7 +208,7 @@ class TestWeightReuse:
         monkeypatch.setattr(bounds, "gradient", counted(objective.gradient))
         monkeypatch.setattr(bounds, "hessian", counted(objective.hessian))
         data, model, G = random_instance(np.random.default_rng(seed), num_classes=3)
-        lo, hi = estimate_bounds(data, model, G, eps)
+        lo, hi = estimate_bounds(cell_table(data, model, G), eps)
         assert lo.report.iterations > 0 and hi.report.iterations > 0
         assert counts["derivatives"] > 0
         # beyond the solve's value evaluations, one pass at the centred optimizer
@@ -238,7 +239,7 @@ class TestWeightReuse:
         monkeypatch.setattr(bounds, "gradient", reading(objective.gradient))
         monkeypatch.setattr(bounds, "hessian", reading(objective.hessian))
         data, model, G = random_instance(np.random.default_rng(seed), num_classes=3)
-        estimate_bounds(data, model, G, eps)
+        estimate_bounds(cell_table(data, model, G), eps)
         assert evaluations
         for cells, a, weights in evaluations:
             # equal to a fresh evaluation's at the same point, bit for bit

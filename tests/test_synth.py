@@ -31,6 +31,13 @@ class TestSynthSpec:
         with pytest.raises(ValueError, match="need n >= 2"):
             SynthSpec(n=1)
 
+    @pytest.mark.parametrize("field", ["score_separation", "threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_parameter_rejected(self, field, value):
+        # a NaN separation gives every sample a NaN score
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SynthSpec(n=10, **{field: value})
+
 
 class TestExactPosterior:
     def test_uninformative_labelers_return_prior(self):

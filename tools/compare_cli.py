@@ -13,9 +13,10 @@ The command sets:
 - every command of the benchmark's ``smoothed`` and ``exact-io`` workloads, at
   seeds 0 and 7919, on the inputs ``perfbench/workloads.py`` generates;
 - on a ``synth --n 5000 --seed 3`` dataset: ``estimate`` for accuracy,
-  joint-positive and risk, a 6-threshold sweep of all five kinds, a
-  precision-only sweep, ``diagnose`` with and without an alternative label
-  model, and ``oracle``;
+  joint-positive (also with a known ``--prior-y1``) and risk, a 6-threshold
+  sweep of all five kinds, a precision-only sweep, ``diagnose`` with and
+  without an alternative label model (also for risk at a threshold and a given
+  ``--epsilon``), and ``oracle``;
 - ``coverage --n 2000 --replications 500 --seed 42``;
 - ``estimate``, ``oracle`` and ``diagnose`` on one 3000-row dataset written in
   each layout the reader accepts: plain; vote columns reordered and split by
@@ -83,12 +84,17 @@ def _cli_commands(case: Path):
         ("estimate-joint", ["estimate", *data, "--metric", "joint-positive", "--threshold", "0.5",
                             "--epsilon", "0.001", "--gamma", "0.1", "--out", "joint.json"]),
         ("estimate-risk", ["estimate", *data, "--metric", "risk", "--loss-table", "loss.json"]),
+        ("estimate-prior", ["estimate", *data, "--metric", "joint-positive", "--threshold", "0.4",
+                            "--prior-y1", "0.45"]),
         ("sweep", ["sweep", *data, "--thresholds", "0.2,0.35,0.5,0.5,0.65,0.8",
                    "--metric", "accuracy,joint-positive,precision,recall,f1",
                    "--out", "sweep.csv"]),
         ("sweep-precision", ["sweep", *data, "--thresholds", "0.35,0.65", "--metric", "precision"]),
         ("diagnose", ["diagnose", *data, "--out", "diagnose.json"]),
         ("diagnose-alt", ["diagnose", *data, "--label-model-alt", "alt.json"]),
+        ("diagnose-risk-alt", ["diagnose", *data, "--metric", "risk", "--loss-table", "loss.json",
+                               "--threshold", "0.5", "--label-model-alt", "alt.json",
+                               "--epsilon", "0.002"]),
         ("oracle", ["oracle", *data, "--out", "oracle.json"]),
     ]
 
