@@ -20,7 +20,6 @@ _EXPORTS = {
         "ci_half_width",
         "confidence_interval",
         "estimate_bounds",
-        "estimate_class_prior",
         "plugin_std",
     ),
     "diagnostics": (
@@ -72,7 +71,7 @@ _EXPORTS = {
         "SweepTable",
         "bound_rows",
         "build_g",
-        "estimate_h1",
+        "positive_margins",
         "threshold_sweep",
     ),
     "objective": (

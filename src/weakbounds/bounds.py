@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import CellTable, DatasetView, LabelModel, center_columns, check_covers
+from .domain import CellTable, center_columns
 from .errors import InsufficientSampleError
 from .objective import (
     check_epsilon,
@@ -254,10 +254,3 @@ def confidence_interval(est: BoundEstimate, gamma: float) -> ConfidenceInterval:
     """Two-sided normal-approximation interval at level 1 - gamma."""
     return normal_interval(est.value, est.plugin_std, est.n, gamma)
 
-
-def estimate_class_prior(data: DatasetView, model: LabelModel, positive_class: int) -> float:
-    """Marginal class probability implied by the label model over the sample."""
-    if not (0 <= positive_class < model.num_classes):
-        raise ValueError("positive_class out of range")
-    check_covers(data, model)
-    return float(model.table[data.z_ids, positive_class].mean())

@@ -13,7 +13,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bounds import check_gamma, estimate_bounds, estimate_class_prior
+from .bounds import check_gamma, estimate_bounds
 from .domain import LabelSpace, cell_table
 from .errors import FormatError, NumericalError, WeakBoundsError
 from .fileio import (
@@ -35,7 +35,7 @@ from .metrics import (
     MetricSpec,
     bound_rows,
     build_g,
-    estimate_h1,
+    positive_margins,
     threshold_sweep,
 )
 from .objective import check_epsilon
@@ -98,7 +98,10 @@ def _finite(text: str) -> float:
 
 def _thresholds(text: str) -> list[float]:
     """The comma-separated --thresholds of a sweep."""
-    return [_finite(t) for t in text.split(",") if t]
+    thresholds = [_finite(t) for t in text.split(",") if t]
+    if not thresholds:
+        raise argparse.ArgumentTypeError("no threshold named")
+    return thresholds
 
 
 def _prior(text: str) -> float:
@@ -196,8 +199,8 @@ def cmd_estimate(args) -> int:
     }
     p_h1 = p_y1 = None
     if args.metric == "joint_positive":
-        p_h1 = estimate_h1(data, threshold=args.threshold)
-        p_y1 = args.prior_y1 if args.prior_y1 is not None else estimate_class_prior(data, model, 1)
+        p_h1, p_y1 = positive_margins(cells)
+        p_y1 = args.prior_y1 if args.prior_y1 is not None else p_y1
         metadata.update(p_h1=p_h1, p_y1=p_y1)
     kinds = (args.metric, *PRF_KINDS)
     rows = bound_rows(lo, hi, args.metric, kinds, args.gamma, p_h1, p_y1, args.threshold)

@@ -210,10 +210,6 @@ class GMatrix:
     __setattr__ = __delattr__ = read_only
 
     @property
-    def sup_norm(self) -> float:
-        return float(np.abs(self.costs).max(initial=0.0))
-
-    @property
     def n(self) -> int:
         return self.rows.size
 

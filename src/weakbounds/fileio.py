@@ -317,6 +317,9 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
         fallback = payload.get("fallback", "error")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: missing or malformed field {exc}") from None
+    # a dict or a string would iterate as no entries, and null or a number not at all
+    if type(entries) is not list:
+        raise FormatError(f"{path}: 'entries' must be a list")
     if fallback not in ("error", "uniform"):
         raise FormatError(f"{path}: fallback must be 'error' or 'uniform'")
     if not 2 <= num_classes <= MAX_CLASSES:

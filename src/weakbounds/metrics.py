@@ -8,14 +8,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (
-    BoundEstimate,
-    ConfidenceInterval,
-    estimate_class_prior,
-    normal_interval,
-    solve_bounds,
-)
+from .bounds import BoundEstimate, ConfidenceInterval, normal_interval, solve_bounds
 from .domain import (
+    CellTable,
     DatasetView,
     GMatrix,
     LabelModel,
@@ -106,10 +101,12 @@ def build_g(data: DatasetView, spec: MetricSpec, space: LabelSpace) -> GMatrix:
     return GMatrix(costs=_cost_table(spec.kind, space.num_classes, spec.loss_table), rows=preds)
 
 
-def estimate_h1(data: DatasetView, threshold: float | None = None) -> float:
-    """Fraction of samples a binary classifier labels positive."""
-    predictions = _predictions(data, MetricSpec(MetricKind.ACCURACY, threshold=threshold), 2)
-    return float(np.mean(predictions == 1))
+def positive_margins(cells: CellTable) -> tuple[float, float]:
+    """P(h=1) and P(Y=1) of a joint_positive cell table: the share of the cells
+    whose cost row is the positive prediction's [0, 1], and the label model's
+    P(Y=1 | Z) weighted by each signature's share."""
+    p_h1 = float(cells.mass[cells.costs[:, 1] == 1.0].sum())
+    return p_h1, float(cells.z_mass @ cells.label_model[:, 1])
 
 
 def _scaled(
@@ -218,9 +215,8 @@ def threshold_sweep(
     unknown = set(metric_kinds) - set(SWEEP_KINDS)
     if unknown:
         raise ValueError(f"unknown metric kinds {sorted(unknown)}; choose from {SWEEP_KINDS}")
-    wants_prf = bool(set(PRF_KINDS) & set(metric_kinds))
     solved = [k for k in ("accuracy", "joint_positive") if k in metric_kinds]
-    if wants_prf and "joint_positive" not in solved:
+    if set(PRF_KINDS) & set(metric_kinds) and "joint_positive" not in solved:
         solved.append("joint_positive")
     # through the constructor, which checks each column's length
     data = DatasetView(**vars(data))
@@ -229,9 +225,6 @@ def threshold_sweep(
         raise FormatError("scores must not be NaN")
     check_covers(data, model)
     costs = {metric: _cost_table(MetricKind(metric), model.num_classes) for metric in solved}
-
-    if p_y1 is None and set(PRIOR_Y1_KINDS) & set(metric_kinds):
-        p_y1 = estimate_class_prior(data, model, positive_class=1)
 
     # A sample is positive at each threshold at or below its score: a binary
     # search among the distinct thresholds, sorted in the scores' precision (in
@@ -249,17 +242,17 @@ def threshold_sweep(
     # each signature's cells, prediction 0 then 1: a cost row per prediction
     z, preds = np.repeat(np.arange(num_z), 2), np.tile([0, 1], num_z)
 
-    tables, p_h1s = [], []
+    tables = []
     for j in column:
         counts = np.column_stack([totals - positives[:, j], positives[:, j]]).ravel()
-        p_h1s.append(float(positives[:, j].sum() / data.n) if wants_prf else None)
         tables += [cells_from_counts(z, preds, counts, costs[metric], model) for metric in solved]
     # every threshold and metric in one solve, in the order of ``tables``
-    pairs = iter(solve_bounds(tables, epsilon))
+    labels = [(t, metric) for t in thresholds for metric in solved]
     rows, solves = [], []
-    for t, p_h1 in zip(thresholds, p_h1s):
-        for metric in solved:
-            lo, hi = next(pairs)
-            solves += [(f"{metric} at threshold {t:g}", est) for est in (lo, hi)]
-            rows += bound_rows(lo, hi, metric, metric_kinds, gamma, p_h1, p_y1, t)
+    for (t, metric), cells, (lo, hi) in zip(labels, tables, solve_bounds(tables, epsilon)):
+        solves += [(f"{metric} at threshold {t:g}", est) for est in (lo, hi)]
+        # a given p_y1 replaces the joint table's P(Y=1)
+        p_h1, p_y1_hat = positive_margins(cells) if metric == "joint_positive" else (None, None)
+        prior = p_y1 if p_y1 is not None else p_y1_hat
+        rows += bound_rows(lo, hi, metric, metric_kinds, gamma, p_h1, prior, t)
     return SweepTable(rows=tuple(rows), solves=tuple(solves))

@@ -25,13 +25,12 @@ from weakbounds import (
     count_label_model,
     default_epsilon,
     estimate_bounds,
-    estimate_class_prior,
-    estimate_h1,
     eval_objective,
     exact_bounds,
     generate_synthetic,
     per_cell_objective,
     plugin_std,
+    positive_margins,
     threshold_sweep,
 )
 from weakbounds import bounds, solver
@@ -225,21 +224,26 @@ class TestCiHalfWidth:
 
 
 class TestEstimateClassPrior:
+    """P(Y=1) read from a joint_positive cell table."""
+
+    @staticmethod
+    def _prior(z_ids, model):
+        data = DatasetView(n=len(z_ids), z_ids=np.array(z_ids), predictions=np.zeros(len(z_ids)))
+        g = build_g(data, MetricSpec(MetricKind.JOINT_POSITIVE), LabelSpace(num_classes=2))
+        return positive_margins(cell_table(data, model, g))[1]
+
     def test_weighted_mean_over_samples(self):
         # P(1|A)=2/3, P(1|B)=1, sequence [A,A,B,B] -> (2/3+2/3+1+1)/4 = 5/6
-        data = DatasetView(n=4, z_ids=np.array([0, 0, 1, 1]))
         model = LabelModel(table=np.array([[1 / 3, 2 / 3], [0.0, 1.0]]))
-        assert estimate_class_prior(data, model, 1) == pytest.approx(5 / 6)
+        assert self._prior([0, 0, 1, 1], model) == pytest.approx(5 / 6)
 
     def test_one_hot_model_counts_positives(self):
-        data = DatasetView(n=3, z_ids=np.array([0, 1, 1]))
         model = LabelModel(table=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert estimate_class_prior(data, model, 1) == pytest.approx(2 / 3)
+        assert self._prior([0, 1, 1], model) == pytest.approx(2 / 3)
 
     def test_single_sample(self):
-        data = DatasetView(n=1, z_ids=np.array([0]))
         model = LabelModel(table=np.array([[0.2, 0.8]]))
-        assert estimate_class_prior(data, model, 1) == pytest.approx(0.8)
+        assert self._prior([0], model) == pytest.approx(0.8)
 
 
 class TestSolverConvergence:
@@ -316,7 +320,7 @@ def _counted_cells(data, model, G):
         np.array([counts[key] / data.n for key in keys]),
         np.array([z_counts[z] / data.n for z in range(model.num_signatures)]),
         model.table,
-        G.sup_norm,
+        float(np.abs(G.costs).max()),
     )
 
 
@@ -469,15 +473,20 @@ class TestStackedSolve:
             estimates = iter(est for _, est in sweep.solves)
             rows = iter(sweep.rows)
             space = LabelSpace(num_classes=model.num_classes)
-            p_y1 = estimate_class_prior(data, model, positive_class=1)
             solved = [MetricKind.ACCURACY] + [MetricKind.JOINT_POSITIVE] * ("f1" in kinds)
             for t in thresholds:
                 for kind in solved:
                     g = build_g(data, MetricSpec(kind, threshold=t), space)
-                    lo, hi = estimate_bounds(cell_table(data, model, g))
+                    cells = cell_table(data, model, g)
+                    lo, hi = estimate_bounds(cells)
                     assert _same_estimate(next(estimates), lo)
                     assert _same_estimate(next(estimates), hi)
-                    p_h1 = estimate_h1(data, t)
+                    p_h1 = p_y1 = None
+                    if kind is MetricKind.JOINT_POSITIVE:
+                        # estimate's P(h=1) and P(Y=1): the row means, to within rounding
+                        p_h1, p_y1 = positive_margins(cells)
+                        assert p_h1 == pytest.approx(np.mean(data.scores >= t), rel=1e-14)
+                        assert p_y1 == pytest.approx(model.table[data.z_ids, 1].mean(), rel=1e-14)
                     for want in bound_rows(lo, hi, kind.value, kinds, 0.05, p_h1, p_y1, t):
                         assert next(rows)._replace(solve=None) == want._replace(solve=None)
             assert next(rows, None) is None

@@ -212,6 +212,7 @@ class TestExitCodes:
             (("sweep", "--thresholds", "0.5", "--metric", "foo"), CHOICES),
             (("sweep", "--thresholds", "0.5", "--metric", "accuracy,risk"), CHOICES),
             (("sweep", "--thresholds", "0.5", "--metric", ","), CHOICES),
+            (("sweep", "--thresholds", ","), "no threshold named"),
             (("select", "--candidates", ".", "--metric", "foo"), CHOICES),
         ],
         ids=["estimate-n", "sweep-threshold", "sweep-loss-table", "oracle-gamma",
@@ -223,7 +224,8 @@ class TestExitCodes:
              "diagnose-risk-no-loss-table", "sweep-accuracy-prior-y1",
              "sweep-joint-prior-y1", "sweep-precision-prior-y1", "estimate-metric-foo", "estimate-metric-f1",
              "oracle-metric-precision", "diagnose-metric-foo", "sweep-metric-foo",
-             "sweep-metric-risk", "sweep-no-metric", "select-metric-foo"],
+             "sweep-metric-risk", "sweep-no-metric", "sweep-no-threshold",
+             "select-metric-foo"],
     )
     def test_option_the_command_does_not_read_is_usage_error(
         self, tmp_path, synth_files, capsys, monkeypatch, argv, message
@@ -441,23 +443,14 @@ class TestSweep:
         assert run(*args) == 0
         assert capsys.readouterr().out == out.read_text()
 
-    def test_precision_alone_reads_no_class_prior(
-        self, tmp_path, synth_files, capsys, monkeypatch
-    ):
+    def test_precision_alone_reads_no_class_prior(self, tmp_path, synth_files, capsys):
         # only recall and F1 divide by P(Y=1); precision rows are the same either way
         data, model = synth_files
-        calls = []
-        prior = metrics.estimate_class_prior
-        monkeypatch.setattr(
-            metrics, "estimate_class_prior", lambda *a, **k: calls.append(a) or prior(*a, **k)
-        )
         args = ["sweep", "--data", str(data), "--label-model", str(model),
                 "--thresholds", "0.3,0.5,0.7"]
         assert run(*args, "--metric", "precision,recall") == 0
         both = capsys.readouterr().out.splitlines()
-        assert len(calls) == 1
         assert run(*args, "--metric", "precision") == 0
-        assert len(calls) == 1
         precision = [both[0]] + [line for line in both[1:] if ",precision," in line]
         assert capsys.readouterr().out.splitlines() == precision
         assert len(precision) == 4
@@ -833,6 +826,20 @@ def test_one_count_per_command(tmp_path, synth_files, capsys, monkeypatch, comma
     seen = run_command(command, tmp_path, synth_files, lambda: spy_on_counts(monkeypatch))
     assert len(seen) == counts
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classify", [("--threshold", "0.5"), ()], ids=["threshold", "pred"])
+def test_estimate_classifies_once(tmp_path, synth_files, monkeypatch, classify):
+    # P(h=1) comes from the counted cells, not from classifying the sample again
+    data, model = synth_files
+    calls = []
+    predictions = metrics._predictions
+    monkeypatch.setattr(
+        metrics, "_predictions", lambda *args: calls.append(args) or predictions(*args)
+    )
+    assert run("estimate", "--data", str(data), "--label-model", str(model),
+               "--metric", "joint-positive", *classify, "--out", str(tmp_path / "o")) == 0
+    assert len(calls) == 1
 
 
 def test_each_command_has_exactly_its_options():

@@ -14,6 +14,7 @@ from weakbounds import (
     MetricSpec,
     SynthSpec,
     TransportInstance,
+    cell_table,
     center_columns,
     check_covers,
     encode_signatures,
@@ -149,7 +150,8 @@ class TestGMatrix:
 
     def test_sup_norm_is_derived_from_the_cost_table(self):
         G = GMatrix(costs=[[0.0, -2.5], [1.0, 0.0]], rows=[1, 1, 1])
-        assert G.sup_norm == 2.5
+        model = LabelModel(table=[[0.5, 0.5]])
+        assert cell_table(DatasetView(n=3, z_ids=[0, 0, 0]), model, G).sup_norm == 2.5
         assert g_values(G).tolist() == [[1.0, 0.0]] * 3
         with pytest.raises(TypeError):
             GMatrix(costs=np.eye(2), rows=[0], sup_norm=1.0)

@@ -447,6 +447,18 @@ class TestLabelModelJson:
         with pytest.raises(FormatError, match=r"num_classes must lie in \[2, 1000\]"):
             read_label_model_json(path, table)
 
+    @pytest.mark.parametrize(
+        "entries", [None, 5, True, {}, ""], ids=["null", "number", "true", "object", "string"]
+    )
+    def test_entries_that_are_not_a_list_rejected(self, tmp_path, entries):
+        # null, 5 and true raised TypeError; {} and "" read as no entries
+        _, table = sample_dataset()
+        path = tmp_path / "m.json"
+        payload = {"num_classes": 2, "fallback": "uniform", "entries": entries}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: 'entries' must be a list")):
+            read_label_model_json(path, table)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")

@@ -14,7 +14,7 @@ from weakbounds import (
     cell_table,
     default_epsilon,
     estimate_bounds,
-    estimate_h1,
+    positive_margins,
     threshold_sweep,
 )
 from conftest import g_values, random_instance
@@ -78,22 +78,28 @@ class TestBuildG:
         data = DatasetView(n=4, z_ids=np.zeros(4, dtype=int), scores=scores)
         with pytest.raises(FormatError, match="scores must not be NaN"):
             build_g(data, MetricSpec(MetricKind.ACCURACY, threshold=0.5), SPACE2)
-        with pytest.raises(FormatError, match="scores must not be NaN"):
-            estimate_h1(data, threshold=0.5)
 
 
 class TestEstimateH1:
+    """P(h=1) read from a joint_positive cell table."""
+
+    @staticmethod
+    def _p_h1(data, threshold=None):
+        model = LabelModel(table=[[0.5, 0.5]])
+        g = build_g(data, MetricSpec(MetricKind.JOINT_POSITIVE, threshold=threshold), SPACE2)
+        return positive_margins(cell_table(data, model, g))[0]
+
     def test_counts_positives(self):
         data = DatasetView(n=4, z_ids=np.zeros(4, dtype=int), predictions=np.array([1, 0, 1, 1]))
-        assert estimate_h1(data) == pytest.approx(0.75)
+        assert self._p_h1(data) == pytest.approx(0.75)
 
     def test_all_zero(self):
         data = DatasetView(n=3, z_ids=np.zeros(3, dtype=int), predictions=np.zeros(3, dtype=int))
-        assert estimate_h1(data) == 0.0
+        assert self._p_h1(data) == 0.0
 
     def test_threshold_rule(self):
         data = DatasetView(n=2, z_ids=np.zeros(2, dtype=int), scores=np.array([0.2, 0.6]))
-        assert estimate_h1(data, threshold=0.5) == pytest.approx(0.5)
+        assert self._p_h1(data, threshold=0.5) == pytest.approx(0.5)
 
 
 def prf_rows(lower, upper, p_h1, p_y1):
@@ -161,9 +167,7 @@ class TestThresholdSweep:
             data, model, [-0.1], ["joint_positive", "recall"], default_epsilon(2)
         )
         rows = {r.metric: r for r in sweep.rows}
-        from weakbounds import estimate_class_prior
-
-        p_y1 = estimate_class_prior(data, model, 1)
+        p_y1 = model.table[data.z_ids, 1].mean()
         expected = min(max(rows["joint_positive"].lower / p_y1, 0.0), 1.0)
         assert rows["recall"].lower == pytest.approx(expected, abs=1e-9)
 

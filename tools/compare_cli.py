@@ -13,15 +13,17 @@ The command sets:
 - every command of the benchmark's ``smoothed`` and ``exact-io`` workloads, at
   seeds 0 and 7919, on the inputs ``perfbench/workloads.py`` generates;
 - on a ``synth --n 5000 --seed 3`` dataset: ``estimate`` for accuracy,
-  joint-positive (also with a known ``--prior-y1``) and risk, a 6-threshold
+  joint-positive (at a ``--threshold`` and from the ``pred`` column, each
+  also with a known ``--prior-y1``) and risk, a 6-threshold
   sweep of all five kinds, a precision-only sweep, ``diagnose`` with and
   without an alternative label model (also for risk at a threshold and a given
   ``--epsilon``), and ``oracle``;
 - ``coverage --n 2000 --replications 500 --seed 42``;
 - ``estimate``, ``oracle`` and ``diagnose`` on one 3000-row dataset written in
   each layout the reader accepts: plain; vote columns reordered and split by
-  other columns (with a label model in that vote order) plus a sweep; CRLF line
-  ends; and every field quoted, some padded with spaces or spanning lines.
+  other columns (with a label model in that vote order) plus a joint-positive
+  ``estimate`` and a sweep; CRLF line ends; and every field quoted, some
+  padded with spaces or spanning lines.
 """
 
 from __future__ import annotations
@@ -86,6 +88,9 @@ def _cli_commands(case: Path):
         ("estimate-risk", ["estimate", *data, "--metric", "risk", "--loss-table", "loss.json"]),
         ("estimate-prior", ["estimate", *data, "--metric", "joint-positive", "--threshold", "0.4",
                             "--prior-y1", "0.45"]),
+        ("estimate-pred", ["estimate", *data, "--metric", "joint-positive", "--out", "pred.json"]),
+        ("estimate-pred-prior", ["estimate", *data, "--metric", "joint-positive",
+                                 "--prior-y1", "0.55"]),
         ("sweep", ["sweep", *data, "--thresholds", "0.2,0.35,0.5,0.5,0.65,0.8",
                    "--metric", "accuracy,joint-positive,precision,recall,f1",
                    "--out", "sweep.csv"]),
@@ -145,9 +150,13 @@ def _layout_commands(case: Path):
             (f"{layout}-oracle", ["oracle", *data, "--out", f"{layout}-oracle.json"]),
             (f"{layout}-diagnose", ["diagnose", *data, "--out", f"{layout}-diagnose.json"]),
         ]
-    commands.append(("split-sweep", ["sweep", "--data", "split.csv", "--label-model", "split.json",
-                                     "--thresholds", "0.3,0.5,0.7",
-                                     "--metric", "accuracy,precision,recall,f1"]))
+    split = ["--data", "split.csv", "--label-model", "split.json"]
+    commands += [
+        ("split-estimate-joint", ["estimate", *split, "--metric", "joint-positive",
+                                  "--out", "split-estimate-joint.json"]),
+        ("split-sweep", ["sweep", *split, "--thresholds", "0.3,0.5,0.7",
+                         "--metric", "accuracy,precision,recall,f1"]),
+    ]
     return commands
 
 
