@@ -446,7 +446,7 @@ def main(argv=None) -> int:
     except (FormatError, WeakBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -111,21 +111,26 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 _SCAN_CHUNK = 1 << 16  # bytes per chunk of the raw-byte scan
 
 
-def _may_misread(path: str | Path) -> bool:
-    """Whether the raw bytes hold an ASCII separator or two line ends in a row
-    (each a ``\\n`` or a ``\\r``, but not the pair ``\\r\\n``), as every blank line
-    of the decoded, newline-translated text does. Vectorised over fixed-size
-    chunks, it is several times faster than the scan of the decoded text."""
+def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
+    """The 1-based line and the reason of the first ASCII separator or blank line,
+    with lines counted as loadtxt counts them.
+
+    A blank line of the decoded, newline-translated text is two line ends in a
+    row in the raw bytes (each a ``\\n`` or a ``\\r``, but not the pair ``\\r\\n``).
+    The scan is vectorised over fixed-size chunks of the bytes; only a hit reads
+    the bytes before it again, to count its line.
+    """
     buf = np.zeros(1 + _SCAN_CHUNK, dtype=np.uint8)  # buf[0]: the previous chunk's last byte
     low, hit, nl, cr = np.empty_like(buf), *(np.empty(buf.shape, dtype=bool) for _ in range(3))
+    start = 0  # the file offset of buf[1]
     with open(path, "rb") as fh:
         while got := fh.readinto(memoryview(buf)[1:]):
             m = slice(0, 1 + got)
             b = buf[m]
             # the separators are the four bytes from 0x1c; below it, b - 0x1c wraps
             np.subtract(b, 0x1C, out=low[m])
-            if np.less(low[m], len(_SEPARATORS), out=hit[m]).any():
-                return True
+            seps = np.less(low[m], len(_SEPARATORS), out=hit[m])
+            found = [int(seps.argmax())] if seps.any() else []  # indices into buf
             n, r = np.equal(b, ord("\n"), out=nl[m]), np.equal(b, ord("\r"), out=cr[m])
             if r.any():
                 ends = n | r
@@ -133,32 +138,17 @@ def _may_misread(path: str | Path) -> bool:
             else:
                 pairs = np.logical_and(n[:-1], n[1:], out=hit[:got])
             if pairs.any():
-                return True
+                found.append(int(pairs.argmax()) + 1)  # the second line end
+            if found:
+                at = min(found)
+                c = chr(buf[at])
+                fh.seek(0)
+                head = fh.read(start + at - 1)
+                # a \r\n is one line end; the byte at the hit is never the \n of one
+                line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+                return line, f"control character {c!r}" if c in _SEPARATORS else "blank line"
+            start += got
             buf[0] = buf[got]
-    return False
-
-
-def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
-    """The 1-based line and the reason of the first blank line or ASCII separator,
-    with lines counted as loadtxt counts them."""
-    if not _may_misread(path):
-        return None
-    with open(path, errors="replace") as fh:
-        newlines = 0  # before the current chunk
-        prev = ""  # the last character of the previous chunk
-        while chunk := fh.read(1 << 20):
-            text = prev + chunk
-            hits = [(at + 1, "blank line") for at in [text.find("\n\n")] if at >= 0]
-            hits += [
-                (at, f"control character {c!r}")
-                for c in _SEPARATORS
-                if (at := text.find(c)) >= 0
-            ]
-            if hits:
-                at, what = min(hits)
-                return newlines + text.count("\n", 0, at) - prev.count("\n") + 1, what
-            newlines += chunk.count("\n")
-            prev = chunk[-1]
     return None
 
 
@@ -327,6 +317,7 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
             f"{path}: num_classes must lie in [2, {MAX_CLASSES}], got {num_classes}"
         )
 
+    num_votes = len(table.signatures[0])
     by_sig: dict[tuple[int, ...], list[float]] = {}
     for i, e in enumerate(entries):
         try:
@@ -343,6 +334,9 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
             raise FormatError(
                 f"{path}: entry {i} needs an integer list 'z' and a numeric list 'p' ({exc!r})"
             ) from None
+        # a signature of another length matches no data row; the fallback took them all
+        if len(sig) != num_votes:
+            raise FormatError(f"{path}: entry {i} has {len(sig)} votes, the dataset {num_votes}")
         if sig in by_sig:
             raise FormatError(f"{path}: duplicate signature {sig}")
         if len(p) != num_classes:
@@ -364,14 +358,18 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
 
 
 def read_loss_table(path: str | Path, num_classes: int) -> np.ndarray:
-    """A |Y|-by-|Y| table of numbers, for a risk metric."""
+    """A |Y|-by-|Y| table of finite JSON numbers, for a risk metric."""
+    k = num_classes
     try:
-        table = np.asarray(json.loads(Path(path).read_text()), dtype=np.float64)
-    except (json.JSONDecodeError, ValueError, TypeError) as exc:
+        rows = json.loads(Path(path).read_text())
+        table = np.asarray(rows, dtype=np.float64)
+        if (shape := table.shape) != (k, k):
+            raise FormatError(f"{path}: loss table must be |Y|-by-|Y| = {k}-by-{k}, not {shape}")
+        # asarray reads true and "1" as numbers too; a table of this shape is a list of rows
+        if not all(math.isfinite(_number(v)) for row in rows for v in row):
+            raise FormatError(f"{path}: loss table entries must be finite numbers")
+    except (json.JSONDecodeError, ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: bad loss table ({exc})") from None
-    if table.shape != (num_classes, num_classes):
-        k = num_classes
-        raise FormatError(f"{path}: loss table must be |Y|-by-|Y| = {k}-by-{k}, not {table.shape}")
     return table
 
 

@@ -129,6 +129,47 @@ class TestExitCodes:
         assert rc == 2
         assert f"{loss}: loss table must be |Y|-by-|Y|" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "table",
+        ['[["0", "1"], [true, 0]]', "[[0, NaN], [1, 0]]", "[[0, 1], [-Infinity, 0]]"],
+        ids=["strings-and-boolean", "nan", "minus-infinity"],
+    )
+    def test_loss_table_of_non_numbers_is_data_error(self, tmp_path, synth_files, capsys, table):
+        # strings and booleans read as numbers (exit 0); NaN and infinities reached
+        # the cost table, whose message named neither the file nor the loss table
+        data, model = synth_files
+        loss = tmp_path / "loss.json"
+        loss.write_text(table)
+        rc = run(
+            "oracle", "--data", str(data), "--label-model", str(model),
+            "--metric", "risk", "--loss-table", str(loss),
+        )
+        assert rc == 2
+        assert f"error: {loss}: " in capsys.readouterr().err
+
+    def test_label_model_z_of_wrong_length_is_data_error(self, tmp_path, synth_files, capsys):
+        # with the uniform fallback, entries of 2 votes against 3 vote columns
+        # matched no row, and the bounds came out of a uniform model with exit 0
+        data, model = synth_files
+        payload = json.loads(model.read_text())
+        payload["fallback"] = "uniform"
+        for entry in payload["entries"]:
+            entry["z"] = entry["z"][:2]
+        bad = tmp_path / "short_model.json"
+        bad.write_text(json.dumps(payload))
+        assert run("estimate", "--data", str(data), "--label-model", str(bad)) == 2
+        assert f"error: {bad}: entry 0 has 2 votes, the dataset 3" in capsys.readouterr().err
+
+    def test_error_of_a_bug_is_not_a_usage_error(self, monkeypatch):
+        # a KeyError raised by a fault in a command is not the user's: it propagates
+        # with its traceback, and Python exits 1, rather than printing "usage error"
+        def fault(args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "cmd_oracle", fault)
+        with pytest.raises(KeyError):
+            run("oracle", "--data", "d.csv", "--label-model", "m.json")
+
     def test_duplicate_column_is_data_error(self, tmp_path, synth_files, capsys):
         _, model = synth_files
         data = tmp_path / "dup.csv"

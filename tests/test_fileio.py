@@ -23,7 +23,12 @@ from weakbounds import (
     write_dataset_csv,
     write_label_model_json,
 )
-from weakbounds.fileio import _SCAN_CHUNK, WRITE_CHUNK_ROWS, _may_misread
+from weakbounds.fileio import (
+    _SCAN_CHUNK,
+    WRITE_CHUNK_ROWS,
+    _first_misread_line,
+    read_loss_table,
+)
 
 
 def sample_dataset():
@@ -177,15 +182,22 @@ class TestDatasetCsv:
             read_dataset_csv(path)
 
     @given(st.text(alphabet="a\n\r\x1b\x1c\x1f \u00e9", max_size=40))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     def test_raw_byte_scan_flags_what_the_decoded_text_holds(self, tmp_path_factory, text):
-        # the decoded, newline-translated text, as loadtxt reads it, is the reference
+        # the decoded, newline-translated text, as loadtxt reads it, is the reference:
+        # a blank line is the line of the second "\n" of the first "\n\n"
         path = tmp_path_factory.getbasetemp() / "scan.csv"
         path.write_bytes(text.encode())
         with open(path) as fh:
             decoded = fh.read()
-        expect = "\n\n" in decoded or any(c in decoded for c in "\x1c\x1d\x1e\x1f")
-        assert _may_misread(path) == expect
+        hits = [(at + 1, "blank line") for at in [decoded.find("\n\n")] if at >= 0]
+        hits += [(at, f"control character {c!r}") for c in "\x1c\x1d\x1e\x1f"
+                 if (at := decoded.find(c)) >= 0]
+        expect = None
+        if hits:
+            at, what = min(hits)
+            expect = (decoded.count("\n", 0, at) + 1, what)
+        assert _first_misread_line(path) == expect
 
     def test_header_field_spanning_lines_rejected(self, tmp_path):
         # the csv module reads the rest of the file into the open quote, while
@@ -459,6 +471,18 @@ class TestLabelModelJson:
         with pytest.raises(FormatError, match=re.escape(f"{path}: 'entries' must be a list")):
             read_label_model_json(path, table)
 
+    @pytest.mark.parametrize("cut", [2, 4])
+    def test_z_of_another_length_than_the_votes_rejected(self, tmp_path, cut):
+        # no such entry matches a data signature, so the uniform fallback took
+        # every row silently
+        _, table = sample_dataset()
+        entries = [{"z": (list(sig) + [0])[:cut], "p": [0.5, 0.5]} for sig in table.signatures]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"num_classes": 2, "fallback": "uniform", "entries": entries}))
+        what = f"{path}: entry 0 has {cut} votes, the dataset 3"
+        with pytest.raises(FormatError, match=re.escape(what)):
+            read_label_model_json(path, table)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
@@ -477,6 +501,33 @@ class TestLabelModelJson:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError):
             read_label_model_json(path, table)
+
+
+class TestLossTable:
+    def test_numbers_read_as_floats(self, tmp_path):
+        path = tmp_path / "loss.json"
+        path.write_text("[[0, 1.5], [2, 0.0]]")
+        table = read_loss_table(path, 2)
+        assert table.dtype == np.float64
+        assert table.tolist() == [[0.0, 1.5], [2.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "text, what",
+        [('[["0", "1"], [1, 0]]', "bad loss table ('0' is not a number)"),
+         ("[[0, 1], [true, 0]]", "bad loss table (True is not a number)"),
+         ("[[0, NaN], [1, 0]]", "loss table entries must be finite numbers"),
+         ("[[0, 1], [Infinity, 0]]", "loss table entries must be finite numbers"),
+         ("[[0, 1], [-Infinity, 0]]", "loss table entries must be finite numbers"),
+         ("[[0, 1], [1" + "0" * 400 + ", 0]]", "bad loss table (int too large")],
+        ids=["string", "boolean", "nan", "infinity", "minus-infinity", "huge-integer"],
+    )
+    def test_entry_that_is_not_a_finite_number_rejected(self, tmp_path, text, what):
+        # asarray read the strings and the boolean as numbers, and NaN and the
+        # infinities got as far as the cost table; a huge integer raised OverflowError
+        path = tmp_path / "loss.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {what}")):
+            read_loss_table(path, 2)
 
 
 class TestResultJson:

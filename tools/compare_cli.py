@@ -23,7 +23,13 @@ The command sets:
   each layout the reader accepts: plain; vote columns reordered and split by
   other columns (with a label model in that vote order) plus a joint-positive
   ``estimate`` and a sweep; CRLF line ends; and every field quoted, some
-  padded with spaces or spanning lines.
+  padded with spaces or spanning lines;
+- ``estimate``, ``oracle`` and ``diagnose`` on datasets that each hold one line
+  the reader rejects: a blank line with LF, CRLF and lone-CR line ends, a
+  ``\\x1f`` in a field, a blank line after a quoted field spanning lines, a
+  blank line across the 64 KiB edge of the reader's byte-scan chunks, and a
+  bad value before a blank line. Both versions must exit 2 and name the same
+  file line.
 """
 
 from __future__ import annotations
@@ -160,6 +166,41 @@ def _layout_commands(case: Path):
     return commands
 
 
+def _malformed_commands(case: Path):
+    """Datasets that each hold a line the reader must reject, with its file line."""
+    header = "score,pred,label,wl_0,wl_1"
+    rows = [f"0.{i % 97:02d},{i % 2},{i // 2 % 2},{i % 3 - 1},{i // 3 % 3 - 1}"
+            for i in range(3000)]
+    blank = [header, *rows[:100], "", *rows[100:]]
+    head = "\n".join([header, *rows])
+    # padded so that the blank line's two line ends sit at bytes 65535 and 65536,
+    # across the edge of the reader's 64 KiB scan chunks
+    edge = [head, "0.5,1,0,1," + " " * (65534 - len(head) - len("0.5,1,0,1,0")) + "0", "",
+            *rows[:10]]
+    note = [f'{r},"row {i}"' for i, r in enumerate(rows)]
+    files = {
+        "blank-lf": ("\n", blank),
+        "blank-crlf": ("\r\n", blank),
+        "blank-cr": ("\r", blank),
+        "separator": ("\n", [header, *rows[:100], "0.5,1,0,\x1f1,0", *rows[100:]]),
+        "quoted-blank": ("\n", [header + ",note", *note[:50], '0.5,1,0,1,0,"two\nlines"',
+                                *note[50:60], "", *note[60:]]),
+        "chunk-edge": ("\n", edge),
+        "bad-before-blank": ("\n", [header, *rows[:50], "0.5,x,0,1,0", *rows[50:100], "",
+                                    *rows[100:]]),
+    }
+    entries = [{"z": [a, b], "p": [0.3 + 0.1 * a, 0.7 - 0.1 * a]}
+               for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    (case / "model.json").write_text(json.dumps({"num_classes": 2, "entries": entries}))
+    commands = []
+    for name, (end, lines) in files.items():
+        (case / f"{name}.csv").write_bytes((end.join(lines) + end).encode())
+        data = ["--data", f"{name}.csv", "--label-model", "model.json"]
+        commands += [(f"{name}-{command}", [command, *data, "--out", f"{name}-{command}.json"])
+                     for command in ("estimate", "oracle", "diagnose")]
+    return commands
+
+
 def _coverage_commands(case: Path):
     return [("coverage", ["coverage", "--n", "2000", "--replications", "500", "--seed", "42",
                           "--out", "coverage.json"])]
@@ -169,6 +210,7 @@ CASES = {
     **{f"{w}-seed-{s}": _workload_commands(w, s) for w in ("smoothed", "exact-io") for s in SEEDS},
     "cli": _cli_commands,
     "layouts": _layout_commands,
+    "malformed": _malformed_commands,
     "coverage": _coverage_commands,
 }
 
