@@ -17,8 +17,6 @@ _EXPORTS = {
         "ConfidenceInterval",
         "Side",
         "check_gamma",
-        "ci_half_width",
-        "confidence_interval",
         "estimate_bounds",
         "plugin_std",
     ),
@@ -101,7 +99,6 @@ _EXPORTS = {
         "SynthResult",
         "SynthSpec",
         "coverage_experiment",
-        "exact_posterior_y1",
         "generate_synthetic",
     ),
 }

@@ -236,21 +236,11 @@ def normal_quantile(p: float) -> float:
     return -x if q < 0.0 else x
 
 
-def ci_half_width(std: float, n: int, gamma: float) -> float:
-    """Half-width z_{1-gamma/2} * std / sqrt(n) of a two-sided normal interval."""
+def normal_interval(value: float, std: float, n: int, gamma: float) -> ConfidenceInterval:
+    """``value`` plus and minus z_{1-gamma/2} * std / sqrt(n): every reported CI,
+    a two-sided normal interval at level 1 - gamma."""
     check_gamma(gamma)
     if n < 2:
         raise InsufficientSampleError("confidence interval needs n >= 2")
-    return normal_quantile(1.0 - gamma / 2.0) * std / np.sqrt(n)
-
-
-def normal_interval(value: float, std: float, n: int, gamma: float) -> ConfidenceInterval:
-    """``value`` plus and minus ``ci_half_width(std, n, gamma)``: every reported CI."""
-    half = ci_half_width(std, n, gamma)
+    half = normal_quantile(1.0 - gamma / 2.0) * std / np.sqrt(n)
     return ConfidenceInterval(level=1.0 - gamma, low=value - half, high=value + half)
-
-
-def confidence_interval(est: BoundEstimate, gamma: float) -> ConfidenceInterval:
-    """Two-sided normal-approximation interval at level 1 - gamma."""
-    return normal_interval(est.value, est.plugin_std, est.n, gamma)
-

@@ -243,23 +243,23 @@ class CellTable(NamedTuple):
 def cells_from_counts(
     z: np.ndarray, rows: np.ndarray, counts: np.ndarray, costs: np.ndarray, model: LabelModel
 ) -> CellTable:
-    """The cell table of a sample given by integer counts of (signature, cost row) cells.
+    """The cell table of a sample given by counts of (signature, cost row) cells.
 
     Cell i holds ``counts[i]`` samples of signature ``z[i]`` whose cost row is
     ``costs[rows[i]]``. The cells come in ``cell_table``'s order, by signature
     and then by cost row; those with a zero count are dropped. The sample size
-    is the total count, and shares of it are formed only here. The table's
-    ``sup_norm`` is that of all of ``costs``, which caps the solver's steps.
+    is the total count, rounded (counts may be masses times n), and shares of it
+    are formed only here. ``sup_norm``, of all of ``costs``, caps the solver's steps.
     """
     keep = counts > 0
     z, rows, counts = z[keep], rows[keep], counts[keep]
-    n = int(counts.sum())
+    total = counts.sum()
     return CellTable(
-        n=n,
+        n=round(total),
         z=z,
         costs=costs[rows],
-        mass=counts / n,
-        z_mass=np.bincount(z, weights=counts, minlength=model.num_signatures) / n,
+        mass=counts / total,
+        z_mass=np.bincount(z, weights=counts, minlength=model.num_signatures) / total,
         label_model=model.table,
         sup_norm=float(np.abs(costs).max(initial=0.0)),
     )

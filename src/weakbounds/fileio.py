@@ -228,12 +228,14 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
         "itemsize": 8 * len(numeric),
     })
     misread = _first_misread_line(path)
+    # a fault past the first misread line is reported as that line: read no row past it
+    max_rows = None if misread is None else max(misread[0] - 2, 0)  # not -1: all rows
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file
+            warnings.simplefilter("ignore", UserWarning)  # no rows read
             body = np.loadtxt(
                 path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                skiprows=1, ndmin=1,
+                skiprows=1, ndmin=1, max_rows=max_rows,
             )
     except ValueError as exc:
         raise _body_error(path, exc, header, misread) from None

@@ -3,30 +3,31 @@
 Weak labelers are conditionally independent given Y: each abstains with its
 own rate and otherwise reports Y correctly with its own accuracy. Under that
 structure P(Y | Z) has a closed form (abstentions cancel out of the Bayes
-ratio), so the generator can hand back the exact conditional table alongside
-the sample.
+ratio), so the generator hands back the exact conditional table with the
+sample, and coverage scores against the exact population of cells.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundEstimate, check_gamma, confidence_interval, solve_bounds
+from .bounds import BoundEstimate, check_gamma, normal_interval, solve_bounds
 from .domain import (
     ABSTAIN,
     DatasetView,
     LabelModel,
-    LabelSpace,
     SignatureTable,
-    cell_table,
+    cells_from_counts,
     encode_signatures,
     read_only,
 )
-from .metrics import MetricKind, MetricSpec, build_g
 
 SCORE_NOISE = 0.15
+MAX_COVERAGE_LABELERS = 10  # coverage enumerates all 3^K vote tuples
 
 
 class SynthSpec:
@@ -84,21 +85,21 @@ class SynthResult(NamedTuple):
     true_metrics: dict[str, float]
 
 
-def exact_posterior_y1(
-    signature: tuple[int, ...], spec: SynthSpec
-) -> float:
-    """Closed-form P(Y=1 | Z=signature) under conditional independence."""
-    like1 = spec.prior_y1
-    like0 = 1.0 - spec.prior_y1
-    for v, acc in zip(signature, spec.labeler_accuracies):
-        if v == ABSTAIN:
-            continue  # abstain probability is class-independent and cancels
-        like1 *= acc if v == 1 else 1.0 - acc
-        like0 *= acc if v == 0 else 1.0 - acc
-    total = like1 + like0
-    if total == 0.0:
-        return spec.prior_y1
-    return like1 / total
+def class_likelihoods(votes: np.ndarray, spec: SynthSpec) -> np.ndarray:
+    """The (2, m) products P(Y=y) * prod over the non-abstaining k of P(vote_k | y) of
+    an m-by-K vote array, in labeler order. The abstain probability is left out: it
+    is class-independent, so it cancels from P(Y | Z)."""
+    like = np.array([[1.0 - spec.prior_y1], [spec.prior_y1]]).repeat(len(votes), axis=1)
+    for v, acc in zip(np.asarray(votes).T, spec.labeler_accuracies):
+        like *= np.where(v == ABSTAIN, 1.0, np.where(v == [[0], [1]], acc, 1.0 - acc))
+    return like
+
+
+def _posterior(like: np.ndarray, spec: SynthSpec) -> np.ndarray:
+    """The P(Y | Z) rows of ``class_likelihoods``; the prior where both products are 0."""
+    total = like[0] + like[1]
+    p_y1 = np.divide(like[1], total, out=np.full(len(total), spec.prior_y1), where=total != 0.0)
+    return np.column_stack([1.0 - p_y1, p_y1])
 
 
 def generate_synthetic(spec: SynthSpec) -> SynthResult:
@@ -121,13 +122,7 @@ def generate_synthetic(spec: SynthSpec) -> SynthResult:
     preds = (scores >= spec.threshold).astype(np.int64)
 
     table, z_ids = encode_signatures(sigs)
-    rows = np.array(
-        [
-            [1.0 - exact_posterior_y1(s, spec), exact_posterior_y1(s, spec)]
-            for s in table.signatures
-        ]
-    )
-    model = LabelModel(table=rows)
+    model = LabelModel(table=_posterior(class_likelihoods(table.signatures, spec), spec))
     data = DatasetView(n=spec.n, z_ids=z_ids, scores=scores, predictions=preds, labels=y)
 
     tp = float(np.mean((preds == 1) & (y == 1)))
@@ -145,6 +140,21 @@ def generate_synthetic(spec: SynthSpec) -> SynthResult:
     return SynthResult(data=data, table=table, model=model, true_metrics=metrics)
 
 
+def population(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The generator's exact 3^K-by-2 masses of the (vote tuple, prediction) cells, and
+    the P(Y | Z) row of each tuple, in ``itertools.product`` order over (ABSTAIN, 0, 1)."""
+    votes = np.array(list(itertools.product((ABSTAIN, 0, 1), repeat=spec.num_labelers)))
+    like = class_likelihoods(votes, spec)
+    abstain = np.ones(len(votes))  # the class-independent factor
+    for v, rate in zip(votes.T, spec.abstain_rates):
+        abstain *= np.where(v == ABSTAIN, rate, 1.0 - rate)
+    # P(pred = 1 | Y = y): a normal tail, of a score that is clipped to [0, 1]
+    t, mean = spec.threshold, 0.5 + spec.score_separation * np.array([-0.5, 0.5])
+    p1 = np.array([0.5 * math.erfc((t - m) / (SCORE_NOISE * math.sqrt(2.0))) for m in mean])
+    p1 = p1 if 0.0 < t <= 1.0 else np.full(2, float(t <= 0.0))
+    return abstain[:, None] * (like.T @ np.column_stack([1.0 - p1, p1])), _posterior(like, spec)
+
+
 class CoverageReport(NamedTuple):
     replications: int
     gamma: float
@@ -158,40 +168,41 @@ class CoverageReport(NamedTuple):
     solves: tuple[tuple[str, BoundEstimate], ...] = ()
 
 
-def coverage_experiment(
-    spec: SynthSpec,
-    replications: int,
-    gamma: float,
-    truth_factor: int = 100,
-) -> CoverageReport:
+def coverage_experiment(spec: SynthSpec, replications: int, gamma: float) -> CoverageReport:
     """Empirical CI coverage of the smoothed accuracy bounds under a well-specified model.
 
-    Ground-truth values come from a single run with ``truth_factor * n``
-    samples; each replication draws a fresh size-n sample from the same
-    generator and checks whether its interval covers the truth. One solve
-    solves every sample.
+    The truth is the smoothed bound of the generator's exact population of cells.
+    Each replication is a size-n sample of cell counts, one multinomial draw, and
+    scores whether its interval covers the truth. One solve solves the population
+    and every sample. The population spans all 3^K vote tuples, so K is at most 10.
     """
     if replications < 100:
         raise ValueError("need at least 100 replications")
     check_gamma(gamma)
-    mspec = MetricSpec(kind=MetricKind.ACCURACY, threshold=spec.threshold)
+    if spec.num_labelers > MAX_COVERAGE_LABELERS:
+        raise ValueError(f"coverage takes at most {MAX_COVERAGE_LABELERS} labelers "
+                         f"(3^K vote tuples), got {spec.num_labelers}")
+    mass, posterior = population(spec)
 
-    def cells(n, seed):
-        # through the constructor, which checks the spec
-        result = generate_synthetic(SynthSpec(**{**vars(spec), "n": n, "seed": seed}))
-        g = build_g(result.data, mspec, LabelSpace(num_classes=2))
-        return cell_table(result.data, result.model, g)
+    def cells(counts):
+        # only the signatures that hold counts, as in a sample's own table
+        seen = np.flatnonzero(counts.any(axis=1))
+        z, preds = np.repeat(np.arange(len(seen)), 2), np.tile([0, 1], len(seen))
+        model = LabelModel(posterior[seen])
+        # np.eye(2): accuracy's cost rows, one per prediction
+        return cells_from_counts(z, preds, counts[seen].ravel(), np.eye(2), model)
 
-    tables = [cells(truth_factor * spec.n, spec.seed)]
-    tables += [cells(spec.n, spec.seed + 1 + r) for r in range(replications)]
+    rng = np.random.default_rng(spec.seed)
+    tables = [cells(mass * spec.n)]
+    draws = (rng.multinomial(spec.n, mass.ravel()) for _ in range(replications))
+    tables += [cells(counts.reshape(mass.shape)) for counts in draws]
     (truth_lo, truth_hi), *pairs = solve_bounds(tables)
-    solves = [("accuracy on the truth sample", est) for est in (truth_lo, truth_hi)]
+    solves = [("accuracy on the population", est) for est in (truth_lo, truth_hi)]
 
     hits_lo = hits_hi = 0
     for r, (lo, hi) in enumerate(pairs):
         solves += [(f"accuracy in replication {r + 1}", est) for est in (lo, hi)]
-        ci_lo = confidence_interval(lo, gamma)
-        ci_hi = confidence_interval(hi, gamma)
+        ci_lo, ci_hi = (normal_interval(e.value, e.plugin_std, e.n, gamma) for e in (lo, hi))
         hits_lo += ci_lo.low <= truth_lo.value <= ci_lo.high
         hits_hi += ci_hi.low <= truth_hi.value <= ci_hi.high
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from weakbounds import (
-    BoundEstimate,
     DatasetView,
     GMatrix,
     InsufficientSampleError,
@@ -14,14 +13,11 @@ from weakbounds import (
     MetricKind,
     MetricSpec,
     Side,
-    SolveReport,
     SynthSpec,
     bound_rows,
     build_g,
     cell_table,
     cells_from_counts,
-    ci_half_width,
-    confidence_interval,
     count_label_model,
     default_epsilon,
     estimate_bounds,
@@ -42,19 +38,6 @@ TIGHT = 1e-3 / math.log(2)
 def std_at(cells, a, epsilon):
     """The plug-in std of the per-cell dual values at ``a``."""
     return plugin_std(cells, per_cell_objective(cells, a, epsilon))
-
-
-def make_estimate(value, std, n):
-    report = SolveReport(iterations=0, final_gradient_norm=0.0, converged=True)
-    return BoundEstimate(
-        side=Side.LOWER,
-        value=value,
-        optimizer=np.zeros((2, 1)),
-        plugin_std=std,
-        n=n,
-        report=report,
-        epsilon=0.01,
-    )
 
 
 class TestEstimateBounds:
@@ -177,50 +160,53 @@ class TestPluginStd:
 class TestConfidenceInterval:
     def test_frozen_quantile_example(self):
         # standard-normal quantile at 0.975 is 1.959964
-        est = make_estimate(0.5, 0.1, 100)
-        ci = confidence_interval(est, 0.05)
+        ci = bounds.normal_interval(0.5, 0.1, 100, 0.05)
         assert ci.low == pytest.approx(0.48040, abs=1e-5)
         assert ci.high == pytest.approx(0.51960, abs=1e-5)
         assert ci.level == pytest.approx(0.95)
 
     def test_zero_std_degenerate(self):
-        est = make_estimate(0.3, 0.0, 50)
-        ci = confidence_interval(est, 0.05)
+        ci = bounds.normal_interval(0.3, 0.0, 50, 0.05)
         assert ci.low == ci.high == 0.3
 
     def test_gamma_032_half_width(self):
         # quantile at 0.84 is about 0.994458, so half-width is near std/sqrt(n)
-        est = make_estimate(0.0, 1.0, 100)
-        ci = confidence_interval(est, 0.32)
+        ci = bounds.normal_interval(0.0, 1.0, 100, 0.32)
         assert ci.high == pytest.approx(0.0994458, abs=1e-6)
 
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
-            confidence_interval(make_estimate(0.0, 1.0, 10), 0.0)
+            bounds.normal_interval(0.0, 1.0, 10, 0.0)
 
 
 class TestCiHalfWidth:
+    """The half-width of ``normal_interval``, z_{1-gamma/2} * std / sqrt(n)."""
+
+    @staticmethod
+    def half_width(std, n, gamma):
+        return bounds.normal_interval(0.0, std, n, gamma).high
+
     def test_quantile_matches_scipy(self):
         from scipy.stats import norm
 
         gammas = np.concatenate([np.geomspace(1e-6, 0.999, 300), np.linspace(0.001, 0.998, 300)])
         for gamma in gammas:
             # std 2 over sqrt(4) scales the quantile by exactly 1
-            z = ci_half_width(2.0, 4, float(gamma))
+            z = self.half_width(2.0, 4, float(gamma))
             assert z == pytest.approx(norm.ppf(1.0 - gamma / 2.0), rel=2e-15, abs=0.0)
 
     def test_rejects_bad_gamma_and_n(self):
         with pytest.raises(ValueError):
-            ci_half_width(1.0, 10, 1.0)
+            self.half_width(1.0, 10, 1.0)
         with pytest.raises(InsufficientSampleError):
-            ci_half_width(1.0, 1, 0.05)
+            self.half_width(1.0, 1, 0.05)
 
     @pytest.mark.parametrize("gamma", [1e-300, 2.0**-53])
     def test_rejects_gamma_whose_level_rounds_to_one(self, gamma):
         with pytest.raises(ValueError, match="1 - gamma/2 < 1"):
-            ci_half_width(1.0, 10, gamma)
+            self.half_width(1.0, 10, gamma)
         # the next gamma up still has a quantile
-        assert math.isfinite(ci_half_width(1.0, 10, float(np.nextafter(2.0**-53, 1.0))))
+        assert math.isfinite(self.half_width(1.0, 10, float(np.nextafter(2.0**-53, 1.0))))
 
 
 class TestEstimateClassPrior:
@@ -339,6 +325,8 @@ class TestCellTable:
                 cell_table(data, model, G),
                 # every (signature, cost row) pair, empty ones included
                 cells_from_counts(z, rows, dense.ravel(), G.costs, model),
+                # float counts, as a population's masses times n enter
+                cells_from_counts(z, rows, dense.ravel().astype(float), G.costs, model),
             ):
                 assert len(cells) == len(expected)
                 for got, want in zip(cells, expected):

@@ -321,6 +321,17 @@ class TestExitCodes:
         assert run("estimate", "--data", str(data), "--label-model", str(bad)) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_coverage_of_more_than_ten_labelers_is_usage_error(self, capsys, monkeypatch):
+        # all 3^K vote tuples are enumerated, so the check comes before any solve
+        solves = spy_on_solves(monkeypatch)
+        many = ",".join(["0.7"] * 11)
+        assert run("coverage", "--n", "100", "--num-labelers", "11", "--accuracies", many,
+                   "--abstain-rates", many) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: coverage takes at most 10 labelers")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert solves == []
+
     @pytest.mark.parametrize("command", ["synth", "coverage"])
     def test_nan_separation_is_usage_error(self, tmp_path, capsys, command):
         # synth wrote a file of NaN scores, which every command then refused to
@@ -385,9 +396,9 @@ class TestUnconvergedWarning:
         out = tmp_path / "c.json"
         assert run("coverage", "--n", "40", "--replications", "100", "--out", str(out)) == 0
         lines = self.warnings(capsys)
-        # the truth sample and 100 replications, two sides each
+        # the population and 100 replications, two sides each
         assert len(lines) == 202
-        assert "accuracy on the truth sample, lower bound" in lines[0]
+        assert "accuracy on the population, lower bound" in lines[0]
         assert "accuracy in replication 100, upper bound" in lines[-1]
         assert sorted(json.loads(out.read_text())) == [
             "coverage_lower", "coverage_upper", "gamma", "replications",
@@ -846,7 +857,7 @@ def spy_on_counts(monkeypatch):
     return counted
 
 
-# the truth sample and 500 replications of coverage: 501 solves before they were stacked
+# coverage solves the population and its 500 replications in one stacked solve
 SOLVES = {"estimate": 1, "sweep": 1, "diagnose-alt": 1, "diagnose": 0, "oracle": 0, "select": 0,
           "synth": 0, "coverage": 1}
 

@@ -199,6 +199,39 @@ class TestDatasetCsv:
             expect = (decoded.count("\n", 0, at) + 1, what)
         assert _first_misread_line(path) == expect
 
+    @pytest.mark.parametrize(
+        "text, max_rows, error",
+        [("wl_0\n1\n0\n", None, None),
+         ("wl_0\n1\n0\n\n1\n", 2, ":4: blank line"),
+         ("wl_0\n\n1\n", 0, ":2: blank line"),
+         ("wl_0\x1f\n1\n", 0, ":1: control character '\\x1f'"),
+         ("wl_0\n1\n\x1c1\n1\n", 1, ":3: control character '\\x1c'")],
+        ids=["clean", "blank-line-4", "blank-line-2", "separator-on-header", "separator-line-3"],
+    )
+    def test_no_row_past_a_misread_line_is_parsed(self, tmp_path, monkeypatch, text, max_rows,
+                                                  error):
+        # the rows before the misread line; a hit on the header must not read all rows
+        path = tmp_path / "e.csv"
+        path.write_text(text)
+        seen = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: seen.append(kw) or loadtxt(*a, **kw))
+        if error is None:
+            read_dataset_csv(path)
+        else:
+            with pytest.raises(FormatError, match=re.escape(f"{path}{error}")):
+                read_dataset_csv(path)
+        assert [kw["max_rows"] for kw in seen] == [max_rows]
+
+    @pytest.mark.parametrize("faults", ["", "0.5,1,y,1\n0.5\n"], ids=["good", "bad"])
+    def test_bad_value_before_a_blank_line_is_reported(self, tmp_path, faults):
+        # rows past the blank line are not read, whatever they hold
+        path = tmp_path / "e.csv"
+        path.write_text("score,pred,wl_0,wl_1\n" + "0.5,1,0,1\n" * 3 + "0.5,1,x,1\n\n" + faults)
+        what = "column wl_0: could not convert 'x' to int64"
+        with pytest.raises(FormatError, match=re.escape(f"{path}:5: {what}")):
+            read_dataset_csv(path)
+
     def test_header_field_spanning_lines_rejected(self, tmp_path):
         # the csv module reads the rest of the file into the open quote, while
         # loadtxt reads the rows below the header's first line

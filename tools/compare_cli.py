@@ -18,7 +18,9 @@ The command sets:
   sweep of all five kinds, a precision-only sweep, ``diagnose`` with and
   without an alternative label model (also for risk at a threshold and a given
   ``--epsilon``), and ``oracle``;
-- ``coverage --n 2000 --replications 500 --seed 42``;
+- ``coverage --n 2000 --replications 500 --seed 42``, and at 6 labelers
+  (accuracies ``0.8,0.7,0.65,0.75,0.6,0.7``, each abstaining at 0.1) with 200
+  replications, where each replication holds only the signatures it drew;
 - ``estimate``, ``oracle`` and ``diagnose`` on one 3000-row dataset written in
   each layout the reader accepts: plain; vote columns reordered and split by
   other columns (with a label model in that vote order) plus a joint-positive
@@ -202,8 +204,14 @@ def _malformed_commands(case: Path):
 
 
 def _coverage_commands(case: Path):
-    return [("coverage", ["coverage", "--n", "2000", "--replications", "500", "--seed", "42",
-                          "--out", "coverage.json"])]
+    six = ["--num-labelers", "6", "--accuracies", "0.8,0.7,0.65,0.75,0.6,0.7",
+           "--abstain-rates", "0.1,0.1,0.1,0.1,0.1,0.1"]
+    return [
+        ("coverage", ["coverage", "--n", "2000", "--replications", "500", "--seed", "42",
+                      "--out", "coverage.json"]),
+        ("coverage-k6", ["coverage", "--n", "2000", "--replications", "200", "--seed", "42",
+                         *six, "--out", "coverage-k6.json"]),
+    ]
 
 
 CASES = {
