@@ -9,6 +9,7 @@ for byte.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 from pathlib import Path
@@ -451,5 +452,19 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The process entry of ``python -m weakbounds.cli`` and the ``weakbounds``
+    script: exit with the code of ``main`` on the command line.
+
+    The process ends right after, so the objects numpy and the standard library
+    left tracked are frozen first: the interpreter's shutdown collections then
+    walk none of them. atexit handlers still run and the interpreter still
+    flushes stdout and stderr. ``main`` itself never freezes the collector.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

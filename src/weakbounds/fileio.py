@@ -5,6 +5,7 @@ touches the filesystem.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
@@ -142,14 +143,45 @@ def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
             if found:
                 at = min(found)
                 c = chr(buf[at])
-                fh.seek(0)
-                head = fh.read(start + at - 1)
-                # a \r\n is one line end; the byte at the hit is never the \n of one
-                line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+                # the byte at the hit is never the \n of a \r\n
+                line = _line_at(fh, start + at - 1)
                 return line, f"control character {c!r}" if c in _SEPARATORS else "blank line"
             start += got
             buf[0] = buf[got]
     return None
+
+
+def _line_at(fh, offset: int) -> int:
+    """The 1-based line of the byte at ``offset`` of the binary file ``fh``, with
+    a ``\\r\\n`` counted as one line end."""
+    fh.seek(0)
+    head = fh.read(offset)
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+
+
+def _undecodable_line(path, encoding: str) -> tuple[int, str] | None:
+    """The 1-based line and the reason of the first byte of the file that
+    ``encoding`` cannot decode.
+
+    The text reader's own error gives a position within one of its internal
+    chunks, neither a line nor a file offset.
+    """
+    decoder = codecs.getincrementaldecoder(encoding)()
+    start = 0  # the file offset of ``chunk``
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_SCAN_CHUNK)
+            held = len(decoder.getstate()[0])  # bytes of a sequence the last chunk cut
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                bad = exc.object[exc.start:exc.end]
+                what = (f"{exc.encoding!r} codec can't decode byte{'s' * (len(bad) > 1)} "
+                        f"{' '.join(f'0x{b:02x}' for b in bad)}: {exc.reason}")
+                return _line_at(fh, start - held + exc.start), what
+            if not chunk:
+                return None
+            start += len(chunk)
 
 
 def _row_line(path, row: int) -> int:
@@ -168,12 +200,15 @@ def _row_line(path, row: int) -> int:
         return row + 2  # as if no field spanned lines
 
 
-def _body_error(
+def _read_error(
     path, exc: ValueError, header: list[str], misread: tuple[int, str] | None
 ) -> FormatError:
-    """The FormatError, naming the 1-based file line, for a loadtxt failure."""
+    """The FormatError, naming the 1-based file line, for a failure to decode
+    the file or, by loadtxt, to parse it."""
     msg = str(exc)
-    if m := _RAGGED.search(msg):
+    if isinstance(exc, UnicodeDecodeError) and (found := _undecodable_line(path, exc.encoding)):
+        line, what = found
+    elif m := _RAGGED.search(msg):
         line = _row_line(path, int(m[2]) - 1)
         what = f"wrong number of fields ({m[1]}, the header has {len(header)})"
     elif m := _BAD_VALUE.search(msg):
@@ -181,7 +216,7 @@ def _body_error(
         what = f"column {header[int(m[4]) - 1]}: could not convert {m[1]} to {m[2]}"
     else:
         return FormatError(f"{path}: {msg}")
-    # loadtxt skips blank lines, so a failure after one is counted short
+    # the first fault is reported; loadtxt skips blank lines, so it counts a row after one short
     if misread is not None and misread[0] <= line:
         line, what = misread
     return FormatError(f"{path}:{line}: {what}")
@@ -193,8 +228,10 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
             if fh.read(1) != "\ufeff":  # a UTF-8 byte order mark, as Excel writes
                 fh.seek(0)
             header = next(csv.reader(fh), None)
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except csv.Error as exc:
         raise FormatError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:  # anywhere in the text reader's first chunk
+        raise _read_error(path, exc, [], _first_misread_line(path)) from None
     if header is None:
         raise FormatError(f"{path}: empty dataset file")
     # loadtxt skips one physical line for the header, whatever its quotes hold
@@ -238,7 +275,7 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
                 skiprows=1, ndmin=1, max_rows=max_rows,
             )
     except ValueError as exc:
-        raise _body_error(path, exc, header, misread) from None
+        raise _read_error(path, exc, header, misread) from None
     if misread is not None:
         raise FormatError(f"{path}:{misread[0]}: {misread[1]}")
     if len(body) == 0:

@@ -1,7 +1,12 @@
 import csv
+import gc
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -776,6 +781,93 @@ class TestStdoutResult:
             assert run(*argv, "--out", str(out)) == 0
             printed = capsys.readouterr().out
         assert printed.encode() == out.read_bytes()
+
+
+SRC = str(Path(weakbounds.__file__).resolve().parents[1])
+
+
+def cli_process(*argv, cwd, code=None):
+    """Run the CLI in a fresh interpreter: ``python -m weakbounds.cli``, or with
+    ``code`` given, ``python -c code`` with ``argv`` as its arguments."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    entry = ["-m", "weakbounds.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *entry, *map(str, argv)], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+
+
+class TestProcessEntry:
+    """``python -m weakbounds.cli`` exits through ``cli.run``, which freezes the
+    collector before exit; the bytes written and the exit code are ``main``'s."""
+
+    def test_estimate_stdout_is_the_in_process_result(self, tmp_path, synth_files, capsys):
+        data, model = synth_files
+        argv = ("estimate", "--data", data, "--label-model", model, "--metric", "joint-positive")
+        capsys.readouterr()
+        assert run(*map(str, argv)) == 0
+        proc = cli_process(*argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == capsys.readouterr().out.encode()
+
+    def test_sweep_larger_than_a_pipe_buffer_reaches_stdout_whole(
+        self, tmp_path, synth_files, capsys
+    ):
+        data, model = synth_files
+        thresholds = ",".join(f"{t / 400:.4f}" for t in range(400))
+        argv = ("sweep", "--data", data, "--label-model", model, "--thresholds", thresholds,
+                "--metric", "accuracy,precision,recall,f1")
+        capsys.readouterr()
+        assert run(*map(str, argv)) == 0
+        expected = capsys.readouterr().out.encode()
+        assert len(expected) > 1 << 16
+        proc = cli_process(*argv, cwd=tmp_path)
+        assert proc.returncode == 0
+        assert proc.stdout == expected
+
+    def test_usage_error_exits_1(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("estimate", "--no-such-flag") == 1
+        proc = cli_process("estimate", "--no-such-flag", cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == capsys.readouterr().err.encode()
+        assert b"error: the following arguments are required" in proc.stderr
+
+    def test_malformed_csv_exits_2_naming_its_line(self, tmp_path, synth_files):
+        _, model = synth_files
+        bad = tmp_path / "bad.csv"
+        bad.write_text("score,pred,wl_0,wl_1,wl_2\n0.5,1,0,1,1\n\n0.5,1,0,1,1\n")
+        proc = cli_process("estimate", "--data", bad, "--label-model", model, cwd=tmp_path)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode().splitlines() == [f"error: {bad}:3: blank line"]
+
+    def test_unconverged_warning_reaches_stderr(self, tmp_path, synth_files):
+        # no solver iterations, so both sides warn; the atexit handler shows that
+        # handlers still run, after the collector was frozen
+        data, model = synth_files
+        code = (
+            "import atexit, gc, sys\n"
+            "from weakbounds import cli, solver\n"
+            "solver.MAX_ITERATIONS = 0\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "cli.run()\n"
+        )
+        out = tmp_path / "r.json"
+        proc = cli_process("estimate", "--data", data, "--label-model", model, "--out", out,
+                           cwd=tmp_path, code=code)
+        assert proc.returncode == 0
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("warning: accuracy, lower bound: the solver did not converge")
+        assert lines[1].startswith("warning: accuracy, upper bound")
+        assert lines[2] == "frozen True"
+        assert json.loads(out.read_text())["metrics"]["accuracy"]["lower"] is not None
+
+    def test_in_process_main_never_freezes_the_collector(self, tmp_path, synth_files):
+        data, model = synth_files
+        assert run("estimate", "--data", str(data), "--label-model", str(model),
+                   "--out", str(tmp_path / "r.json")) == 0
+        assert run("estimate", "--no-such-flag") == 1
+        assert gc.get_freeze_count() == 0
 
 
 class TestDeterminism:

@@ -268,7 +268,23 @@ class TestDatasetCsv:
     def test_undecodable_bytes_rejected(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_bytes(b"wl_0\n0\n\xff1\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=re.escape(f"{path}:3: ") + ".*decode byte 0xff"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, line, what",
+        [(b"score,wl_\xff0\n0.5,1\n", 1, "byte 0xff"),
+         (b"wl_0\n" + b"1\n" * 40_000 + b"0\n\xff1\n", 40_003, "byte 0xff"),
+         (b"wl_0\r\n" + b"1\r\n" * 40_000 + b"1\xe2\x28\r\n", 40_002, "byte 0xe2"),
+         (b"wl_0\n1\n\n\xff1\n", 3, "blank line")],
+        ids=["header", "past-64-KiB", "crlf", "blank-line-first"],
+    )
+    def test_undecodable_byte_names_its_file_line(self, tmp_path, text, line, what):
+        # the decoder's own position is an offset inside one of its chunks; the
+        # error names the file line, with lines counted as for a blank line
+        path = tmp_path / "b.csv"
+        path.write_bytes(text)
+        with pytest.raises(FormatError, match=re.escape(f"{path}:{line}: ") + f".*{what}"):
             read_dataset_csv(path)
 
     @pytest.mark.parametrize(

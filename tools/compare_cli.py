@@ -29,9 +29,9 @@ The command sets:
 - ``estimate``, ``oracle`` and ``diagnose`` on datasets that each hold one line
   the reader rejects: a blank line with LF, CRLF and lone-CR line ends, a
   ``\\x1f`` in a field, a blank line after a quoted field spanning lines, a
-  blank line across the 64 KiB edge of the reader's byte-scan chunks, and a
-  bad value before a blank line. Both versions must exit 2 and name the same
-  file line.
+  blank line across the 64 KiB edge of the reader's byte-scan chunks, a
+  bad value before a blank line, and a ``\\xff`` byte that UTF-8 cannot decode.
+  Both versions must exit 2; all but the last must name the same file line.
 """
 
 from __future__ import annotations
@@ -190,13 +190,15 @@ def _malformed_commands(case: Path):
         "chunk-edge": ("\n", edge),
         "bad-before-blank": ("\n", [header, *rows[:50], "0.5,x,0,1,0", *rows[50:100], "",
                                     *rows[100:]]),
+        "undecodable": ("\n", [header, *rows[:2500], "0.5,1,0,\xff1,0", *rows[2500:]]),
     }
     entries = [{"z": [a, b], "p": [0.3 + 0.1 * a, 0.7 - 0.1 * a]}
                for a in (-1, 0, 1) for b in (-1, 0, 1)]
     (case / "model.json").write_text(json.dumps({"num_classes": 2, "entries": entries}))
     commands = []
     for name, (end, lines) in files.items():
-        (case / f"{name}.csv").write_bytes((end.join(lines) + end).encode())
+        # latin-1 writes each character below 256 as that one byte, as \xff
+        (case / f"{name}.csv").write_bytes((end.join(lines) + end).encode("latin-1"))
         data = ["--data", f"{name}.csv", "--label-model", "model.json"]
         commands += [(f"{name}-{command}", [command, *data, "--out", f"{name}-{command}.json"])
                      for command in ("estimate", "oracle", "diagnose")]
