@@ -84,10 +84,7 @@ _EXPORTS = {
     "oracle": (
         "OracleResult",
         "TooLargeError",
-        "TransportInstance",
         "exact_bounds",
-        "transport_binary",
-        "transport_general",
     ),
     "solver": (
         "ColumnReport",

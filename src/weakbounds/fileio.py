@@ -415,13 +415,25 @@ def read_loss_table(path: str | Path, num_classes: int) -> np.ndarray:
 # ----------------------------------------------------- result files for select
 
 
+def _finite(v) -> float:
+    """A finite JSON number as a float: json reads NaN and Infinity too."""
+    x = _number(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{v!r} is not finite")
+    return x
+
+
 def _candidate(path: Path, metric: str) -> tuple[float, float, float]:
-    """(lower, upper, label-model score) of ``metric`` in one result file."""
+    """(lower, upper, label-model score) of ``metric`` in one result file, each a
+    finite number; a file without a score reads as NaN."""
     try:
         payload = json.loads(path.read_text())
         entry = payload["metrics"][metric]
-        lm = payload.get("metadata", {}).get("label_model_score", float("nan"))
-        return float(entry["lower"]), float(entry["upper"]), float(lm)
+        metadata = payload.get("metadata", {})
+        # keys(), not the object itself: a list would answer `in` as well
+        has_score = "label_model_score" in metadata.keys()
+        lm = _finite(metadata["label_model_score"]) if has_score else math.nan
+        return _finite(entry["lower"]), _finite(entry["upper"]), lm
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"{path}: not a result file with bounds on {metric} ({exc!r})") from None
 

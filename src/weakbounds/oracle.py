@@ -2,8 +2,11 @@
 
 The empirical problem decomposes by signature: within each z, couple the
 masses of that signature's cells with the label-model column masses at
-minimum (resp. maximum) total cost. The size guard caps cells times classes,
-so the built-in metrics, with at most |Z|*|Y| cells, run at any n.
+minimum (resp. maximum) total cost. `exact_bounds` is the one entry: it
+counts the sample's cell table, whose masses are non-negative and balance
+per signature, and hands each signature's slices of its arrays to a solver.
+The size guard caps cells times classes, so the built-in metrics, with at
+most |Z|*|Y| cells, run at any n.
 
 Two columns are a fractional knapsack, solved greedily; more columns go to
 the transportation simplex (Dantzig 1951) in numpy and plain Python, whose
@@ -17,11 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import DatasetView, GMatrix, LabelModel, cell_table, read_only
+from .domain import DatasetView, GMatrix, LabelModel, cell_table
 from .errors import NumericalError, WeakBoundsError
 
 SIZE_GUARD = 10**6
-MASS_TOL = 1e-9
 # transportation simplex: pivots before giving up, and the run of zero-step
 # (degenerate) pivots after which Bland's rule replaces Dantzig's
 MAX_PIVOTS = 100_000
@@ -32,55 +34,34 @@ class TooLargeError(WeakBoundsError):
     """Instance exceeds the exact-oracle size guard."""
 
 
-class TransportInstance:
-    """One per-signature transportation problem: rows are cells, columns classes."""
-
-    costs: np.ndarray
-    row_mass: np.ndarray
-    col_mass: np.ndarray
-
-    def __init__(self, costs: np.ndarray, row_mass: np.ndarray, col_mass: np.ndarray):
-        if abs(row_mass.sum() - col_mass.sum()) > MASS_TOL:
-            raise WeakBoundsError(
-                f"transport mass mismatch: rows {row_mass.sum():.12g} "
-                f"vs columns {col_mass.sum():.12g}"
-            )
-        if np.any(row_mass < 0) or np.any(col_mass < 0):
-            raise WeakBoundsError("transport masses must be non-negative")
-        vars(self).update(costs=costs, row_mass=row_mass, col_mass=col_mass)
-
-    __setattr__ = __delattr__ = read_only
-
-
 class OracleResult(NamedTuple):
     lower: float
     upper: float
     per_signature: tuple[tuple[int, float, float], ...]
 
 
-def transport_binary(inst: TransportInstance) -> float:
+def transport_binary(costs: np.ndarray, row_mass: np.ndarray, col_mass: np.ndarray) -> float:
     """Exact min cost for two columns by greedy fractional fill.
 
-    With two columns the problem is a fractional knapsack: assign the y=1
-    column mass to rows in ascending order of the cost difference c1 - c0.
+    Rows are cells, columns classes. With two columns the problem is a
+    fractional knapsack: assign the y=1 column mass to rows in ascending
+    order of the cost difference c1 - c0.
     """
-    if inst.costs.shape[1] != 2:
-        raise ValueError("transport_binary needs exactly 2 columns")
-    diff = inst.costs[:, 1] - inst.costs[:, 0]
+    diff = costs[:, 1] - costs[:, 0]
     order = np.argsort(diff, kind="stable")
-    base = float(inst.row_mass @ inst.costs[:, 0])
-    remaining = float(inst.col_mass[1])
+    base = float(row_mass @ costs[:, 0])
+    remaining = float(col_mass[1])
     total = base
     for i in order:
         if remaining <= 0.0:
             break
-        take = min(remaining, float(inst.row_mass[i]))
+        take = min(remaining, float(row_mass[i]))
         total += take * diff[i]
         remaining -= take
     return total
 
 
-def transport_general(inst: TransportInstance) -> float:
+def transport_general(costs: np.ndarray, row_mass: np.ndarray, col_mass: np.ndarray) -> float:
     """Exact min cost for any number of columns by the transportation simplex.
 
     Starts from the north-west-corner spanning tree (optimal already for
@@ -88,11 +69,11 @@ def transport_general(inst: TransportInstance) -> float:
     cost, switching to Bland's rule after a run of zero-step pivots so that
     degenerate instances terminate. Raises NumericalError past MAX_PIVOTS.
     """
-    rows = inst.row_mass > 0.0
-    cols = inst.col_mass > 0.0
-    costs = inst.costs[np.ix_(rows, cols)]
-    row_mass = inst.row_mass[rows]
-    col_mass = inst.col_mass[cols]
+    rows = row_mass > 0.0
+    cols = col_mass > 0.0
+    costs = costs[np.ix_(rows, cols)]
+    row_mass = row_mass[rows]
+    col_mass = col_mass[cols]
     n_rows, n_cols = costs.shape
     if n_rows == 0 or n_cols == 0:
         return 0.0
@@ -253,19 +234,16 @@ class _TransportTree:
         return sum(x * cost[r][c] for (r, c), x in sorted(self.flow.items()))
 
 
-def _min_transport(inst: TransportInstance) -> float:
-    if inst.costs.shape[1] == 2:
-        return transport_binary(inst)
-    return transport_general(inst)
-
-
 def exact_bounds(data: DatasetView, model: LabelModel, G: GMatrix) -> OracleResult:
-    """Exact lower/upper bounds for the empirical problem, by signature."""
+    """Exact lower/upper bounds for the empirical problem, by signature: the
+    upper bound is minus the lower bound of -G."""
     cells = cell_table(data, model, G)
     size = cells.mass.size * model.num_classes
     if size > SIZE_GUARD:
         raise TooLargeError(f"instance size {size} exceeds guard {SIZE_GUARD}")
 
+    solve = transport_binary if model.num_classes == 2 else transport_general
+    neg_costs = -cells.costs
     per_signature = []
     lower = 0.0
     upper = 0.0
@@ -273,17 +251,11 @@ def exact_bounds(data: DatasetView, model: LabelModel, G: GMatrix) -> OracleResu
     for z, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
         if start == stop:
             continue
-        inst = TransportInstance(
-            costs=cells.costs[start:stop],
-            row_mass=cells.mass[start:stop],
-            col_mass=cells.z_mass[z] * cells.label_model[z],
-        )
-        lo = _min_transport(inst)
-        neg = TransportInstance(
-            costs=-inst.costs, row_mass=inst.row_mass, col_mass=inst.col_mass
-        )
+        row_mass = cells.mass[start:stop]
+        col_mass = cells.z_mass[z] * cells.label_model[z]
+        lo = solve(cells.costs[start:stop], row_mass, col_mass)
         # 0.0 - v, not -v: an upper bound that is exactly zero stays +0.0
-        hi = 0.0 - _min_transport(neg)
+        hi = 0.0 - solve(neg_costs[start:stop], row_mass, col_mass)
         per_signature.append((z, lo, hi))
         lower += lo
         upper += hi

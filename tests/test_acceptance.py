@@ -19,7 +19,6 @@ from weakbounds import (
     Side,
     SolveReport,
     SynthSpec,
-    TransportInstance,
     bound_rows,
     build_g,
     cell_table,
@@ -203,18 +202,16 @@ def test_criterion_08_feasible_couplings_contained():
             idx = np.flatnonzero(data.z_ids == z)
             if idx.size == 0:
                 continue
-            inst = TransportInstance(
-                costs=g_values(G)[idx],
-                row_mass=np.full(idx.size, 1.0 / data.n),
-                col_mass=(idx.size / data.n) * model.table[z],
-            )
-            pi = rng.uniform(0.5, 1.5, inst.costs.shape)
+            costs = g_values(G)[idx]
+            row_mass = np.full(idx.size, 1.0 / data.n)
+            col_mass = (idx.size / data.n) * model.table[z]
+            pi = rng.uniform(0.5, 1.5, costs.shape)
             for _ in range(2000):
-                pi *= (inst.row_mass / pi.sum(axis=1))[:, None]
-                pi *= inst.col_mass / pi.sum(axis=0)
-            pi *= (inst.row_mass / pi.sum(axis=1))[:, None]
-            assert np.abs(pi.sum(axis=0) - inst.col_mass).max() < 1e-12
-            total += float((pi * inst.costs).sum())
+                pi *= (row_mass / pi.sum(axis=1))[:, None]
+                pi *= col_mass / pi.sum(axis=0)
+            pi *= (row_mass / pi.sum(axis=1))[:, None]
+            assert np.abs(pi.sum(axis=0) - col_mass).max() < 1e-12
+            total += float((pi * costs).sum())
         assert res.lower - 1e-9 <= total <= res.upper + 1e-9
         score = label_model_score(cell_table(data, model, G))
         assert res.lower - 1e-9 <= score <= res.upper + 1e-9

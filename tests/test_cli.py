@@ -44,8 +44,10 @@ def synth_files(tmp_path):
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
-        assert run("estimate", "--no-such-flag") == 1
-        assert "usage" in capsys.readouterr().err
+        # every required option is given, so the parser reaches the unknown flag
+        argv = ["--data", "missing.csv", "--label-model", "missing.json", "--no-such-flag"]
+        assert run("estimate", *argv) == 1
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self):
         assert run() == 1
@@ -722,8 +724,18 @@ class TestSelect:
             "{not json",
             '{"metrics": {"accuracy": {"lower": 0.1}}}',
             '{"metrics": {"accuracy": {"lower": "low", "upper": 0.9}}}',
+            '{"metrics": {"accuracy": {"lower": NaN, "upper": 0.9}}}',
+            '{"metrics": {"accuracy": {"lower": 0.1, "upper": Infinity}}}',
+            '{"metrics": {"accuracy": {"lower": 0.1, "upper": 1e999}}}',
+            '{"metrics": {"accuracy": {"lower": "0.99", "upper": 0.9}}}',
+            '{"metrics": {"accuracy": {"lower": 0.1, "upper": true}}}',
+            '{"metrics": {"accuracy": {"lower": 0.1, "upper": 0.9}},'
+            ' "metadata": {"label_model_score": NaN}}',
+            '{"metrics": {"accuracy": {"lower": 0.1, "upper": 0.9}},'
+            ' "metadata": {"label_model_score": "0.5"}}',
         ],
-        ids=["list", "metadata-list", "invalid-json", "missing-upper", "non-numeric"],
+        ids=["list", "metadata-list", "invalid-json", "missing-upper", "non-numeric",
+             "nan", "infinity", "overflow", "string", "boolean", "nan-score", "string-score"],
     )
     def test_malformed_candidate_is_data_error(self, tmp_path, capsys, text):
         cand = tmp_path / "cands"

@@ -13,7 +13,6 @@ from weakbounds import (
     MetricKind,
     MetricSpec,
     SynthSpec,
-    TransportInstance,
     cell_table,
     center_columns,
     check_covers,
@@ -165,14 +164,11 @@ class TestGMatrix:
         lambda: LabelModel(table=np.array([[0.5, 0.5]])),
         lambda: GMatrix(costs=np.eye(2), rows=[0]),
         lambda: MetricSpec(MetricKind.ACCURACY),
-        lambda: TransportInstance(
-            costs=np.zeros((1, 2)), row_mass=np.array([1.0]), col_mass=np.array([0.5, 0.5])
-        ),
         lambda: SynthSpec(n=10),
     ],
     ids=[
         "LabelSpace", "DatasetView", "LabelModel", "GMatrix",
-        "MetricSpec", "TransportInstance", "SynthSpec",
+        "MetricSpec", "SynthSpec",
     ],
 )
 def test_checked_types_are_read_only(make):

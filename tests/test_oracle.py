@@ -6,29 +6,29 @@ import pytest
 
 from weakbounds import (
     DatasetView,
+    GMatrix,
     LabelModel,
     LabelSpace,
     MetricKind,
     MetricSpec,
     NumericalError,
     TooLargeError,
-    TransportInstance,
-    WeakBoundsError,
     build_g,
     exact_bounds,
-    transport_binary,
-    transport_general,
 )
 from weakbounds import oracle
+from weakbounds.oracle import transport_binary, transport_general
 from weakbounds.cli import main
 from conftest import g_values, per_sample_g, random_instance, two_point_instance
 
 
 def random_transport(rng, n_rows, n_cols):
+    """A transportation problem as (costs, row_mass, col_mass): rows are cells,
+    columns classes, and both margins sum to one."""
     costs = rng.uniform(-1, 1, (n_rows, n_cols))
     row_mass = rng.dirichlet(np.ones(n_rows))
     col_mass = rng.dirichlet(np.ones(n_cols))
-    return TransportInstance(costs=costs, row_mass=row_mass, col_mass=col_mass)
+    return costs, row_mass, col_mass
 
 
 def eighths_transport(rng, n_rows, n_cols):
@@ -40,25 +40,25 @@ def eighths_transport(rng, n_rows, n_cols):
     costs = rng.integers(0, 3, (n_rows, n_cols)).astype(float)
     row_mass = rng.multinomial(8, np.ones(n_rows) / n_rows) / 8
     col_mass = rng.multinomial(8, np.ones(n_cols) / n_cols) / 8
-    return TransportInstance(costs=costs, row_mass=row_mass, col_mass=col_mass)
+    return costs, row_mass, col_mass
 
 
-def negated(inst: TransportInstance) -> TransportInstance:
-    return TransportInstance(costs=-inst.costs, row_mass=inst.row_mass, col_mass=inst.col_mass)
+def negated(costs, row_mass, col_mass):
+    return -costs, row_mass, col_mass
 
 
-def linprog_min(inst: TransportInstance) -> float:
+def linprog_min(costs, row_mass, col_mass) -> float:
     """Reference: the dense transportation LP solved by HiGHS."""
     from scipy.optimize import linprog
 
-    n_rows, n_cols = inst.costs.shape
+    n_rows, n_cols = costs.shape
     res = linprog(
-        inst.costs.ravel(),
+        costs.ravel(),
         A_eq=np.vstack([
             np.kron(np.eye(n_rows), np.ones(n_cols)),
             np.kron(np.ones(n_rows), np.eye(n_cols)[:-1]),
         ]),
-        b_eq=np.concatenate([inst.row_mass, inst.col_mass[:-1]]),
+        b_eq=np.concatenate([row_mass, col_mass[:-1]]),
         bounds=(0, None),
         method="highs",
     )
@@ -66,18 +66,18 @@ def linprog_min(inst: TransportInstance) -> float:
     return float(res.fun)
 
 
-def brute_force_min(inst: TransportInstance) -> float:
+def brute_force_min(costs, row_mass, col_mass) -> float:
     """LP vertex oracle: enumerate bases of the transportation polytope.
 
     Vertices of the transportation polytope are spanning-forest solutions; for
     tiny instances, enumerating all subsets of (rows+cols-1) cells and solving
     the resulting linear systems recovers every vertex.
     """
-    n_rows, n_cols = inst.costs.shape
+    n_rows, n_cols = costs.shape
     cells = list(itertools.product(range(n_rows), range(n_cols)))
     m = n_rows + n_cols - 1
     best = np.inf
-    b = np.concatenate([inst.row_mass, inst.col_mass[:-1]])
+    b = np.concatenate([row_mass, col_mass[:-1]])
     for basis in itertools.combinations(cells, m):
         A = np.zeros((m, m))
         for j, (r, c) in enumerate(basis):
@@ -90,62 +90,38 @@ def brute_force_min(inst: TransportInstance) -> float:
             continue
         if np.any(x < -1e-9):
             continue
-        cost = sum(float(x[j]) * inst.costs[r, c] for j, (r, c) in enumerate(basis))
+        cost = sum(float(x[j]) * costs[r, c] for j, (r, c) in enumerate(basis))
         best = min(best, cost)
     return best
 
 
-def ipf_coupling(rng, inst: TransportInstance, iters=2000):
+def ipf_coupling(rng, row_mass, col_mass, iters=2000):
     """Random feasible coupling via iterative proportional fitting."""
-    pi = rng.uniform(0.5, 1.5, inst.costs.shape)
+    pi = rng.uniform(0.5, 1.5, (row_mass.size, col_mass.size))
     for _ in range(iters):
-        pi *= (inst.row_mass / pi.sum(axis=1))[:, None]
-        pi *= inst.col_mass / pi.sum(axis=0)
-    pi *= (inst.row_mass / pi.sum(axis=1))[:, None]
-    assert np.abs(pi.sum(axis=0) - inst.col_mass).max() < 1e-12
+        pi *= (row_mass / pi.sum(axis=1))[:, None]
+        pi *= col_mass / pi.sum(axis=0)
+    pi *= (row_mass / pi.sum(axis=1))[:, None]
+    assert np.abs(pi.sum(axis=0) - col_mass).max() < 1e-12
     return pi
-
-
-class TestTransportInstance:
-    def test_mass_mismatch_rejected(self):
-        with pytest.raises(WeakBoundsError):
-            TransportInstance(
-                costs=np.zeros((1, 2)),
-                row_mass=np.array([1.0]),
-                col_mass=np.array([0.3, 0.3]),
-            )
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(WeakBoundsError):
-            TransportInstance(
-                costs=np.zeros((2, 2)),
-                row_mass=np.array([1.5, -0.5]),
-                col_mass=np.array([0.5, 0.5]),
-            )
 
 
 class TestTransportBinary:
     def test_all_mass_on_column_one(self):
-        inst = TransportInstance(
-            costs=np.array([[0.2, 0.9], [0.1, 0.4]]),
-            row_mass=np.array([0.5, 0.5]),
-            col_mass=np.array([0.0, 1.0]),
-        )
-        assert transport_binary(inst) == pytest.approx(0.5 * 0.9 + 0.5 * 0.4)
+        costs = np.array([[0.2, 0.9], [0.1, 0.4]])
+        value = transport_binary(costs, np.array([0.5, 0.5]), np.array([0.0, 1.0]))
+        assert value == pytest.approx(0.5 * 0.9 + 0.5 * 0.4)
 
     def test_all_mass_on_column_zero(self):
-        inst = TransportInstance(
-            costs=np.array([[0.2, 0.9], [0.1, 0.4]]),
-            row_mass=np.array([0.5, 0.5]),
-            col_mass=np.array([1.0, 0.0]),
-        )
-        assert transport_binary(inst) == pytest.approx(0.5 * 0.2 + 0.5 * 0.1)
+        costs = np.array([[0.2, 0.9], [0.1, 0.4]])
+        value = transport_binary(costs, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+        assert value == pytest.approx(0.5 * 0.2 + 0.5 * 0.1)
 
     def test_agrees_with_lp_on_random_instances(self, rng):
         for _ in range(200):
             inst = random_transport(rng, int(rng.integers(1, 8)), 2)
-            assert transport_binary(inst) == pytest.approx(
-                transport_general(inst), abs=1e-9
+            assert transport_binary(*inst) == pytest.approx(
+                transport_general(*inst), abs=1e-9
             )
 
 
@@ -153,33 +129,26 @@ class TestTransportGeneral:
     def test_single_row_forced_coupling(self, rng):
         cost = np.array([[0.3, -0.2, 0.7]])
         col_mass = np.array([0.2, 0.5, 0.3])
-        inst = TransportInstance(
-            costs=cost, row_mass=np.array([1.0]), col_mass=col_mass
-        )
-        assert transport_general(inst) == pytest.approx(float(cost[0] @ col_mass))
+        value = transport_general(cost, np.array([1.0]), col_mass)
+        assert value == pytest.approx(float(cost[0] @ col_mass))
 
     def test_identity_cost_square_uniform(self):
-        costs = 1.0 - np.eye(3)
-        inst = TransportInstance(
-            costs=costs,
-            row_mass=np.full(3, 1 / 3),
-            col_mass=np.full(3, 1 / 3),
-        )
-        assert transport_general(inst) == pytest.approx(0.0, abs=1e-12)
+        third = np.full(3, 1 / 3)
+        assert transport_general(1.0 - np.eye(3), third, third) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_vertex_enumeration_3x3(self, rng):
         for _ in range(20):
             inst = random_transport(rng, 3, 3)
-            assert transport_general(inst) == pytest.approx(
-                brute_force_min(inst), abs=1e-8
+            assert transport_general(*inst) == pytest.approx(
+                brute_force_min(*inst), abs=1e-8
             )
         # degenerate vertices: tied costs, zero rows and columns, eighths
         for shape in [(3, 3), (2, 4), (4, 2)]:
             for _ in range(30):
                 inst = eighths_transport(rng, *shape)
-                for case in (inst, negated(inst)):
-                    assert transport_general(case) == pytest.approx(
-                        brute_force_min(case), abs=1e-12
+                for case in (inst, negated(*inst)):
+                    assert transport_general(*case) == pytest.approx(
+                        brute_force_min(*case), abs=1e-12
                     )
 
     @pytest.mark.parametrize("bland_after", [oracle.BLAND_AFTER, 0], ids=["dantzig", "bland"])
@@ -191,9 +160,9 @@ class TestTransportGeneral:
                 inst = eighths_transport(rng, n_rows, n_cols)
             else:
                 inst = random_transport(rng, n_rows, n_cols)
-            for case in (inst, negated(inst)):
-                assert transport_general(case) == pytest.approx(
-                    linprog_min(case), abs=1e-12
+            for case in (inst, negated(*inst)):
+                assert transport_general(*case) == pytest.approx(
+                    linprog_min(*case), abs=1e-12
                 )
 
     def test_monge_cost_matches_closed_form(self, rng):
@@ -203,26 +172,23 @@ class TestTransportGeneral:
         costs = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
         row_mass = rng.dirichlet(np.ones(n))
         col_mass = rng.dirichlet(np.ones(n))
-        inst = TransportInstance(costs=costs, row_mass=row_mass, col_mass=col_mass)
         closed = float(np.abs(np.cumsum(row_mass) - np.cumsum(col_mass)).sum())
-        assert transport_general(inst) == pytest.approx(closed, rel=1e-12)
+        assert transport_general(costs, row_mass, col_mass) == pytest.approx(closed, rel=1e-12)
 
     def test_repeated_calls_are_bit_identical(self, rng):
         for shape in [(8, 6), (60, 40)]:
             inst = random_transport(rng, *shape)
-            first = transport_general(inst)
-            assert transport_general(inst).hex() == first.hex()
+            first = transport_general(*inst)
+            assert transport_general(*inst).hex() == first.hex()
 
     def test_pivot_cap_is_a_numerical_failure(self, rng, monkeypatch, tmp_path):
         # one signature, predictions 0, 1, 2, uniform labels: the accuracy
         # lower bound's north-west corner is the diagonal (cost 1), so the
         # solve needs pivots to reach the optimum 0
         monkeypatch.setattr(oracle, "MAX_PIVOTS", 0)
-        inst = TransportInstance(
-            costs=np.eye(3), row_mass=np.full(3, 1 / 3), col_mass=np.full(3, 1 / 3)
-        )
+        third = np.full(3, 1 / 3)
         with pytest.raises(NumericalError, match="pivots"):
-            transport_general(inst)
+            transport_general(np.eye(3), third, third)
         (tmp_path / "d.csv").write_text("pred,wl_0\n0,0\n1,0\n2,0\n")
         (tmp_path / "m.json").write_text(
             json.dumps({"num_classes": 3, "entries": [{"z": [0], "p": [1 / 3] * 3}]})
@@ -283,6 +249,25 @@ class TestExactBounds:
         assert res_s.lower == pytest.approx(res.lower, abs=1e-9)
         assert res_s.upper == pytest.approx(res.upper, abs=1e-9)
 
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    @pytest.mark.parametrize("built_in", [True, False], ids=["built-in", "per-sample"])
+    def test_sides_are_exact_negations(self, rng, num_classes, built_in):
+        # the lower bound of -G is minus the upper bound of G, bit for bit
+        for _ in range(50):
+            data, model, G = random_instance(rng, num_classes=num_classes)
+            if built_in:
+                preds = rng.integers(0, num_classes, data.n)
+                data = DatasetView(n=data.n, z_ids=data.z_ids, predictions=preds)
+                spec = MetricSpec(MetricKind.ACCURACY)
+                G = build_g(data, spec, LabelSpace(num_classes=num_classes))
+            res = exact_bounds(data, model, G)
+            neg = exact_bounds(data, model, GMatrix(-G.costs, G.rows))
+            assert neg.lower == 0.0 - res.upper
+            assert neg.upper == 0.0 - res.lower
+            assert list(neg.per_signature) == [
+                (z, 0.0 - hi, 0.0 - lo) for z, lo, hi in res.per_signature
+            ]
+
     def test_feasible_couplings_contained(self, rng):
         # any coupling with the right marginals evaluates inside [L, U]
         for _ in range(25):
@@ -293,13 +278,10 @@ class TestExactBounds:
                 idx = np.flatnonzero(data.z_ids == z)
                 if idx.size == 0:
                     continue
-                inst = TransportInstance(
-                    costs=g_values(G)[idx],
-                    row_mass=np.full(idx.size, 1.0 / data.n),
-                    col_mass=(idx.size / data.n) * model.table[z],
-                )
-                pi = ipf_coupling(rng, inst)
-                total += float((pi * inst.costs).sum())
+                row_mass = np.full(idx.size, 1.0 / data.n)
+                col_mass = (idx.size / data.n) * model.table[z]
+                pi = ipf_coupling(rng, row_mass, col_mass)
+                total += float((pi * g_values(G)[idx]).sum())
             assert res.lower - 1e-9 <= total <= res.upper + 1e-9
 
 

@@ -17,7 +17,10 @@ The command sets:
   also with a known ``--prior-y1``) and risk, a 6-threshold
   sweep of all five kinds, a precision-only sweep, ``diagnose`` with and
   without an alternative label model (also for risk at a threshold and a given
-  ``--epsilon``), and ``oracle``;
+  ``--epsilon``), and ``oracle`` for accuracy, joint-positive at a
+  ``--threshold`` and risk; and ``oracle`` on a ``synth --n 20000`` dataset of 8
+  labelers (accuracies ``0.8,0.7,0.65,0.75,0.6,0.7,0.68,0.72``, each abstaining
+  at 0.1);
 - ``coverage --n 2000 --replications 500 --seed 42``, and at 6 labelers
   (accuracies ``0.8,0.7,0.65,0.75,0.6,0.7``, each abstaining at 0.1) with 200
   replications, where each replication holds only the signatures it drew;
@@ -109,6 +112,16 @@ def _cli_commands(case: Path):
                                "--threshold", "0.5", "--label-model-alt", "alt.json",
                                "--epsilon", "0.002"]),
         ("oracle", ["oracle", *data, "--out", "oracle.json"]),
+        ("oracle-joint", ["oracle", *data, "--metric", "joint-positive", "--threshold", "0.5",
+                          "--out", "oracle-joint.json"]),
+        ("oracle-risk", ["oracle", *data, "--metric", "risk", "--loss-table", "loss.json",
+                         "--out", "oracle-risk.json"]),
+        ("synth-k8", ["synth", "--n", "20000", "--seed", "5", "--num-labelers", "8",
+                      "--accuracies", "0.8,0.7,0.65,0.75,0.6,0.7,0.68,0.72",
+                      "--abstain-rates", ",".join(["0.1"] * 8),
+                      "--out", "k8.csv", "--model-out", "k8.json"]),
+        ("oracle-k8", ["oracle", "--data", "k8.csv", "--label-model", "k8.json",
+                       "--out", "oracle-k8.json"]),
     ]
 
 
