@@ -18,7 +18,18 @@ from .objective import (
     minimized_value,
     per_cell_objective,
 )
-from .solver import SolveReport, minimize
+from .solver import ColumnReport, SolveReport, minimize
+
+
+# the closed form's stand-in for an infinite optimizer: exp(-40) < 2**-54, so
+# a weight of that size leaves a soft max's sum of weights at exactly 1
+SATURATION = 40.0
+# A closed-form beta (see _closed_form) within this fraction of the masses it is
+# the difference of is zero. Where beta is zero and the cost gaps are far apart,
+# the objective is flat to rounding over a wide range of u, and the root is the
+# middle of that range, so the optimizer does not hang on the last bits of the
+# masses: a signature's cells give one optimizer, merged or one per sample.
+FLAT = 1e-12
 
 
 class Side(enum.Enum):
@@ -66,10 +77,10 @@ def _newton_ridge(cells, epsilon) -> np.ndarray:
     return scale[:, None, None] * (np.ones((k, k)) / k**2 + 1e-12 * np.eye(k))
 
 
-def _stack(tables, starts) -> CellTable:
-    """One cell table holding each of ``tables``, with the signatures of table i
-    numbered from ``starts[i]``."""
+def _stack(tables) -> CellTable:
+    """One cell table holding each of ``tables``, their signatures numbered in turn."""
     part = lambda field: [getattr(cells, field) for cells in tables]
+    starts = np.cumsum([0] + [len(q) for q in part("label_model")])
     return CellTable(
         n=sum(part("n")),
         z=np.concatenate([z + start for z, start in zip(part("z"), starts)]),
@@ -81,16 +92,76 @@ def _stack(tables, starts) -> CellTable:
     )
 
 
+def _closed_form(cells, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """The centred optimizer of a binary cell table in closed form, and for each
+    signature whether it is exact there: whether the signature's cells have at
+    most two cost gaps g_1 - g_0 (as every built-in metric's cells do).
+
+    A signature's share depends on its column only through u = (a_1 - a_0) / eps,
+    and cell c weights class 1 by sigmoid(d_c + u), with d_c = (g_c1 - g_c0) / eps.
+    The optimum sets the mass-weighted sum of those weights to s = m_z q_1, the
+    label model's mass on class 1, and so that of the class-0 weights to
+    f = m_z q_0. Let m_h be the mass of the cells at the larger gap d_h, m_l that
+    at the smaller d_l (zero if there is one gap) and rho = exp(d_l - d_h) <= 1.
+    Then X = exp(u + d_h) is the positive root of ``f rho X^2 + beta X - s = 0``
+    with beta = m_h - s + rho (m_l - s), and, with the classes swapped,
+    exp(-u - d_l) is the root of the same equation in (f, s, m_l, m_h). The two
+    betas sum to about zero; the orientation whose beta is the larger takes its
+    root, 2 s / (beta + sqrt(beta^2 + 4 rho f s)) or the same with f for s, in
+    logs, without cancellation or overflow. A label model with no mass on a class has no finite optimum:
+    that signature takes the column at which each cell's weight on the class is
+    at most exp(-SATURATION), where every cell value equals its limit. A
+    signature without cells keeps a zero column.
+    """
+    num_z = len(cells.z_mass)
+    gap = cells.costs[:, 1] - cells.costs[:, 0]
+    count = np.bincount(cells.z, minlength=num_z)
+    present = np.flatnonzero(count)
+    first = (np.cumsum(count) - count)[present]
+    g_hi, g_lo = np.zeros(num_z), np.zeros(num_z)
+    g_hi[present] = np.maximum.reduceat(gap, first)
+    g_lo[present] = np.minimum.reduceat(gap, first)
+    at_hi = gap == g_hi[cells.z]
+    between = ~at_hi & (gap != g_lo[cells.z])
+    exact = np.bincount(cells.z[between], minlength=num_z) == 0
+    on_hi = np.where(at_hi, cells.mass, 0.0)
+    m_hi, m_lo = (np.bincount(cells.z, weights=w, minlength=num_z)[present]
+                  for w in (on_hi, cells.mass - on_hi))
+    d_hi, d_lo = g_hi[present] / epsilon, g_lo[present] / epsilon
+    spread = d_hi - d_lo
+    rho = np.exp(-spread)
+    f, s = cells.z_mass[present] * cells.label_model[present].T
+    beta_1 = m_hi - s + rho * (m_lo - s)
+    beta_0 = m_lo - f + rho * (m_hi - f)
+    toward_1 = beta_1 >= beta_0
+    target, other = np.where(toward_1, s, f), np.where(toward_1, f, s)
+    beta = np.maximum(beta_1, beta_0)
+    beta[np.abs(beta) <= FLAT * (np.where(toward_1, m_hi, m_lo) + target)] = 0.0
+    with np.errstate(divide="ignore"):
+        # the denominator is at least sqrt(4 rho f s), also where rho underflows
+        log_den = np.maximum(
+            np.log(beta + np.sqrt(beta * beta + 4.0 * rho * other * target)),
+            0.5 * (np.log(4.0 * other) + np.log(target) - spread),
+        )
+        log_x = np.where(target > 0.0, np.log(2.0 * target) - log_den, -SATURATION)
+    half = np.zeros(num_z)
+    half[present] = 0.5 * epsilon * np.where(toward_1, log_x - d_hi, -log_x - d_lo)
+    return np.stack([-half, half]), exact
+
+
 def solve_bounds(
     tables: list[CellTable], epsilon: float | None = None
 ) -> list[tuple[BoundEstimate, BoundEstimate]]:
-    """The (lower, upper) pair of each cell table, from one Newton solve.
+    """The (lower, upper) pair of each cell table, from one stacked solve.
 
-    The temperature is ``epsilon``, by default ``default_epsilon``. Each
-    signature of each side is its own column of the solver, with its own step
-    length and stopping test, so each pair is the one its table gets alone,
+    The temperature is ``epsilon``, by default ``default_epsilon``. A binary
+    table whose signatures each have at most two cost gaps is solved in closed
+    form (``_closed_form``), every other table by Newton. Each signature of each
+    side is its own column of either solve, with its own step length and
+    stopping test under Newton, so each pair is the one its table gets alone,
     bit for bit, reports included: a report's iterations and gradient norm are
-    those of its own signatures. Every table must have the same classes.
+    those of its own signatures. A closed-form side reports no iterations and
+    the gradient at its optimizer. Every table must have the same classes.
     """
     if epsilon is not None:
         epsilon = check_epsilon(epsilon)
@@ -105,23 +176,44 @@ def solve_bounds(
     sides = [table for cells in tables for table in (cells._replace(costs=-cells.costs), cells)]
     widths = [len(cells.label_model) for cells in sides]
     starts = np.cumsum([0] + widths)
-    stacked = _stack(sides, starts)
-    # A larger step overshoots when the weights saturate at small eps; the eps
-    # term keeps a G of all zeros from freezing the iterate.
-    max_step = np.repeat([2.0 * cells.sup_norm + epsilon for cells in sides], widths)
-    ridge = _newton_ridge(stacked, epsilon)
-    a_hat, columns = minimize(
-        lambda a: minimized_value(stacked, a, epsilon),
-        lambda weights: gradient(stacked, weights),
-        lambda weights: hessian(stacked, weights, epsilon) + ridge,
-        np.zeros(stacked.label_model.shape[::-1]),
-        max_step,
-    )
-    # shift invariance keeps the value; report the zero-column-sum optimizer.
+    stacked = _stack(sides)
+    a_hat = np.zeros(stacked.label_model.shape[::-1])
+    closed = np.zeros(len(sides), dtype=bool)
+    if len(a_hat) == 2:
+        # every binary side is solved in closed form; it keeps that solution
+        # when all its signatures are exact there
+        a_hat, exact = _closed_form(stacked, epsilon)
+        inexact = np.concatenate([[0], np.cumsum(~exact)])
+        closed = inexact[starts[1:]] == inexact[starts[:-1]]
+    by_column = np.repeat(closed, widths)
+    iterations = np.zeros(len(by_column), dtype=np.int64)
+    norms = np.zeros(len(by_column))
+    if not closed.all():
+        newton = ~by_column
+        part = _stack([cells for cells, x in zip(sides, closed) if not x])
+        # A larger step overshoots when the weights saturate at small eps; the
+        # eps term keeps a G of all zeros from freezing the iterate.
+        max_step = np.repeat([2.0 * cells.sup_norm + epsilon for cells in sides], widths)
+        ridge = _newton_ridge(part, epsilon)
+        a_hat[:, newton], report = minimize(
+            lambda a: minimized_value(part, a, epsilon),
+            lambda weights: gradient(part, weights),
+            lambda weights: hessian(part, weights, epsilon) + ridge,
+            np.zeros(part.label_model.shape[::-1]),
+            max_step[newton],
+        )
+        iterations[newton], norms[newton] = report
+    # shift invariance keeps the value; report the zero-column-sum optimizer,
+    # which the closed form's already is, to the bit.
+    a_hat = center_columns(a_hat)
+    if closed.any():
+        # a closed-form side reports the gradient at its returned optimizer
+        weights = minimized_value(stacked, a_hat, epsilon)[1]
+        norms[by_column] = np.abs(gradient(stacked, weights)).max(axis=0, initial=0.0)[by_column]
+    columns = ColumnReport(iterations, norms)
     # A cell's value and a column's mean do not depend on what is stacked
     # beside them, so one pass gives each side its own values: the cells of
     # its signatures.
-    a_hat = center_columns(a_hat)
     values = per_cell_objective(stacked, a_hat, epsilon)
     per_side = np.split(values, np.searchsorted(stacked.z, starts[1:-1]))
     uppers = []

@@ -1,5 +1,8 @@
+import decimal
+import functools
 import math
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -24,12 +27,16 @@ from weakbounds import (
     eval_objective,
     exact_bounds,
     generate_synthetic,
+    gradient,
+    minimized_value,
     per_cell_objective,
     plugin_std,
     positive_margins,
     threshold_sweep,
 )
 from weakbounds import bounds, solver
+from weakbounds.oracle import transport_binary
+from weakbounds.synth import population
 from conftest import g_values, negated, per_sample_g, random_instance, soft_max, two_point_instance
 
 TIGHT = 1e-3 / math.log(2)
@@ -389,8 +396,14 @@ class TestStackedSolve:
     def test_stacked_problems_equal_each_estimate_alone(self, rng):
         problems = [random_instance(rng, num_sig_max=8) for _ in range(5)]
         tables = [cell_table(*p) for p in problems]
+        # binary tables of at most two cost gaps per signature take the closed
+        # form; stacked between per-sample tables, which take Newton
+        closed = list(_edge_tables(rng, 3))
+        tables = [closed[0], *tables[:2], closed[1], *tables[2:], closed[2]]
         for epsilon in (default_epsilon(2), TIGHT):
             stacked = bounds.solve_bounds(tables, epsilon)
+            newton = {bool(est.report.iterations) for pair in stacked for est in pair}
+            assert newton == {True, False}
             for cells, pair in zip(tables, stacked):
                 assert all(map(_same_estimate, pair, estimate_bounds(cells, epsilon)))
 
@@ -534,30 +547,104 @@ def _closed_form_upper(cells, epsilon):
     weighted sum of those weights to the label model's share m_z p_1: a linear
     equation in x for one cell and, for two, times (1 + r_1 x)(1 + r_2 x), the
     quadratic A x^2 + B x + C = 0 below. A > 0 > C, so it has one positive root.
+    It is solved in 50-digit decimal arithmetic, whose exponent range holds r_c
+    at any cost gap. A one-hot label-model row has no finite optimum: as d runs
+    to +-inf, each cell's value tends to its cost of the certain class less
+    eps ln 2. A signature without cells adds nothing.
     """
     total = 0.0
-    for z, (_, p1) in enumerate(cells.label_model):
-        own = cells.z == z
-        m, g, mz = cells.mass[own], cells.costs[own], cells.z_mass[z]
-        r = np.exp((g[:, 1] - g[:, 0]) / epsilon)
-        if len(m) == 1:
-            x = p1 / (r[0] * (1.0 - p1))
-        else:
-            a = mz * r[0] * r[1] * (1.0 - p1)
-            b = m[0] * r[0] + m[1] * r[1] - mz * p1 * (r[0] + r[1])
-            c = -mz * p1
-            # the roots are q / a and c / q; this q avoids cancellation
-            q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
-            x = q / a if q > 0.0 else c / q
-        d = epsilon * math.log(x)
-        soft = epsilon * (np.logaddexp(g[:, 0] / epsilon, (g[:, 1] + d) / epsilon) - math.log(2))
-        total += float(m @ soft) - mz * p1 * d
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for z, (_, p1), mass, g in _by_signature(cells):
+            mz = cells.z_mass[z]
+            if p1 in (0.0, 1.0):
+                total += float(mass @ (g[:, int(p1)] - epsilon * math.log(2)))
+                continue
+            r = [_ratio(g1 - g0, epsilon) for g0, g1 in g]
+            m, mz, p1 = [Decimal(v) for v in mass], Decimal(mz), Decimal(p1)
+            if len(m) == 1:
+                x = p1 / (r[0] * (1 - p1))
+            else:
+                a = mz * r[0] * r[1] * (1 - p1)
+                b = m[0] * r[0] + m[1] * r[1] - mz * p1 * (r[0] + r[1])
+                c = -mz * p1
+                # the roots are q / a and c / q; this q avoids cancellation
+                q = -(b + (b * b - 4 * a * c).sqrt().copy_sign(b)) / 2
+                x = q / a if q > 0 else c / q
+            # ln x from x's decimal exponent and mantissa, each a float
+            d = epsilon * (x.adjusted() * math.log(10) + math.log(x.scaleb(-x.adjusted())))
+            soft = epsilon * (np.logaddexp(g[:, 0] / epsilon, (g[:, 1] + d) / epsilon) - math.log(2))
+            total += float(mass @ soft) - float(mz * p1) * d
     return total
+
+
+@functools.cache
+def _ratio(gap, epsilon):
+    """exp(gap / eps) in the decimal context, beyond a float's range too."""
+    return (Decimal(gap) / Decimal(epsilon)).exp()
+
+
+def _by_signature(cells):
+    """Each signature that holds cells, its label-model row, and its cells' masses and costs."""
+    cut = np.searchsorted(cells.z, np.arange(1, len(cells.z_mass)))
+    parts = zip(np.split(cells.mass, cut), np.split(cells.costs, cut))
+    for z, (mass, costs) in enumerate(parts):
+        if len(mass):
+            yield z, cells.label_model[z], mass, costs
+
+
+def _exact_from_cells(cells):
+    """The exact (lower, upper) bounds of a binary cell table, signature by signature."""
+    lower = upper = 0.0
+    for z, q, mass, costs in _by_signature(cells):
+        lower += transport_binary(costs, mass, cells.z_mass[z] * q)
+        upper -= transport_binary(-costs, mass, cells.z_mass[z] * q)
+    return lower, upper
+
+
+# a binary loss table whose cost gaps, 20 and -18.5, exceed 709 * eps at the
+# default eps, so exp(gap / eps) overflows a float
+WIDE_LOSS = np.array([[0.0, 20.0], [19.0, 0.5]])
+
+
+def _edge_tables(rng, count):
+    """Binary cell tables built from counts, with the cases a closed form must
+    handle: one-hot (saturated) label-model rows, signatures of one cell,
+    signatures without mass or with a share of about 1e-7, and cost gaps above
+    709 * eps."""
+    costs = [np.eye(2), np.array([[0.0, 0.0], [0.0, 1.0]]), WIDE_LOSS]
+    for i in range(count):
+        num_z = int(rng.integers(1, 9))
+        counts = rng.integers(0, 40, (num_z, 2)).astype(float)
+        counts[rng.random((num_z, 2)) < 0.2] = 0.0  # some one-cell signatures
+        counts[rng.random(num_z) < 0.15] = 0.0  # some without mass
+        counts[0] = rng.integers(1, 40, 2)  # ...but never all of them
+        if num_z > 1 and rng.random() < 0.4:
+            counts[-1] = counts[0].sum() * 1e-7 * rng.random(2)  # a share of ~1e-7
+        p1 = rng.uniform(0.0, 1.0, num_z)
+        p1[rng.random(num_z) < 0.2] = 0.0
+        p1[rng.random(num_z) < 0.2] = 1.0
+        model = LabelModel(table=np.column_stack([1.0 - p1, p1]))
+        z, rows = np.indices(counts.shape).reshape(2, -1)
+        yield cells_from_counts(z, rows, counts.ravel(), costs[i % 3], model)
 
 
 class TestClosedFormBinary:
     """A test oracle for the binary solve: with at most 2 cells per signature, the
     optimum of each signature solves a quadratic."""
+
+    @staticmethod
+    def _assert_matches_oracle(cells, lo, hi):
+        assert lo.report.converged and hi.report.converged
+        assert lo.report.iterations == hi.report.iterations == 0
+        assert hi.value == pytest.approx(_closed_form_upper(cells, hi.epsilon), abs=1e-12)
+        # the lower bound is minus the upper bound of the negated costs
+        negated_cells, _ = negated(cells, lo.optimizer)
+        assert lo.value == pytest.approx(-_closed_form_upper(negated_cells, lo.epsilon), abs=1e-12)
+        exact_lo, exact_hi = _exact_from_cells(cells)
+        cap = hi.epsilon * math.log(2)
+        assert exact_lo - 1e-12 <= lo.value <= exact_lo + cap + 1e-12
+        assert exact_hi - cap - 1e-12 <= hi.value <= exact_hi + 1e-12
 
     def test_estimates_match_closed_form(self):
         rng = np.random.default_rng(2718)
@@ -571,12 +658,68 @@ class TestClosedFormBinary:
             data = DatasetView(n=n, z_ids=z_ids, predictions=rng.integers(0, 2, n))
             kind = MetricKind.ACCURACY if i % 2 else MetricKind.JOINT_POSITIVE
             g = build_g(data, MetricSpec(kind), space)
-            lo, hi = estimate_bounds(cell_table(data, model, g))
             cells = cell_table(data, model, g)
-            assert hi.value == pytest.approx(_closed_form_upper(cells, hi.epsilon), abs=1e-12)
-            # the lower bound is minus the upper bound of the negated costs
-            negated_cells, _ = negated(cells, lo.optimizer)
-            assert lo.value == pytest.approx(-_closed_form_upper(negated_cells, lo.epsilon), abs=1e-12)
+            self._assert_matches_oracle(cells, *estimate_bounds(cells))
+            exact = exact_bounds(data, model, g)
+            assert _exact_from_cells(cells) == pytest.approx((exact.lower, exact.upper), abs=1e-12)
+
+    def test_edge_cases_match_closed_form(self):
+        tables = list(_edge_tables(np.random.default_rng(709), 300))
+        kinds = Counter()
+        for cells in tables:
+            kinds["saturated"] += np.isin(cells.label_model[:, 1], [0.0, 1.0]).any()
+            kinds["one cell"] += (np.bincount(cells.z) == 1).any()
+            kinds["no mass"] += (cells.z_mass == 0.0).any()
+            kinds["tiny"] += ((cells.z_mass > 0.0) & (cells.z_mass < 1e-6)).any()
+            kinds["wide"] += bool(np.abs(np.diff(cells.costs)).max() > 709 * default_epsilon(2))
+        assert min(kinds.values()) >= 30, kinds
+        for epsilon in (default_epsilon(2), TIGHT):
+            for cells, (lo, hi) in zip(tables, bounds.solve_bounds(tables, epsilon)):
+                self._assert_matches_oracle(cells, lo, hi)
+                # a column without mass stays at the zero start
+                assert not hi.optimizer[:, cells.z_mass == 0.0].any()
+                assert np.isfinite(hi.optimizer).all() and np.isfinite(lo.optimizer).all()
+
+    def test_report_holds_the_gradient_at_the_optimizer(self, rng):
+        epsilon = default_epsilon(2)
+        for cells in _edge_tables(rng, 20):
+            lo, hi = estimate_bounds(cells)
+            for est, (c, a) in ((hi, (cells, hi.optimizer)), (lo, negated(cells, lo.optimizer))):
+                norm = np.abs(gradient(c, minimized_value(c, a, epsilon)[1])).max()
+                assert est.report.final_gradient_norm == norm
+                assert est.report.final_gradient_norm <= solver.GRADIENT_TOLERANCE
+
+    def test_no_newton_solve_for_closed_form_tables(self, rng, monkeypatch):
+        solves = []
+        minimize = bounds.minimize
+        monkeypatch.setattr(bounds, "minimize", lambda *a: solves.append(a) or minimize(*a))
+        closed = list(_edge_tables(rng, 5))
+        bounds.solve_bounds(closed)
+        assert solves == []
+        # a per-sample G of random costs has more than two cost gaps per signature
+        data, model, G = random_instance(rng, n_max=60, num_sig_max=3)
+        newton = cell_table(data, model, G)
+        assert np.bincount(newton.z).max() > 2
+        bounds.solve_bounds([closed[0], newton, closed[1]])
+        # one Newton solve, of the per-sample table's two sides alone
+        assert len(solves) == 1
+        assert solves[0][3].shape == (2, 2 * len(model.table))
+
+    def test_population_truth_is_the_closed_form(self):
+        # the smoothed truth of coverage at 8 labelers: 6561 signatures, many of
+        # them of tiny mass
+        accuracies = (0.8, 0.7, 0.65, 0.75, 0.6, 0.7, 0.68, 0.72)
+        spec = SynthSpec(n=2000, num_labelers=8, labeler_accuracies=accuracies,
+                         abstain_rates=(0.1,) * 8, seed=42)
+        mass, posterior = population(spec)
+        z, preds = np.repeat(np.arange(len(mass)), 2), np.tile([0, 1], len(mass))
+        cells = cells_from_counts(z, preds, (mass * spec.n).ravel(), np.eye(2), LabelModel(posterior))
+        assert cells.z_mass.min() < 1e-6
+        ((lo, hi),) = bounds.solve_bounds([cells])
+        assert lo.report.converged and hi.report.converged
+        assert hi.value == pytest.approx(_closed_form_upper(cells, hi.epsilon), abs=1e-12)
+        negated_cells, _ = negated(cells, lo.optimizer)
+        assert lo.value == pytest.approx(-_closed_form_upper(negated_cells, lo.epsilon), abs=1e-12)
 
 
 class TestNormalQuantile:

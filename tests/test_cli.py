@@ -20,13 +20,15 @@ def run(*argv):
 
 
 def spy_on_solves(monkeypatch):
-    """The list of the Newton solves run from now on: every stacked solve calls
-    ``bounds.minimize``."""
+    """The list of the stacked solves run from now on, Newton or closed form: the
+    spy replaces ``bounds.solve_bounds`` in every module that holds it."""
     solves = []
-    minimize = bounds.minimize
-    monkeypatch.setattr(
-        bounds, "minimize", lambda *args: solves.append(args) or minimize(*args)
-    )
+    solve_bounds = bounds.solve_bounds
+    spy = lambda *args: solves.append(args) or solve_bounds(*args)
+    for info in pkgutil.iter_modules(weakbounds.__path__):
+        module = importlib.import_module(f"weakbounds.{info.name}")
+        if getattr(module, "solve_bounds", None) is solve_bounds:
+            monkeypatch.setattr(module, "solve_bounds", spy)
     return solves
 
 
@@ -351,11 +353,15 @@ class TestExitCodes:
 
 
 class TestUnconvergedWarning:
-    """A solve stopped by its budget warns on stderr and leaves the exit code at 0."""
+    """A side short of the gradient tolerance warns on stderr and leaves the exit
+    code at 0: a Newton solve stopped by its budget, or a closed form whose
+    gradient the tolerance does not accept."""
 
     @pytest.fixture(autouse=True)
     def no_budget(self, monkeypatch):
+        # no Newton iterations, and a tolerance no gradient norm meets
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
+        monkeypatch.setattr(solver, "GRADIENT_TOLERANCE", -1.0)
 
     def warnings(self, capsys):
         return [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
@@ -853,13 +859,15 @@ class TestProcessEntry:
         assert proc.stderr.decode().splitlines() == [f"error: {bad}:3: blank line"]
 
     def test_unconverged_warning_reaches_stderr(self, tmp_path, synth_files):
-        # no solver iterations, so both sides warn; the atexit handler shows that
-        # handlers still run, after the collector was frozen
+        # no Newton iterations and a tolerance that no gradient norm meets, so
+        # both sides warn; the atexit handler shows that handlers still run,
+        # after the collector was frozen
         data, model = synth_files
         code = (
             "import atexit, gc, sys\n"
             "from weakbounds import cli, solver\n"
             "solver.MAX_ITERATIONS = 0\n"
+            "solver.GRADIENT_TOLERANCE = -1.0\n"
             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
             "cli.run()\n"
         )
@@ -961,7 +969,8 @@ def spy_on_counts(monkeypatch):
     return counted
 
 
-# coverage solves the population and its 500 replications in one stacked solve
+# coverage solves the population and its 500 replications in one stacked solve;
+# these binary solves take the closed form, so none of them is a Newton solve
 SOLVES = {"estimate": 1, "sweep": 1, "diagnose-alt": 1, "diagnose": 0, "oracle": 0, "select": 0,
           "synth": 0, "coverage": 1}
 
