@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from math import fabs, log, sqrt
+from math import fabs, frexp, ldexp, log, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +18,7 @@ from .objective import (
     minimized_value,
     per_cell_objective,
 )
-from .solver import ColumnReport, SolveReport, minimize
+from .solver import SolveReport, minimize
 
 
 # the closed form's stand-in for an infinite optimizer: exp(-40) < 2**-54, so
@@ -57,11 +57,17 @@ def plugin_std(cells, values) -> float:
     """Sample standard deviation (divisor n-1) of the per-sample dual values.
 
     ``values`` holds the dual value of each cell, as ``per_cell_objective`` gives it.
+    The deviations are divided by the power of two just above their largest
+    magnitude before they are squared, so that no square overflows. Such a
+    scaling is exact, and so the std is the one of the unscaled squares
+    wherever those fit.
     """
     if cells.n < 2:
         raise InsufficientSampleError("plug-in std needs at least 2 samples")
-    variance = cells.mass @ (values - cells.mass @ values) ** 2
-    return float(np.sqrt(variance * cells.n / (cells.n - 1)))
+    deviations = values - cells.mass @ values
+    exponent = frexp(float(np.abs(deviations).max(initial=0.0)))[1]
+    variance = cells.mass @ np.ldexp(deviations, -exponent) ** 2
+    return ldexp(float(np.sqrt(variance * cells.n / (cells.n - 1))), exponent)
 
 
 def _newton_ridge(cells, epsilon) -> np.ndarray:
@@ -92,17 +98,18 @@ def _stack(tables) -> CellTable:
     )
 
 
-def _closed_form(cells, epsilon) -> tuple[np.ndarray, np.ndarray]:
-    """The centred optimizer of a binary cell table in closed form, and for each
-    signature whether it is exact there: whether the signature's cells have at
-    most two cost gaps g_1 - g_0 (as every built-in metric's cells do).
+def _closed_form(cells, epsilon) -> np.ndarray:
+    """The centred optimizer of a binary cell table whose signatures each have
+    at most two cost gaps g_1 - g_0, as every built-in metric's cells do; at a
+    signature of more gaps, a start near its optimizer.
 
     A signature's share depends on its column only through u = (a_1 - a_0) / eps,
     and cell c weights class 1 by sigmoid(d_c + u), with d_c = (g_c1 - g_c0) / eps.
     The optimum sets the mass-weighted sum of those weights to s = m_z q_1, the
     label model's mass on class 1, and so that of the class-0 weights to
     f = m_z q_0. Let m_h be the mass of the cells at the larger gap d_h, m_l that
-    at the smaller d_l (zero if there is one gap) and rho = exp(d_l - d_h) <= 1.
+    at the smaller d_l (zero if there is one gap; every cell below d_h if there
+    are more) and rho = exp(d_l - d_h) <= 1.
     Then X = exp(u + d_h) is the positive root of ``f rho X^2 + beta X - s = 0``
     with beta = m_h - s + rho (m_l - s), and, with the classes swapped,
     exp(-u - d_l) is the root of the same equation in (f, s, m_l, m_h). The two
@@ -121,10 +128,7 @@ def _closed_form(cells, epsilon) -> tuple[np.ndarray, np.ndarray]:
     g_hi, g_lo = np.zeros(num_z), np.zeros(num_z)
     g_hi[present] = np.maximum.reduceat(gap, first)
     g_lo[present] = np.minimum.reduceat(gap, first)
-    at_hi = gap == g_hi[cells.z]
-    between = ~at_hi & (gap != g_lo[cells.z])
-    exact = np.bincount(cells.z[between], minlength=num_z) == 0
-    on_hi = np.where(at_hi, cells.mass, 0.0)
+    on_hi = np.where(gap == g_hi[cells.z], cells.mass, 0.0)
     m_hi, m_lo = (np.bincount(cells.z, weights=w, minlength=num_z)[present]
                   for w in (on_hi, cells.mass - on_hi))
     d_hi, d_lo = g_hi[present] / epsilon, g_lo[present] / epsilon
@@ -146,22 +150,22 @@ def _closed_form(cells, epsilon) -> tuple[np.ndarray, np.ndarray]:
         log_x = np.where(target > 0.0, np.log(2.0 * target) - log_den, -SATURATION)
     half = np.zeros(num_z)
     half[present] = 0.5 * epsilon * np.where(toward_1, log_x - d_hi, -log_x - d_lo)
-    return np.stack([-half, half]), exact
+    return np.stack([-half, half])
 
 
 def solve_bounds(
     tables: list[CellTable], epsilon: float | None = None
 ) -> list[tuple[BoundEstimate, BoundEstimate]]:
-    """The (lower, upper) pair of each cell table, from one stacked solve.
+    """The (lower, upper) pair of each cell table, from one stacked Newton solve.
 
     The temperature is ``epsilon``, by default ``default_epsilon``. A binary
-    table whose signatures each have at most two cost gaps is solved in closed
-    form (``_closed_form``), every other table by Newton. Each signature of each
-    side is its own column of either solve, with its own step length and
-    stopping test under Newton, so each pair is the one its table gets alone,
-    bit for bit, reports included: a report's iterations and gradient norm are
-    those of its own signatures. A closed-form side reports no iterations and
-    the gradient at its optimizer. Every table must have the same classes.
+    stack starts at its closed form (``_closed_form``), any other at zeros. A
+    signature whose closed form is its optimizer meets the stopping test there
+    and takes no step; every other column takes Newton steps from its start.
+    Each signature of each side is its own column, with its own step length and
+    stopping test, so each pair is the one its table gets alone, bit for bit,
+    reports included: a report's iterations and gradient norm are those of its
+    own signatures. Every table must have the same classes.
     """
     if epsilon is not None:
         epsilon = check_epsilon(epsilon)
@@ -177,40 +181,23 @@ def solve_bounds(
     widths = [len(cells.label_model) for cells in sides]
     starts = np.cumsum([0] + widths)
     stacked = _stack(sides)
-    a_hat = np.zeros(stacked.label_model.shape[::-1])
-    closed = np.zeros(len(sides), dtype=bool)
-    if len(a_hat) == 2:
-        # every binary side is solved in closed form; it keeps that solution
-        # when all its signatures are exact there
-        a_hat, exact = _closed_form(stacked, epsilon)
-        inexact = np.concatenate([[0], np.cumsum(~exact)])
-        closed = inexact[starts[1:]] == inexact[starts[:-1]]
-    by_column = np.repeat(closed, widths)
-    iterations = np.zeros(len(by_column), dtype=np.int64)
-    norms = np.zeros(len(by_column))
-    if not closed.all():
-        newton = ~by_column
-        part = _stack([cells for cells, x in zip(sides, closed) if not x])
-        # A larger step overshoots when the weights saturate at small eps; the
-        # eps term keeps a G of all zeros from freezing the iterate.
-        max_step = np.repeat([2.0 * cells.sup_norm + epsilon for cells in sides], widths)
-        ridge = _newton_ridge(part, epsilon)
-        a_hat[:, newton], report = minimize(
-            lambda a: minimized_value(part, a, epsilon),
-            lambda weights: gradient(part, weights),
-            lambda weights: hessian(part, weights, epsilon) + ridge,
-            np.zeros(part.label_model.shape[::-1]),
-            max_step[newton],
-        )
-        iterations[newton], norms[newton] = report
+    a0 = np.zeros(stacked.label_model.shape[::-1])
+    if len(a0) == 2:
+        a0 = _closed_form(stacked, epsilon)
+    # A larger step overshoots when the weights saturate at small eps; the
+    # eps term keeps a G of all zeros from freezing the iterate.
+    max_step = np.repeat([2.0 * cells.sup_norm + epsilon for cells in sides], widths)
+    ridge = _newton_ridge(stacked, epsilon)
+    a_hat, columns = minimize(
+        lambda a: minimized_value(stacked, a, epsilon),
+        lambda weights: gradient(stacked, weights),
+        lambda weights: hessian(stacked, weights, epsilon) + ridge,
+        a0,
+        max_step,
+    )
     # shift invariance keeps the value; report the zero-column-sum optimizer,
-    # which the closed form's already is, to the bit.
+    # which a closed form that takes no step already is, to the bit.
     a_hat = center_columns(a_hat)
-    if closed.any():
-        # a closed-form side reports the gradient at its returned optimizer
-        weights = minimized_value(stacked, a_hat, epsilon)[1]
-        norms[by_column] = np.abs(gradient(stacked, weights)).max(axis=0, initial=0.0)[by_column]
-    columns = ColumnReport(iterations, norms)
     # A cell's value and a column's mean do not depend on what is stacked
     # beside them, so one pass gives each side its own values: the cells of
     # its signatures.
@@ -242,8 +229,7 @@ def solve_bounds(
 def estimate_bounds(
     cells: CellTable, epsilon: float | None = None
 ) -> tuple[BoundEstimate, BoundEstimate]:
-    """Both one-sided smoothed dual bounds of one cell table, solved from a zero
-    start at temperature ``epsilon``."""
+    """Both one-sided smoothed dual bounds of one cell table at temperature ``epsilon``."""
     return solve_bounds([cells], epsilon)[0]
 
 

@@ -153,6 +153,15 @@ class TestPluginStd:
                 std_at(*side(cells, a), epsilon), abs=1e-10
             )
 
+    def test_scales_exactly_past_overflow(self, rng):
+        # the squares of these deviations overflow a float
+        data, model, G = random_instance(rng)
+        cells = cell_table(data, model, G)
+        values = rng.normal(size=len(cells.z))
+        std = plugin_std(cells, values)
+        assert plugin_std(cells, values * 2.0**600) == 2.0**600 * std
+        assert plugin_std(cells, values * 2.0**-600) == 2.0**-600 * std
+
     def test_needs_two_samples(self):
         data = DatasetView(n=1, z_ids=np.array([0]))
         model = LabelModel(table=np.array([[0.5, 0.5]]))
@@ -396,8 +405,9 @@ class TestStackedSolve:
     def test_stacked_problems_equal_each_estimate_alone(self, rng):
         problems = [random_instance(rng, num_sig_max=8) for _ in range(5)]
         tables = [cell_table(*p) for p in problems]
-        # binary tables of at most two cost gaps per signature take the closed
-        # form; stacked between per-sample tables, which take Newton
+        # binary tables of at most two cost gaps per signature start at their
+        # optimizer and take no Newton step; stacked between per-sample tables,
+        # which take steps from the closed form's start
         closed = list(_edge_tables(rng, 3))
         tables = [closed[0], *tables[:2], closed[1], *tables[2:], closed[2]]
         for epsilon in (default_epsilon(2), TIGHT):
@@ -689,21 +699,42 @@ class TestClosedFormBinary:
                 assert est.report.final_gradient_norm == norm
                 assert est.report.final_gradient_norm <= solver.GRADIENT_TOLERANCE
 
-    def test_no_newton_solve_for_closed_form_tables(self, rng, monkeypatch):
-        solves = []
-        minimize = bounds.minimize
-        monkeypatch.setattr(bounds, "minimize", lambda *a: solves.append(a) or minimize(*a))
+    def test_no_newton_step_for_closed_form_tables(self, rng):
         closed = list(_edge_tables(rng, 5))
-        bounds.solve_bounds(closed)
-        assert solves == []
         # a per-sample G of random costs has more than two cost gaps per signature
         data, model, G = random_instance(rng, n_max=60, num_sig_max=3)
         newton = cell_table(data, model, G)
         assert np.bincount(newton.z).max() > 2
-        bounds.solve_bounds([closed[0], newton, closed[1]])
-        # one Newton solve, of the per-sample table's two sides alone
-        assert len(solves) == 1
-        assert solves[0][3].shape == (2, 2 * len(model.table))
+        # at a temperature this high no cell's weight saturates, so the
+        # per-sample table's signatures are off the two-gap closed form
+        pairs = bounds.solve_bounds([closed[0], newton, *closed[1:]], 0.5)
+        iterations = [[est.report.iterations for est in pair] for pair in pairs]
+        # the closed-form sides start at their optimizer; the per-sample table's
+        # sides take Newton steps from that start
+        assert iterations[:1] + iterations[2:] == [[0, 0]] * 5
+        assert min(iterations[1]) > 0
+        assert all(est.report.converged for pair in pairs for est in pair)
+
+    def test_newton_finishes_from_a_perturbed_closed_form(self, rng, monkeypatch):
+        # tables with a signature of some mass whose label model is not one-hot:
+        # at a saturated optimizer the shift leaves the gradient within the tolerance
+        tables = [cells for cells in _edge_tables(rng, 40)
+                  if ((cells.z_mass > 1e-3) & (cells.label_model.min(axis=1) > 0.0)).any()]
+        assert len(tables) >= 20
+        exact = bounds.solve_bounds(tables)
+        closed_form = bounds._closed_form
+
+        def perturbed(cells, epsilon):
+            # each column moves by 1e-3 along the direction that changes its share
+            a = closed_form(cells, epsilon)
+            shift = 1e-3 * (-1.0) ** np.arange(a.shape[1])
+            return a + np.stack([-shift, shift])
+
+        monkeypatch.setattr(bounds, "_closed_form", perturbed)
+        for want, got in zip(exact, bounds.solve_bounds(tables)):
+            for w, g in zip(want, got):
+                assert g.report.converged and g.report.iterations >= 1
+                assert g.value == pytest.approx(w.value, rel=1e-12, abs=1e-12)
 
     def test_population_truth_is_the_closed_form(self):
         # the smoothed truth of coverage at 8 labelers: 6561 signatures, many of

@@ -20,8 +20,8 @@ def run(*argv):
 
 
 def spy_on_solves(monkeypatch):
-    """The list of the stacked solves run from now on, Newton or closed form: the
-    spy replaces ``bounds.solve_bounds`` in every module that holds it."""
+    """The list of the stacked solves run from now on: the spy replaces
+    ``bounds.solve_bounds`` in every module that holds it."""
     solves = []
     solve_bounds = bounds.solve_bounds
     spy = lambda *args: solves.append(args) or solve_bounds(*args)
@@ -354,8 +354,9 @@ class TestExitCodes:
 
 class TestUnconvergedWarning:
     """A side short of the gradient tolerance warns on stderr and leaves the exit
-    code at 0: a Newton solve stopped by its budget, or a closed form whose
-    gradient the tolerance does not accept."""
+    code at 0. With no budget, every side stops at its start; a tolerance no
+    norm meets leaves unconverged also a binary side, which starts at its
+    closed-form optimizer."""
 
     @pytest.fixture(autouse=True)
     def no_budget(self, monkeypatch):
@@ -480,6 +481,23 @@ class TestEstimate:
         assert rc == 0
         entry = json.loads(out.read_text())["metrics"]["risk"]
         assert entry["lower"] <= entry["upper"]
+
+    def test_risk_of_huge_losses_has_finite_stds(self, tmp_path, recwarn):
+        # squared deviations of ~1e200 overflow a float; the stds and CIs stay
+        # finite, and the file is JSON without Infinity
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        assert run("synth", "--n", "2000", "--seed", "1", "--out", str(data),
+                   "--model-out", str(model)) == 0
+        loss = tmp_path / "loss.json"
+        loss.write_text("[[0, 1e200], [1e200, 0]]")
+        out = tmp_path / "r.json"
+        assert run("estimate", "--data", str(data), "--label-model", str(model),
+                   "--metric", "risk", "--loss-table", str(loss), "--out", str(out)) == 0
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        entry = json.loads(out.read_text(), parse_constant=pytest.fail)["metrics"]["risk"]
+        assert 1e198 < entry["lower_std"] < 1e201 and 1e198 < entry["upper_std"] < 1e201
+        assert entry["ci_lower"][0] < entry["lower"] < entry["ci_lower"][1]
+        assert entry["ci_upper"][0] < entry["upper"] < entry["ci_upper"][1]
 
 
 class TestSweep:

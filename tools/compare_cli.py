@@ -7,7 +7,10 @@ The parent's ``src`` is exported with ``git archive``. Both versions run each
 command set in the same directory, restored to the same inputs before each
 version runs, so paths in messages agree too. Everything is written under one
 temporary directory, which is removed at the end. Prints ``N of N identical``
-and exits 1 if any output differs.
+and exits 1 if any output differs. Under each differing stdout or file that
+parses as JSON or CSV it prints up to 10 differing fields, each as its path
+(``metrics.accuracy.solver.upper.iterations``, or ``row 3 upper_std`` in a CSV)
+with the parent's and the change's value.
 
 The command sets:
 - every command of the benchmark's ``smoothed`` and ``exact-io`` workloads, at
@@ -39,6 +42,7 @@ The command sets:
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import itertools
@@ -55,6 +59,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 7919)
+SHOWN_FIELDS = 10
 
 
 def _export_src(rev: str, dest: Path) -> Path:
@@ -253,20 +258,67 @@ def _run(src: Path, pycache: Path, case: Path, commands):
     return results, files
 
 
+def _leaves(node, path=""):
+    """Each (path, JSON text) of a parsed JSON document's scalars and empty containers."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            step = f"[{key}]" if isinstance(node, list) else f".{key}" if path else key
+            yield from _leaves(value, path + step)
+    else:
+        yield path, json.dumps(node)
+
+
+def _fields(data: bytes):
+    """The fields of a JSON document or of a CSV table with a header, by path;
+    None for any other output."""
+    try:
+        return dict(_leaves(json.loads(data)))
+    except ValueError:  # also a UnicodeDecodeError
+        pass
+    try:
+        header, *rows = csv.reader(io.StringIO(data.decode()))
+    except (ValueError, csv.Error):
+        return None
+    if len(header) < 2:
+        return None
+    name = lambda j: header[j] if j < len(header) else f"column {j + 1}"
+    return {f"row {i} {name(j)}": value
+            for i, row in enumerate(rows, 1) for j, value in enumerate(row)}
+
+
+def _field_changes(parent: bytes, change: bytes) -> list[str]:
+    """Up to SHOWN_FIELDS lines ``path: parent -> change``, one per differing field."""
+    old, new = _fields(parent), _fields(change)
+    if old is None or new is None:
+        return []
+    paths = [path for path in {**old, **new} if old.get(path) != new.get(path)]
+    lines = [f"    {path}: {old.get(path, '(absent)')} -> {new.get(path, '(absent)')}"
+             for path in paths[:SHOWN_FIELDS]]
+    if len(paths) > SHOWN_FIELDS:
+        lines.append(f"    ... and {len(paths) - SHOWN_FIELDS} more fields")
+    return lines
+
+
 def _differences(case_name, parent, change):
-    (runs_p, files_p), (runs_c, files_c) = parent, change
-    items = []  # (label, identical)
+    """Each output's (label, identical, lines naming its changed fields)."""
+    (runs_p, files_p, dir_p), (runs_c, files_c, dir_c) = parent, change
+    items = []
     for name in runs_p:
         (rc_p, out_p, err_p), (rc_c, out_c, err_c) = runs_p[name], runs_c[name]
         what = [f"exit {rc_p} != {rc_c}"] if rc_p != rc_c else []
         what += ["stdout"] if out_p != out_c else []
         what += ["stderr"] if err_p != err_c else []
-        items.append((f"{case_name} {name}: {', '.join(what)}", not what))
+        fields = _field_changes(out_p, out_c) if out_p != out_c else []
+        items.append((f"{case_name} {name}: {', '.join(what)}", not what, fields))
     for path in sorted(files_p.keys() | files_c.keys()):
         same = files_p.get(path) == files_c.get(path)
         missing = "missing in parent" if path not in files_p else "missing in change"
-        detail = "content" if path in files_p and path in files_c else missing
-        items.append((f"{case_name} file {path}: {detail}", same))
+        both = path in files_p and path in files_c
+        fields = []
+        if both and not same:
+            fields = _field_changes((dir_p / path).read_bytes(), (dir_c / path).read_bytes())
+        items.append((f"{case_name} file {path}: {'content' if both else missing}", same, fields))
     return items
 
 
@@ -283,20 +335,27 @@ def main(argv=None) -> int:
             case, pristine = tmp / "work" / case_name, tmp / "pristine" / case_name
             case.mkdir(parents=True)
             commands = setup(case)
-            shutil.copytree(case, pristine)
+            pristine.parent.mkdir(exist_ok=True)
+            shutil.move(case, pristine)
             outputs = []
             for version, src in versions.items():
-                shutil.rmtree(case)
                 shutil.copytree(pristine, case)
-                outputs.append(_run(src, tmp / f"pycache-{version}", case, commands))
+                runs, files = _run(src, tmp / f"pycache-{version}", case, commands)
+                # kept until compared, so that a changed file can be read
+                kept = tmp / "runs" / version / case_name
+                kept.parent.mkdir(parents=True, exist_ok=True)
+                shutil.move(case, kept)
+                outputs.append((runs, files, kept))
             case_items = _differences(case_name, *outputs)
-            for label, same in case_items:
+            for label, same, fields in case_items:
                 if not same:
-                    print(f"DIFF {label}")
-            print(f"{case_name}: {sum(same for _, same in case_items)} of {len(case_items)} identical",
-                  flush=True)
+                    print(f"DIFF {label}", *fields, sep="\n")
+            print(f"{case_name}: {sum(same for _, same, _ in case_items)} of {len(case_items)} "
+                  "identical", flush=True)
             items += case_items
-    same = sum(same for _, same in items)
+            for _, _, kept in outputs:
+                shutil.rmtree(kept)
+    same = sum(same for _, same, _ in items)
     print(f"{same} of {len(items)} identical")
     return 0 if same == len(items) else 1
 
