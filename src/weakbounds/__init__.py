@@ -42,7 +42,6 @@ _EXPORTS = {
         "SignatureTable",
         "cell_table",
         "cells_from_counts",
-        "center_columns",
         "check_covers",
         "encode_signatures",
     ),
@@ -75,11 +74,9 @@ _EXPORTS = {
     "objective": (
         "check_epsilon",
         "default_epsilon",
-        "eval_objective",
         "gradient",
         "hessian",
         "minimized_value",
-        "per_cell_objective",
     ),
     "oracle": (
         "OracleResult",

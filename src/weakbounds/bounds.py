@@ -8,16 +8,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import CellTable, center_columns
+from .domain import CellTable
 from .errors import InsufficientSampleError
-from .objective import (
-    check_epsilon,
-    default_epsilon,
-    gradient,
-    hessian,
-    minimized_value,
-    per_cell_objective,
-)
+from .objective import check_epsilon, default_epsilon, gradient, hessian, minimized_value
 from .solver import SolveReport, minimize
 
 
@@ -40,7 +33,7 @@ class Side(enum.Enum):
 class BoundEstimate(NamedTuple):
     side: Side
     value: float
-    optimizer: np.ndarray  # centered |Y|-by-|Z| dual matrix
+    optimizer: np.ndarray  # |Y|-by-|Z| dual matrix; its columns sum to zero up to rounding
     plugin_std: float
     n: int
     report: SolveReport
@@ -56,7 +49,8 @@ class ConfidenceInterval(NamedTuple):
 def plugin_std(cells, values) -> float:
     """Sample standard deviation (divisor n-1) of the per-sample dual values.
 
-    ``values`` holds the dual value of each cell, as ``per_cell_objective`` gives it.
+    ``values`` holds the dual value of each cell, as ``minimized_value``'s
+    evaluation gives it.
     The deviations are divided by the power of two just above their largest
     magnitude before they are squared, so that no square overflows. Such a
     scaling is exact, and so the std is the one of the unscaled squares
@@ -188,20 +182,19 @@ def solve_bounds(
     # eps term keeps a G of all zeros from freezing the iterate.
     max_step = np.repeat([2.0 * cells.sup_norm + epsilon for cells in sides], widths)
     ridge = _newton_ridge(stacked, epsilon)
-    a_hat, columns = minimize(
+    # Both starts have zero column sums, and the ridge keeps every Newton step
+    # orthogonal to the all-ones vector, so the optimizer keeps them up to
+    # rounding and needs no centring.
+    a_hat, columns, (values, _) = minimize(
         lambda a: minimized_value(stacked, a, epsilon),
-        lambda weights: gradient(stacked, weights),
-        lambda weights: hessian(stacked, weights, epsilon) + ridge,
+        lambda evaluation: gradient(stacked, evaluation),
+        lambda evaluation: hessian(stacked, evaluation, epsilon) + ridge,
         a0,
         max_step,
     )
-    # shift invariance keeps the value; report the zero-column-sum optimizer,
-    # which a closed form that takes no step already is, to the bit.
-    a_hat = center_columns(a_hat)
-    # A cell's value and a column's mean do not depend on what is stacked
-    # beside them, so one pass gives each side its own values: the cells of
-    # its signatures.
-    values = per_cell_objective(stacked, a_hat, epsilon)
+    # The solve's last evaluation holds each cell's value at the optimizer. A
+    # cell's value does not depend on what is stacked beside it, so each side
+    # takes its own values, the cells of its signatures, with no further pass.
     per_side = np.split(values, np.searchsorted(stacked.z, starts[1:-1]))
     uppers = []
     for cells, start, width, mine in zip(sides, starts, widths, per_side):

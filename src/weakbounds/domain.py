@@ -275,13 +275,3 @@ def cell_table(data: DatasetView, model: LabelModel, G: GMatrix) -> CellTable:
     keys, counts = np.unique(data.z_ids * num_rows + G.rows, return_counts=True)
     z, rows = np.divmod(keys, num_rows)
     return cells_from_counts(z, rows, counts, G.costs, model)
-
-
-def center_columns(a: np.ndarray) -> np.ndarray:
-    """Project dual variables onto zero-column-sum form by removing column means.
-
-    The dual objective is invariant to per-column shifts, so this leaves its
-    value unchanged. Idempotent.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    return a - a.mean(axis=0, keepdims=True)

@@ -15,9 +15,10 @@ its Hessian is block diagonal: one |Y|-by-|Y| block per signature.
 
 An evaluation holds the shifted costs class-major, as a |Y|-by-cells array, and
 makes one soft-max pass over it. ``minimized_value`` returns that pass's
-weights beside the shares; ``gradient`` and ``hessian`` take those weights and
-only sum them per signature, so a Newton iteration computes weights once per
-value evaluation.
+per-cell values and weights beside the shares; ``gradient`` and ``hessian``
+take that evaluation and only sum its weights per signature, so a Newton
+iteration computes weights once per value evaluation, and the solve's last
+evaluation gives each cell's value at the optimizer.
 """
 
 from __future__ import annotations
@@ -68,16 +69,6 @@ def _soft_pass(cells: CellTable, a, epsilon) -> tuple[np.ndarray, np.ndarray]:
     return soft - per_z[cells.z], t
 
 
-def per_cell_objective(cells: CellTable, a, epsilon) -> np.ndarray:
-    """The smoothed dual value of each cell's samples; their mass-weighted sum is the objective."""
-    return _soft_pass(cells, a, epsilon)[0]
-
-
-def eval_objective(cells, a, epsilon) -> float:
-    """Mean smoothed dual value over the sample."""
-    return float(cells.mass @ per_cell_objective(cells, a, epsilon))
-
-
 def _by_signature(z: np.ndarray, values: np.ndarray, num_z: int) -> np.ndarray:
     # row r of the result sums row r of ``values`` (one entry per cell) over
     # each signature's cells, in cell order, as bincount does
@@ -86,24 +77,25 @@ def _by_signature(z: np.ndarray, values: np.ndarray, num_z: int) -> np.ndarray:
     return sums.reshape(len(values), num_z)
 
 
-def gradient(cells, weights) -> np.ndarray:
-    """Exact gradient of ``minimized_value`` at the ``a`` whose ``weights`` it returned.
+def gradient(cells, evaluation) -> np.ndarray:
+    """Exact gradient of ``minimized_value`` at the ``a`` whose ``evaluation`` it returned.
 
     Each column sums to zero, since every weight column and label-model row does.
     """
     # per class and signature, the mass-weighted sum of the weights
-    sums = _by_signature(cells.z, cells.mass * weights, len(cells.z_mass))
+    sums = _by_signature(cells.z, cells.mass * evaluation[1], len(cells.z_mass))
     return sums - cells.z_mass * cells.label_model.T
 
 
-def hessian(cells, weights, epsilon) -> np.ndarray:
+def hessian(cells, evaluation, epsilon) -> np.ndarray:
     """Exact Hessian of ``minimized_value`` as a (|Z|, |Y|, |Y|) stack of blocks.
 
-    ``weights`` are as for ``gradient``. Block z is
+    ``evaluation`` is as for ``gradient``. With w its weights, block z is
     ``sum_{c: z_c = z} mass_c (diag w_c - w_c w_c^T) / eps``. It is positive
     semidefinite with the all-ones vector in its null space, and all zero for a
     signature absent from the sample.
     """
+    weights = evaluation[1]
     num_y, num_z = len(weights), len(cells.z_mass)
     ys, xs = np.nonzero(np.arange(num_y)[:, None] < np.arange(num_y))  # pairs y < x
     outer = np.zeros((num_y, num_y, num_z))
@@ -117,14 +109,16 @@ def hessian(cells, weights, epsilon) -> np.ndarray:
     return blocks.transpose(2, 0, 1) / epsilon
 
 
-def minimized_value(cells, a, epsilon) -> tuple[np.ndarray, np.ndarray]:
-    """What the solver minimizes: each signature's share of the objective, and the weights.
+def minimized_value(cells, a, epsilon) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """What the solver minimizes: each signature's share of the objective, and the evaluation.
 
     The share of signature z is the mass-weighted sum of its cells' values, so
     the shares add up to the objective and each depends on column z of ``a``
-    alone; each share is convex. The soft-max weights of this evaluation are
-    what gradient() and hessian() take for the exact derivatives of the shares'
-    sum at ``a``.
+    alone; each share is convex. The evaluation is the pair (per-cell values,
+    |Y|-by-cells soft-max weights) of the pass at ``a``: the values' mass-weighted
+    sum is the objective, and the weights are what gradient() and hessian()
+    read for the exact derivatives of the shares' sum at ``a``.
     """
-    values, weights = _soft_pass(cells, a, epsilon)
-    return np.bincount(cells.z, weights=cells.mass * values, minlength=a.shape[1]), weights
+    evaluation = _soft_pass(cells, a, epsilon)
+    shares = np.bincount(cells.z, weights=cells.mass * evaluation[0], minlength=a.shape[1])
+    return shares, evaluation

@@ -32,8 +32,8 @@ ARMIJO = 1e-4
 MAX_BACKTRACKS = 60
 # A predicted decrease below this fraction of |f| is lost in the rounding of f
 # itself (a mass-weighted sum over a column's cells), so the Armijo test cannot
-# see it. Such a step is accepted when it shrinks the column's gradient sup-norm
-# instead.
+# see it: it would pass any step that leaves f as it is. Such a step is accepted
+# only when it shrinks the column's gradient sup-norm.
 ROUNDING_FLOOR = 1e-13
 
 
@@ -41,7 +41,7 @@ class SolveReport(NamedTuple):
     iterations: int
     final_gradient_norm: float
     converged: bool
-    optimizer_sup_norm: float = 0.0  # bounds sets it for the column-centred optimizer
+    optimizer_sup_norm: float = 0.0  # bounds sets it for the returned optimizer
 
 
 class ColumnReport(NamedTuple):
@@ -84,7 +84,7 @@ def minimize(
     hess_fn: Callable[[Any], np.ndarray],
     a0: np.ndarray,
     max_step: float | np.ndarray = np.inf,
-) -> tuple[np.ndarray, ColumnReport]:
+) -> tuple[np.ndarray, ColumnReport, Any]:
     """Minimize a sum of smooth convex functions, one per column of a (k, m) matrix, from ``a0``.
 
     ``value_fn(a)`` returns the m column values at ``a`` and a state of that
@@ -92,9 +92,10 @@ def minimize(
     ``hess_fn(state)`` the (m, k, k) stack of positive definite Hessian blocks
     at the evaluated point. No column moves by more than its ``max_step`` (sup
     norm; a scalar or one per column) in one iteration. Returns the last
-    accepted iterate and a report per column; a column has converged when its
-    gradient sup-norm at that iterate is within the tolerance, so an exhausted
-    budget or a step no backtracking can accept leaves it unconverged.
+    accepted iterate, a report per column and the state of the evaluation at
+    that iterate; a column has converged when its gradient sup-norm at that
+    iterate is within the tolerance, so an exhausted budget or a step no
+    backtracking can accept leaves it unconverged.
     """
     a = np.array(a0, dtype=np.float64)
     if not np.all(np.isfinite(a)):
@@ -138,8 +139,9 @@ def minimize(
             trial = a + t * step
             f_trial, trial_state = value(trial)
             g_trial = None
-            ok = f_trial <= f + ARMIJO * t * slope
-            floor = pending & ~ok & (-t * slope <= ROUNDING_FLOOR * np.abs(f))
+            lost = -t * slope <= ROUNDING_FLOOR * np.abs(f)
+            ok = ~lost & (f_trial <= f + ARMIJO * t * slope)
+            floor = pending & lost
             if floor.any():
                 g_trial = grad(trial_state)
                 ok |= floor & (_sup(g_trial) < gnorm)
@@ -160,4 +162,4 @@ def minimize(
         a, f, g, state = trial, f_trial, g_trial, trial_state
         gnorm = _sup(g)
 
-    return a, ColumnReport(column_iterations=iterations, column_gradient_norms=gnorm)
+    return a, ColumnReport(column_iterations=iterations, column_gradient_norms=gnorm), state

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from weakbounds import DatasetView, GMatrix, LabelModel
+from weakbounds import DatasetView, GMatrix, LabelModel, minimized_value
 
 
 def g_values(G):
@@ -38,6 +38,16 @@ def negated(cells, a):
     and what the solver minimizes for it is that objective itself.
     """
     return cells._replace(costs=-cells.costs), -a
+
+
+def cell_values(cells, a, epsilon):
+    """The smoothed dual value of each cell at ``a``: the values of an evaluation."""
+    return minimized_value(cells, a, epsilon)[1][0]
+
+
+def objective_value(cells, a, epsilon) -> float:
+    """The objective at ``a``: the mass-weighted sum of its cells' values."""
+    return float(cells.mass @ cell_values(cells, a, epsilon))
 
 
 def per_sample_g(values):

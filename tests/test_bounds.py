@@ -24,27 +24,34 @@ from weakbounds import (
     count_label_model,
     default_epsilon,
     estimate_bounds,
-    eval_objective,
     exact_bounds,
     generate_synthetic,
     gradient,
     minimized_value,
-    per_cell_objective,
     plugin_std,
     positive_margins,
     threshold_sweep,
 )
-from weakbounds import bounds, solver
+from weakbounds import bounds, objective, solver
 from weakbounds.oracle import transport_binary
 from weakbounds.synth import population
-from conftest import g_values, negated, per_sample_g, random_instance, soft_max, two_point_instance
+from conftest import (
+    cell_values,
+    g_values,
+    negated,
+    objective_value,
+    per_sample_g,
+    random_instance,
+    soft_max,
+    two_point_instance,
+)
 
 TIGHT = 1e-3 / math.log(2)
 
 
 def std_at(cells, a, epsilon):
     """The plug-in std of the per-cell dual values at ``a``."""
-    return plugin_std(cells, per_cell_objective(cells, a, epsilon))
+    return plugin_std(cells, cell_values(cells, a, epsilon))
 
 
 class TestEstimateBounds:
@@ -79,10 +86,19 @@ class TestEstimateBounds:
         assert 0.4 - cap <= hi.value <= 0.4 + 1e-6
 
     def test_optimizer_columns_sum_to_zero(self, rng):
-        data, model, G = random_instance(rng, num_classes=3)
-        lo, hi = estimate_bounds(cell_table(data, model, G))
-        for est in (lo, hi):
-            assert np.abs(est.optimizer.sum(axis=0)).max() <= 1e-9
+        # both starts have zero column sums and the ridge keeps each Newton
+        # step orthogonal to the all-ones vector, so only rounding moves them
+        tables = {k: [] for k in (2, 3, 4)}
+        for _ in range(60):
+            k = int(rng.integers(2, 5))
+            tables[k].append(cell_table(*random_instance(rng, num_classes=k, num_sig_max=8)))
+        for k, group in tables.items():
+            for epsilon in (default_epsilon(k), 1e-3 / math.log(k)):
+                for pair in bounds.solve_bounds(group, epsilon):
+                    for est in pair:
+                        a = est.optimizer
+                        scale = max(1.0, np.abs(a).max(initial=0.0))
+                        assert np.abs(a.sum(axis=0)).max(initial=0.0) <= 1e-12 * scale
 
     def test_reported_value_reproducible_from_optimizer(self, rng):
         data, model, G = random_instance(rng)
@@ -90,9 +106,9 @@ class TestEstimateBounds:
         lo, hi = estimate_bounds(cell_table(data, model, G), epsilon)
         cells = cell_table(data, model, G)
         assert lo.value == pytest.approx(
-            -eval_objective(*negated(cells, lo.optimizer), epsilon), abs=1e-12
+            -objective_value(*negated(cells, lo.optimizer), epsilon), abs=1e-12
         )
-        assert hi.value == pytest.approx(eval_objective(cells, hi.optimizer, epsilon), abs=1e-12)
+        assert hi.value == pytest.approx(objective_value(cells, hi.optimizer, epsilon), abs=1e-12)
 
     def test_invariant_to_sample_permutation(self, rng):
         data, model, G = random_instance(rng, n_max=40)
@@ -426,18 +442,26 @@ class TestStackedSolve:
             sides = ((lo, negated(cells, lo.optimizer), -1.0), (hi, (cells, hi.optimizer), 1.0))
             for est, (c, a), sign in sides:
                 # the same bits as evaluating this side alone at its optimizer
-                assert est.value == sign * eval_objective(c, a, epsilon)
-                assert est.plugin_std == plugin_std(c, per_cell_objective(c, a, epsilon))
+                assert est.value == sign * objective_value(c, a, epsilon)
+                assert est.plugin_std == plugin_std(c, cell_values(c, a, epsilon))
 
-    def test_finishing_makes_one_pass(self, rng, monkeypatch):
-        passes = []
-        counted = lambda *args: passes.append(args) or per_cell_objective(*args)
-        monkeypatch.setattr(bounds, "per_cell_objective", counted)
+    def test_finishing_makes_no_pass(self, rng, monkeypatch):
+        passes, at_return = [], []
+        soft_pass, solve = objective._soft_pass, bounds.minimize
+
+        def counted(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            at_return.append(len(passes))
+            return out
+
+        monkeypatch.setattr(objective, "_soft_pass", lambda *args: passes.append(args) or soft_pass(*args))
+        monkeypatch.setattr(bounds, "minimize", counted)
         tables = [cell_table(*random_instance(rng, num_classes=3)) for _ in range(4)]
         assert len(bounds.solve_bounds(tables)) == 4
-        assert len(passes) == 1
-        # over every side's cells at once
-        assert len(passes[0][0].z) == 2 * sum(len(cells.z) for cells in tables)
+        # one solve over every side's cells at once, whose last evaluation
+        # finishes every side: no soft-max pass after it
+        assert at_return == [len(passes)]
+        assert len(passes[-1][0].z) == 2 * sum(len(cells.z) for cells in tables)
 
     def test_no_problems_no_pairs(self):
         assert bounds.solve_bounds([]) == []

@@ -482,7 +482,7 @@ class TestEstimate:
         entry = json.loads(out.read_text())["metrics"]["risk"]
         assert entry["lower"] <= entry["upper"]
 
-    def test_risk_of_huge_losses_has_finite_stds(self, tmp_path, recwarn):
+    def test_risk_of_huge_losses_has_finite_stds(self, tmp_path, recwarn, capsys):
         # squared deviations of ~1e200 overflow a float; the stds and CIs stay
         # finite, and the file is JSON without Infinity
         data, model = tmp_path / "d.csv", tmp_path / "m.json"
@@ -491,6 +491,7 @@ class TestEstimate:
         loss = tmp_path / "loss.json"
         loss.write_text("[[0, 1e200], [1e200, 0]]")
         out = tmp_path / "r.json"
+        capsys.readouterr()
         assert run("estimate", "--data", str(data), "--label-model", str(model),
                    "--metric", "risk", "--loss-table", str(loss), "--out", str(out)) == 0
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -498,6 +499,15 @@ class TestEstimate:
         assert 1e198 < entry["lower_std"] < 1e201 and 1e198 < entry["upper_std"] < 1e201
         assert entry["ci_lower"][0] < entry["lower"] < entry["ci_lower"][1]
         assert entry["ci_upper"][0] < entry["upper"] < entry["ci_upper"][1]
+        # no column meets the gradient test at these costs, and no Newton step
+        # changes a share past its rounding or shrinks a gradient: both sides
+        # stall at their closed-form start, not after the whole budget, and warn
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 2
+        for side, line in zip(("lower", "upper"), warnings):
+            assert line.startswith(f"warning: risk, {side} bound: ")
+            assert "did not converge (0 iterations" in line
+            assert entry["solver"][side]["iterations"] == 0
 
 
 class TestSweep:

@@ -14,7 +14,6 @@ from weakbounds import (
     MetricSpec,
     SynthSpec,
     cell_table,
-    center_columns,
     check_covers,
     encode_signatures,
 )
@@ -190,29 +189,3 @@ class TestCheckCovers:
         check_covers(DatasetView(n=2, z_ids=np.array([0, 1])), model)
         with pytest.raises(CoverageError, match="beyond the label model's coverage"):
             check_covers(DatasetView(n=2, z_ids=np.array([0, 2])), model)
-
-
-class TestCenterColumns:
-    def test_two_four_column(self):
-        out = center_columns(np.array([[2.0], [4.0]]))
-        assert out.ravel() == pytest.approx([-1.0, 1.0])
-
-    def test_zero_matrix_unchanged(self):
-        a = np.zeros((3, 2))
-        assert np.array_equal(center_columns(a), a)
-
-    def test_already_centered_unchanged(self):
-        a = np.array([[1.0], [-1.0]])
-        assert center_columns(a) == pytest.approx(a)
-
-    @given(
-        st.integers(2, 4),
-        st.integers(1, 4),
-        st.integers(0, 2**31 - 1),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_idempotent_and_zero_sum(self, ny, nz, seed):
-        a = np.random.default_rng(seed).normal(size=(ny, nz))
-        c = center_columns(a)
-        assert np.abs(c.sum(axis=0)).max() <= 1e-9
-        assert center_columns(c) == pytest.approx(c, abs=1e-12)

@@ -9,17 +9,23 @@ from weakbounds import (
     DatasetView,
     LabelModel,
     cell_table,
-    center_columns,
     check_epsilon,
     default_epsilon,
     estimate_bounds,
-    eval_objective,
     gradient,
     hessian,
     minimized_value,
-    per_cell_objective,
 )
-from conftest import g_values, negated, per_sample_g, random_instance, soft_max, two_point_instance
+from conftest import (
+    cell_values,
+    g_values,
+    negated,
+    objective_value,
+    per_sample_g,
+    random_instance,
+    soft_max,
+    two_point_instance,
+)
 
 
 class TestSmoothingConfig:
@@ -93,8 +99,8 @@ class TestEvalObjective:
         cells = cell_table(data, model, per_sample_g(np.zeros_like(g_values(G))))
         a = np.zeros((model.num_classes, model.num_signatures))
         epsilon = default_epsilon(2)
-        assert -eval_objective(*negated(cells, a), epsilon) == pytest.approx(0.0)
-        assert eval_objective(cells, a, epsilon) == pytest.approx(0.0)
+        assert -objective_value(*negated(cells, a), epsilon) == pytest.approx(0.0)
+        assert objective_value(cells, a, epsilon) == pytest.approx(0.0)
 
     def test_one_hot_model_zero_a_upper_closed_form(self):
         # binary, deterministic Y|Z: at a=0 the upper objective is the
@@ -110,7 +116,7 @@ class TestEvalObjective:
                 for r in g_values(G)
             ]
         )
-        got = eval_objective(cell_table(data, model, G), a, epsilon)
+        got = objective_value(cell_table(data, model, G), a, epsilon)
         assert got == pytest.approx(float(expect), abs=1e-10)
 
     def test_shift_invariance(self, rng):
@@ -120,8 +126,8 @@ class TestEvalObjective:
             shift = rng.normal(size=(1, cells.z_mass.size))
             epsilon = default_epsilon(3)
             for side in BOTH_SIDES:
-                v0 = eval_objective(*side(cells, a), epsilon)
-                v1 = eval_objective(*side(cells, a + shift), epsilon)
+                v0 = objective_value(*side(cells, a), epsilon)
+                v1 = objective_value(*side(cells, a + shift), epsilon)
                 assert v1 == pytest.approx(v0, abs=1e-12)
 
     def test_per_sample_sandwich_vs_hard_extreme(self, rng):
@@ -134,11 +140,11 @@ class TestEvalObjective:
             shifted = cells.costs + a.T[cells.z]
             lm = np.einsum("zy,yz->z", model.table, a)[cells.z]
             cap = epsilon * math.log(3)
-            lo = -per_cell_objective(*negated(cells, a), epsilon)
+            lo = -cell_values(*negated(cells, a), epsilon)
             hard_lo = shifted.min(axis=1) - lm
             assert np.all(lo >= hard_lo - 1e-9)
             assert np.all(lo <= hard_lo + cap + 1e-9)
-            hi = per_cell_objective(cells, a, epsilon)
+            hi = cell_values(cells, a, epsilon)
             hard_hi = shifted.max(axis=1) - lm
             assert np.all(hi <= hard_hi + 1e-9)
             assert np.all(hi >= hard_hi - cap - 1e-9)
@@ -152,7 +158,7 @@ class TestPenalized:
         a = rng.normal(size=(2, cells.z_mass.size))
         epsilon = default_epsilon(2)
         for side in BOTH_SIDES:
-            assert shares_at(*side(cells, center_columns(a)), epsilon) == pytest.approx(
+            assert shares_at(*side(cells, a - a.mean(axis=0)), epsilon) == pytest.approx(
                 shares_at(*side(cells, a), epsilon), abs=1e-12
             )
 
@@ -272,8 +278,8 @@ class TestMinimizedValue:
         a = rng.normal(size=(2, cells.z_mass.size))
         epsilon = default_epsilon(2)
         shares = shares_at(cells, a, epsilon)
-        assert np.array_equal(shares, _shares(cells, a, per_cell_objective(cells, a, epsilon)))
-        assert shares.sum() == pytest.approx(eval_objective(cells, a, epsilon), abs=1e-15)
+        assert np.array_equal(shares, _shares(cells, a, cell_values(cells, a, epsilon)))
+        assert shares.sum() == pytest.approx(objective_value(cells, a, epsilon), abs=1e-15)
 
     def test_lower_is_negated_objective(self, rng):
         cells = cell_table(*random_instance(rng))
@@ -345,8 +351,8 @@ class TestClassMajorKernels:
             for c, x in (side(cells, a) for side in BOTH_SIDES):
                 ref = _row_major_reference(c, x, epsilon)
                 got = (
-                    per_cell_objective(c, x, epsilon),
-                    eval_objective(c, x, epsilon),
+                    cell_values(c, x, epsilon),
+                    objective_value(c, x, epsilon),
                     gradient_at(c, x, epsilon),
                     hessian_at(c, x, epsilon),
                 )

@@ -28,7 +28,7 @@ def quadratic(center):
 class TestMinimize:
     def test_quadratic_reaches_analytic_minimizer(self):
         value, grad, hess = quadratic(3.0)
-        a, report = minimize(value, grad, hess, np.zeros((4, 3)))
+        a, report, _ = minimize(value, grad, hess, np.zeros((4, 3)))
         assert a == pytest.approx(np.full((4, 3), 3.0), abs=1e-12)
         assert report.converged
         assert report.final_gradient_norm <= 1e-8
@@ -37,13 +37,13 @@ class TestMinimize:
     def test_quadratic_iteration_budget_is_tight(self):
         rng = np.random.default_rng(0)
         value, grad, hess = quadratic(rng.normal(size=(3, 4)))
-        a, report = minimize(value, grad, hess, np.zeros((3, 4)))
+        a, report, _ = minimize(value, grad, hess, np.zeros((3, 4)))
         assert report.converged
         assert report.iterations == 1
 
     def test_step_cap_limits_each_column(self):
         value, grad, hess = quadratic(3.0)
-        a, report = minimize(value, grad, hess, np.zeros((2, 3)), max_step=0.5)
+        a, report, _ = minimize(value, grad, hess, np.zeros((2, 3)), max_step=0.5)
         assert report.converged
         assert report.iterations == 6  # 3 / 0.5 capped steps
 
@@ -54,17 +54,32 @@ class TestMinimize:
         monkeypatch.setattr(solver, "ROUNDING_FLOOR", 0.0)
         value, grad, hess = quadratic(3.0)
         jump = lambda a: (value(a)[0] + np.array([0.0, 100.0 * np.any(a[:, 1] != 0.0)]), a)
-        a, report = minimize(jump, grad, hess, np.zeros((2, 2)))
+        a, report, evaluation = minimize(jump, grad, hess, np.zeros((2, 2)))
         assert np.array_equal(a[:, 0], [3.0, 3.0]) and np.array_equal(a[:, 1], [0.0, 0.0])
+        # the evaluation handed back is the one at the returned iterate
+        assert np.array_equal(evaluation, a)
         assert report.column_iterations.tolist() == [1, 0]
         assert report.of([0]).converged and not report.of([1]).converged
         assert not report.converged and report.iterations == 1
+
+    def test_step_lost_in_rounding_is_no_iteration(self):
+        # column 1's value is a huge constant and its gradient a nonzero
+        # constant: every step's predicted decrease is lost in the rounding of
+        # the value, and no step shrinks the gradient, so the column stalls at
+        # its start instead of spending the budget on steps that change nothing
+        value, grad, hess = quadratic(3.0)
+        huge = lambda a: (value(a)[0] * [1.0, 0.0] + [0.0, 1e200], a)
+        constant = lambda a: np.where([True, False], grad(a), 1.0)
+        a, report, evaluation = minimize(huge, constant, hess, np.zeros((2, 2)))
+        assert np.array_equal(a[:, 1], [0.0, 0.0]) and np.array_equal(evaluation, a)
+        assert report.column_iterations.tolist() == [1, 0]
+        assert report.of([0]).converged and not report.of([1]).converged
 
     def test_zero_budget_returns_start(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 0)
         value, grad, hess = quadratic(3.0)
         a0 = np.ones((5, 1))
-        a, report = minimize(value, grad, hess, a0)
+        a, report, _ = minimize(value, grad, hess, a0)
         assert np.array_equal(a, a0)
         assert not report.converged
         assert report.iterations == 0
@@ -75,9 +90,9 @@ class TestMinimize:
         original = bounds.minimized_value
 
         def tracked(cells, a, epsilon):
-            shares, weights = original(cells, a, epsilon)
+            shares, evaluation = original(cells, a, epsilon)
             values.append(shares)
-            return shares, weights
+            return shares, evaluation
 
         monkeypatch.setattr(bounds, "minimized_value", tracked)
         lo, hi = estimate_bounds(cell_table(data, model, G))
@@ -173,8 +188,8 @@ class TestWeightReuse:
     """An iterate's gradient and Hessian read the weights of its value evaluation."""
 
     INSTANCES = [(34, 1e-3 / math.log(3)), (12345, 0.01 / math.log(3))]
-    # a rounding floor of 1 sends every trial that fails the Armijo test to the
-    # gradient test, so the solves also take gradients at trials they reject
+    # a rounding floor of 1 sends nearly every trial to the gradient test, so the
+    # solves also take gradients at trials they reject
     FLOORS = pytest.mark.parametrize("floor", [solver.ROUNDING_FLOOR, 1.0], ids=["floor", "floor-1"])
     ON_INSTANCES = pytest.mark.parametrize("seed,eps", INSTANCES, ids=["saturated", "default-eps"])
 
@@ -211,27 +226,27 @@ class TestWeightReuse:
         lo, hi = estimate_bounds(cell_table(data, model, G), eps)
         assert lo.report.iterations > 0 and hi.report.iterations > 0
         assert counts["derivatives"] > 0
-        # beyond the solve's value evaluations, one pass at the centred optimizer
-        # gives both sides their reported values and plug-in stds
-        assert counts["passes"] == counts["values"] + 1
+        # the solve's last value evaluation gives both sides their reported
+        # values and plug-in stds: no pass beyond the solve's evaluations
+        assert counts["passes"] == counts["values"]
 
     @FLOORS
     @ON_INSTANCES
     def test_reused_weights_change_no_bit(self, monkeypatch, seed, eps, floor):
         monkeypatch.setattr(solver, "ROUNDING_FLOOR", floor)
-        evaluations = []  # (cells, point, weights) of every value evaluation
+        evaluations = []  # (cells, point, evaluation) of every value evaluation
         value = bounds.minimized_value
 
         def recorded(cells, a, epsilon):
-            shares, weights = value(cells, a, epsilon)
-            evaluations.append((cells, a.copy(), weights))
-            return shares, weights
+            shares, evaluation = value(cells, a, epsilon)
+            evaluations.append((cells, a.copy(), evaluation))
+            return shares, evaluation
 
         def reading(fn):
-            def derivative(cells, weights, *args):
-                # the weights of an evaluation, handed over as they are
-                assert any(weights is w for _, _, w in evaluations)
-                return fn(cells, weights, *args)
+            def derivative(cells, evaluation, *args):
+                # an evaluation, handed over as it is
+                assert any(evaluation is e for _, _, e in evaluations)
+                return fn(cells, evaluation, *args)
 
             return derivative
 
@@ -241,6 +256,8 @@ class TestWeightReuse:
         data, model, G = random_instance(np.random.default_rng(seed), num_classes=3)
         estimate_bounds(cell_table(data, model, G), eps)
         assert evaluations
-        for cells, a, weights in evaluations:
-            # equal to a fresh evaluation's at the same point, bit for bit
-            assert np.array_equal(weights, objective.minimized_value(cells, a, eps)[1])
+        for cells, a, (values, weights) in evaluations:
+            # equal to a fresh evaluation at the same point, bit for bit
+            fresh_values, fresh_weights = objective.minimized_value(cells, a, eps)[1]
+            assert np.array_equal(values, fresh_values)
+            assert np.array_equal(weights, fresh_weights)

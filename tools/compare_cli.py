@@ -21,9 +21,11 @@ The command sets:
   sweep of all five kinds, a precision-only sweep, ``diagnose`` with and
   without an alternative label model (also for risk at a threshold and a given
   ``--epsilon``), and ``oracle`` for accuracy, joint-positive at a
-  ``--threshold`` and risk; and ``oracle`` on a ``synth --n 20000`` dataset of 8
+  ``--threshold`` and risk; ``oracle`` on a ``synth --n 20000`` dataset of 8
   labelers (accuracies ``0.8,0.7,0.65,0.75,0.6,0.7,0.68,0.72``, each abstaining
-  at 0.1);
+  at 0.1); and ``estimate --metric risk`` with loss ``[[0, 1e200], [1e200, 0]]``
+  on a ``synth --n 2000 --seed 1`` dataset, where no column meets the gradient
+  test and both sides warn that the solver did not converge;
 - ``coverage --n 2000 --replications 500 --seed 42``, and at 6 labelers
   (accuracies ``0.8,0.7,0.65,0.75,0.6,0.7``, each abstaining at 0.1) with 200
   replications, where each replication holds only the signatures it drew;
@@ -92,6 +94,7 @@ def _workload_commands(name: str, seed: int):
 
 def _cli_commands(case: Path):
     (case / "loss.json").write_text(json.dumps([[0.0, 1.0], [3.0, 0.0]]))
+    (case / "huge-loss.json").write_text(json.dumps([[0.0, 1e200], [1e200, 0.0]]))
     data = ["--data", "data.csv", "--label-model", "model.json"]
     return [
         ("synth", ["synth", "--n", "5000", "--seed", "3", "--out", "data.csv",
@@ -127,6 +130,11 @@ def _cli_commands(case: Path):
                       "--out", "k8.csv", "--model-out", "k8.json"]),
         ("oracle-k8", ["oracle", "--data", "k8.csv", "--label-model", "k8.json",
                        "--out", "oracle-k8.json"]),
+        ("synth-2000", ["synth", "--n", "2000", "--seed", "1", "--out", "small.csv",
+                        "--model-out", "small.json"]),
+        ("estimate-risk-huge", ["estimate", "--data", "small.csv", "--label-model", "small.json",
+                                "--metric", "risk", "--loss-table", "huge-loss.json",
+                                "--out", "risk-huge.json"]),
     ]
 
 
