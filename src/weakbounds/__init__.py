@@ -39,7 +39,6 @@ _EXPORTS = {
         "GMatrix",
         "LabelModel",
         "LabelSpace",
-        "SignatureTable",
         "cell_table",
         "cells_from_counts",
         "check_covers",

@@ -18,6 +18,7 @@ from .bounds import check_gamma, estimate_bounds
 from .domain import LabelSpace, cell_table
 from .errors import FormatError, NumericalError, WeakBoundsError
 from .fileio import (
+    SIG_DIGITS,
     dump_result_json,
     read_candidates,
     read_dataset_csv,
@@ -132,7 +133,7 @@ def _load_inputs(args):
 
 
 def _metric_inputs(args):
-    """The dataset, its signature table, the label model and the cost matrix G
+    """The dataset, its distinct vote tuples, the label model and the cost matrix G
     of the --metric. An option that the --metric does not read, or lacks, is
     rejected before any file is read."""
     kind = MetricKind(args.metric)
@@ -192,7 +193,7 @@ def cmd_estimate(args) -> int:
 
     metadata = {
         "n": data.n,
-        "num_signatures": table.num_signatures,
+        "num_signatures": len(table),
         "epsilon": lo.epsilon,
         "seed": args.seed,
         "label_model_score": label_model_score(cells),
@@ -236,13 +237,13 @@ def cmd_oracle(args) -> int:
         "lower": result.lower,
         "upper": result.upper,
         "per_signature": [
-            {"z": list(table.decode(z)), "lower": lo, "upper": hi}
+            {"z": list(table[z]), "lower": lo, "upper": hi}
             for z, lo, hi in result.per_signature
         ],
     }
     if args.out:
         dump_result_json(payload, args.out)
-    print(f"L={result.lower:.9g}, U={result.upper:.9g}")
+    print(f"L={result.lower:.{SIG_DIGITS}g}, U={result.upper:.{SIG_DIGITS}g}")
     return EXIT_OK
 
 

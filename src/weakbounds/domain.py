@@ -36,23 +36,6 @@ class LabelSpace:
     __setattr__ = __delattr__ = read_only
 
 
-class SignatureTable(NamedTuple):
-    """Bijection between observed weak-label tuples and dense ids 0..|Z|-1.
-
-    Ids follow first-observed order. Only tuples that actually occur in the
-    data are represented; unobserved tuples carry zero empirical mass.
-    """
-
-    signatures: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_signatures(self) -> int:
-        return len(self.signatures)
-
-    def decode(self, z_id: int) -> tuple[int, ...]:
-        return self.signatures[z_id]
-
-
 def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct rows of an n-by-K integer array in first-observed order.
 
@@ -95,10 +78,12 @@ def group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def encode_signatures(
     raw: np.ndarray | list[tuple[int, ...]],
-) -> tuple[SignatureTable, np.ndarray]:
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Map raw weak-label tuples to dense z-ids in first-observed order.
 
     ``raw`` is an n-by-K integer array or a list of n equal-length tuples.
+    Returns the tuple of distinct vote tuples, the one of z-id z at index z,
+    and each row's z-id. Only tuples that occur in ``raw`` get an id.
     """
     try:
         sigs = np.asarray(raw, dtype=np.int64)
@@ -107,8 +92,7 @@ def encode_signatures(
     if sigs.ndim != 2 or 0 in sigs.shape:
         raise FormatError("need a non-empty list of equal-length, non-empty signatures")
     first, ids = group_rows(sigs)
-    signatures = tuple(map(tuple, sigs[first].tolist()))
-    return SignatureTable(signatures=signatures), ids
+    return tuple(map(tuple, sigs[first].tolist())), ids
 
 
 class DatasetView:

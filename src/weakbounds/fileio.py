@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .domain import DatasetView, LabelModel, SignatureTable, encode_signatures, group_rows
+from .domain import DatasetView, LabelModel, encode_signatures, group_rows
 from .errors import CoverageError, FormatError
 
 if TYPE_CHECKING:  # an annotation only: importing metrics would load the solver
@@ -63,8 +63,10 @@ def dump_result_json(payload: dict, path: str | Path) -> None:
 # ---------------------------------------------------------------- dataset CSV
 
 
-def write_dataset_csv(path: str | Path, data: DatasetView, table: SignatureTable) -> None:
-    num_labelers = len(table.signatures[0])
+def write_dataset_csv(
+    path: str | Path, data: DatasetView, table: tuple[tuple[int, ...], ...]
+) -> None:
+    num_labelers = len(table[0])
     header = []
     if data.scores is not None:
         header.append("score")
@@ -83,7 +85,7 @@ def write_dataset_csv(path: str | Path, data: DatasetView, table: SignatureTable
     ).T
     first, ids = group_rows(cells)
     texts = np.array(
-        [",".join(map(str, [*row[:-1], *table.decode(row[-1])])) for row in cells[first].tolist()],
+        [",".join(map(str, [*row[:-1], *table[row[-1]]])) for row in cells[first].tolist()],
         dtype=object,
     )
     with open(path, "w") as fh:
@@ -222,7 +224,9 @@ def _read_error(
     return FormatError(f"{path}:{line}: {what}")
 
 
-def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
+def read_dataset_csv(path: str | Path) -> tuple[DatasetView, tuple[tuple[int, ...], ...]]:
+    """The dataset and the tuple of its distinct vote tuples, which
+    ``encode_signatures`` numbers in first-observed order."""
     try:
         with open(path, newline="") as fh:
             if fh.read(1) != "\ufeff":  # a UTF-8 byte order mark, as Excel writes
@@ -303,12 +307,14 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, SignatureTable]:
 # ------------------------------------------------------------ label model JSON
 
 
-def write_label_model_json(path: str | Path, model: LabelModel, table: SignatureTable) -> None:
+def write_label_model_json(
+    path: str | Path, model: LabelModel, table: tuple[tuple[int, ...], ...]
+) -> None:
     payload = {
         "num_classes": model.num_classes,
         "fallback": "error",
         "entries": [
-            {"z": list(table.decode(z)), "p": [_round_sig(float(v)) for v in model.table[z]]}
+            {"z": list(table[z]), "p": [_round_sig(float(v)) for v in model.table[z]]}
             for z in range(model.num_signatures)
         ],
     }
@@ -334,7 +340,7 @@ def _number(v) -> float:
     raise ValueError(f"{v!r} is not a number")
 
 
-def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel:
+def read_label_model_json(path: str | Path, table: tuple[tuple[int, ...], ...]) -> LabelModel:
     """Load a conditional table and align its rows to the dataset's signatures."""
     try:
         payload = json.loads(Path(path).read_text())
@@ -356,7 +362,7 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
             f"{path}: num_classes must lie in [2, {MAX_CLASSES}], got {num_classes}"
         )
 
-    num_votes = len(table.signatures[0])
+    num_votes = len(table[0])
     by_sig: dict[tuple[int, ...], list[float]] = {}
     for i, e in enumerate(entries):
         try:
@@ -382,8 +388,8 @@ def read_label_model_json(path: str | Path, table: SignatureTable) -> LabelModel
             raise FormatError(f"{path}: row for {sig} has wrong length")
         by_sig[sig] = p
 
-    rows = np.empty((table.num_signatures, num_classes))
-    for z, sig in enumerate(table.signatures):
+    rows = np.empty((len(table), num_classes))
+    for z, sig in enumerate(table):
         if sig in by_sig:
             rows[z] = by_sig[sig]
         elif fallback == "uniform":
@@ -497,7 +503,7 @@ def write_sweep_csv(path: str | Path | None, sweep: SweepTable) -> None:
 
 def count_label_model(
     data: DatasetView,
-    table: SignatureTable,
+    table: tuple[tuple[int, ...], ...],
     num_classes: int,
     smoothing_alpha: float = 0.0,
 ) -> LabelModel:
@@ -511,7 +517,7 @@ def count_label_model(
         raise FormatError(
             f"label {int(labels[np.argmax(bad)])} outside the classes 0..{num_classes - 1}"
         )
-    counts = np.zeros((table.num_signatures, num_classes))
+    counts = np.zeros((len(table), num_classes))
     np.add.at(counts, (data.z_ids, labels), 1.0)
     rows = (counts + smoothing_alpha) / (
         counts.sum(axis=1, keepdims=True) + smoothing_alpha * num_classes

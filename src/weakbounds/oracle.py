@@ -2,9 +2,10 @@
 
 The empirical problem decomposes by signature: within each z, couple the
 masses of that signature's cells with the label-model column masses at
-minimum (resp. maximum) total cost. `exact_bounds` is the one entry: it
-counts the sample's cell table, whose masses are non-negative and balance
-per signature, and hands each signature's slices of its arrays to a solver.
+minimum (resp. maximum) total cost. `exact_cell_bounds` solves one cell
+table, whose masses are non-negative and balance per signature, by handing
+each signature's slices of its arrays to a solver; `exact_bounds` first
+counts a sample's table.
 The size guard caps cells times classes, so the built-in metrics, with at
 most |Z|*|Y| cells, run at any n.
 
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import DatasetView, GMatrix, LabelModel, cell_table
+from .domain import CellTable, DatasetView, GMatrix, LabelModel, cell_table
 from .errors import NumericalError, WeakBoundsError
 
 SIZE_GUARD = 10**6
@@ -235,19 +236,24 @@ class _TransportTree:
 
 
 def exact_bounds(data: DatasetView, model: LabelModel, G: GMatrix) -> OracleResult:
-    """Exact lower/upper bounds for the empirical problem, by signature: the
-    upper bound is minus the lower bound of -G."""
-    cells = cell_table(data, model, G)
-    size = cells.mass.size * model.num_classes
+    """``exact_cell_bounds`` of the sample's cell table."""
+    return exact_cell_bounds(cell_table(data, model, G))
+
+
+def exact_cell_bounds(cells: CellTable) -> OracleResult:
+    """Exact lower/upper bounds for the problem of one cell table, by signature:
+    the upper bound is minus the lower bound of -G."""
+    num_signatures, num_classes = cells.label_model.shape
+    size = cells.mass.size * num_classes
     if size > SIZE_GUARD:
         raise TooLargeError(f"instance size {size} exceeds guard {SIZE_GUARD}")
 
-    solve = transport_binary if model.num_classes == 2 else transport_general
+    solve = transport_binary if num_classes == 2 else transport_general
     neg_costs = -cells.costs
     per_signature = []
     lower = 0.0
     upper = 0.0
-    edges = np.searchsorted(cells.z, np.arange(model.num_signatures + 1))
+    edges = np.searchsorted(cells.z, np.arange(num_signatures + 1))
     for z, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
         if start == stop:
             continue

@@ -20,7 +20,6 @@ from .domain import (
     ABSTAIN,
     DatasetView,
     LabelModel,
-    SignatureTable,
     cells_from_counts,
     encode_signatures,
     read_only,
@@ -80,7 +79,7 @@ class SynthSpec:
 
 class SynthResult(NamedTuple):
     data: DatasetView
-    table: SignatureTable
+    table: tuple[tuple[int, ...], ...]  # the distinct vote tuples; z-id z is table[z]
     model: LabelModel  # exact P(Y | Z) over observed signatures
     true_metrics: dict[str, float]
 
@@ -122,7 +121,7 @@ def generate_synthetic(spec: SynthSpec) -> SynthResult:
     preds = (scores >= spec.threshold).astype(np.int64)
 
     table, z_ids = encode_signatures(sigs)
-    model = LabelModel(table=_posterior(class_likelihoods(table.signatures, spec), spec))
+    model = LabelModel(table=_posterior(class_likelihoods(table, spec), spec))
     data = DatasetView(n=spec.n, z_ids=z_ids, scores=scores, predictions=preds, labels=y)
 
     tp = float(np.mean((preds == 1) & (y == 1)))

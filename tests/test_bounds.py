@@ -33,7 +33,7 @@ from weakbounds import (
     threshold_sweep,
 )
 from weakbounds import bounds, objective, solver
-from weakbounds.oracle import transport_binary
+from weakbounds.oracle import exact_cell_bounds
 from weakbounds.synth import population
 from conftest import (
     cell_values,
@@ -271,7 +271,7 @@ class TestSolverConvergence:
             n=1000, num_labelers=6, labeler_accuracies=(0.75,) * 6, abstain_rates=(0.3,) * 6
         )
         result = generate_synthetic(spec)
-        assert result.table.num_signatures > 300
+        assert len(result.table) > 300
         sweep = threshold_sweep(result.data, result.model, [0.4, 0.5, 0.6], ["accuracy", "f1"])
         assert len(sweep.solves) == 12
         for label, est in sweep.solves:
@@ -342,6 +342,18 @@ def _counted_cells(data, model, G):
     )
 
 
+def _population_cells(num_labelers):
+    """The accuracy cell table of coverage's population at ``num_labelers``
+    labelers, each abstaining at 0.1: every vote tuple, many of tiny mass."""
+    accuracies = (0.8, 0.7, 0.65, 0.75, 0.6, 0.7, 0.68, 0.72)[:num_labelers]
+    spec = SynthSpec(n=2000, num_labelers=num_labelers, labeler_accuracies=accuracies,
+                     abstain_rates=(0.1,) * num_labelers, seed=42)
+    mass, posterior = population(spec)
+    z, preds = np.repeat(np.arange(len(mass)), 2), np.tile([0, 1], len(mass))
+    # np.eye(2): accuracy's cost rows, one per prediction
+    return cells_from_counts(z, preds, (mass * spec.n).ravel(), np.eye(2), LabelModel(posterior))
+
+
 class TestCellTable:
     def test_counts_give_the_cells_of_each_sample(self, rng):
         # built-in G (accuracy and joint_positive; a 3-class risk) and a general
@@ -376,6 +388,17 @@ class TestCellTable:
             cap = lo.epsilon * math.log(model.num_classes)
             assert exact.lower - 1e-6 <= lo.value <= exact.lower + cap + 1e-6
             assert exact.upper - cap - 1e-6 <= hi.value <= exact.upper + 1e-6
+
+    @pytest.mark.parametrize("num_labelers", [3, 6, 8])
+    def test_population_sandwich(self, num_labelers):
+        cells = _population_cells(num_labelers)
+        assert len(cells.z_mass) == 3**num_labelers
+        exact = exact_cell_bounds(cells)
+        lo, hi = estimate_bounds(cells)
+        assert lo.report.converged and hi.report.converged
+        cap = lo.epsilon * math.log(2)
+        assert exact.lower - 1e-12 <= lo.value <= exact.lower + cap + 1e-12
+        assert exact.upper - cap - 1e-12 <= hi.value <= exact.upper + 1e-12
 
     def test_merging_cells_is_exact(self):
         # one cell per sample (rows = arange(n)) gives the same bounds, stds and
@@ -627,15 +650,6 @@ def _by_signature(cells):
             yield z, cells.label_model[z], mass, costs
 
 
-def _exact_from_cells(cells):
-    """The exact (lower, upper) bounds of a binary cell table, signature by signature."""
-    lower = upper = 0.0
-    for z, q, mass, costs in _by_signature(cells):
-        lower += transport_binary(costs, mass, cells.z_mass[z] * q)
-        upper -= transport_binary(-costs, mass, cells.z_mass[z] * q)
-    return lower, upper
-
-
 # a binary loss table whose cost gaps, 20 and -18.5, exceed 709 * eps at the
 # default eps, so exp(gap / eps) overflows a float
 WIDE_LOSS = np.array([[0.0, 20.0], [19.0, 0.5]])
@@ -675,7 +689,7 @@ class TestClosedFormBinary:
         # the lower bound is minus the upper bound of the negated costs
         negated_cells, _ = negated(cells, lo.optimizer)
         assert lo.value == pytest.approx(-_closed_form_upper(negated_cells, lo.epsilon), abs=1e-12)
-        exact_lo, exact_hi = _exact_from_cells(cells)
+        exact_lo, exact_hi, _ = exact_cell_bounds(cells)
         cap = hi.epsilon * math.log(2)
         assert exact_lo - 1e-12 <= lo.value <= exact_lo + cap + 1e-12
         assert exact_hi - cap - 1e-12 <= hi.value <= exact_hi + 1e-12
@@ -695,7 +709,8 @@ class TestClosedFormBinary:
             cells = cell_table(data, model, g)
             self._assert_matches_oracle(cells, *estimate_bounds(cells))
             exact = exact_bounds(data, model, g)
-            assert _exact_from_cells(cells) == pytest.approx((exact.lower, exact.upper), abs=1e-12)
+            want = pytest.approx((exact.lower, exact.upper), abs=1e-12)
+            assert exact_cell_bounds(cells)[:2] == want
 
     def test_edge_cases_match_closed_form(self):
         tables = list(_edge_tables(np.random.default_rng(709), 300))
@@ -761,14 +776,8 @@ class TestClosedFormBinary:
                 assert g.value == pytest.approx(w.value, rel=1e-12, abs=1e-12)
 
     def test_population_truth_is_the_closed_form(self):
-        # the smoothed truth of coverage at 8 labelers: 6561 signatures, many of
-        # them of tiny mass
-        accuracies = (0.8, 0.7, 0.65, 0.75, 0.6, 0.7, 0.68, 0.72)
-        spec = SynthSpec(n=2000, num_labelers=8, labeler_accuracies=accuracies,
-                         abstain_rates=(0.1,) * 8, seed=42)
-        mass, posterior = population(spec)
-        z, preds = np.repeat(np.arange(len(mass)), 2), np.tile([0, 1], len(mass))
-        cells = cells_from_counts(z, preds, (mass * spec.n).ravel(), np.eye(2), LabelModel(posterior))
+        # the smoothed truth of coverage at 8 labelers
+        cells = _population_cells(8)
         assert cells.z_mass.min() < 1e-6
         ((lo, hi),) = bounds.solve_bounds([cells])
         assert lo.report.converged and hi.report.converged

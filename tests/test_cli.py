@@ -703,6 +703,26 @@ class TestOracleCommand:
         assert per_signature and all(s["upper"] == 0.0 for s in per_signature)
 
 
+class TestWrittenSignatures:
+    def test_commands_write_the_csv_vote_tuples(self, tmp_path, synth_files):
+        # estimate counts the distinct wl_* tuples of the CSV, and oracle writes
+        # them in first-observed order, which is not their sorted order here
+        data, model = synth_files
+        with open(data, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        tuples = list(dict.fromkeys(
+            tuple(int(row[name]) for name in row if name.startswith("wl_")) for row in rows
+        ))
+        assert 1 < len(tuples) < len(rows) and tuples != sorted(tuples)
+        inputs = ("--data", str(data), "--label-model", str(model))
+        estimate, oracle = tmp_path / "e.json", tmp_path / "o.json"
+        assert run("estimate", *inputs, "--out", str(estimate)) == 0
+        assert run("oracle", *inputs, "--out", str(oracle)) == 0
+        assert json.loads(estimate.read_text())["metadata"]["num_signatures"] == len(tuples)
+        per_signature = json.loads(oracle.read_text())["per_signature"]
+        assert [tuple(s["z"]) for s in per_signature] == tuples
+
+
 class TestSelect:
     def test_select_from_directory(self, tmp_path, synth_files, capsys):
         data, model = synth_files

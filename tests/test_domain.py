@@ -30,17 +30,17 @@ class TestLabelSpace:
 class TestEncodeSignatures:
     def test_first_observed_ordering(self):
         table, ids = encode_signatures([(-1, 0), (1, 0), (-1, 0)])
-        assert table.signatures == ((-1, 0), (1, 0))
+        assert table == ((-1, 0), (1, 0))
         assert list(ids) == [0, 1, 0]
 
     def test_singleton(self):
         table, ids = encode_signatures([(0,)])
-        assert table.signatures == ((0,),)
+        assert table == ((0,),)
         assert list(ids) == [0]
 
     def test_all_identical(self):
         table, ids = encode_signatures([(1, 1), (1, 1), (1, 1)])
-        assert table.num_signatures == 1
+        assert len(table) == 1
         assert list(ids) == [0, 0, 0]
 
     def test_empty_rejected(self):
@@ -55,7 +55,7 @@ class TestEncodeSignatures:
         raw = [(0, 1, -1), (1, 1, 1), (0, 1, -1), (-1, -1, 0)]
         table, ids = encode_signatures(raw)
         for i, sig in enumerate(raw):
-            assert table.decode(int(ids[i])) == sig
+            assert table[int(ids[i])] == sig
 
     @given(
         st.integers(1, 40),
@@ -77,7 +77,7 @@ class TestEncodeSignatures:
         index = {}  # the per-row loop the packed key replaced
         expect = [index.setdefault(row, len(index)) for row in map(tuple, sigs.tolist())]
         assert ids.tolist() == expect
-        assert table.signatures == tuple(index)
+        assert table == tuple(index)
         assert encode_signatures(sigs.tolist())[1].tolist() == expect
 
     @pytest.mark.parametrize("k", [4, 60], ids=["counting-table", "renumbered"])

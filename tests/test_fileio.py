@@ -50,7 +50,7 @@ class TestDatasetCsv:
         path = tmp_path / "d.csv"
         write_dataset_csv(path, data, table)
         data2, table2 = read_dataset_csv(path)
-        assert table2.signatures == table.signatures
+        assert table2 == table
         assert np.array_equal(data2.z_ids, data.z_ids)
         assert data2.scores == pytest.approx(data.scores)
         assert np.array_equal(data2.predictions, data.predictions)
@@ -148,7 +148,7 @@ class TestDatasetCsv:
         path = tmp_path / "h.csv"
         path.write_text(header + "\n0,0,1\n0,1,0\n1,0,1\n1,1,0\n", encoding="utf-8")
         data, table = read_dataset_csv(path)
-        assert table.signatures == ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert table == ((0, 0), (0, 1), (1, 0), (1, 1))
         assert data.predictions.tolist() == [1, 0, 1, 0]
 
     @pytest.mark.parametrize(
@@ -255,7 +255,7 @@ class TestDatasetCsv:
         data, table = read_dataset_csv(path)
         assert data.scores.tolist() == [0.5, 0.25]
         assert data.predictions.tolist() == [1, 0]
-        assert table.signatures == ((-1, 0), (1, 1))
+        assert table == ((-1, 0), (1, 1))
 
     def test_extra_non_numeric_column_ignored(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -263,7 +263,7 @@ class TestDatasetCsv:
         data, table = read_dataset_csv(path)
         assert data.scores is None and data.labels is None
         assert data.predictions.tolist() == [1, 0]
-        assert table.signatures == ((0,), (-1,))
+        assert table == ((0,), (-1,))
 
     def test_undecodable_bytes_rejected(self, tmp_path):
         path = tmp_path / "b.csv"
@@ -307,7 +307,7 @@ class TestDatasetCsv:
         for i in range(data.n):
             row = [f"{data.scores[i]:.9g}"] if data.scores is not None else []
             row += [int(v[i]) for v in (data.predictions, data.labels) if v is not None]
-            writer.writerow(row + list(result.table.decode(int(data.z_ids[i]))))
+            writer.writerow(row + list(result.table[int(data.z_ids[i])]))
         assert path.read_text() == buf.getvalue()
 
     @pytest.mark.parametrize(
@@ -324,7 +324,7 @@ class TestDatasetCsv:
         path = tmp_path / "w.csv"
         write_dataset_csv(path, data, table)
         expect = ["score,wl_0,wl_1"] + [
-            f"{s:.9g},{','.join(map(str, table.decode(z)))}"
+            f"{s:.9g},{','.join(map(str, table[z]))}"
             for s, z in zip(scores.tolist(), z_ids.tolist())
         ]
         assert path.read_text() == "\n".join(expect) + "\n"
@@ -341,7 +341,7 @@ class TestDatasetCsv:
         path = tmp_path / "w.csv"
         write_dataset_csv(path, data, table)
         rows = [
-            ",".join(map(str, [p, *table.decode(z)]))
+            ",".join(map(str, [p, *table[z]]))
             for p, z in zip(data.predictions.tolist(), z_ids.tolist())
         ]
         if with_scores:
@@ -373,7 +373,7 @@ class TestDatasetCsv:
         path = tmp_path / "big.csv"
         write_dataset_csv(path, result.data, result.table)
         data, table = read_dataset_csv(path)
-        assert table.signatures == result.table.signatures
+        assert table == result.table
         assert np.array_equal(data.z_ids, result.data.z_ids)
         assert np.array_equal(data.predictions, result.data.predictions)
         assert np.array_equal(data.labels, result.data.labels)
@@ -397,7 +397,7 @@ class TestLabelModelJson:
         # goes value by value; 2.0 reads as the signature value 2, and 1 as 1.0
         _, table = sample_dataset()
         entries = [{"z": list(sig), "p": [0.125 * (z + 1), 1 - 0.125 * (z + 1)]}
-                   for z, sig in enumerate(table.signatures)]
+                   for z, sig in enumerate(table)]
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"num_classes": 2, "entries": entries}))
         plain = read_label_model_json(path, table).table
@@ -411,7 +411,7 @@ class TestLabelModelJson:
         _, table = sample_dataset()
         payload = {
             "num_classes": 2,
-            "entries": [{"z": list(table.signatures[0]), "p": [0.5, 0.5]}],
+            "entries": [{"z": list(table[0]), "p": [0.5, 0.5]}],
         }
         path = tmp_path / "m.json"
         path.write_text(json.dumps(payload))
@@ -423,7 +423,7 @@ class TestLabelModelJson:
         payload = {
             "num_classes": 2,
             "fallback": "uniform",
-            "entries": [{"z": list(table.signatures[0]), "p": [0.2, 0.8]}],
+            "entries": [{"z": list(table[0]), "p": [0.2, 0.8]}],
         }
         path = tmp_path / "m.json"
         path.write_text(json.dumps(payload))
@@ -436,8 +436,8 @@ class TestLabelModelJson:
         payload = {
             "num_classes": 2,
             "entries": [
-                {"z": list(table.signatures[0]), "p": [0.5, 0.5]},
-                {"z": list(table.signatures[0]), "p": [0.4, 0.6]},
+                {"z": list(table[0]), "p": [0.5, 0.5]},
+                {"z": list(table[0]), "p": [0.4, 0.6]},
             ],
         }
         path = tmp_path / "m.json"
@@ -525,7 +525,7 @@ class TestLabelModelJson:
         # no such entry matches a data signature, so the uniform fallback took
         # every row silently
         _, table = sample_dataset()
-        entries = [{"z": (list(sig) + [0])[:cut], "p": [0.5, 0.5]} for sig in table.signatures]
+        entries = [{"z": (list(sig) + [0])[:cut], "p": [0.5, 0.5]} for sig in table]
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"num_classes": 2, "fallback": "uniform", "entries": entries}))
         what = f"{path}: entry 0 has {cut} votes, the dataset 3"
@@ -544,7 +544,7 @@ class TestLabelModelJson:
         payload = {
             "num_classes": 2,
             "fallback": "uniform",
-            "entries": [{"z": list(table.signatures[0]), "p": [0.6, 0.5]}],
+            "entries": [{"z": list(table[0]), "p": [0.6, 0.5]}],
         }
         path = tmp_path / "m.json"
         path.write_text(json.dumps(payload))

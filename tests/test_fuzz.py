@@ -123,8 +123,8 @@ def test_accepted_csv_reads_as_the_csv_module_reads_it(csv_bytes):
             return
         scores, preds, labels, sigs = reference_read(path)
     assert data.n == len(sigs)
-    assert [table.decode(z) for z in data.z_ids.tolist()] == sigs
-    assert table.signatures == tuple(dict.fromkeys(sigs))
+    assert [table[z] for z in data.z_ids.tolist()] == sigs
+    assert table == tuple(dict.fromkeys(sigs))
     for got, want in ((data.predictions, preds), (data.labels, labels)):
         assert (got is None) == (want is None)
         assert want is None or got.tolist() == want

@@ -14,10 +14,11 @@ from weakbounds import (
     NumericalError,
     TooLargeError,
     build_g,
+    cell_table,
     exact_bounds,
 )
 from weakbounds import oracle
-from weakbounds.oracle import transport_binary, transport_general
+from weakbounds.oracle import exact_cell_bounds, transport_binary, transport_general
 from weakbounds.cli import main
 from conftest import g_values, per_sample_g, random_instance, two_point_instance
 
@@ -200,6 +201,17 @@ class TestTransportGeneral:
         assert not (tmp_path / "o.json").exists()
 
 
+def accuracy_or_random_instance(rng, num_classes, built_in):
+    """``random_instance``, with random predictions and accuracy's built-in G in
+    place of its per-sample G when ``built_in``."""
+    data, model, G = random_instance(rng, num_classes=num_classes)
+    if built_in:
+        preds = rng.integers(0, num_classes, data.n)
+        data = DatasetView(n=data.n, z_ids=data.z_ids, predictions=preds)
+        G = build_g(data, MetricSpec(MetricKind.ACCURACY), LabelSpace(num_classes=num_classes))
+    return data, model, G
+
+
 class TestExactBounds:
     def test_two_point_half(self):
         data, model, G = two_point_instance(0.5)
@@ -254,12 +266,7 @@ class TestExactBounds:
     def test_sides_are_exact_negations(self, rng, num_classes, built_in):
         # the lower bound of -G is minus the upper bound of G, bit for bit
         for _ in range(50):
-            data, model, G = random_instance(rng, num_classes=num_classes)
-            if built_in:
-                preds = rng.integers(0, num_classes, data.n)
-                data = DatasetView(n=data.n, z_ids=data.z_ids, predictions=preds)
-                spec = MetricSpec(MetricKind.ACCURACY)
-                G = build_g(data, spec, LabelSpace(num_classes=num_classes))
+            data, model, G = accuracy_or_random_instance(rng, num_classes, built_in)
             res = exact_bounds(data, model, G)
             neg = exact_bounds(data, model, GMatrix(-G.costs, G.rows))
             assert neg.lower == 0.0 - res.upper
@@ -283,6 +290,19 @@ class TestExactBounds:
                 pi = ipf_coupling(rng, row_mass, col_mass)
                 total += float((pi * g_values(G)[idx]).sum())
             assert res.lower - 1e-9 <= total <= res.upper + 1e-9
+
+
+class TestExactCellBounds:
+    @pytest.mark.parametrize("num_classes", [2, 3, 4, 5])
+    @pytest.mark.parametrize("built_in", [True, False], ids=["built-in", "per-sample"])
+    def test_matches_exact_bounds_bit_for_bit(self, rng, num_classes, built_in):
+        hexes = lambda res: [x.hex() for x in (res.lower, res.upper)] + [
+            (z, lo.hex(), hi.hex()) for z, lo, hi in res.per_signature
+        ]
+        for _ in range(25):
+            data, model, G = accuracy_or_random_instance(rng, num_classes, built_in)
+            want = exact_bounds(data, model, G)
+            assert hexes(exact_cell_bounds(cell_table(data, model, G))) == hexes(want)
 
 
 def test_accuracy_bounds_are_frechet_hoeffding(rng):

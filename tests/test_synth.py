@@ -117,7 +117,7 @@ class TestGenerateSynthetic:
     def test_model_rows_match_closed_form(self):
         spec = SynthSpec(n=60, seed=1)
         result = generate_synthetic(spec)
-        for z, sig in enumerate(result.table.signatures):
+        for z, sig in enumerate(result.table):
             # one labeler at a time, in Python floats
             like = [1.0 - spec.prior_y1, spec.prior_y1]
             for v, acc in zip(sig, spec.labeler_accuracies):
@@ -221,7 +221,7 @@ class TestPopulation:
         result = generate_synthetic(spec)
         # a vote tuple's row in product order over (-1, 0, 1): base 3 in vote + 1
         index = np.array([int("".join(str(v + 1) for v in sig), 3)
-                          for sig in result.table.signatures])
+                          for sig in result.table])
         cell = index[result.data.z_ids] * 2 + result.data.predictions
         freq = np.bincount(cell, minlength=mass.size) / spec.n
         se = np.sqrt(mass.ravel() * (1 - mass.ravel()) / spec.n)

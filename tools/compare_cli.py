@@ -10,7 +10,9 @@ temporary directory, which is removed at the end. Prints ``N of N identical``
 and exits 1 if any output differs. Under each differing stdout or file that
 parses as JSON or CSV it prints up to 10 differing fields, each as its path
 (``metrics.accuracy.solver.upper.iterations``, or ``row 3 upper_std`` in a CSV)
-with the parent's and the change's value.
+with the parent's and the change's value. Under each differing stderr it prints
+up to 10 lines that only one version wrote, ``- <line>`` for the parent's and
+``+ <line>`` for the change's.
 
 The command sets:
 - every command of the benchmark's ``smoothed`` and ``exact-io`` workloads, at
@@ -302,14 +304,29 @@ def _field_changes(parent: bytes, change: bytes) -> list[str]:
         return []
     paths = [path for path in {**old, **new} if old.get(path) != new.get(path)]
     lines = [f"    {path}: {old.get(path, '(absent)')} -> {new.get(path, '(absent)')}"
-             for path in paths[:SHOWN_FIELDS]]
-    if len(paths) > SHOWN_FIELDS:
-        lines.append(f"    ... and {len(paths) - SHOWN_FIELDS} more fields")
+             for path in paths]
+    return _shown(lines, "fields")
+
+
+def _line_changes(parent: bytes, change: bytes) -> list[str]:
+    """Up to SHOWN_FIELDS lines ``- <line>`` or ``+ <line>``, one per line that
+    only the parent or only the change wrote."""
+    old, new = (data.decode(errors="replace").splitlines() for data in (parent, change))
+    only = [f"    - {line}" for line in old if line not in new]
+    only += [f"    + {line}" for line in new if line not in old]
+    return _shown(only, "lines")
+
+
+def _shown(lines: list[str], unit: str) -> list[str]:
+    """The first SHOWN_FIELDS of ``lines``, then ``... and N more <unit>``."""
+    if len(lines) > SHOWN_FIELDS:
+        return lines[:SHOWN_FIELDS] + [f"    ... and {len(lines) - SHOWN_FIELDS} more {unit}"]
     return lines
 
 
 def _differences(case_name, parent, change):
-    """Each output's (label, identical, lines naming its changed fields)."""
+    """Each output's (label, identical, lines naming its changed fields and
+    the stderr lines only one version wrote)."""
     (runs_p, files_p, dir_p), (runs_c, files_c, dir_c) = parent, change
     items = []
     for name in runs_p:
@@ -318,6 +335,7 @@ def _differences(case_name, parent, change):
         what += ["stdout"] if out_p != out_c else []
         what += ["stderr"] if err_p != err_c else []
         fields = _field_changes(out_p, out_c) if out_p != out_c else []
+        fields += _line_changes(err_p, err_c) if err_p != err_c else []
         items.append((f"{case_name} {name}: {', '.join(what)}", not what, fields))
     for path in sorted(files_p.keys() | files_c.keys()):
         same = files_p.get(path) == files_c.get(path)
