@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import CellTable
-from .errors import InsufficientSampleError
+from .errors import InsufficientSampleError, NumericalError
 from .objective import check_epsilon, default_epsilon, gradient, hessian, minimized_value
 from .solver import SolveReport, minimize
 
@@ -95,7 +95,7 @@ def _stack(tables) -> CellTable:
 def _closed_form(cells, epsilon) -> np.ndarray:
     """The centred optimizer of a binary cell table whose signatures each have
     at most two cost gaps g_1 - g_0, as every built-in metric's cells do; at a
-    signature of more gaps, a start near its optimizer.
+    signature of more gaps, a start.
 
     A signature's share depends on its column only through u = (a_1 - a_0) / eps,
     and cell c weights class 1 by sigmoid(d_c + u), with d_c = (g_c1 - g_c0) / eps.
@@ -177,7 +177,12 @@ def solve_bounds(
     stacked = _stack(sides)
     a0 = np.zeros(stacked.label_model.shape[::-1])
     if len(a0) == 2:
-        a0 = _closed_form(stacked, epsilon)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a0 = _closed_form(stacked, epsilon)
+        if not np.isfinite(a0).all():
+            raise NumericalError(
+                f"start not finite: a cost gap over epsilon ({epsilon:g}) is beyond the float range"
+            )
     # A larger step overshoots when the weights saturate at small eps; the
     # eps term keeps a G of all zeros from freezing the iterate.
     max_step = np.repeat([2.0 * cells.sup_norm + epsilon for cells in sides], widths)

@@ -162,9 +162,8 @@ def _warn_unconverged(solves) -> None:
             )
 
 
-def _entry(row) -> dict:
-    """The result-file entry of one reported row."""
-    lo, hi = row.solve
+def _entry(row, lo, hi) -> dict:
+    """The result-file entry of one reported row of the solved pair ``lo``, ``hi``."""
     return {
         "lower": row.lower,
         "upper": row.upper,
@@ -206,7 +205,7 @@ def cmd_estimate(args) -> int:
         metadata.update(p_h1=p_h1, p_y1=p_y1)
     kinds = (args.metric, *PRF_KINDS)
     rows = bound_rows(lo, hi, args.metric, kinds, args.gamma, p_h1, p_y1, args.threshold)
-    metrics = {row.metric: _entry(row) for row in rows}
+    metrics = {row.metric: _entry(row, lo, hi) for row in rows}
     payload = {"metrics": metrics, "metadata": metadata}
     if args.out:
         dump_result_json(payload, args.out)
@@ -445,7 +444,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FormatError, WeakBoundsError, OSError) as exc:
+    except (WeakBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import enum
+from math import frexp, ldexp, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import BoundEstimate, solve_bounds
 from .domain import CellTable, DatasetView, LabelModel
-from .errors import CoverageError
+from .errors import CoverageError, NumericalError
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -41,10 +42,18 @@ def empirical_z_weights(data: DatasetView, num_signatures: int) -> np.ndarray:
 
 
 def informativeness_bound(g_sup: float, h_cond: float) -> float:
-    """Entropy-based cap on the exact interval width U - L."""
+    """Entropy-based cap on the exact interval width U - L, sqrt(8 g_sup^2 h_cond).
+
+    ``g_sup`` = m * 2**e is squared as m * m, which cannot overflow, and the
+    cap scaled back exactly; a cap beyond the float range raises NumericalError.
+    """
     if g_sup < 0 or h_cond < 0:
         raise ValueError("inputs must be non-negative")
-    return float(np.sqrt(8.0 * g_sup**2 * h_cond))
+    m, e = frexp(g_sup)
+    try:
+        return ldexp(sqrt(8.0 * (m * m) * h_cond), e)
+    except OverflowError:
+        raise NumericalError("informativeness bound beyond the float range") from None
 
 
 class MisspecReport(NamedTuple):

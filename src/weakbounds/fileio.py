@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import io
 import itertools
 import json
 import math
@@ -459,43 +458,23 @@ def read_candidates(
 
 
 def write_sweep_csv(path: str | Path | None, sweep: SweepTable) -> None:
-    """Write the sweep as CSV to ``path``, or to stdout if ``path`` is None."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "threshold",
-            "metric",
-            "lower",
-            "upper",
-            "lower_std",
-            "upper_std",
-            "ci_lower_lo",
-            "ci_lower_hi",
-            "ci_upper_lo",
-            "ci_upper_hi",
-        ]
+    """Write the sweep as CSV to ``path``, or to stdout if ``path`` is None.
+
+    A metric name is a plain word and every other field a float at 9
+    significant digits, so no field needs quoting: one template formats a row.
+    """
+    header = ("threshold,metric,lower,upper,lower_std,upper_std,"
+              "ci_lower_lo,ci_lower_hi,ci_upper_lo,ci_upper_hi\n")
+    row = f"%.{SIG_DIGITS}g,%s" + f",%.{SIG_DIGITS}g" * 8 + "\n"
+    text = header + "".join(
+        row % (r.threshold, r.metric, r.lower, r.upper, r.lower_std, r.upper_std,
+               r.ci_lower.low, r.ci_lower.high, r.ci_upper.low, r.ci_upper.high)
+        for r in sweep.rows
     )
-    fmt = lambda x: f"{x:.{SIG_DIGITS}g}"
-    for r in sweep.rows:
-        writer.writerow(
-            [
-                fmt(r.threshold),
-                r.metric,
-                fmt(r.lower),
-                fmt(r.upper),
-                fmt(r.lower_std),
-                fmt(r.upper_std),
-                fmt(r.ci_lower.low),
-                fmt(r.ci_lower.high),
-                fmt(r.ci_upper.low),
-                fmt(r.ci_upper.high),
-            ]
-        )
     if path is None:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(text)
     else:
-        Path(path).write_text(buf.getvalue())
+        Path(path).write_text(text)
 
 
 # ------------------------------------------------- counting label-model estimator

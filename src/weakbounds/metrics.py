@@ -143,8 +143,6 @@ class SweepRow(NamedTuple):
     ci_lower: ConfidenceInterval
     ci_upper: ConfidenceInterval
     clamped: bool = False
-    # the solved (lower, upper) pair the row derives from
-    solve: tuple[BoundEstimate, BoundEstimate] | None = None
 
 
 class SweepTable(NamedTuple):
@@ -186,7 +184,6 @@ def bound_rows(
             ci_lower=normal_interval(lo, lo_std, lower.n, gamma),
             ci_upper=normal_interval(hi, hi_std, upper.n, gamma),
             clamped=clamped,
-            solve=(lower, upper),
         )
         for name, (lo, hi, lo_std, hi_std, clamped) in intervals.items()
         if name in kinds

@@ -254,15 +254,23 @@ def exact_cell_bounds(cells: CellTable) -> OracleResult:
     lower = 0.0
     upper = 0.0
     edges = np.searchsorted(cells.z, np.arange(num_signatures + 1))
-    for z, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
-        if start == stop:
-            continue
-        row_mass = cells.mass[start:stop]
-        col_mass = cells.z_mass[z] * cells.label_model[z]
-        lo = solve(cells.costs[start:stop], row_mass, col_mass)
-        # 0.0 - v, not -v: an upper bound that is exactly zero stays +0.0
-        hi = 0.0 - solve(neg_costs[start:stop], row_mass, col_mass)
-        per_signature.append((z, lo, hi))
-        lower += lo
-        upper += hi
+    # an overflow would leave a bound infinite, NaN or, in the simplex, wrong
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for z, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
+                if start == stop:
+                    continue
+                row_mass = cells.mass[start:stop]
+                col_mass = cells.z_mass[z] * cells.label_model[z]
+                lo = solve(cells.costs[start:stop], row_mass, col_mass)
+                # 0.0 - v, not -v: an upper bound that is exactly zero stays +0.0
+                hi = 0.0 - solve(neg_costs[start:stop], row_mass, col_mass)
+                per_signature.append((z, lo, hi))
+                lower += lo
+                upper += hi
+    except FloatingPointError:
+        raise NumericalError("exact bounds beyond the float range") from None
+    # plain float arithmetic overflows to inf without an error
+    if not np.isfinite([lower, upper]).all():
+        raise NumericalError("exact bounds beyond the float range")
     return OracleResult(lower=lower, upper=upper, per_signature=tuple(per_signature))

@@ -2,6 +2,7 @@ import csv
 import gc
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -13,6 +14,8 @@ import pytest
 import weakbounds
 from weakbounds import bounds, cli, domain, metrics, solver
 from weakbounds.cli import build_parser, main
+from weakbounds.diagnostics import conditional_entropy_y, empirical_z_weights
+from weakbounds.fileio import read_dataset_csv, read_label_model_json
 
 
 def run(*argv):
@@ -825,6 +828,68 @@ class TestDiagnose:
         mis = payload["misspecification"]
         assert mis["bound_gap_lower"] <= mis["certificate"] + 1e-5
         assert mis["within_certificate"]
+
+
+class TestLossesBeyondTheFloatRange:
+    """Losses whose square, cost gap or bound leaves the float range: a finite
+    result where one exists, else exit 3 with one stderr line and no file."""
+
+    @pytest.fixture
+    def risk_args(self, tmp_path):
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        assert run("synth", "--n", "2000", "--seed", "1", "--out", str(data),
+                   "--model-out", str(model)) == 0
+        return "--data", str(data), "--label-model", str(model), "--metric", "risk"
+
+    def test_diagnose_of_huge_losses_caps_the_width(self, tmp_path, risk_args, capsys):
+        # sup|g|^2 = 1e400 overflowed a float into a traceback
+        loss, out = tmp_path / "loss.json", tmp_path / "diag.json"
+        loss.write_text("[[0, 1e200], [1e200, 0]]")
+        capsys.readouterr()
+        assert run("diagnose", *risk_args, "--loss-table", str(loss), "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads(out.read_text(), parse_constant=pytest.fail)
+        data, table = read_dataset_csv(risk_args[1])
+        model = read_label_model_json(risk_args[3], table)
+        h = conditional_entropy_y(model, empirical_z_weights(data, len(table)))
+        want = float(f"{1e200 * math.sqrt(8.0 * h):.9g}")
+        assert payload["informativeness_bound"] == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "command, loss, what",
+        [
+            ("oracle", [[-1e308, 1e308], [1e308, -1e308]], "exact bounds beyond the float range"),
+            ("estimate", [[0, 1e308], [1e308, 0]], "start not finite"),
+            ("diagnose", [[0, 1e308], [1e308, 0]], "informativeness bound beyond the float range"),
+        ],
+    )
+    def test_bound_beyond_the_float_range_is_a_numerical_failure(
+        self, tmp_path, risk_args, capsys, recwarn, command, loss, what
+    ):
+        # the oracle wrote NaN and Infinity and exited 0; the estimate's
+        # overflowing start was reported as a usage error, after numpy warnings
+        path, out = tmp_path / "loss.json", tmp_path / "r.json"
+        path.write_text(json.dumps(loss))
+        capsys.readouterr()
+        assert run(command, *risk_args, "--loss-table", str(path), "--out", str(out)) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"numerical failure: {what}")
+        assert not out.exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_alternative_model_start_beyond_the_float_range(
+        self, tmp_path, risk_args, capsys, recwarn
+    ):
+        # a cap within the float range, but the gap over epsilon is not
+        loss, alt = tmp_path / "loss.json", tmp_path / "alt.json"
+        loss.write_text("[[0, 5e307], [5e307, 0]]")
+        alt.write_text(json.dumps({"num_classes": 2, "fallback": "uniform", "entries": []}))
+        capsys.readouterr()
+        assert run("diagnose", *risk_args, "--loss-table", str(loss),
+                   "--label-model-alt", str(alt)) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure: start not finite")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestStdoutResult:

@@ -10,6 +10,7 @@ from weakbounds import (
     LabelSpace,
     MetricKind,
     MetricSpec,
+    NumericalError,
     SelectionStrategy,
     SynthSpec,
     build_g,
@@ -74,6 +75,20 @@ class TestInformativenessBound:
         assert informativeness_bound(1.0, math.log(2)) == pytest.approx(
             2.35482, abs=1e-5
         )
+
+    def test_split_sup_norm_keeps_every_small_value(self, rng):
+        # the sup-norms of the built-in metrics and the loss tables: the split
+        # square gives the bits of the plain one
+        for g_sup in (1.0, 2.0, 3.0, 0.7, 123.456):
+            for h in [0.0, math.log(2), math.log(3), *rng.uniform(0.0, 2.0, 50)]:
+                assert informativeness_bound(g_sup, h) == float(np.sqrt(8.0 * g_sup**2 * h))
+
+    def test_huge_sup_norm_does_not_overflow_its_square(self):
+        h = math.log(2)
+        assert informativeness_bound(1e200, h) == pytest.approx(1e200 * math.sqrt(8 * h),
+                                                                rel=1e-15)
+        with pytest.raises(NumericalError, match="beyond the float range"):
+            informativeness_bound(1e308, h)
 
     def test_dominates_oracle_gap(self, rng):
         for _ in range(30):

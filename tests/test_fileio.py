@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 
 import numpy as np
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakbounds import (
+    ConfidenceInterval,
     CoverageError,
     DatasetView,
     FormatError,
     LabelModel,
     count_label_model,
     dump_result_json,
+    SweepRow,
+    SweepTable,
     SynthSpec,
     encode_signatures,
     generate_synthetic,
@@ -22,6 +26,7 @@ from weakbounds import (
     read_label_model_json,
     write_dataset_csv,
     write_label_model_json,
+    write_sweep_csv,
 )
 from weakbounds.fileio import (
     _SCAN_CHUNK,
@@ -29,6 +34,7 @@ from weakbounds.fileio import (
     _first_misread_line,
     read_loss_table,
 )
+from weakbounds.metrics import SWEEP_KINDS
 
 
 def sample_dataset():
@@ -591,6 +597,46 @@ class TestResultJson:
         dump_result_json(payload, p1)
         dump_result_json(payload, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestSweepCsv:
+    HEADER = ["threshold", "metric", "lower", "upper", "lower_std", "upper_std",
+              "ci_lower_lo", "ci_lower_hi", "ci_upper_lo", "ci_upper_hi"]
+
+    @staticmethod
+    def _rows():
+        values = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e300, 1.0 / 3.0, 0.0, 5e-324]
+        rows = []
+        for i, metric in enumerate(SWEEP_KINDS):
+            # bound_rows mixes floats and numpy floats (the CIs)
+            v = [values[(i + j) % len(values)] for j in range(9)]
+            ci = lambda a, b: ConfidenceInterval(0.95, np.float64(a), np.float64(b))
+            rows.append(SweepRow(v[0], metric, v[1], v[2], v[3], v[4],
+                                 ci(v[5], v[6]), ci(v[7], v[8])))
+        return rows
+
+    def _by_csv_module(self, rows) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(self.HEADER)
+        for r in rows:
+            fields = [r.threshold, r.lower, r.upper, r.lower_std, r.upper_std,
+                      *r.ci_lower[1:], *r.ci_upper[1:]]
+            text = [f"{x:.9g}" for x in fields]
+            writer.writerow([text[0], r.metric, *text[1:]])
+        return buf.getvalue()
+
+    def test_template_matches_the_csv_module(self, tmp_path, capsys):
+        # the template writes what a csv.writer of the formatted fields writes,
+        # non-finite values, signed zeros and extreme exponents included
+        rows = self._rows()
+        want = self._by_csv_module(rows).encode()
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, SweepTable(rows=tuple(rows)))
+        assert path.read_bytes() == want
+        assert b"nan" in want and b"-inf" in want and b"-0," in want and b"1e+300" in want
+        write_sweep_csv(None, SweepTable(rows=tuple(rows)))
+        assert capsys.readouterr().out.encode() == want
 
 
 class TestCountLabelModel:

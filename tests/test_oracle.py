@@ -304,6 +304,19 @@ class TestExactCellBounds:
             want = exact_bounds(data, model, G)
             assert hexes(exact_cell_bounds(cell_table(data, model, G))) == hexes(want)
 
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_bounds_beyond_the_float_range_raise(self, rng, num_classes):
+        # at 1e308 the binary cost gaps overflow, and so do the simplex's
+        # reduced costs, which could leave a finite and wrong bound
+        data, model, G = random_instance(rng, num_classes=num_classes)
+        cells = cell_table(data, model, G)
+        base = exact_cell_bounds(cells)
+        scaled = exact_cell_bounds(cells._replace(costs=1e300 * cells.costs))
+        assert scaled.lower == pytest.approx(1e300 * base.lower, rel=1e-12)
+        assert scaled.upper == pytest.approx(1e300 * base.upper, rel=1e-12)
+        with pytest.raises(NumericalError, match="exact bounds beyond the float range"):
+            exact_cell_bounds(cells._replace(costs=1e308 * cells.costs))
+
 
 def test_accuracy_bounds_are_frechet_hoeffding(rng):
     """For the accuracy cost each signature's exact bounds have a closed form.

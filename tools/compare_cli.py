@@ -25,9 +25,14 @@ The command sets:
   ``--epsilon``), and ``oracle`` for accuracy, joint-positive at a
   ``--threshold`` and risk; ``oracle`` on a ``synth --n 20000`` dataset of 8
   labelers (accuracies ``0.8,0.7,0.65,0.75,0.6,0.7,0.68,0.72``, each abstaining
-  at 0.1); and ``estimate --metric risk`` with loss ``[[0, 1e200], [1e200, 0]]``
-  on a ``synth --n 2000 --seed 1`` dataset, where no column meets the gradient
-  test and both sides warn that the solver did not converge;
+  at 0.1); and, on a ``synth --n 2000 --seed 1`` dataset, ``estimate --metric
+  risk`` with loss ``[[0, 1e200], [1e200, 0]]``, where no column meets the
+  gradient test and both sides warn that the solver did not converge,
+  ``diagnose`` with that loss, whose squared sup-norm is beyond the float range
+  (``diagnose-risk-huge``), ``estimate`` with loss ``[[0, 1e308], [1e308, 0]]``,
+  whose closed-form start is not finite (``estimate-risk-overflow``), and
+  ``oracle`` with loss ``[[-1e308, 1e308], [1e308, -1e308]]``, whose cost gaps
+  and bounds are not finite (``oracle-risk-overflow``); the last two must exit 3;
 - ``coverage --n 2000 --replications 500 --seed 42``, and at 6 labelers
   (accuracies ``0.8,0.7,0.65,0.75,0.6,0.7``, each abstaining at 0.1) with 200
   replications, where each replication holds only the signatures it drew;
@@ -97,7 +102,12 @@ def _workload_commands(name: str, seed: int):
 def _cli_commands(case: Path):
     (case / "loss.json").write_text(json.dumps([[0.0, 1.0], [3.0, 0.0]]))
     (case / "huge-loss.json").write_text(json.dumps([[0.0, 1e200], [1e200, 0.0]]))
+    (case / "overflow-loss.json").write_text(json.dumps([[0.0, 1e308], [1e308, 0.0]]))
+    (case / "signed-overflow-loss.json").write_text(
+        json.dumps([[-1e308, 1e308], [1e308, -1e308]])
+    )
     data = ["--data", "data.csv", "--label-model", "model.json"]
+    small = ["--data", "small.csv", "--label-model", "small.json", "--metric", "risk"]
     return [
         ("synth", ["synth", "--n", "5000", "--seed", "3", "--out", "data.csv",
                    "--model-out", "model.json", "--metrics-out", "truth.json"]),
@@ -134,9 +144,14 @@ def _cli_commands(case: Path):
                        "--out", "oracle-k8.json"]),
         ("synth-2000", ["synth", "--n", "2000", "--seed", "1", "--out", "small.csv",
                         "--model-out", "small.json"]),
-        ("estimate-risk-huge", ["estimate", "--data", "small.csv", "--label-model", "small.json",
-                                "--metric", "risk", "--loss-table", "huge-loss.json",
+        ("estimate-risk-huge", ["estimate", *small, "--loss-table", "huge-loss.json",
                                 "--out", "risk-huge.json"]),
+        ("diagnose-risk-huge", ["diagnose", *small, "--loss-table", "huge-loss.json",
+                                "--out", "diagnose-risk-huge.json"]),
+        ("estimate-risk-overflow", ["estimate", *small, "--loss-table", "overflow-loss.json",
+                                    "--out", "risk-overflow.json"]),
+        ("oracle-risk-overflow", ["oracle", *small, "--loss-table", "signed-overflow-loss.json",
+                                  "--out", "oracle-risk-overflow.json"]),
     ]
 
 
