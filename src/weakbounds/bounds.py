@@ -175,28 +175,29 @@ def solve_bounds(
     widths = [len(cells.label_model) for cells in sides]
     starts = np.cumsum([0] + widths)
     stacked = _stack(sides)
-    a0 = np.zeros(stacked.label_model.shape[::-1])
-    if len(a0) == 2:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # a start or an evaluation beyond the float range is a NumericalError, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        a0 = np.zeros(stacked.label_model.shape[::-1])
+        if len(a0) == 2:
             a0 = _closed_form(stacked, epsilon)
-        if not np.isfinite(a0).all():
-            raise NumericalError(
-                f"start not finite: a cost gap over epsilon ({epsilon:g}) is beyond the float range"
-            )
-    # A larger step overshoots when the weights saturate at small eps; the
-    # eps term keeps a G of all zeros from freezing the iterate.
-    max_step = np.repeat([2.0 * cells.sup_norm + epsilon for cells in sides], widths)
-    ridge = _newton_ridge(stacked, epsilon)
-    # Both starts have zero column sums, and the ridge keeps every Newton step
-    # orthogonal to the all-ones vector, so the optimizer keeps them up to
-    # rounding and needs no centring.
-    a_hat, columns, (values, _) = minimize(
-        lambda a: minimized_value(stacked, a, epsilon),
-        lambda evaluation: gradient(stacked, evaluation),
-        lambda evaluation: hessian(stacked, evaluation, epsilon) + ridge,
-        a0,
-        max_step,
-    )
+            if not np.isfinite(a0).all():
+                raise NumericalError(
+                    f"start not finite: a cost gap over epsilon ({epsilon:g}) is beyond the float range"
+                )
+        # A larger step overshoots when the weights saturate at small eps; the
+        # eps term keeps a G of all zeros from freezing the iterate.
+        max_step = np.repeat([2.0 * cells.sup_norm + epsilon for cells in sides], widths)
+        ridge = _newton_ridge(stacked, epsilon)
+        # Both starts have zero column sums, and the ridge keeps every Newton step
+        # orthogonal to the all-ones vector, so the optimizer keeps them up to
+        # rounding and needs no centring.
+        a_hat, columns, (values, _) = minimize(
+            lambda a: minimized_value(stacked, a, epsilon),
+            lambda evaluation: gradient(stacked, evaluation),
+            lambda evaluation: hessian(stacked, evaluation, epsilon) + ridge,
+            a0,
+            max_step,
+        )
     # The solve's last evaluation holds each cell's value at the optimizer. A
     # cell's value does not depend on what is stacked beside it, so each side
     # takes its own values, the cells of its signatures, with no further pass.

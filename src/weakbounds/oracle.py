@@ -3,16 +3,16 @@
 The empirical problem decomposes by signature: within each z, couple the
 masses of that signature's cells with the label-model column masses at
 minimum (resp. maximum) total cost. `exact_cell_bounds` solves one cell
-table, whose masses are non-negative and balance per signature, by handing
-each signature's slices of its arrays to a solver; `exact_bounds` first
-counts a sample's table.
+table, whose masses are non-negative and balance per signature;
+`exact_bounds` first counts a sample's table.
 The size guard caps cells times classes, so the built-in metrics, with at
 most |Z|*|Y| cells, run at any n.
 
-Two columns are a fractional knapsack, solved greedily; more columns go to
-the transportation simplex (Dantzig 1951) in numpy and plain Python, whose
-north-west-corner start is already optimal for Monge costs such as |i - j|
-(Hoffman 1963). Neither needs an LP library.
+With two classes each signature is a fractional knapsack, and one greedy pass
+over the cells sorted by (signature, cost gap) solves them all. More classes
+go to the transportation simplex (Dantzig 1951) in numpy and plain Python,
+whose north-west-corner start is already optimal for Monge costs such as
+|i - j| (Hoffman 1963). Neither needs an LP library.
 """
 
 from __future__ import annotations
@@ -39,27 +39,6 @@ class OracleResult(NamedTuple):
     lower: float
     upper: float
     per_signature: tuple[tuple[int, float, float], ...]
-
-
-def transport_binary(costs: np.ndarray, row_mass: np.ndarray, col_mass: np.ndarray) -> float:
-    """Exact min cost for two columns by greedy fractional fill.
-
-    Rows are cells, columns classes. With two columns the problem is a
-    fractional knapsack: assign the y=1 column mass to rows in ascending
-    order of the cost difference c1 - c0.
-    """
-    diff = costs[:, 1] - costs[:, 0]
-    order = np.argsort(diff, kind="stable")
-    base = float(row_mass @ costs[:, 0])
-    remaining = float(col_mass[1])
-    total = base
-    for i in order:
-        if remaining <= 0.0:
-            break
-        take = min(remaining, float(row_mass[i]))
-        total += take * diff[i]
-        remaining -= take
-    return total
 
 
 def transport_general(costs: np.ndarray, row_mass: np.ndarray, col_mass: np.ndarray) -> float:
@@ -248,29 +227,49 @@ def exact_cell_bounds(cells: CellTable) -> OracleResult:
     if size > SIZE_GUARD:
         raise TooLargeError(f"instance size {size} exceeds guard {SIZE_GUARD}")
 
-    solve = transport_binary if num_classes == 2 else transport_general
-    neg_costs = -cells.costs
-    per_signature = []
-    lower = 0.0
-    upper = 0.0
     edges = np.searchsorted(cells.z, np.arange(num_signatures + 1))
+    present = np.flatnonzero(np.diff(edges)).tolist()
     # an overflow would leave a bound infinite, NaN or, in the simplex, wrong
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for z, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
-                if start == stop:
-                    continue
-                row_mass = cells.mass[start:stop]
-                col_mass = cells.z_mass[z] * cells.label_model[z]
-                lo = solve(cells.costs[start:stop], row_mass, col_mass)
-                # 0.0 - v, not -v: an upper bound that is exactly zero stays +0.0
-                hi = 0.0 - solve(neg_costs[start:stop], row_mass, col_mass)
-                per_signature.append((z, lo, hi))
-                lower += lo
-                upper += hi
+            if num_classes == 2:
+                lows, highs = _binary_lower(cells, cells.costs), _binary_lower(cells, -cells.costs)
+            else:
+                lows, highs = {}, {}
+                for z in present:
+                    part = slice(edges[z], edges[z + 1])
+                    col_mass = cells.z_mass[z] * cells.label_model[z]
+                    lows[z] = transport_general(cells.costs[part], cells.mass[part], col_mass)
+                    highs[z] = transport_general(-cells.costs[part], cells.mass[part], col_mass)
     except FloatingPointError:
         raise NumericalError("exact bounds beyond the float range") from None
+    # 0.0 - v, not -v: an upper bound that is exactly zero stays +0.0
+    per_signature = tuple((z, lows[z], 0.0 - highs[z]) for z in present)
+    lower = upper = 0.0
+    for _, lo, hi in per_signature:
+        lower += lo
+        upper += hi
     # plain float arithmetic overflows to inf without an error
     if not np.isfinite([lower, upper]).all():
         raise NumericalError("exact bounds beyond the float range")
-    return OracleResult(lower=lower, upper=upper, per_signature=tuple(per_signature))
+    return OracleResult(lower=lower, upper=upper, per_signature=per_signature)
+
+
+def _binary_lower(cells: CellTable, costs: np.ndarray) -> list[float]:
+    """Each signature's exact min cost over two classes, in one pass over the cells.
+
+    Per signature this is a fractional knapsack: on top of every cell's class-0
+    cost, the class-1 mass ``m_z * q_z1`` fills the cells in ascending order of
+    the cost gap ``g_1 - g_0``; a stable sort by (signature, gap) orders them all.
+    """
+    gap = costs[:, 1] - costs[:, 0]
+    order = np.lexsort((gap, cells.z))
+    total = np.bincount(cells.z, cells.mass * costs[:, 0], len(cells.z_mass)).tolist()
+    remaining = (cells.z_mass * cells.label_model[:, 1]).tolist()
+    for z, m, g in zip(cells.z[order].tolist(), cells.mass[order].tolist(), gap[order].tolist()):
+        r = remaining[z]
+        if r > 0.0:
+            take = m if m < r else r  # min(r, m) without the call
+            total[z] += take * g
+            remaining[z] = r - take
+    return total

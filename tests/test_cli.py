@@ -860,6 +860,7 @@ class TestLossesBeyondTheFloatRange:
         [
             ("oracle", [[-1e308, 1e308], [1e308, -1e308]], "exact bounds beyond the float range"),
             ("estimate", [[0, 1e308], [1e308, 0]], "start not finite"),
+            ("estimate", [[0, 2e306], [2e306, 0]], "non-finite objective value"),
             ("diagnose", [[0, 1e308], [1e308, 0]], "informativeness bound beyond the float range"),
         ],
     )
@@ -867,7 +868,8 @@ class TestLossesBeyondTheFloatRange:
         self, tmp_path, risk_args, capsys, recwarn, command, loss, what
     ):
         # the oracle wrote NaN and Infinity and exited 0; the estimate's
-        # overflowing start was reported as a usage error, after numpy warnings
+        # overflowing start was reported as a usage error, after numpy warnings,
+        # and a finite start whose first evaluation overflows also warned
         path, out = tmp_path / "loss.json", tmp_path / "r.json"
         path.write_text(json.dumps(loss))
         capsys.readouterr()

@@ -12,13 +12,16 @@ from weakbounds import (
     MetricKind,
     MetricSpec,
     NumericalError,
+    SynthSpec,
     TooLargeError,
     build_g,
     cell_table,
     exact_bounds,
+    generate_synthetic,
 )
 from weakbounds import oracle
-from weakbounds.oracle import exact_cell_bounds, transport_binary, transport_general
+from weakbounds.domain import cells_from_counts
+from weakbounds.oracle import exact_cell_bounds, transport_general
 from weakbounds.cli import main
 from conftest import g_values, per_sample_g, random_instance, two_point_instance
 
@@ -107,23 +110,127 @@ def ipf_coupling(rng, row_mass, col_mass, iters=2000):
     return pi
 
 
-class TestTransportBinary:
+def transport_binary(costs, row_mass, col_mass) -> float:
+    """Reference: the exact min cost for two columns by a greedy fractional fill.
+
+    Rows are cells, columns classes. With two columns the problem is a
+    fractional knapsack: assign the y=1 column mass to rows in ascending
+    order of the cost difference c1 - c0.
+    """
+    diff = costs[:, 1] - costs[:, 0]
+    order = np.argsort(diff, kind="stable")
+    base = float(row_mass @ costs[:, 0])
+    remaining = float(col_mass[1])
+    total = base
+    for i in order:
+        if remaining <= 0.0:
+            break
+        take = min(remaining, float(row_mass[i]))
+        total += take * diff[i]
+        remaining -= take
+    return total
+
+
+def greedy_cell_bounds(cells, solve=transport_binary):
+    """Reference: ``exact_cell_bounds`` of a cell table, one signature at a time,
+    as (lower, upper, per_signature) with sequential totals."""
+    edges = np.searchsorted(cells.z, np.arange(len(cells.z_mass) + 1))
+    lower, upper, per_signature = 0.0, 0.0, []
+    for z, (start, stop) in enumerate(zip(edges[:-1], edges[1:])):
+        if start == stop:
+            continue
+        row_mass = cells.mass[start:stop]
+        col_mass = cells.z_mass[z] * cells.label_model[z]
+        lo = solve(cells.costs[start:stop], row_mass, col_mass)
+        hi = 0.0 - solve(-cells.costs[start:stop], row_mass, col_mass)
+        per_signature.append((z, lo, hi))
+        lower += lo
+        upper += hi
+    return lower, upper, per_signature
+
+
+def bits(lower, upper, per_signature):
+    """Both totals and every per-signature value, as exact hex strings."""
+    return [lower.hex(), upper.hex()] + [(z, lo.hex(), hi.hex()) for z, lo, hi in per_signature]
+
+
+def synth_cells(num_labelers, spec, n=20000, seed=5):
+    """The cell table of a ``synth`` set whose labelers have the first
+    ``num_labelers`` of eight accuracies, each abstaining at 0.1."""
+    accuracies = (0.8, 0.7, 0.65, 0.75, 0.6, 0.7, 0.68, 0.72)[:num_labelers]
+    result = generate_synthetic(SynthSpec(
+        n=n, num_labelers=num_labelers, labeler_accuracies=accuracies,
+        abstain_rates=(0.1,) * num_labelers, seed=seed,
+    ))
+    G = build_g(result.data, spec, LabelSpace(num_classes=2))
+    return cell_table(result.data, result.model, G)
+
+
+BINARY_SPECS = {
+    "accuracy": MetricSpec(MetricKind.ACCURACY),
+    "joint-positive": MetricSpec(MetricKind.JOINT_POSITIVE, threshold=0.5),
+    "risk": MetricSpec(MetricKind.RISK, loss_table=[[0.0, 1.0], [3.0, 0.0]]),
+}
+
+
+class TestBinaryPass:
+    """The two-class oracle: one greedy pass over cells sorted by (signature, cost gap)."""
+
     def test_all_mass_on_column_one(self):
-        costs = np.array([[0.2, 0.9], [0.1, 0.4]])
-        value = transport_binary(costs, np.array([0.5, 0.5]), np.array([0.0, 1.0]))
-        assert value == pytest.approx(0.5 * 0.9 + 0.5 * 0.4)
+        data = DatasetView(n=2, z_ids=np.array([0, 0]))
+        G = per_sample_g(np.array([[0.2, 0.9], [0.1, 0.4]]))
+        res = exact_bounds(data, LabelModel(table=np.array([[0.0, 1.0]])), G)
+        assert res.lower == pytest.approx(0.5 * 0.9 + 0.5 * 0.4)
 
     def test_all_mass_on_column_zero(self):
-        costs = np.array([[0.2, 0.9], [0.1, 0.4]])
-        value = transport_binary(costs, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-        assert value == pytest.approx(0.5 * 0.2 + 0.5 * 0.1)
+        data = DatasetView(n=2, z_ids=np.array([0, 0]))
+        G = per_sample_g(np.array([[0.2, 0.9], [0.1, 0.4]]))
+        res = exact_bounds(data, LabelModel(table=np.array([[1.0, 0.0]])), G)
+        assert res.lower == pytest.approx(0.5 * 0.2 + 0.5 * 0.1)
 
-    def test_agrees_with_lp_on_random_instances(self, rng):
+    def test_agrees_with_simplex_on_random_tables(self, rng):
+        # per-sample tables of up to ~50 cells per signature
         for _ in range(200):
-            inst = random_transport(rng, int(rng.integers(1, 8)), 2)
-            assert transport_binary(*inst) == pytest.approx(
-                transport_general(*inst), abs=1e-9
-            )
+            cells = cell_table(*random_instance(rng, n_max=250))
+            want = greedy_cell_bounds(cells, transport_general)
+            res = exact_cell_bounds(cells)
+            assert [res.lower, res.upper] == pytest.approx(want[:2], abs=1e-9)
+            for (z, lo, hi), (wz, wlo, whi) in zip(res.per_signature, want[2], strict=True):
+                assert z == wz
+                assert [lo, hi] == pytest.approx([wlo, whi], abs=1e-9)
+
+    @pytest.mark.parametrize("num_labelers", [3, 6, 8])
+    @pytest.mark.parametrize("metric", sorted(BINARY_SPECS))
+    def test_matches_the_per_signature_greedy_bit_for_bit(self, num_labelers, metric):
+        # K = 8 puts per-signature values on 9-digit rounding ties, where one
+        # ulp shows in the output
+        cells = synth_cells(num_labelers, BINARY_SPECS[metric])
+        res = exact_cell_bounds(cells)
+        assert bits(*res) == bits(*greedy_cell_bounds(cells))
+        assert all(type(v) is float for _, lo, hi in res.per_signature for v in (lo, hi))
+
+    def test_tied_gaps_fill_in_cell_order(self, rng):
+        # class-0 costs of zero leave the base exact, so the order in which
+        # tied cells are filled decides the bits of every fill sum
+        for _ in range(50):
+            num_z, size = int(rng.integers(1, 6)), int(rng.integers(2, 250))
+            z = np.sort(rng.integers(0, num_z, size))
+            costs = np.column_stack([np.zeros(size), rng.integers(-1, 2, size)])
+            model = LabelModel(table=rng.dirichlet(np.ones(2), num_z))
+            cells = cells_from_counts(z, np.arange(size), rng.integers(1, 10, size), costs, model)
+            assert bits(*exact_cell_bounds(cells)) == bits(*greedy_cell_bounds(cells))
+
+    def test_a_dense_loss_moves_only_the_last_bits(self):
+        # with both class-0 costs nonzero a signature's base sum has two inexact
+        # terms, which the reference's BLAS dot may fuse into one rounding and
+        # the pass rounds twice: an ulp of a sum of masses times costs <= 1
+        spec = MetricSpec(MetricKind.RISK, loss_table=[[0.1, 0.7], [0.3, 0.2]])
+        cells = synth_cells(8, spec)
+        lower, upper, per_signature = greedy_cell_bounds(cells)
+        res = exact_cell_bounds(cells)
+        assert [res.lower, res.upper] == pytest.approx([lower, upper], abs=1e-14)
+        got = [v for _, lo, hi in res.per_signature for v in (lo, hi)]
+        assert got == pytest.approx([v for _, lo, hi in per_signature for v in (lo, hi)], abs=1e-15)
 
 
 class TestTransportGeneral:

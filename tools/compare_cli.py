@@ -23,11 +23,14 @@ The command sets:
   sweep of all five kinds, a precision-only sweep, ``diagnose`` with and
   without an alternative label model (also for risk at a threshold and a given
   ``--epsilon``), and ``oracle`` for accuracy, joint-positive at a
-  ``--threshold`` and risk; ``oracle`` on a ``synth --n 20000`` dataset of 8
-  labelers (accuracies ``0.8,0.7,0.65,0.75,0.6,0.7,0.68,0.72``, each abstaining
-  at 0.1); and, on a ``synth --n 2000 --seed 1`` dataset, ``estimate --metric
-  risk`` with loss ``[[0, 1e200], [1e200, 0]]``, where no column meets the
-  gradient test and both sides warn that the solver did not converge,
+  ``--threshold`` and risk; ``oracle`` for accuracy and joint-positive at
+  ``--threshold 0.5`` on a ``synth --n 20000`` dataset of 8 labelers
+  (accuracies ``0.8,0.7,0.65,0.75,0.6,0.7,0.68,0.72``, each abstaining at 0.1),
+  whose per-signature values sit on 9-digit rounding ties, so a one-ulp change
+  shows there first (``oracle-k8``, ``oracle-k8-joint``); and, on a ``synth
+  --n 2000 --seed 1`` dataset, ``estimate --metric risk`` with loss
+  ``[[0, 1e200], [1e200, 0]]``, where no column meets the gradient test and
+  both sides warn that the solver did not converge,
   ``diagnose`` with that loss, whose squared sup-norm is beyond the float range
   (``diagnose-risk-huge``), ``estimate`` with loss ``[[0, 1e308], [1e308, 0]]``,
   whose closed-form start is not finite (``estimate-risk-overflow``), and
@@ -142,6 +145,9 @@ def _cli_commands(case: Path):
                       "--out", "k8.csv", "--model-out", "k8.json"]),
         ("oracle-k8", ["oracle", "--data", "k8.csv", "--label-model", "k8.json",
                        "--out", "oracle-k8.json"]),
+        ("oracle-k8-joint", ["oracle", "--data", "k8.csv", "--label-model", "k8.json",
+                             "--metric", "joint-positive", "--threshold", "0.5",
+                             "--out", "oracle-k8-joint.json"]),
         ("synth-2000", ["synth", "--n", "2000", "--seed", "1", "--out", "small.csv",
                         "--model-out", "small.json"]),
         ("estimate-risk-huge", ["estimate", *small, "--loss-table", "huge-loss.json",
