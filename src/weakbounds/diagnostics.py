@@ -13,13 +13,14 @@ from .domain import CellTable, DatasetView, LabelModel
 from .errors import CoverageError, NumericalError
 
 
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance between two discrete distributions."""
+def tv_distance(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+    """Total variation distance along the last axis: a float for two distributions."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
-        raise ValueError("distributions must have the same length")
-    return float(0.5 * np.abs(p - q).sum())
+        raise ValueError("distributions must have the same shape")
+    d = 0.5 * np.abs(p - q).sum(axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 def conditional_entropy_y(model: LabelModel, z_weights: np.ndarray) -> float:
@@ -87,7 +88,7 @@ def misspecification_report(
     model_p = cells.label_model
     if model_p.shape != model_q.table.shape:
         raise CoverageError("models must cover the same signatures and classes")
-    delta = max(tv_distance(p, q) for p, q in zip(model_p, model_q.table))
+    delta = float(tv_distance(model_p, model_q.table).max())
     # both models in one solve
     (lo_p, up_p), (lo_q, up_q) = solve_bounds(
         [cells, cells._replace(label_model=model_q.table)], epsilon

@@ -13,7 +13,7 @@ from .errors import CoverageError, FormatError
 
 ABSTAIN = -1
 
-SIMPLEX_TOL = 1e-9
+SIMPLEX_TOL = 1e-8  # a row of entries written at 9 significant digits sums to 1 within 5e-9
 _INT64_MAX = 2**63 - 1
 
 

@@ -110,29 +110,47 @@ _BAD_VALUE = re.compile(r"could not convert string (.*) to (\w+) at row (\d+), c
 # loadtxt also reads what int() and float() on the csv module's fields reject: it
 # skips blank lines and takes the ASCII separators \x1c-\x1f for whitespace
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
-_SCAN_CHUNK = 1 << 16  # bytes per chunk of the raw-byte scan
+_SCAN_CHUNK = 1 << 16  # bytes per chunk of the one byte scan for misread lines
 
 
 def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
-    """The 1-based line and the reason of the first ASCII separator or blank line,
-    with lines counted as loadtxt counts them.
+    """The 1-based line and the reason of the first line that loadtxt would
+    misread or fail to decode: one that holds an ASCII separator, is blank, or
+    holds a byte that the text readers' encoding cannot decode. Lines are
+    counted as loadtxt counts them; on one line, a separator comes first.
 
     A blank line of the decoded, newline-translated text is two line ends in a
     row in the raw bytes (each a ``\\n`` or a ``\\r``, but not the pair ``\\r\\n``).
-    The scan is vectorised over fixed-size chunks of the bytes; only a hit reads
-    the bytes before it again, to count its line.
+    The scan is vectorised over fixed-size chunks of the bytes, which an
+    incremental decoder also reads; an undecodable byte counts at the first line
+    end after it. Only a hit reads the bytes before it again, to count its line.
     """
     buf = np.zeros(1 + _SCAN_CHUNK, dtype=np.uint8)  # buf[0]: the previous chunk's last byte
     low, hit, nl, cr = np.empty_like(buf), *(np.empty(buf.shape, dtype=bool) for _ in range(3))
     start = 0  # the file offset of buf[1]
-    with open(path, "rb") as fh:
-        while got := fh.readinto(memoryview(buf)[1:]):
+    undecodable = None  # the file offset and the reason of the first undecodable byte
+    with open(path) as text:  # in the encoding that loadtxt opens it with
+        fh, decoder = text.buffer, codecs.getincrementaldecoder(text.encoding)()
+        while True:
+            got = fh.readinto(memoryview(buf)[1:])
+            held = len(decoder.getstate()[0])  # bytes of a sequence the last chunk cut
+            try:
+                if undecodable is None:
+                    decoder.decode(buf.data[1 : 1 + got], final=not got)
+            except UnicodeDecodeError as exc:
+                bad = exc.object[exc.start:exc.end]
+                undecodable = start - held + exc.start, (
+                    f"{exc.encoding!r} codec can't decode byte{'s' * (len(bad) > 1)} "
+                    f"{' '.join(f'0x{b:02x}' for b in bad)}: {exc.reason}")
+            if not got:  # no line end follows an undecodable byte: it is on the last line
+                return None if undecodable is None else (_line_at(fh, start), undecodable[1])
             m = slice(0, 1 + got)
             b = buf[m]
             # the separators are the four bytes from 0x1c; below it, b - 0x1c wraps
             np.subtract(b, 0x1C, out=low[m])
             seps = np.less(low[m], len(_SEPARATORS), out=hit[m])
-            found = [int(seps.argmax())] if seps.any() else []  # indices into buf
+            at = int(seps.argmax())  # found: (index into buf, reason) of each kind's first hit
+            found = [(at, f"control character {chr(buf[at])!r}")] if seps[at] else []
             n, r = np.equal(b, ord("\n"), out=nl[m]), np.equal(b, ord("\r"), out=cr[m])
             if r.any():
                 ends = n | r
@@ -140,16 +158,18 @@ def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
             else:
                 pairs = np.logical_and(n[:-1], n[1:], out=hit[:got])
             if pairs.any():
-                found.append(int(pairs.argmax()) + 1)  # the second line end
+                found.append((int(pairs.argmax()) + 1, "blank line"))  # the second line end
+            if undecodable is not None:
+                # at its line's end, so that a separator on its line comes first
+                after = (n | r)[max(undecodable[0] - start + 1, 1):]
+                if after.any():
+                    found.append((len(b) - len(after) + int(after.argmax()), undecodable[1]))
             if found:
-                at = min(found)
-                c = chr(buf[at])
+                at, what = min(found)
                 # the byte at the hit is never the \n of a \r\n
-                line = _line_at(fh, start + at - 1)
-                return line, f"control character {c!r}" if c in _SEPARATORS else "blank line"
+                return _line_at(fh, start + at - 1), what
             start += got
             buf[0] = buf[got]
-    return None
 
 
 def _line_at(fh, offset: int) -> int:
@@ -158,31 +178,6 @@ def _line_at(fh, offset: int) -> int:
     fh.seek(0)
     head = fh.read(offset)
     return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-
-
-def _undecodable_line(path, encoding: str) -> tuple[int, str] | None:
-    """The 1-based line and the reason of the first byte of the file that
-    ``encoding`` cannot decode.
-
-    The text reader's own error gives a position within one of its internal
-    chunks, neither a line nor a file offset.
-    """
-    decoder = codecs.getincrementaldecoder(encoding)()
-    start = 0  # the file offset of ``chunk``
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(_SCAN_CHUNK)
-            held = len(decoder.getstate()[0])  # bytes of a sequence the last chunk cut
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                bad = exc.object[exc.start:exc.end]
-                what = (f"{exc.encoding!r} codec can't decode byte{'s' * (len(bad) > 1)} "
-                        f"{' '.join(f'0x{b:02x}' for b in bad)}: {exc.reason}")
-                return _line_at(fh, start - held + exc.start), what
-            if not chunk:
-                return None
-            start += len(chunk)
 
 
 def _row_line(path, row: int) -> int:
@@ -204,12 +199,9 @@ def _row_line(path, row: int) -> int:
 def _read_error(
     path, exc: ValueError, header: list[str], misread: tuple[int, str] | None
 ) -> FormatError:
-    """The FormatError, naming the 1-based file line, for a failure to decode
-    the file or, by loadtxt, to parse it."""
+    """The FormatError, naming the 1-based file line, for loadtxt's failure to parse the file."""
     msg = str(exc)
-    if isinstance(exc, UnicodeDecodeError) and (found := _undecodable_line(path, exc.encoding)):
-        line, what = found
-    elif m := _RAGGED.search(msg):
+    if m := _RAGGED.search(msg):
         line = _row_line(path, int(m[2]) - 1)
         what = f"wrong number of fields ({m[1]}, the header has {len(header)})"
     elif m := _BAD_VALUE.search(msg):
@@ -227,14 +219,17 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, tuple[tuple[int, ..
     """The dataset and the tuple of its distinct vote tuples, which
     ``encode_signatures`` numbers in first-observed order."""
     try:
-        with open(path, newline="") as fh:
+        # the text reader decodes ahead of the header: the scan below names a bad byte
+        with open(path, newline="", errors="replace") as fh:
             if fh.read(1) != "\ufeff":  # a UTF-8 byte order mark, as Excel writes
                 fh.seek(0)
             header = next(csv.reader(fh), None)
     except csv.Error as exc:
         raise FormatError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:  # anywhere in the text reader's first chunk
-        raise _read_error(path, exc, [], _first_misread_line(path)) from None
+    misread = _first_misread_line(path)
+    # an undecodable header is named before the checks of the names read from it
+    if misread is not None and misread[0] == 1 and "decode" in misread[1]:
+        raise FormatError(f"{path}:1: {misread[1]}")
     if header is None:
         raise FormatError(f"{path}: empty dataset file")
     # loadtxt skips one physical line for the header, whatever its quotes hold
@@ -267,30 +262,34 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, tuple[tuple[int, ..
         "offsets": [offset.get(i, 0) for i in range(len(header))],
         "itemsize": 8 * len(numeric),
     })
-    misread = _first_misread_line(path)
     # a fault past the first misread line is reported as that line: read no row past it
     max_rows = None if misread is None else max(misread[0] - 2, 0)  # not -1: all rows
+    load = lambda source: np.loadtxt(source, dtype=dtype, delimiter=",", comments=None,
+                                     quotechar='"', skiprows=1, ndmin=1, max_rows=max_rows)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows read
-            body = np.loadtxt(
-                path, dtype=dtype, delimiter=",", comments=None, quotechar='"',
-                skiprows=1, ndmin=1, max_rows=max_rows,
-            )
+            try:
+                body = load(path)
+            except UnicodeDecodeError:
+                # loadtxt decodes past the rows it parses; parse them again with the
+                # bad bytes replaced, so that a bad row before them is named first
+                with open(path, errors="replace") as text:
+                    body = load(text)
     except ValueError as exc:
         raise _read_error(path, exc, header, misread) from None
-    if misread is not None:
-        raise FormatError(f"{path}:{misread[0]}: {misread[1]}")
-    if len(body) == 0:
-        raise FormatError(f"{path}: dataset has no rows")
 
     # views into the records, not copies
     column = lambda name: body[f"c{col[name]}"] if name in col else None
-    # loadtxt reads nan as a float
+    # loadtxt reads nan as a float; the rows read all lie before the misread line
     nan_rows = np.flatnonzero(np.isnan(column("score"))) if "score" in col else []
     if len(nan_rows):
         line = _row_line(path, nan_rows[0])
         raise FormatError(f"{path}:{line}: column score: NaN is not a score")
+    if misread is not None:
+        raise FormatError(f"{path}:{misread[0]}: {misread[1]}")
+    if len(body) == 0:
+        raise FormatError(f"{path}: dataset has no rows")
     votes = body.view(np.int64).reshape(len(body), -1)[:, : len(wl_cols)]
     table, z_ids = encode_signatures(votes)
     data = DatasetView(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from weakbounds import (
+    CoverageError,
     DatasetView,
     GMatrix,
     LabelModel,
@@ -43,6 +44,14 @@ class TestTvDistance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             tv_distance([1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_rows_of_two_tables_match_the_per_row_distance(self, rng, k):
+        p, q = (rng.dirichlet(np.ones(k), size=5000) for _ in range(2))
+        per_row = [tv_distance(a, b) for a, b in zip(p, q)]
+        rows = tv_distance(p, q)
+        assert rows.tolist() == per_row
+        assert float(rows.max()) == max(per_row)
 
 
 class TestConditionalEntropy:
@@ -135,6 +144,14 @@ class TestMisspecification:
             assert est.value == single.value and est.plugin_std == single.plugin_std
             assert np.array_equal(est.optimizer, single.optimizer)
             assert est.report == single.report
+
+    @pytest.mark.parametrize("extra", [(1, 0), (0, 1)], ids=["signatures", "classes"])
+    def test_models_of_another_shape_rejected(self, rng, extra):
+        data, model_p, G = random_instance(rng)
+        shape = np.add(model_p.table.shape, extra)
+        model_q = LabelModel(table=np.full(shape, 1.0 / shape[1]))
+        with pytest.raises(CoverageError, match="same signatures and classes"):
+            misspecification_report(cell_table(data, model_p, G), model_q)
 
     def test_one_hot_vs_uniform_two_point(self):
         data, _, G = two_point_instance(0.5)

@@ -96,6 +96,9 @@ class TestLabelModel:
     def test_rejects_off_simplex_row(self):
         with pytest.raises(FormatError):
             LabelModel(table=np.array([[0.6, 0.5]]))
+        # the tolerance covers 9-digit rounding of each entry, not more
+        with pytest.raises(FormatError, match="sums to 1.0000001, not 1"):
+            LabelModel(table=np.array([[0.5, 0.5 + 1e-7]]))
 
     def test_renormalizes_within_tolerance(self):
         m = LabelModel(table=np.array([[0.5 + 4e-10, 0.5 + 4e-10]]))
@@ -189,3 +192,11 @@ class TestCheckCovers:
         check_covers(DatasetView(n=2, z_ids=np.array([0, 1])), model)
         with pytest.raises(CoverageError, match="beyond the label model's coverage"):
             check_covers(DatasetView(n=2, z_ids=np.array([0, 2])), model)
+
+    @pytest.mark.parametrize("costs, rows", [(np.eye(2), [0, 1, 0]), (np.eye(3), [0, 1])],
+                             ids=["samples", "classes"])
+    def test_g_of_another_size_rejected(self, costs, rows):
+        model = LabelModel(table=np.array([[0.5, 0.5], [0.2, 0.8]]))
+        data = DatasetView(n=2, z_ids=np.array([0, 1]))
+        with pytest.raises(ValueError, match="shape mismatch between data, label model, and G"):
+            cell_table(data, model, GMatrix(costs=costs, rows=rows))

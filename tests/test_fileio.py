@@ -107,10 +107,11 @@ class TestDatasetCsv:
             ("0.5,1,0,1\n0.5\x1f,1,0,1\n", 3, "control character '\\x1f'"),
             ("0.5,1,0,1\nnan,1,0,1\n0.5,1,0,1\n", 3, "column score: NaN is not a score"),
             ("-NaN,1,0,1\n", 2, "column score: NaN is not a score"),
+            ("0.5,1,0,1\nnan,1,0,1\n\n", 3, "column score: NaN is not a score"),
         ],
         ids=["short", "long", "empty-field", "float-vote", "exponent-pred", "blank",
              "blank-before-bad-value", "bad-value-before-blank", "ascii-separator",
-             "nan-score", "minus-nan-score"],
+             "nan-score", "minus-nan-score", "nan-score-before-blank"],
     )
     def test_malformed_row_names_its_file_line(self, tmp_path, body, line, what):
         path = tmp_path / "e.csv"
@@ -282,12 +283,19 @@ class TestDatasetCsv:
         [(b"score,wl_\xff0\n0.5,1\n", 1, "byte 0xff"),
          (b"wl_0\n" + b"1\n" * 40_000 + b"0\n\xff1\n", 40_003, "byte 0xff"),
          (b"wl_0\r\n" + b"1\r\n" * 40_000 + b"1\xe2\x28\r\n", 40_002, "byte 0xe2"),
-         (b"wl_0\n1\n\n\xff1\n", 3, "blank line")],
-        ids=["header", "past-64-KiB", "crlf", "blank-line-first"],
+         (b"wl_0\n1\n\n\xff1\n", 3, "blank line"),
+         (b"wl_0\n" + b"1\n" * 5000 + b"x\n" + b"1\n" * 500 + b"\xff1\n", 5002,
+          "column wl_0: could not convert 'x' to int64"),
+         (b"wl_0,wl_0\n1,1\n\xff1,1\n", 1, "duplicate column name 'wl_0'"),
+         (b"score,wl_0\n0.5,1\nnan,1\n0.5,\xff1\n", 3, "column score: NaN is not a score")],
+        ids=["header", "past-64-KiB", "crlf", "blank-line-first", "bad-value-first",
+             "duplicate-name-first", "nan-score-first"],
     )
     def test_undecodable_byte_names_its_file_line(self, tmp_path, text, line, what):
         # the decoder's own position is an offset inside one of its chunks; the
-        # error names the file line, with lines counted as for a blank line
+        # error names the file line, with lines counted as for a blank line. The
+        # text readers decode ahead of what they parse, but an earlier fault of
+        # another kind is still the one named
         path = tmp_path / "b.csv"
         path.write_bytes(text)
         with pytest.raises(FormatError, match=re.escape(f"{path}:{line}: ") + f".*{what}"):
@@ -389,14 +397,18 @@ class TestDatasetCsv:
 class TestLabelModelJson:
     def test_roundtrip(self, tmp_path):
         _, table = sample_dataset()
-        rows = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
+        table += ((0, 0, 0),)
+        # the last row is written as 0.606445312, 0.393554687: its first entry is a
+        # 9-digit tie rounded to even, and the row sums to 1 - 1.0000000827e-9
+        q = np.nextafter(0.3935546875, 0)
+        rows = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0], [1 - q, q]])
         model = LabelModel(table=rows)
         path = tmp_path / "m.json"
         write_label_model_json(path, model, table)
         model2 = read_label_model_json(path, table)
         assert model2.table == pytest.approx(model.table, abs=1e-9)
         # rows stay on the simplex after the round-trip
-        assert model2.table.sum(axis=1) == pytest.approx(np.ones(3))
+        assert model2.table.sum(axis=1) == pytest.approx(np.ones(4))
 
     def test_integral_floats_and_integer_probabilities_read_as_numbers(self, tmp_path):
         # an entry that is not all JSON integers in 'z' and JSON numbers in 'p'
@@ -469,6 +481,7 @@ class TestLabelModelJson:
             {"z": [0, 1, -1], "p": [True, False]},  # float() read it as (1, 0)
             {"z": [0, 1, -1], "p": ["0.5", "0.5"]},  # float() parsed the strings
             {"z": [0, 1, -1], "p": [1, "0"]},
+            {"z": [0, 1, -1], "p": [0.5, 0.25, 0.25]},  # unchecked: a broadcast error, exit 1
         ],
     )
     def test_malformed_entry_rejected(self, tmp_path, entry):

@@ -48,8 +48,13 @@ The command sets:
   the reader rejects: a blank line with LF, CRLF and lone-CR line ends, a
   ``\\x1f`` in a field, a blank line after a quoted field spanning lines, a
   blank line across the 64 KiB edge of the reader's byte-scan chunks, a
-  bad value before a blank line, and a ``\\xff`` byte that UTF-8 cannot decode.
-  Both versions must exit 2; all but the last must name the same file line.
+  bad value before a blank line, and a ``\\xff`` byte that UTF-8 cannot decode;
+  and on two datasets whose ``\\xff`` byte follows another fault: a bad value 500
+  rows before it, both past the first 8 KiB that the text readers decode at
+  once (``bad-before-undecodable``), and duplicate header names, with the byte
+  in the first 8 KiB (``duplicate-undecodable``). Both versions must exit 2 and
+  name the first faulty line; a reader that reports the byte as its text
+  reader meets it names the byte's line in the last two.
 """
 
 from __future__ import annotations
@@ -240,6 +245,11 @@ def _malformed_commands(case: Path):
         "bad-before-blank": ("\n", [header, *rows[:50], "0.5,x,0,1,0", *rows[50:100], "",
                                     *rows[100:]]),
         "undecodable": ("\n", [header, *rows[:2500], "0.5,1,0,\xff1,0", *rows[2500:]]),
+        # both in the text readers' second 8 KiB, which they decode before parsing
+        "bad-before-undecodable": ("\n", [header, *rows[:600], "0.5,x,0,1,0", *rows[600:1100],
+                                          "0.5,1,0,\xff1,0", *rows[1100:]]),
+        "duplicate-undecodable": ("\n", ["score,pred,wl_0,wl_0,wl_1", *rows[:100],
+                                         "0.5,1,0,\xff1,0", *rows[100:]]),
     }
     entries = [{"z": [a, b], "p": [0.3 + 0.1 * a, 0.7 - 0.1 * a]}
                for a in (-1, 0, 1) for b in (-1, 0, 1)]
