@@ -13,6 +13,7 @@ import math
 import re
 import sys
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -121,55 +122,50 @@ def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
 
     A blank line of the decoded, newline-translated text is two line ends in a
     row in the raw bytes (each a ``\\n`` or a ``\\r``, but not the pair ``\\r\\n``).
-    The scan is vectorised over fixed-size chunks of the bytes, which an
-    incremental decoder also reads; an undecodable byte counts at the first line
-    end after it. Only a hit reads the bytes before it again, to count its line.
+    The scan reads the bytes in fixed-size chunks, which an incremental decoder
+    also reads, and tests each as one byte array led by the previous chunk's
+    last byte, so that a pair of line ends across two chunks is seen; an
+    undecodable byte counts at the first line end after it. Only a hit reads
+    the bytes before it again, to count its line.
     """
-    buf = np.zeros(1 + _SCAN_CHUNK, dtype=np.uint8)  # buf[0]: the previous chunk's last byte
-    low, hit, nl, cr = np.empty_like(buf), *(np.empty(buf.shape, dtype=bool) for _ in range(3))
-    start = 0  # the file offset of buf[1]
+    start, last = 0, b"\0"  # the file offset of the chunk, and the byte before it
     undecodable = None  # the file offset and the reason of the first undecodable byte
     with open(path) as text:  # in the encoding that loadtxt opens it with
         fh, decoder = text.buffer, codecs.getincrementaldecoder(text.encoding)()
         while True:
-            got = fh.readinto(memoryview(buf)[1:])
+            chunk = fh.read(_SCAN_CHUNK)
             held = len(decoder.getstate()[0])  # bytes of a sequence the last chunk cut
             try:
                 if undecodable is None:
-                    decoder.decode(buf.data[1 : 1 + got], final=not got)
+                    decoder.decode(chunk, final=not chunk)
             except UnicodeDecodeError as exc:
                 bad = exc.object[exc.start:exc.end]
                 undecodable = start - held + exc.start, (
                     f"{exc.encoding!r} codec can't decode byte{'s' * (len(bad) > 1)} "
                     f"{' '.join(f'0x{b:02x}' for b in bad)}: {exc.reason}")
-            if not got:  # no line end follows an undecodable byte: it is on the last line
+            if not chunk:  # no line end follows an undecodable byte: it is on the last line
                 return None if undecodable is None else (_line_at(fh, start), undecodable[1])
-            m = slice(0, 1 + got)
-            b = buf[m]
+            b = np.frombuffer(last + chunk, np.uint8)  # b[0]: the byte before the chunk
             # the separators are the four bytes from 0x1c; below it, b - 0x1c wraps
-            np.subtract(b, 0x1C, out=low[m])
-            seps = np.less(low[m], len(_SEPARATORS), out=hit[m])
-            at = int(seps.argmax())  # found: (index into buf, reason) of each kind's first hit
-            found = [(at, f"control character {chr(buf[at])!r}")] if seps[at] else []
-            n, r = np.equal(b, ord("\n"), out=nl[m]), np.equal(b, ord("\r"), out=cr[m])
-            if r.any():
-                ends = n | r
-                pairs = ends[:-1] & ends[1:] & ~(r[:-1] & n[1:])
-            else:
-                pairs = np.logical_and(n[:-1], n[1:], out=hit[:got])
+            seps = b - np.uint8(0x1C) < len(_SEPARATORS)
+            at = int(seps.argmax())  # found: (index into b, reason) of each kind's first hit
+            found = [(at, f"control character {chr(b[at])!r}")] if seps[at] else []
+            n, r = b == ord("\n"), b == ord("\r")
+            ends = n | r
+            pairs = ends[:-1] & ends[1:] & ~(r[:-1] & n[1:])
             if pairs.any():
                 found.append((int(pairs.argmax()) + 1, "blank line"))  # the second line end
             if undecodable is not None:
                 # at its line's end, so that a separator on its line comes first
-                after = (n | r)[max(undecodable[0] - start + 1, 1):]
+                after = ends[max(undecodable[0] - start + 1, 1):]
                 if after.any():
                     found.append((len(b) - len(after) + int(after.argmax()), undecodable[1]))
             if found:
                 at, what = min(found)
                 # the byte at the hit is never the \n of a \r\n
                 return _line_at(fh, start + at - 1), what
-            start += got
-            buf[0] = buf[got]
+            start += len(chunk)
+            last = chunk[-1:]
 
 
 def _line_at(fh, offset: int) -> int:
@@ -196,23 +192,15 @@ def _row_line(path, row: int) -> int:
         return row + 2  # as if no field spanned lines
 
 
-def _read_error(
-    path, exc: ValueError, header: list[str], misread: tuple[int, str] | None
-) -> FormatError:
-    """The FormatError, naming the 1-based file line, for loadtxt's failure to parse the file."""
+def _row_fault(exc: ValueError, header: list[str]) -> tuple[int, str] | None:
+    """The data row (from 0) and the reason of loadtxt's failure to parse a
+    row, or None for a failure that names no row."""
     msg = str(exc)
     if m := _RAGGED.search(msg):
-        line = _row_line(path, int(m[2]) - 1)
-        what = f"wrong number of fields ({m[1]}, the header has {len(header)})"
-    elif m := _BAD_VALUE.search(msg):
-        line = _row_line(path, int(m[3]))
-        what = f"column {header[int(m[4]) - 1]}: could not convert {m[1]} to {m[2]}"
-    else:
-        return FormatError(f"{path}: {msg}")
-    # the first fault is reported; loadtxt skips blank lines, so it counts a row after one short
-    if misread is not None and misread[0] <= line:
-        line, what = misread
-    return FormatError(f"{path}:{line}: {what}")
+        return int(m[2]) - 1, f"wrong number of fields ({m[1]}, the header has {len(header)})"
+    if m := _BAD_VALUE.search(msg):
+        return int(m[3]), f"column {header[int(m[4]) - 1]}: could not convert {m[1]} to {m[2]}"
+    return None
 
 
 def read_dataset_csv(path: str | Path) -> tuple[DatasetView, tuple[tuple[int, ...], ...]]:
@@ -262,32 +250,34 @@ def read_dataset_csv(path: str | Path) -> tuple[DatasetView, tuple[tuple[int, ..
         "offsets": [offset.get(i, 0) for i in range(len(header))],
         "itemsize": 8 * len(numeric),
     })
-    # a fault past the first misread line is reported as that line: read no row past it
+    # a fault past the first misread line is reported as that line: read no row
+    # past it, and, since loadtxt decodes ahead of the rows it parses, read the
+    # text with the bytes it cannot decode replaced
     max_rows = None if misread is None else max(misread[0] - 2, 0)  # not -1: all rows
-    load = lambda source: np.loadtxt(source, dtype=dtype, delimiter=",", comments=None,
-                                     quotechar='"', skiprows=1, ndmin=1, max_rows=max_rows)
+    source = nullcontext(path) if misread is None else open(path, errors="replace")
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), source as text:
             warnings.simplefilter("ignore", UserWarning)  # no rows read
-            try:
-                body = load(path)
-            except UnicodeDecodeError:
-                # loadtxt decodes past the rows it parses; parse them again with the
-                # bad bytes replaced, so that a bad row before them is named first
-                with open(path, errors="replace") as text:
-                    body = load(text)
+            body = np.loadtxt(text, dtype=dtype, delimiter=",", comments=None, quotechar='"',
+                              skiprows=1, ndmin=1, max_rows=max_rows)
     except ValueError as exc:
-        raise _read_error(path, exc, header, misread) from None
-
-    # views into the records, not copies
-    column = lambda name: body[f"c{col[name]}"] if name in col else None
-    # loadtxt reads nan as a float; the rows read all lie before the misread line
-    nan_rows = np.flatnonzero(np.isnan(column("score"))) if "score" in col else []
-    if len(nan_rows):
-        line = _row_line(path, nan_rows[0])
-        raise FormatError(f"{path}:{line}: column score: NaN is not a score")
-    if misread is not None:
-        raise FormatError(f"{path}:{misread[0]}: {misread[1]}")
+        if (row := _row_fault(exc, header)) is None:
+            raise FormatError(f"{path}: {exc}") from None
+    else:
+        # views into the records, not copies
+        column = lambda name: body[f"c{col[name]}"] if name in col else None
+        # loadtxt reads nan as a float
+        nan_rows = np.flatnonzero(np.isnan(column("score"))) if "score" in col else []
+        row = (nan_rows[0], "column score: NaN is not a score") if len(nan_rows) else None
+    # the first fault by line is named: a quoted field may span lines, so loadtxt
+    # may read rows past the misread line. On a tie the misread line, listed
+    # first, is named
+    faults = [] if misread is None else [misread]
+    if row is not None:
+        faults.append((_row_line(path, row[0]), row[1]))
+    if faults:
+        line, what = min(faults, key=lambda fault: fault[0])
+        raise FormatError(f"{path}:{line}: {what}")
     if len(body) == 0:
         raise FormatError(f"{path}: dataset has no rows")
     votes = body.view(np.int64).reshape(len(body), -1)[:, : len(wl_cols)]

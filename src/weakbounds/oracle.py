@@ -5,8 +5,9 @@ masses of that signature's cells with the label-model column masses at
 minimum (resp. maximum) total cost. `exact_cell_bounds` solves one cell
 table, whose masses are non-negative and balance per signature;
 `exact_bounds` first counts a sample's table.
-The size guard caps cells times classes, so the built-in metrics, with at
-most |Z|*|Y| cells, run at any n.
+The size guard caps cells times classes on the transportation simplex, at
+three or more classes, where it bounds the per-signature loop; the built-in
+metrics, with at most |Z|*|Y| cells, run at any n.
 
 With two classes each signature is a fractional knapsack, and one greedy pass
 over the cells sorted by (signature, cost gap) solves them all. More classes
@@ -224,7 +225,7 @@ def exact_cell_bounds(cells: CellTable) -> OracleResult:
     the upper bound is minus the lower bound of -G."""
     num_signatures, num_classes = cells.label_model.shape
     size = cells.mass.size * num_classes
-    if size > SIZE_GUARD:
+    if num_classes > 2 and size > SIZE_GUARD:  # the two-class pass runs at any size
         raise TooLargeError(f"instance size {size} exceeds guard {SIZE_GUARD}")
 
     edges = np.searchsorted(cells.z, np.arange(num_signatures + 1))

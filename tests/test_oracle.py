@@ -345,11 +345,20 @@ class TestExactBounds:
         assert res.upper == pytest.approx(forced, abs=1e-12)
 
     def test_size_guard(self):
-        data = DatasetView(n=10**6, z_ids=np.zeros(10**6, dtype=np.int64))
-        model = LabelModel(table=np.array([[0.5, 0.5]]))
-        G = per_sample_g(np.zeros((10**6, 2)))
+        # 3 classes: the guard bounds the simplex's per-signature loop
+        n = 400_000
+        data = DatasetView(n=n, z_ids=np.zeros(n, dtype=np.int64))
+        model = LabelModel(table=np.full((1, 3), 1 / 3))
+        G = per_sample_g(np.zeros((n, 3)))
         with pytest.raises(TooLargeError):
             exact_bounds(data, model, G)
+
+    def test_binary_table_past_the_size_guard_is_solved(self, rng, monkeypatch):
+        # the two-class pass is one sort and one loop over the cells, at any size
+        data, model, G = random_instance(rng)
+        unguarded = exact_bounds(data, model, G)
+        monkeypatch.setattr(oracle, "SIZE_GUARD", 1)
+        assert exact_bounds(data, model, G) == unguarded
 
     def test_scaling_and_shift(self, rng):
         data, model, G = random_instance(rng, n_max=30)

@@ -52,9 +52,12 @@ The command sets:
   and on two datasets whose ``\\xff`` byte follows another fault: a bad value 500
   rows before it, both past the first 8 KiB that the text readers decode at
   once (``bad-before-undecodable``), and duplicate header names, with the byte
-  in the first 8 KiB (``duplicate-undecodable``). Both versions must exit 2 and
-  name the first faulty line; a reader that reports the byte as its text
-  reader meets it names the byte's line in the last two.
+  in the first 8 KiB (``duplicate-undecodable``); and on one whose blank line 10
+  follows a quoted field spanning three lines, so that loadtxt reads on to a
+  NaN score on line 12 (``quoted-nan``). Both versions must exit 2 and name the
+  first faulty line; a reader that reports the byte as its text reader meets
+  it names the byte's line in the two ``undecodable`` cases, and one that
+  checks the scores apart from the misread line names line 12 in ``quoted-nan``.
 """
 
 from __future__ import annotations
@@ -250,6 +253,9 @@ def _malformed_commands(case: Path):
                                           "0.5,1,0,\xff1,0", *rows[1100:]]),
         "duplicate-undecodable": ("\n", ["score,pred,wl_0,wl_0,wl_1", *rows[:100],
                                          "0.5,1,0,\xff1,0", *rows[100:]]),
+        # the rows before the blank line 10, counted one line each, reach line 12
+        "quoted-nan": ("\n", ["score,wl_0,note", '0.5,1,"a\nb\nc"', *["0.5,1,x"] * 5, "",
+                              "0.5,1,x", "nan,1,x", *["0.5,1,x"] * 3]),
     }
     entries = [{"z": [a, b], "p": [0.3 + 0.1 * a, 0.7 - 0.1 * a]}
                for a in (-1, 0, 1) for b in (-1, 0, 1)]
