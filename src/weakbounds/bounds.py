@@ -10,8 +10,9 @@ import numpy as np
 
 from .domain import CellTable
 from .errors import InsufficientSampleError, NumericalError
-from .objective import check_epsilon, default_epsilon, gradient, hessian, minimized_value
+from .objective import default_epsilon, gradient, hessian, minimized_value
 from .solver import SolveReport, minimize
+from .vocab import check_epsilon, check_gamma
 
 
 # the closed form's stand-in for an infinite optimizer: exp(-40) < 2**-54, so
@@ -230,15 +231,6 @@ def estimate_bounds(
 ) -> tuple[BoundEstimate, BoundEstimate]:
     """Both one-sided smoothed dual bounds of one cell table at temperature ``epsilon``."""
     return solve_bounds([cells], epsilon)[0]
-
-
-def check_gamma(gamma: float) -> float:
-    """Return ``gamma`` if it is a usable CI miscoverage level, else raise ValueError."""
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
-    if 1.0 - gamma / 2.0 == 1.0:
-        raise ValueError(f"gamma must be large enough that 1 - gamma/2 < 1, got {gamma:g}")
-    return gamma
 
 
 def normal_quantile(p: float) -> float:

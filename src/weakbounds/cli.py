@@ -14,38 +14,13 @@ import math
 import sys
 from pathlib import Path
 
-from .bounds import check_gamma, estimate_bounds
-from .domain import LabelSpace, cell_table
 from .errors import FormatError, NumericalError, WeakBoundsError
-from .fileio import (
-    SIG_DIGITS,
-    dump_result_json,
-    read_candidates,
-    read_dataset_csv,
-    read_label_model_json,
-    read_loss_table,
-    result_json,
-    write_dataset_csv,
-    write_label_model_json,
-    write_sweep_csv,
-)
-from .metrics import (
-    PRF_KINDS,
-    PRIOR_Y1_KINDS,
-    SWEEP_KINDS,
-    MetricKind,
-    MetricSpec,
-    bound_rows,
-    build_g,
-    positive_margins,
-    threshold_sweep,
-)
-from .objective import check_epsilon
+from .vocab import PRF_KINDS, PRIOR_Y1_KINDS, SWEEP_KINDS, MetricKind, check_epsilon, check_gamma
 
-# A command imports what it runs of the oracle, synth and diagnostics modules
-# when it runs, so no process compiles or loads the others. Those names are
-# imported inside each command and never cached in this module, so a tracer that
-# patches module attributes sees every call.
+# This module imports only the standard library, errors and vocab; each command
+# imports what it runs when it runs, and never caches it here. So parsing, and
+# with it --help and every usage error, loads no numpy, no command loads a layer
+# it does not run, and a tracer that patches module attributes sees every call.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,6 +102,8 @@ def _checked(check):
 
 
 def _load_inputs(args):
+    from .fileio import read_dataset_csv, read_label_model_json
+
     data, table = read_dataset_csv(args.data)
     model = read_label_model_json(args.label_model, table)
     return data, table, model
@@ -136,6 +113,10 @@ def _metric_inputs(args):
     """The dataset, its distinct vote tuples, the label model and the cost matrix G
     of the --metric. An option that the --metric does not read, or lacks, is
     rejected before any file is read."""
+    from .domain import LabelSpace
+    from .fileio import read_loss_table
+    from .metrics import MetricSpec, build_g
+
     kind = MetricKind(args.metric)
     if args.loss_table is None and kind is MetricKind.RISK:
         raise ValueError("--metric risk needs --loss-table")
@@ -183,7 +164,11 @@ def _entry(row, lo, hi) -> dict:
 
 
 def cmd_estimate(args) -> int:
+    from .bounds import estimate_bounds
     from .diagnostics import label_model_score
+    from .domain import cell_table
+    from .fileio import dump_result_json, result_json
+    from .metrics import bound_rows, positive_margins
 
     data, table, model, g = _metric_inputs(args)
     cells = cell_table(data, model, g)
@@ -215,6 +200,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .fileio import write_sweep_csv
+    from .metrics import threshold_sweep
+
     if args.prior_y1 is not None and not set(PRIOR_Y1_KINDS) & set(args.metric):
         raise ValueError(f"--prior-y1 is read only with --metric {', '.join(PRIOR_Y1_KINDS)}")
     data, table, model = _load_inputs(args)
@@ -228,6 +216,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .fileio import SIG_DIGITS, dump_result_json
     from .oracle import exact_bounds
 
     data, table, model, g = _metric_inputs(args)
@@ -248,6 +237,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_select(args) -> int:
     from .diagnostics import SelectionStrategy, select_model
+    from .fileio import dump_result_json, read_candidates
 
     names, candidates = read_candidates(args.candidates, args.metric)
     strategy = SelectionStrategy(args.strategy)
@@ -277,6 +267,8 @@ def cmd_diagnose(args) -> int:
         label_model_score,
         misspecification_report,
     )
+    from .domain import cell_table
+    from .fileio import dump_result_json, read_label_model_json, result_json
 
     if args.epsilon is not None and args.label_model_alt is None:
         raise ValueError("--epsilon is read only with --label-model-alt")
@@ -321,6 +313,7 @@ def _synth_spec(args):
 
 
 def cmd_synth(args) -> int:
+    from .fileio import dump_result_json, write_dataset_csv, write_label_model_json
     from .synth import generate_synthetic
 
     result = generate_synthetic(_synth_spec(args))
@@ -333,6 +326,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    from .fileio import dump_result_json, result_json
     from .synth import coverage_experiment
 
     report = coverage_experiment(_synth_spec(args), args.replications, args.gamma)

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import enum
 from math import frexp, ldexp, sqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundEstimate, solve_bounds
 from .domain import CellTable, DatasetView, LabelModel
 from .errors import CoverageError, NumericalError
+
+if TYPE_CHECKING:  # an annotation only: bounds is imported where a bound is solved
+    from .bounds import BoundEstimate
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
@@ -85,6 +87,8 @@ def misspecification_report(
     The certificate is 2 * delta * max optimizer sup-norm, where delta is the
     worst per-signature total variation distance between the two models.
     """
+    from .bounds import solve_bounds
+
     model_p = cells.label_model
     if model_p.shape != model_q.table.shape:
         raise CoverageError("models must cover the same signatures and classes")

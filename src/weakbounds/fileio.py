@@ -77,30 +77,26 @@ def write_dataset_csv(
     header += [f"wl_{k}" for k in range(num_labelers)]
 
     # every row past the score is one of the few distinct (pred, label, signature)
-    # cells, so each cell's text is formatted once; ``cells`` is column-major,
-    # which group_rows reads fastest
+    # cells, so each cell's row template is made once, led by the score's format;
+    # ``cells`` is column-major, which group_rows reads fastest
     cells = np.array(
         [v for v in (data.predictions, data.labels) if v is not None] + [data.z_ids],
         dtype=np.int64,
     ).T
     first, ids = group_rows(cells)
-    texts = np.array(
-        [",".join(map(str, [*row[:-1], *table[row[-1]]])) for row in cells[first].tolist()],
+    lead = "" if data.scores is None else f"%.{SIG_DIGITS}g,"
+    templates = np.array(
+        [lead + ",".join(map(str, [*row[:-1], *table[row[-1]]])) + "\n"
+         for row in cells[first].tolist()],
         dtype=object,
     )
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, data.n, WRITE_CHUNK_ROWS):
             chunk = slice(start, start + WRITE_CHUNK_ROWS)
-            tails = texts[ids[chunk]].tolist()
-            if data.scores is None:
-                fh.write("\n".join(tails) + "\n")
-                continue
-            # one %-format over the chunk: scores and tails interleaved
-            fields = [None] * (2 * len(tails))
-            fields[0::2] = data.scores[chunk].tolist()
-            fields[1::2] = tails
-            fh.write(f"%.{SIG_DIGITS}g,%s\n" * len(tails) % tuple(fields))
+            text = "".join(templates[ids[chunk]].tolist())
+            # one % substitution over the chunk, a score into each row's template
+            fh.write(text if data.scores is None else text % tuple(data.scores[chunk].tolist()))
 
 
 # numpy's loadtxt messages for a row with the wrong number of fields (its row
@@ -112,28 +108,38 @@ _BAD_VALUE = re.compile(r"could not convert string (.*) to (\w+) at row (\d+), c
 # skips blank lines and takes the ASCII separators \x1c-\x1f for whitespace
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 _SCAN_CHUNK = 1 << 16  # bytes per chunk of the one byte scan for misread lines
+# loadtxt's quoted field: a quote that begins a field, at a line's start or after
+# a comma, up to the quote that closes it or to the end of the file, a doubled
+# quote inside being one quote. A quote anywhere else is a plain character.
+_QUOTED_FIELD = re.compile(rb'"(?<![^,\n\r]")[^"]*(?:""[^"]*)*("?)')
 
 
 def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
     """The 1-based line and the reason of the first line that loadtxt would
-    misread or fail to decode: one that holds an ASCII separator, is blank, or
-    holds a byte that the text readers' encoding cannot decode. Lines are
-    counted as loadtxt counts them; on one line, a separator comes first.
+    misread or fail to decode: one that holds an ASCII separator, is blank,
+    holds a byte that the text readers' encoding cannot decode, or opens a
+    quoted field that no quote closes, which loadtxt reads to the end of the
+    file as one value. Lines are counted as loadtxt counts them; on one line,
+    the first byte at fault is named, and an undecodable byte counts at the
+    line's end.
 
     A blank line of the decoded, newline-translated text is two line ends in a
     row in the raw bytes (each a ``\\n`` or a ``\\r``, but not the pair ``\\r\\n``).
     The scan reads the bytes in fixed-size chunks, which an incremental decoder
     also reads, and tests each as one byte array led by the previous chunk's
     last byte, so that a pair of line ends across two chunks is seen; an
-    undecodable byte counts at the first line end after it. Only a hit reads
-    the bytes before it again, to count its line.
+    undecodable byte counts at the first line end after it. Only a hit, or a
+    quote before it, reads the bytes again: to count the hit's line, or to
+    find a quoted field left open.
     """
     start, last = 0, b"\0"  # the file offset of the chunk, and the byte before it
     undecodable = None  # the file offset and the reason of the first undecodable byte
+    quoted = False  # whether the chunks read so far hold a quote
     with open(path) as text:  # in the encoding that loadtxt opens it with
         fh, decoder = text.buffer, codecs.getincrementaldecoder(text.encoding)()
         while True:
             chunk = fh.read(_SCAN_CHUNK)
+            quoted = quoted or b'"' in chunk
             held = len(decoder.getstate()[0])  # bytes of a sequence the last chunk cut
             try:
                 if undecodable is None:
@@ -144,28 +150,49 @@ def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
                     f"{exc.encoding!r} codec can't decode byte{'s' * (len(bad) > 1)} "
                     f"{' '.join(f'0x{b:02x}' for b in bad)}: {exc.reason}")
             if not chunk:  # no line end follows an undecodable byte: it is on the last line
-                return None if undecodable is None else (_line_at(fh, start), undecodable[1])
+                found = [] if undecodable is None else [(start, undecodable[1])]
+                break
             b = np.frombuffer(last + chunk, np.uint8)  # b[0]: the byte before the chunk
             # the separators are the four bytes from 0x1c; below it, b - 0x1c wraps
             seps = b - np.uint8(0x1C) < len(_SEPARATORS)
-            at = int(seps.argmax())  # found: (index into b, reason) of each kind's first hit
-            found = [(at, f"control character {chr(b[at])!r}")] if seps[at] else []
+            at = int(seps.argmax())  # b[at] is the byte at file offset start + at - 1
+            # found: (file offset, reason) of each kind's first hit
+            found = [(start + at - 1, f"control character {chr(b[at])!r}")] if seps[at] else []
             n, r = b == ord("\n"), b == ord("\r")
             ends = n | r
             pairs = ends[:-1] & ends[1:] & ~(r[:-1] & n[1:])
-            if pairs.any():
-                found.append((int(pairs.argmax()) + 1, "blank line"))  # the second line end
+            if pairs.any():  # the second line end, never the \n of a \r\n
+                found.append((start + int(pairs.argmax()), "blank line"))
             if undecodable is not None:
-                # at its line's end, so that a separator on its line comes first
+                # at its line's end, so that a fault before it on its line comes first
                 after = ends[max(undecodable[0] - start + 1, 1):]
                 if after.any():
-                    found.append((len(b) - len(after) + int(after.argmax()), undecodable[1]))
+                    found.append((start + len(b) - len(after) + int(after.argmax()) - 1,
+                                  undecodable[1]))
             if found:
-                at, what = min(found)
-                # the byte at the hit is never the \n of a \r\n
-                return _line_at(fh, start + at - 1), what
+                break
             start += len(chunk)
             last = chunk[-1:]
+        # a field opened before the first hit may be left open at the end of the file
+        if quoted and (at := _open_quote(fh)) is not None:
+            found.append((at, "a quoted field is still open at the end of the file"))
+        if not found:
+            return None
+        at, what = min(found)
+        return _line_at(fh, at), what
+
+
+def _open_quote(fh) -> int | None:
+    """The file offset of the quote that opens a field left open at the end of
+    the binary file ``fh``, in the rows below the header's first line, or None."""
+    fh.seek(0)
+    data = fh.read()
+    header = re.search(rb"[\n\r]", data)
+    last = None
+    # a field left open runs to the end of the file, so it is the last one
+    for last in _QUOTED_FIELD.finditer(data, header.end() if header else len(data)):
+        pass
+    return last.start() if last is not None and not last[1] else None
 
 
 def _line_at(fh, offset: int) -> int:

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Collection
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundEstimate, ConfidenceInterval, normal_interval, solve_bounds
 from .domain import (
     CellTable,
     DatasetView,
@@ -20,19 +18,10 @@ from .domain import (
     read_only,
 )
 from .errors import FormatError
+from .vocab import PRF_KINDS, PRIOR_Y1_KINDS, SWEEP_KINDS, MetricKind
 
-
-class MetricKind(enum.Enum):
-    RISK = "risk"
-    ACCURACY = "accuracy"
-    JOINT_POSITIVE = "joint_positive"
-
-
-# the metrics a threshold sweep reports
-PRF_KINDS = ("precision", "recall", "f1")
-SWEEP_KINDS = ("accuracy", "joint_positive", *PRF_KINDS)
-# the rows that divide by P(Y=1), the only ones that read it: recall and F1
-PRIOR_Y1_KINDS = ("recall", "f1")
+if TYPE_CHECKING:  # annotations only: bounds is imported where a bound is solved
+    from .bounds import BoundEstimate, ConfidenceInterval
 
 
 class MetricSpec:
@@ -169,6 +158,8 @@ def bound_rows(
     pair scaled by 1/P(h=1), 1/P(Y=1) or 2/(P(h=1)+P(Y=1)), stds included, and
     clamped to [0, 1] with a flag. Every CI is a normal interval around the value.
     """
+    from .bounds import normal_interval
+
     intervals = {metric: (lower.value, upper.value, lower.plugin_std, upper.plugin_std, False)}
     if metric == "joint_positive" and p_h1 is not None:
         factors = _prf_factors(p_h1, p_y1)
@@ -205,6 +196,8 @@ def threshold_sweep(
     one joint_positive solve. A sample is positive at ``t`` when ``score >= t``, so
     a threshold reads the sample only through each signature's count of positives.
     """
+    from .bounds import solve_bounds
+
     if not thresholds:
         raise ValueError("empty threshold list")
     if data.scores is None:

@@ -28,22 +28,12 @@ import math
 import numpy as np
 
 from .domain import CellTable
-
-EPSILON_FLOOR = 1e-6
+from .vocab import EPSILON_FLOOR, check_epsilon  # importable from here too
 
 
 def default_epsilon(num_classes: int) -> float:
     """Temperature whose smoothing bias, at most eps * ln|Y|, is 0.01 units of the metric."""
     return 0.01 / math.log(num_classes)
-
-
-def check_epsilon(eps: float) -> float:
-    """Return ``eps`` if it is a usable temperature, else raise ValueError."""
-    if not math.isfinite(eps):
-        raise ValueError(f"epsilon must be finite, got {eps}")
-    if eps < EPSILON_FLOOR:
-        raise ValueError(f"epsilon must be >= {EPSILON_FLOOR} (overflow guard), got {eps}")
-    return eps
 
 
 def _soft_pass(cells: CellTable, a, epsilon) -> tuple[np.ndarray, np.ndarray]:

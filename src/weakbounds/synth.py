@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundEstimate, check_gamma, normal_interval, solve_bounds
 from .domain import (
     ABSTAIN,
     DatasetView,
@@ -24,6 +23,10 @@ from .domain import (
     encode_signatures,
     read_only,
 )
+from .vocab import check_gamma
+
+if TYPE_CHECKING:  # an annotation only: bounds is imported where coverage solves
+    from .bounds import BoundEstimate
 
 SCORE_NOISE = 0.15
 MAX_COVERAGE_LABELERS = 10  # coverage enumerates all 3^K vote tuples
@@ -175,6 +178,8 @@ def coverage_experiment(spec: SynthSpec, replications: int, gamma: float) -> Cov
     scores whether its interval covers the truth. One solve solves the population
     and every sample. The population spans all 3^K vote tuples, so K is at most 10.
     """
+    from .bounds import normal_interval, solve_bounds
+
     if replications < 100:
         raise ValueError("need at least 100 replications")
     check_gamma(gamma)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import weakbounds
-from weakbounds import bounds, cli, domain, metrics, solver
+from weakbounds import bounds, cli, domain, fileio, metrics, solver
 from weakbounds.cli import build_parser, main
 from weakbounds.diagnostics import conditional_entropy_y, empirical_z_weights
 from weakbounds.fileio import read_dataset_csv, read_label_model_json
@@ -189,6 +189,16 @@ class TestExitCodes:
         assert run("estimate", "--data", str(data), "--label-model", str(model)) == 2
         assert "duplicate column name 'pred'" in capsys.readouterr().err
 
+    def test_quoted_field_left_open_is_data_error(self, tmp_path, capsys):
+        # loadtxt read the open field's "1\n" as a vote: n = 2, exit 0
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        data.write_text('pred,wl_0,wl_1\n1,1,0\n0,1,"1\n')
+        model.write_text(json.dumps({"num_classes": 2, "fallback": "uniform", "entries": []}))
+        rc = run("estimate", "--data", str(data), "--label-model", str(model))
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: {data}:3: a quoted field is still open at the end of the file\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -287,7 +297,7 @@ class TestExitCodes:
         # sweep's --threshold replaced --thresholds
         reads = []
         for reader in ("read_dataset_csv", "read_label_model_json", "read_candidates"):
-            monkeypatch.setattr(cli, reader, lambda *args: reads.append(args))
+            monkeypatch.setattr(fileio, reader, lambda *args: reads.append(args))
         data, model = synth_files
         loss = tmp_path / "loss.json"
         loss.write_text("[[0, 5], [5, 0]]")

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,64 @@ class TestDatasetCsv:
         path.write_text('score,pred,wl_0,"wl_1\n0.5,1,0,1\n')
         with pytest.raises(FormatError, match=re.escape(f"{path}:1: a header field spans")):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [('pred,wl_0,wl_1\n1,1,0\n0,1,"1\n', 3),
+         ('pred,wl_0,wl_1\n1,1,0\n0,1,"1', 3),
+         ('pred,wl_0,wl_1\r\n1,1,0\r\n0,1,"1\r\n', 3),
+         ('pred,wl_0,note\n1,1,"a""\n0,1,x\n', 2),
+         ('pred,wl_0,note\n1,1,"a\n\n0,1,x\n', 2),
+         ('pred,wl_0,note\n1,1,"a"\n0,1,"b\n', 3)],
+        ids=["last-line", "no-final-line-end", "crlf", "after-a-doubled-quote",
+             "before-a-blank-line", "after-a-closed-field"],
+    )
+    def test_quoted_field_open_at_the_end_of_the_file_rejected(self, tmp_path, text, line):
+        # loadtxt read the rest of the file into the open field as one value
+        path = tmp_path / "e.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:{line}: a quoted field is still open at the end of the file")):
+            read_dataset_csv(path)
+
+    def test_quote_inside_an_unquoted_field_is_a_plain_character(self, tmp_path):
+        # as loadtxt reads it: a quote opens a field only at the field's start, so
+        # an odd count of quotes leaves no field open
+        path = tmp_path / "q.csv"
+        path.write_text('pred,wl_0,note\n1,1,ab"c\n0,0,"x"y"z"\n')
+        data, table = read_dataset_csv(path)
+        assert data.predictions.tolist() == [1, 0]
+        assert table == ((1,), (0,))
+
+    @given(st.lists(st.text(alphabet='"a,', min_size=1, max_size=6), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_open_quote_follows_loadtxt(self, tmp_path_factory, lines):
+        # no line is empty, so no line is blank in the raw bytes
+        body = "\n".join(lines)
+        path = tmp_path_factory.getbasetemp() / "open.csv"
+        path.write_bytes(("h\n" + body).encode())
+        # loadtxt's own reading: an open field takes in a last line added after it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            first = np.loadtxt(io.StringIO(body + "\nEND"), dtype=str, delimiter=",",
+                               comments=None, quotechar='"', usecols=(0,), ndmin=1)
+        left_open = first[-1] != "END"
+        # the line of the quote that opens the last field, by loadtxt's quote rules
+        line, at_start, opened, quoted, i = 2, True, None, False, 0
+        while i < len(body):
+            c = body[i]
+            if quoted and c == '"' and body[i + 1:i + 2] == '"':
+                i += 1  # a doubled quote inside a quoted field
+            elif quoted:
+                quoted = c != '"'
+            elif c == '"' and at_start:
+                quoted, opened = True, line
+            at_start = not quoted and c in ",\n"
+            line += c == "\n"
+            i += 1
+        assert quoted == left_open
+        what = "a quoted field is still open at the end of the file"
+        assert _first_misread_line(path) == ((opened, what) if left_open else None)
 
     @pytest.mark.parametrize("tail", ["\n0.5,1,0,1\n", "0.5,1,0\n", "0.5,1,x,1\n"],
                              ids=["blank", "ragged", "bad-value"])

@@ -1,5 +1,6 @@
-"""Start-up import diet: each command loads only the weakbounds modules it runs,
-no command loads scipy, and no module imports scipy, statistics or
+"""Start-up import diet: importing the CLI loads only its parser, which parses
+every option without numpy, each command loads only the weakbounds modules it
+runs, no command loads scipy, and no module imports scipy, statistics or
 dataclasses, whose generated methods are compiled again in every process.
 
 The command tests run a fresh interpreter, since the test process itself has
@@ -12,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import weakbounds
 
@@ -29,10 +32,11 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == sys.argv[2]
 """
 
 
-def modules_after(commands, cwd, package):
+def fresh(script, args, cwd):
+    """The JSON that ``script`` prints last, run on ``args`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(commands), package],
+        [sys.executable, "-c", script, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -40,6 +44,10 @@ def modules_after(commands, cwd, package):
         check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after(commands, cwd, package):
+    return fresh(SCRIPT, [json.dumps(commands), package], cwd)
 
 
 def test_import_cli_loads_no_scipy(tmp_path):
@@ -82,32 +90,65 @@ def test_multiclass_oracle_loads_no_scipy(tmp_path):
     assert abs(result["upper"] - 1.0) < 1e-9
 
 
-# every command's process loads these, with the package and the cli
-BASE = {f"weakbounds.{m}" for m in
-        ("cli", "bounds", "domain", "errors", "fileio", "metrics", "objective", "solver")}
+# ``import weakbounds.cli`` loads only the package, the parser and the
+# vocabulary its option types check with
+CLI = {"weakbounds", "weakbounds.cli", "weakbounds.errors", "weakbounds.vocab"}
+# every command that reads or writes a file loads these
+FILES = {"domain", "fileio"}
+# and every command that solves a smoothed bound these
+SOLVE = {"bounds", "objective", "solver"}
 
 
 def test_import_cli_loads_only_what_every_command_runs(tmp_path):
-    assert set(modules_after([], tmp_path, "weakbounds")) == BASE | {"weakbounds"}
+    assert set(modules_after([], tmp_path, "weakbounds")) == CLI
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
     common = ["--data", "d.csv", "--label-model", "m.json"]
     synth = ["synth", "--n", "120", "--seed", "2", "--out", "d.csv", "--model-out", "m.json"]
     commands = {
-        "synth": (synth, {"synth"}),
-        "estimate": (["estimate", *common, "--out", "c/acc.json"], {"diagnostics"}),
+        "synth": (synth, FILES | {"synth"}),
+        "estimate": (["estimate", *common, "--out", "c/acc.json"],
+                     FILES | SOLVE | {"metrics", "diagnostics"}),
         "sweep": (["sweep", *common, "--thresholds", "0.4,0.6", "--metric", "accuracy,f1"],
-                  set()),
-        "oracle": (["oracle", *common], {"oracle"}),
-        "diagnose": (["diagnose", *common], {"diagnostics"}),
-        "select": (["select", "--candidates", "c"], {"diagnostics"}),
-        "coverage": (["coverage", "--n", "100", "--replications", "100"], {"synth"}),
+                  FILES | SOLVE | {"metrics"}),
+        "oracle": (["oracle", *common], FILES | {"metrics", "oracle"}),
+        "diagnose": (["diagnose", *common], FILES | {"metrics", "diagnostics"}),
+        "diagnose-alt": (["diagnose", *common, "--label-model-alt", "m.json"],
+                         FILES | SOLVE | {"metrics", "diagnostics"}),
+        "select": (["select", "--candidates", "c"], FILES | {"diagnostics"}),
+        "coverage": (["coverage", "--n", "100", "--replications", "100"],
+                     FILES | SOLVE | {"synth"}),
     }
     (tmp_path / "c").mkdir()
     for name, (argv, own) in commands.items():
         loaded = set(modules_after([argv], tmp_path, "weakbounds"))
-        assert loaded == BASE | {"weakbounds"} | {f"weakbounds.{m}" for m in own}, name
+        assert loaded == CLI | {f"weakbounds.{m}" for m in own}, name
+
+
+# runs one CLI command in a fresh interpreter: its exit code, and whether numpy loaded
+NUMPY_SCRIPT = """
+import json, sys
+from weakbounds.cli import main
+rc = main(json.loads(sys.argv[1]))
+print(json.dumps([rc, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--help"], 0),
+        (["estimate", "--help"], 0),
+        (["estimate", "--label-model", "m.json"], 1),  # no --data
+        (["sweep", "--data", "d.csv", "--label-model", "m.json", "--thresholds", "0.5",
+          "--metric", "accuracy,auc"], 1),
+        (["estimate", "--data", "d.csv", "--label-model", "m.json", "--gamma", "2"], 1),
+    ],
+    ids=["help", "estimate-help", "no-data", "unknown-metric", "bad-gamma"],
+)
+def test_help_and_usage_errors_load_no_numpy(tmp_path, argv, code):
+    assert fresh(NUMPY_SCRIPT, [json.dumps(argv)], tmp_path) == [code, False]
 
 
 def import_sites(package):

@@ -54,10 +54,13 @@ The command sets:
   once (``bad-before-undecodable``), and duplicate header names, with the byte
   in the first 8 KiB (``duplicate-undecodable``); and on one whose blank line 10
   follows a quoted field spanning three lines, so that loadtxt reads on to a
-  NaN score on line 12 (``quoted-nan``). Both versions must exit 2 and name the
-  first faulty line; a reader that reports the byte as its text reader meets
-  it names the byte's line in the two ``undecodable`` cases, and one that
-  checks the scores apart from the misread line names line 12 in ``quoted-nan``.
+  NaN score on line 12 (``quoted-nan``); and on one whose line 102 opens a
+  quoted field that no quote closes (``open-quote``). Both versions must exit 2
+  and name the first faulty line; a reader that reports the byte as its text
+  reader meets it names the byte's line in the two ``undecodable`` cases, one
+  that checks the scores apart from the misread line names line 12 in
+  ``quoted-nan``, and one that reads the open field as a value exits 0 on
+  ``open-quote``.
 """
 
 from __future__ import annotations
@@ -256,6 +259,9 @@ def _malformed_commands(case: Path):
         # the rows before the blank line 10, counted one line each, reach line 12
         "quoted-nan": ("\n", ["score,wl_0,note", '0.5,1,"a\nb\nc"', *["0.5,1,x"] * 5, "",
                               "0.5,1,x", "nan,1,x", *["0.5,1,x"] * 3]),
+        # loadtxt reads the rest of the file into the field the quote opens
+        "open-quote": ("\n", [header + ",note", *note[:100], '0.5,1,0,1,0,"open',
+                               *[f"{r},x" for r in rows[100:]]]),
     }
     entries = [{"z": [a, b], "p": [0.3 + 0.1 * a, 0.7 - 0.1 * a]}
                for a in (-1, 0, 1) for b in (-1, 0, 1)]
