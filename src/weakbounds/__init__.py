@@ -16,7 +16,6 @@ _EXPORTS = {
         "BoundEstimate",
         "ConfidenceInterval",
         "Side",
-        "check_gamma",
         "estimate_bounds",
         "plugin_std",
     ),
@@ -61,7 +60,6 @@ _EXPORTS = {
         "write_sweep_csv",
     ),
     "metrics": (
-        "MetricKind",
         "MetricSpec",
         "SweepRow",
         "SweepTable",
@@ -71,7 +69,6 @@ _EXPORTS = {
         "threshold_sweep",
     ),
     "objective": (
-        "check_epsilon",
         "default_epsilon",
         "gradient",
         "hessian",
@@ -93,6 +90,11 @@ _EXPORTS = {
         "SynthSpec",
         "coverage_experiment",
         "generate_synthetic",
+    ),
+    "vocab": (
+        "MetricKind",
+        "check_epsilon",
+        "check_gamma",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

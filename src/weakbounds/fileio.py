@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import math
+import mmap
 import re
 import sys
 import warnings
@@ -108,10 +109,9 @@ _BAD_VALUE = re.compile(r"could not convert string (.*) to (\w+) at row (\d+), c
 # skips blank lines and takes the ASCII separators \x1c-\x1f for whitespace
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 _SCAN_CHUNK = 1 << 16  # bytes per chunk of the one byte scan for misread lines
-# loadtxt's quoted field: a quote that begins a field, at a line's start or after
-# a comma, up to the quote that closes it or to the end of the file, a doubled
-# quote inside being one quote. A quote anywhere else is a plain character.
-_QUOTED_FIELD = re.compile(rb'"(?<![^,\n\r]")[^"]*(?:""[^"]*)*("?)')
+# the bytes before a quote that opens a field: a comma or a line end
+_FIELD_START = np.zeros(256, bool)
+_FIELD_START[[ord(","), ord("\n"), ord("\r")]] = True
 
 
 def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
@@ -130,16 +130,17 @@ def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
     last byte, so that a pair of line ends across two chunks is seen; an
     undecodable byte counts at the first line end after it. Only a hit, or a
     quote before it, reads the bytes again: to count the hit's line, or to
-    find a quoted field left open.
+    find a quoted field left open, which only a quote below the header's first
+    line can open.
     """
     start, last = 0, b"\0"  # the file offset of the chunk, and the byte before it
     undecodable = None  # the file offset and the reason of the first undecodable byte
-    quoted = False  # whether the chunks read so far hold a quote
+    rows = None  # the file offset past the header's first line end, once read
+    quoted = False  # whether the rows read so far hold a quote
     with open(path) as text:  # in the encoding that loadtxt opens it with
         fh, decoder = text.buffer, codecs.getincrementaldecoder(text.encoding)()
         while True:
             chunk = fh.read(_SCAN_CHUNK)
-            quoted = quoted or b'"' in chunk
             held = len(decoder.getstate()[0])  # bytes of a sequence the last chunk cut
             try:
                 if undecodable is None:
@@ -160,6 +161,9 @@ def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
             found = [(start + at - 1, f"control character {chr(b[at])!r}")] if seps[at] else []
             n, r = b == ord("\n"), b == ord("\r")
             ends = n | r
+            if rows is None and ends.any():  # b[i] is the byte at offset start + i - 1
+                rows = start + int(ends.argmax())
+            quoted = quoted or rows is not None and chunk.find(b'"', max(rows - start, 0)) >= 0
             pairs = ends[:-1] & ends[1:] & ~(r[:-1] & n[1:])
             if pairs.any():  # the second line end, never the \n of a \r\n
                 found.append((start + int(pairs.argmax()), "blank line"))
@@ -174,7 +178,7 @@ def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
             start += len(chunk)
             last = chunk[-1:]
         # a field opened before the first hit may be left open at the end of the file
-        if quoted and (at := _open_quote(fh)) is not None:
+        if quoted and (at := _open_quote(fh, rows)) is not None:
             found.append((at, "a quoted field is still open at the end of the file"))
         if not found:
             return None
@@ -182,17 +186,42 @@ def _first_misread_line(path: str | Path) -> tuple[int, str] | None:
         return _line_at(fh, at), what
 
 
-def _open_quote(fh) -> int | None:
+def _open_quote(fh, rows: int) -> int | None:
     """The file offset of the quote that opens a field left open at the end of
-    the binary file ``fh``, in the rows below the header's first line, or None."""
-    fh.seek(0)
-    data = fh.read()
-    header = re.search(rb"[\n\r]", data)
-    last = None
-    # a field left open runs to the end of the file, so it is the last one
-    for last in _QUOTED_FIELD.finditer(data, header.end() if header else len(data)):
-        pass
-    return last.start() if last is not None and not last[1] else None
+    the binary file ``fh``, in the rows from offset ``rows``, or None.
+
+    By loadtxt's quote rules, a quote that begins a field opens it, a doubled
+    quote inside is one quote, and the next quote closes it; a quote anywhere
+    else is a plain character. So a run of quotes of even length changes
+    nothing, and one of odd length switches between in and out of a quoted
+    field if it begins a field, and otherwise leaves none open: it closes the
+    field it is in, or is text. Only the switches after the last such run
+    count, so the file is read in chunks from its end back to that run, most
+    often in its last chunk.
+    """
+    switches, opened = 0, None  # the switches read, and the offset of the last
+    with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as m:
+        end = len(m)
+        while end > rows:
+            start = max(end - _SCAN_CHUNK, rows)
+            while m[start - 1] == ord('"'):  # a run is read whole; m[rows - 1] is a line end
+                start -= 1
+            b = np.frombuffer(m[start - 1:end], np.uint8)  # b[0]: the byte before the chunk
+            q = b == ord('"')
+            edges = np.flatnonzero(q[1:] != q[:-1]) + 1
+            if q[-1]:  # a run at the end of the file
+                edges = np.append(edges, len(b))
+            starts, stops = edges[0::2], edges[1::2]
+            runs = starts[(stops - starts) % 2 == 1][::-1]  # the odd runs, the last first
+            switch = _FIELD_START[b[runs - 1]]
+            n = len(runs) if switch.all() else int(switch.argmin())
+            if opened is None and n:
+                opened = start - 1 + int(runs[0])
+            switches += n
+            if n < len(runs):
+                break
+            end = start
+    return opened if switches % 2 else None
 
 
 def _line_at(fh, offset: int) -> int:

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,7 +322,11 @@ class TestDatasetCsv:
             i += 1
         assert quoted == left_open
         what = "a quoted field is still open at the end of the file"
-        assert _first_misread_line(path) == ((opened, what) if left_open else None)
+        # chunks of a few bytes cut runs of quotes and put the last closing run
+        # chunks before the end
+        for chunk in (_SCAN_CHUNK, 1, 2, 3):
+            with mock.patch("weakbounds.fileio._SCAN_CHUNK", chunk):
+                assert _first_misread_line(path) == ((opened, what) if left_open else None)
 
     @pytest.mark.parametrize("tail", ["\n0.5,1,0,1\n", "0.5,1,0\n", "0.5,1,x,1\n"],
                              ids=["blank", "ragged", "bad-value"])
